@@ -14,7 +14,7 @@ import io
 import itertools
 import logging
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .faulttree import (
     BasicEvent,
@@ -22,9 +22,6 @@ from .faulttree import (
     FaultTree,
     attach_shared_event,
     ccf_event_id,
-    fail_gate_id,
-    hw_gate_id,
-    sw_gate_id,
 )
 from .sysmodel import CcfPolicy, GroupScope, NodeId, RedundancyGroup
 
@@ -57,60 +54,67 @@ class CcfEvent:
         )
 
 
-def _hw_event(group: RedundancyGroup, division: str | None = None,
-              subset: tuple[str, ...] | None = None,
-              members: tuple[NodeId, ...] | None = None) -> CcfEvent:
-    scope = group.scope if subset is None else GroupScope.CROSS_DIVISION
-    where = ""
-    if division is not None:
-        where = f" within division {division}"
-    elif subset is not None:
-        where = f" across divisions {'-'.join(subset)}"
-    return CcfEvent(
-        name=ccf_event_id(group.prefix, hardware=True, division=division,
-                          division_subset=subset),
-        kind=EventKind.HW_CCF,
-        class_tag=group.class_tag,
-        scope=scope,
-        members=members or group.members,
-        division=division,
-        division_subset=subset,
-        description=f"{group.display} hardware CCF{where}.",
-    )
+def _ccf_event(group: RedundancyGroup, subset: tuple[str, ...] | None = None,
+               category: str | None = None) -> CcfEvent:
+    """The group's CCF over its own span, or over a partial division ``subset``.
 
-
-def _sw_event(group: RedundancyGroup, category: str, division: str | None = None,
-              subset: tuple[str, ...] | None = None,
-              members: tuple[NodeId, ...] | None = None) -> CcfEvent:
-    scope = group.scope if subset is None else GroupScope.CROSS_DIVISION
-    where = ""
-    if division is not None:
-        where = f" within division {division}"
-    elif subset is not None:
+    A software CCF when ``category`` is given, else a hardware one.
+    """
+    if subset is None:
+        scope, members = group.scope, group.members
+        division = group.division if group.scope is GroupScope.INTRA_DIVISION else None
+        where = f" within division {division}" if division is not None else ""
+    else:
+        scope = GroupScope.CROSS_DIVISION
+        members = tuple(m for m in group.members if m.division in subset)
+        division = None
         where = f" across divisions {'-'.join(subset)}"
+    if category is None:
+        kind, what = EventKind.HW_CCF, "hardware CCF"
+    else:
+        kind, what = EventKind.SW_CCF, f"software CCF {_CATEGORY_WORD[category]}"
     return CcfEvent(
-        name=ccf_event_id(group.prefix, hardware=False, division=division,
+        name=ccf_event_id(group.prefix, hardware=category is None, division=division,
                           division_subset=subset, category=category),
-        kind=EventKind.SW_CCF,
+        kind=kind,
         class_tag=group.class_tag,
         scope=scope,
-        members=members or group.members,
+        members=members,
         division=division,
         division_subset=subset,
         category=category,
-        description=f"{group.display} software CCF {_CATEGORY_WORD[category]}{where}.",
+        description=f"{group.display} {what}{where}.",
     )
 
 
-def _partial_subsets(group: RedundancyGroup) -> list[tuple[tuple[str, ...], tuple[NodeId, ...]]]:
+def _partial_subsets(group: RedundancyGroup) -> list[tuple[str, ...]]:
     """Division subsets of size >= 2 short of the full span."""
     divisions = sorted({m.division for m in group.members})
-    out = []
-    for size in range(2, len(divisions)):
-        for subset in itertools.combinations(divisions, size):
-            members = tuple(m for m in group.members if m.division in subset)
-            out.append((subset, members))
-    return out
+    return [
+        subset
+        for size in range(2, len(divisions))
+        for subset in itertools.combinations(divisions, size)
+    ]
+
+
+def _covers_own_span(group: RedundancyGroup, policy: CcfPolicy) -> bool:
+    """True when the policy instantiates CCFs over the group's own span."""
+    if group.scope is GroupScope.INTRA_DIVISION:
+        return policy.include_intra_division
+    return policy.include_cross_all_divisions
+
+
+def _candidates(groups: Sequence[RedundancyGroup], policy: CcfPolicy) -> Iterator[CcfEvent]:
+    """Every CCF event the policy instantiates, group by group."""
+    for group in groups:
+        spans: list[tuple[str, ...] | None] = [None] if _covers_own_span(group, policy) else []
+        if group.scope is GroupScope.CROSS_DIVISION and policy.include_partial_interdivision:
+            spans += _partial_subsets(group)
+        for subset in spans:
+            yield _ccf_event(group, subset)
+            if group.software_capable:
+                for category in policy.software_categories:
+                    yield _ccf_event(group, subset, category)
 
 
 def enumerate_ccf_catalog(
@@ -124,65 +128,18 @@ def enumerate_ccf_catalog(
     picture. Partial inter-division combinations appear only when the policy
     enables them.
     """
-    categories = sorted(set("abc") | set(policy.software_categories))
-    catalog: list[CcfEvent] = []
-    for group in groups:
-        division = group.division if group.scope is GroupScope.INTRA_DIVISION else None
-        catalog.append(_hw_event(group, division=division))
-        if group.software_capable:
-            for category in categories:
-                catalog.append(_sw_event(group, category, division=division))
-        if group.scope is GroupScope.CROSS_DIVISION and policy.include_partial_interdivision:
-            for subset, members in _partial_subsets(group):
-                catalog.append(_hw_event(group, subset=subset, members=members))
-                if group.software_capable:
-                    for category in categories:
-                        catalog.append(_sw_event(group, category, subset=subset, members=members))
-    catalog.sort(key=lambda e: (e.class_tag, e.scope.value, e.division or "", e.name))
-    return tuple(catalog)
-
-
-def _injection_candidates(
-    groups: Sequence[RedundancyGroup], policy: CcfPolicy, warn: bool = False
-) -> list[CcfEvent]:
-    candidates: list[CcfEvent] = []
-
-    def software_allowed(group: RedundancyGroup) -> bool:
-        if group.software_capable:
-            return True
-        if warn and policy.software_categories:
-            logger.warning(
-                "skipping software CCFs for %s (%s): members have no software subtree",
-                group.class_tag,
-                group.scope.value,
-            )
-        return False
-
-    for group in groups:
-        if group.scope is GroupScope.INTRA_DIVISION:
-            if not policy.include_intra_division:
-                continue
-            division = group.division
-            candidates.append(_hw_event(group, division=division))
-            if software_allowed(group):
-                for category in policy.software_categories:
-                    candidates.append(_sw_event(group, category, division=division))
-        else:
-            if policy.include_cross_all_divisions:
-                candidates.append(_hw_event(group))
-                if software_allowed(group):
-                    for category in policy.software_categories:
-                        candidates.append(_sw_event(group, category))
-            if policy.include_partial_interdivision:
-                for subset, members in _partial_subsets(group):
-                    candidates.append(_hw_event(group, subset=subset, members=members))
-                    if group.software_capable:
-                        for category in policy.software_categories:
-                            candidates.append(
-                                _sw_event(group, category, subset=subset, members=members)
-                            )
-    candidates.sort(key=lambda e: e.name)
-    return candidates
+    widened = CcfPolicy(
+        include_intra_division=True,
+        include_cross_all_divisions=True,
+        include_partial_interdivision=policy.include_partial_interdivision,
+        software_categories=tuple(sorted(set("abc") | set(policy.software_categories))),
+    )
+    return tuple(
+        sorted(
+            _candidates(groups, widened),
+            key=lambda e: (e.class_tag, e.scope.value, e.division or "", e.name),
+        )
+    )
 
 
 def inject_ccfs(
@@ -196,29 +153,32 @@ def inject_ccfs(
     is skipped with a warning. Members absent from this tree's scope are
     ignored; an event attaches only when at least two members are present.
     """
+    if policy.software_categories:
+        for group in groups:
+            if not group.software_capable and _covers_own_span(group, policy):
+                logger.warning(
+                    "skipping software CCFs for %s (%s): members have no software subtree",
+                    group.class_tag,
+                    group.scope.value,
+                )
     gates = dict(ft.gates)
     events = dict(ft.events)
 
-    for candidate in _injection_candidates(groups, policy, warn=True):
-        if candidate.kind is EventKind.HW_CCF:
-            points = [
-                hw_gate_id(member)
-                for member in candidate.members
-                if hw_gate_id(member) in gates
-            ]
-        else:
-            points = []
-            for member in candidate.members:
-                member_points = _software_gates_of(gates, member)
-                if not member_points and _has_fail_gate(gates, member):
-                    logger.warning(
-                        "skipping software CCF %s for %s: no software subtree",
-                        candidate.name,
-                        member.text,
-                    )
-                points.extend(member_points)
-        present_members = {p.split("::")[1] for p in points}
-        if len(present_members) < 2:
+    for candidate in sorted(_candidates(groups, policy), key=lambda e: e.name):
+        role = "HW" if candidate.kind is EventKind.HW_CCF else "SW"
+        points: list[str] = []
+        present = 0
+        for member in candidate.members:
+            member_points = ft.node_gate_ids(member, role)
+            if role == "SW" and not member_points and ft.fail_gate_ids(member):
+                logger.warning(
+                    "skipping software CCF %s for %s: no software subtree",
+                    candidate.name,
+                    member.text,
+                )
+            points.extend(member_points)
+            present += bool(member_points)
+        if present < 2:
             continue
         if candidate.name not in events:
             events[candidate.name] = candidate.to_basic_event()
@@ -227,23 +187,11 @@ def inject_ccfs(
     return FaultTree(top=ft.top, gates=gates, events=events)
 
 
-def _software_gates_of(gates: dict, member: NodeId) -> list[str]:
-    whole = sw_gate_id(member)
-    prefix = whole + "::"
-    return sorted(g for g in gates if g == whole or g.startswith(prefix))
-
-
-def _has_fail_gate(gates: dict, member: NodeId) -> bool:
-    whole = fail_gate_id(member)
-    prefix = whole + "::"
-    return any(g == whole or g.startswith(prefix) for g in gates)
-
-
 def injected_event_names(
     groups: Sequence[RedundancyGroup], policy: CcfPolicy
 ) -> tuple[str, ...]:
     """Names the policy would inject given full attachment availability."""
-    return tuple(c.name for c in _injection_candidates(groups, policy))
+    return tuple(sorted(c.name for c in _candidates(groups, policy)))
 
 
 def catalog_to_csv(catalog: Iterable[CcfEvent]) -> str:

@@ -75,17 +75,22 @@ class RunConfig:
     event_filter: frozenset[EventKind] | None = None
     out_dir: Path = field(default_factory=lambda: Path(os.environ.get("RESHA_OUT", "resha-out")))
     deterministic: bool = False
-    threads: int = 1
     ccf_intra: bool | None = None
     ccf_cross: bool | None = None
     ccf_partial: bool | None = None
     ccf_categories: tuple[str, ...] | None = None
 
 
-def _load_model(path: Path) -> SystemModel:
+def _existing(path: str | Path, what: str) -> Path:
+    """``path`` as a Path; a missing file raises with a one-line message."""
+    path = Path(path)
     if not path.exists():
-        raise FileNotFoundError(f"model file not found: {path}")
-    return parse_system_model(path)
+        raise FileNotFoundError(f"{what} file not found: {path}")
+    return path
+
+
+def _load_model(path: str | Path) -> SystemModel:
+    return parse_system_model(_existing(path, "model"))
 
 
 def _parse_filter(text: str) -> frozenset[EventKind]:
@@ -131,7 +136,7 @@ def run_analysis(config: RunConfig) -> dict[str, object]:
     """Execute the full pipeline and return the artifacts in memory."""
     try:
         model = _load_model(config.model_path)
-    except (ModelError, OSError) as exc:
+    except ModelError as exc:
         raise StageError("parse", exc) from exc
 
     try:
@@ -170,9 +175,7 @@ def run_analysis(config: RunConfig) -> dict[str, object]:
             raise StageError("filter", exc) from exc
 
     try:
-        collection = cutsetmod.solve_minimal_cut_sets(
-            tree, config.truncate, threads=config.threads
-        )
+        collection = cutsetmod.solve_minimal_cut_sets(tree, config.truncate)
     except cutsetmod.CutSetError as exc:
         raise StageError("solve", exc) from exc
 
@@ -244,18 +247,12 @@ def write_artifacts(config: RunConfig, artifacts: dict[str, object]) -> Path:
 
 def cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.model)
-    if not path.exists():
-        print(f"error: model file not found: {path}", file=sys.stderr)
-        return EXIT_IO
     try:
-        parse_system_model(path)
+        _load_model(path)
     except ModelValidationError as exc:
         for issue in exc.issues:
             print(f"error: {issue}", file=sys.stderr)
         return EXIT_FAILURE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     print(f"{path}: valid")
     return EXIT_OK
 
@@ -270,7 +267,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         event_filter=args.filter,
         out_dir=Path(args.out) if args.out else Path(os.environ.get("RESHA_OUT", "resha-out")),
         deterministic=args.deterministic,
-        threads=args.threads,
         ccf_intra=args.ccf_intra,
         ccf_cross=args.ccf_cross,
         ccf_partial=args.ccf_partial,
@@ -280,9 +276,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         artifacts = run_analysis(config)
         run_dir = write_artifacts(config, artifacts)
     except StageError as exc:
-        if isinstance(exc.cause, (FileNotFoundError, OSError)):
-            print(f"error: {exc}", file=sys.stderr)
-            return EXIT_IO
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
 
@@ -305,15 +298,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 def cmd_ucas(args: argparse.Namespace) -> int:
     try:
-        model = _load_model(Path(args.model))
+        model = _load_model(args.model)
         cs = stpamod.build_layered_control_structure(model)
         ucas = stpamod.enumerate_ucas(cs, model.hazards)
     except (ModelError, stpamod.StpaError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     if args.format == "markdown":
         text = stpamod.uca_table_to_markdown(cs, ucas)
     else:
@@ -333,15 +323,12 @@ def cmd_ucas(args: argparse.Namespace) -> int:
 
 def cmd_ccf_catalog(args: argparse.Namespace) -> int:
     try:
-        model = _load_model(Path(args.model))
+        model = _load_model(args.model)
         groups = derive_redundancy_groups(model)
         catalog = ccfmod.enumerate_ccf_catalog(groups, model.ccf_policy)
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    except OSError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_IO
     text = ccfmod.catalog_to_csv(catalog)
     if args.out:
         Path(args.out).write_text(text, encoding="utf-8")
@@ -352,15 +339,9 @@ def cmd_ccf_catalog(args: argparse.Namespace) -> int:
 
 
 def cmd_cutsets(args: argparse.Namespace) -> int:
-    path = Path(args.tree)
-    if not path.exists():
-        print(f"error: tree file not found: {path}", file=sys.stderr)
-        return EXIT_IO
     try:
-        tree = from_exchange_json(path.read_text(encoding="utf-8"))
-        collection = cutsetmod.solve_minimal_cut_sets(
-            tree, args.truncate, threads=args.threads
-        )
+        tree = from_exchange_json(_existing(args.tree, "tree").read_text(encoding="utf-8"))
+        collection = cutsetmod.solve_minimal_cut_sets(tree, args.truncate)
     except (FaultTreeError, cutsetmod.CutSetError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
@@ -424,7 +405,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out", help="output directory (default $RESHA_OUT or ./resha-out)")
     p_analyze.add_argument("--deterministic", action="store_true",
                            help="pin output names and bytes for reproducible runs")
-    p_analyze.add_argument("--threads", type=int, default=1)
     p_analyze.add_argument("--ccf-intra", action=argparse.BooleanOptionalAction, default=None)
     p_analyze.add_argument("--ccf-cross", action=argparse.BooleanOptionalAction, default=None)
     p_analyze.add_argument("--ccf-partial", action=argparse.BooleanOptionalAction, default=None)
@@ -445,7 +425,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cutsets = sub.add_parser("cutsets", help="solve an exchange-format tree")
     p_cutsets.add_argument("--tree", required=True)
     p_cutsets.add_argument("--truncate", type=int, default=None)
-    p_cutsets.add_argument("--threads", type=int, default=1)
     p_cutsets.add_argument("--out")
     p_cutsets.set_defaults(func=cmd_cutsets)
 
@@ -462,7 +441,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_IO
 
 
 if __name__ == "__main__":

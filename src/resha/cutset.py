@@ -18,11 +18,8 @@ import hashlib
 import io
 import itertools
 import random
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping, Sequence
-
-import numpy as np
 
 from .faulttree import (
     BasicEvent,
@@ -280,26 +277,22 @@ def solve_minimal_cut_sets(
     max_order: int | None = None,
     *,
     max_sets: int = DEFAULT_SET_BUDGET,
-    threads: int = 1,
 ) -> CutSetCollection:
     """Exact minimal cut sets of a coherent tree, optionally order-truncated.
 
     With truncation the result equals the subset of the untruncated minimal
-    cut sets whose order does not exceed ``max_order``. ``threads`` > 1
-    evaluates independent gates concurrently; results are identical to the
-    serial mode because every combination step ends in a canonical sort.
+    cut sets whose order does not exceed ``max_order``.
     """
     if max_order is not None and max_order < 1:
         raise CutSetError("max_order must be >= 1 when given")
-    if threads < 1:
-        raise CutSetError("threads must be >= 1")
 
     event_ids = sorted(ft.events)
     index_of = {eid: i for i, eid in enumerate(event_ids)}
+    if ft.top in ft.events:
+        return _collect(ft, [1 << index_of[ft.top]], event_ids, max_order)
 
     gate_ids = _topological_gates(ft)
     results: dict[str, list[int]] = {}
-    done_count = 0
 
     # Free child results once every parent has consumed them; only the top's
     # sets must survive to the end.
@@ -309,73 +302,47 @@ def solve_minimal_cut_sets(
             if child in ft.gates:
                 consumers[child] = consumers.get(child, 0) + 1
 
-    def release_children(gate_id: str) -> None:
-        for child in ft.gates[gate_id].children:
+    for done, gate_id in enumerate(gate_ids):
+        gate = ft.gates[gate_id]
+        parts = [
+            [1 << index_of[child]] if child in ft.events else results[child]
+            for child in gate.children
+        ]
+        try:
+            results[gate_id] = _combine(gate, parts, max_order, max_sets)
+        except _BudgetExceeded:
+            live = sum(len(r) for r in results.values())
+            raise ResourceLimitError(
+                f"cut set expansion exceeded budget of {max_sets} rows at gate {gate_id!r}",
+                gates_done=done,
+                gates_total=len(gate_ids),
+                live_sets=live,
+            ) from None
+        for child in gate.children:
             if child in ft.gates:
                 consumers[child] -= 1
                 if consumers[child] == 0 and child != ft.top:
                     results.pop(child, None)
 
-    def compute(gate_id: str) -> list[int]:
-        gate = ft.gates[gate_id]
-        parts = []
-        for child in gate.children:
-            if child in ft.events:
-                parts.append([1 << index_of[child]])
-            else:
-                parts.append(results[child])
-        try:
-            if gate.kind is GateKind.OR:
-                return _or_combine(parts, max_sets)
-            if gate.kind is GateKind.AND:
-                acc = [0]
-                for p in parts:
-                    acc = _and_combine(acc, p, max_order, max_sets)
-                    if not acc:
-                        return []
-                return acc
-            assert gate.k is not None
-            return _vote_combine(parts, gate.k, max_order, max_sets)
-        except _BudgetExceeded:
-            live = sum(len(r) for r in results.values())
-            raise ResourceLimitError(
-                f"cut set expansion exceeded budget of {max_sets} rows at gate {gate_id!r}",
-                gates_done=done_count,
-                gates_total=len(gate_ids),
-                live_sets=live,
-            ) from None
-
-    if ft.top in ft.events:
-        return _collect(ft, [1 << index_of[ft.top]], event_ids, max_order)
-
-    if threads == 1:
-        for gate_id in gate_ids:
-            results[gate_id] = compute(gate_id)
-            done_count += 1
-            release_children(gate_id)
-    else:
-        remaining = list(gate_ids)
-        done: set[str] = set()
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            while remaining:
-                ready = [
-                    g
-                    for g in remaining
-                    if all((c in ft.events) or (c in done) for c in ft.gates[g].children)
-                ]
-                futures = {g: pool.submit(compute, g) for g in ready}
-                for g in ready:
-                    results[g] = futures[g].result()
-                    done.add(g)
-                    done_count += 1
-                for g in ready:
-                    release_children(g)
-                remaining = [g for g in remaining if g not in done]
-
     top_masks = results[ft.top]
     if max_order is not None:
         top_masks = [m for m in top_masks if m.bit_count() <= max_order]
     return _collect(ft, top_masks, event_ids, max_order)
+
+
+def _combine(gate: Gate, parts: list[list[int]], max_order: int | None, budget: int) -> list[int]:
+    """Minimal masks of one gate from the minimal masks of its children."""
+    if gate.kind is GateKind.OR:
+        return _or_combine(parts, budget)
+    if gate.kind is GateKind.AND:
+        acc = [0]
+        for p in parts:
+            acc = _and_combine(acc, p, max_order, budget)
+            if not acc:
+                return []
+        return acc
+    assert gate.k is not None
+    return _vote_combine(parts, gate.k, max_order, budget)
 
 
 def _topological_gates(ft: FaultTree) -> list[str]:
@@ -428,6 +395,8 @@ def brute_force_cut_sets(
         raise CutSetError(
             f"brute force limited to {event_limit} events, tree has {n}"
         )
+    import numpy as np  # deferred: only the oracle needs it, and it is slow to import
+
     size = 1 << n
     assignments = np.arange(size, dtype=np.uint32)
     columns = {

@@ -10,7 +10,8 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from functools import cached_property
+from typing import Iterable, Literal, Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 from .stpa import UcaRecord
@@ -50,6 +51,9 @@ class EventKind(str, Enum):
 HARDWARE_KINDS = frozenset({EventKind.HW_INDEP, EventKind.HW_CCF})
 SOFTWARE_KINDS = frozenset({EventKind.SW_UCA, EventKind.SW_CCF, EventKind.HUMAN_UCA})
 CCF_KINDS = frozenset({EventKind.HW_CCF, EventKind.SW_CCF})
+
+# Prefix of a node's canonical gate: hardware OR, failure OR, software OR.
+GateRole = Literal["HW", "FAIL", "SW"]
 
 
 @dataclass(frozen=True)
@@ -112,16 +116,23 @@ class FaultTree:
     def event_ids(self) -> tuple[str, ...]:
         return tuple(sorted(self.events))
 
-    def events_of_kind(self, kinds: Iterable[EventKind]) -> tuple[BasicEvent, ...]:
-        wanted = set(kinds)
-        return tuple(e for _, e in sorted(self.events.items()) if e.kind in wanted)
+    @cached_property
+    def _node_gates(self) -> dict[tuple[str, str], tuple[str, ...]]:
+        """(role, node text) -> that node's canonical gates, sorted; built on first use."""
+        index: dict[tuple[str, str], list[str]] = {}
+        for gate_id in sorted(self.gates):
+            owner = parse_node_gate_id(gate_id)
+            if owner is not None:
+                index.setdefault(owner, []).append(gate_id)
+        return {owner: tuple(ids) for owner, ids in index.items()}
+
+    def node_gate_ids(self, node: NodeId, role: GateRole) -> tuple[str, ...]:
+        """Canonical ``role`` gates belonging to a node, sorted."""
+        return self._node_gates.get((role, node.text), ())
 
     def fail_gate_ids(self, node: NodeId) -> tuple[str, ...]:
         """Failure gates belonging to a node: whole-node plus per-action ones."""
-        whole = fail_gate_id(node)
-        prefix = whole + "::"
-        found = [g for g in self.gates if g == whole or g.startswith(prefix)]
-        return tuple(sorted(found))
+        return self.node_gate_ids(node, "FAIL")
 
 
 def validate_tree(ft: FaultTree) -> None:
@@ -204,6 +215,21 @@ def sw_gate_id(node: NodeId, ca_target: NodeId | None = None) -> str:
     if ca_target is None:
         return f"SW::{node.text}"
     return f"SW::{node.text}::{ca_target.text}"
+
+
+def parse_node_gate_id(gate_id: str) -> tuple[str, str] | None:
+    """(role, node text) of a gate named by the three functions above, else None.
+
+    Per-action ``FAIL::`` and ``SW::`` gates belong to their source node; a
+    ``HW::`` gate is whole-node only.
+    """
+    role, sep, rest = gate_id.partition("::")
+    if not sep or role not in ("HW", "FAIL", "SW"):
+        return None
+    node, per_action, _ = rest.partition("::")
+    if role == "HW" and per_action:
+        return None
+    return role, node
 
 
 def independent_event_id(prefix: str, node: NodeId) -> str:
@@ -662,13 +688,21 @@ def to_exchange_json(ft: FaultTree) -> str:
 
 def from_exchange_json(text: str) -> FaultTree:
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise FaultTreeError("exchange document must be a JSON object")
     gates = {}
     for g in doc.get("gates", []):
+        children = g.get("children", [])
+        if not isinstance(children, list) or not all(isinstance(c, str) for c in children):
+            raise FaultTreeError(f"gate {g['id']!r}: children must be a list of ids")
+        k = g.get("k")
+        if k is not None and type(k) is not int:
+            raise FaultTreeError(f"gate {g['id']!r}: k must be an integer, got {k!r}")
         gates[g["id"]] = Gate(
             id=g["id"],
             kind=GateKind(g["kind"]),
-            children=tuple(g.get("children", [])),
-            k=g.get("k"),
+            children=tuple(children),
+            k=k,
             description=g.get("description"),
         )
     events = {}

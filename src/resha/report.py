@@ -9,14 +9,16 @@ identical inputs produce identical bytes.
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import re
 from dataclasses import dataclass
 from importlib import resources
 from typing import Any, Mapping, Sequence
 
-from .ccf import CcfEvent, catalog_to_csv
-from .cutset import CutSetCollection, SpofReport, order_histogram
+from .ccf import CcfEvent
+from .cutset import CutSetCollection, SpofReport, extract_spofs, order_histogram
 from .faulttree import (
     BasicEvent,
     EventKind,
@@ -363,8 +365,6 @@ def _describe_cut(cut, descriptions: Mapping[str, str]) -> str:
 
 
 def _spof_section(css: CutSetCollection, descriptions: Mapping[str, str]) -> list[str]:
-    from .cutset import extract_spofs
-
     lines: list[str] = []
     report = extract_spofs(css)
     if report.has_spofs:
@@ -390,13 +390,8 @@ def _spof_section(css: CutSetCollection, descriptions: Mapping[str, str]) -> lis
 
 def spof_table_to_csv(css: CutSetCollection, descriptions: Mapping[str, str]) -> str:
     """CSV of the SPOF table: number, cut set, description."""
-    import csv as _csv
-    import io as _io
-
-    from .cutset import extract_spofs
-
-    buf = _io.StringIO()
-    writer = _csv.writer(buf, lineterminator="\n")
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["number", "cut_set", "description"])
     report = extract_spofs(css)
     for i, cut in enumerate(report.spofs, start=1):
@@ -404,7 +399,3 @@ def spof_table_to_csv(css: CutSetCollection, descriptions: Mapping[str, str]) ->
             [i, " ".join(cut.sorted_events()), _describe_cut(cut, descriptions)]
         )
     return buf.getvalue()
-
-
-def ccf_catalog_csv(catalog: Sequence[CcfEvent]) -> str:
-    return catalog_to_csv(catalog)

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import dataclasses
+import hashlib
 import logging
+
+import pytest
 
 from resha.ccf import (
     catalog_to_csv,
@@ -9,7 +13,7 @@ from resha.ccf import (
     injected_event_names,
 )
 from resha.cutset import evaluate_structure_function, solve_minimal_cut_sets
-from resha.faulttree import EventKind, build_hardware_fault_tree
+from resha.faulttree import EventKind, build_hardware_fault_tree, to_exchange_json
 from resha.fixtures import TOP_RPS
 from resha.sysmodel import CcfPolicy, GroupScope
 
@@ -168,3 +172,33 @@ def test_members_absent_from_scope_are_ignored(rts_model, rts_groups):
     injected = inject_ccfs(base, rts_groups, rts_model.ccf_policy)
     assert "RTB-MT-MCR-HD-CCF" not in injected.events
     assert "RTB-ST-HD-CCF" not in injected.events
+
+
+def sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+# Exchange-format bytes of the integrated reference trees: they pin which
+# CCF events are injected and the order in which they attach to each gate.
+@pytest.mark.parametrize(
+    "fixture, digest",
+    [
+        ("rps_tree", "af6bcac630383a615b05c92479c8438a90b5fff8f4acc887311a2debdfcae377"),
+        ("auto_tree", "54d180c1497ab2f4f0bbdb29b21993bec4369c5fc190ba499e9881e66e35b094"),
+        ("full_tree", "5e07d058ea11bf77b191bcc91f870a7eb1d5f3f38f3d21773c1aeb2754ea0a2f"),
+    ],
+)
+def test_integrated_tree_bytes_pinned(fixture, digest, request):
+    assert sha256(to_exchange_json(request.getfixturevalue(fixture))) == digest
+
+
+@pytest.mark.parametrize(
+    "partial, digest",
+    [
+        (False, "817ca3ea626e6ce744f425c393aa8b2618f9143643b1fa03aad8423a3b1a25f2"),
+        (True, "a76d141f50a2e19a8629182ec99a24546407970f0f8a404641724945c8fbaecb"),
+    ],
+)
+def test_catalog_bytes_pinned(partial, digest, rts_groups, rts_model):
+    policy = dataclasses.replace(rts_model.ccf_policy, include_partial_interdivision=partial)
+    assert sha256(catalog_to_csv(enumerate_ccf_catalog(rts_groups, policy))) == digest

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from resha.cli import main
+from resha.faulttree import FaultTreeError, from_exchange_json
 from resha.fixtures import build_rts_document
 
 
@@ -170,3 +171,44 @@ def test_deterministic_runs_are_byte_identical(model_path, tmp_path, capsys):
         a = (tmp_path / "one" / name).read_bytes()
         b = (tmp_path / "two" / name).read_bytes()
         assert a == b, name
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{dir}"],
+        ["analyze", "--model", "{dir}", "--out", "{dir}/out"],
+        ["ucas", "--model", "{dir}"],
+        ["ccf-catalog", "--model", "{dir}"],
+        ["cutsets", "--tree", "{dir}"],
+    ],
+    ids=["validate", "analyze", "ucas", "ccf-catalog", "cutsets"],
+)
+def test_directory_input_exit_2_without_traceback(argv, tmp_path, capsys):
+    rc = main([arg.format(dir=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    "document",
+    [
+        {"top": "G", "gates": [{"id": "G", "kind": "or", "children": "AB"}],
+         "events": [{"id": "A", "kind": "HW_INDEP"}, {"id": "B", "kind": "HW_INDEP"}]},
+        [{"top": "A"}],
+        {"top": "G", "gates": [{"id": "G", "kind": "vote", "k": "2", "children": ["A", "B"]}],
+         "events": [{"id": "A", "kind": "HW_INDEP"}, {"id": "B", "kind": "HW_INDEP"}]},
+    ],
+    ids=["children-string", "array-document", "k-string"],
+)
+def test_cutsets_malformed_exchange_document_exit_1(document, tmp_path, capsys):
+    with pytest.raises(FaultTreeError):
+        from_exchange_json(json.dumps(document))
+    path = tmp_path / "tree.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
+    rc = main(["cutsets", "--tree", str(path)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("error: ") and err.count("\n") == 1

@@ -7,6 +7,12 @@ event indices; absorption minimization runs at every combination step and
 order truncation prunes rows as soon as they exceed the budget, which is
 sound because expansion of a coherent tree never shrinks a row.
 
+With truncation each gate gets its own order budget, not the global one: a
+lower bound on every gate's cut-set order is computed bottom-up, and a child
+of an AND or VOTE gate whose events appear under no sibling only needs the
+parent's budget minus the least order its co-failing siblings add. A gate
+whose lower bound exceeds its budget yields no rows at all.
+
 An independent brute-force oracle enumerates the structure function's
 minimal true points over all 2^n assignments for small trees.
 """
@@ -41,15 +47,27 @@ class CutSetError(Exception):
 
 
 class ResourceLimitError(CutSetError):
-    """Raised when expansion exceeds the configured row budget."""
+    """Raised when expansion exceeds the configured row budget.
 
-    def __init__(self, message: str, gates_done: int, gates_total: int, live_sets: int):
+    Carries the progress made and the finished gate that kept the most rows
+    (``largest_gate`` is None when no gate finished).
+    """
+
+    def __init__(self, message: str, gates_done: int, gates_total: int, live_sets: int,
+                 largest_gate: str | None, largest_rows: int):
+        largest = (
+            f"largest gate {largest_gate!r} kept {largest_rows} rows"
+            if largest_gate is not None else "no gate finished"
+        )
         super().__init__(
-            f"{message} (progress: {gates_done}/{gates_total} gates, {live_sets} live sets)"
+            f"{message} (progress: {gates_done}/{gates_total} gates, {live_sets} live sets; "
+            f"{largest})"
         )
         self.gates_done = gates_done
         self.gates_total = gates_total
         self.live_sets = live_sets
+        self.largest_gate = largest_gate
+        self.largest_rows = largest_rows
 
 
 class EvaluationError(CutSetError):
@@ -239,13 +257,16 @@ def _and_combine(a: list[int], b: list[int], max_order: int | None, budget: int)
     return _minimize(out)
 
 
-def _or_combine(parts: list[list[int]], budget: int) -> list[int]:
-    total = sum(len(p) for p in parts)
-    if total > budget:
-        raise _BudgetExceeded()
+def _or_combine(parts: list[list[int]], max_order: int | None, budget: int) -> list[int]:
     merged: list[int] = []
     for p in parts:
         merged.extend(p)
+    if max_order is not None:
+        # A shared child may hold rows sized for a parent with a larger budget;
+        # no ancestor through this gate can use them.
+        merged = [m for m in merged if m.bit_count() <= max_order]
+    if len(merged) > budget:
+        raise _BudgetExceeded()
     return _minimize(merged)
 
 
@@ -292,7 +313,10 @@ def solve_minimal_cut_sets(
         return _collect(ft, [1 << index_of[ft.top]], event_ids, max_order)
 
     gate_ids = _topological_gates(ft)
+    budgets = None if max_order is None else _order_budgets(ft, gate_ids, index_of, max_order)
     results: dict[str, list[int]] = {}
+    largest_gate: str | None = None
+    largest_rows = 0
 
     # Free child results once every parent has consumed them; only the top's
     # sets must survive to the end.
@@ -304,36 +328,147 @@ def solve_minimal_cut_sets(
 
     for done, gate_id in enumerate(gate_ids):
         gate = ft.gates[gate_id]
-        parts = [
-            [1 << index_of[child]] if child in ft.events else results[child]
-            for child in gate.children
-        ]
-        try:
-            results[gate_id] = _combine(gate, parts, max_order, max_sets)
-        except _BudgetExceeded:
-            live = sum(len(r) for r in results.values())
-            raise ResourceLimitError(
-                f"cut set expansion exceeded budget of {max_sets} rows at gate {gate_id!r}",
-                gates_done=done,
-                gates_total=len(gate_ids),
-                live_sets=live,
-            ) from None
+        budget = None if budgets is None else budgets.get(gate_id, 0)
+        if budget == 0:
+            results[gate_id] = []
+        else:
+            parts = [
+                [1 << index_of[child]] if child in ft.events else results[child]
+                for child in gate.children
+            ]
+            try:
+                results[gate_id] = _combine(gate, parts, budget, max_sets)
+            except _BudgetExceeded:
+                live = sum(len(r) for r in results.values())
+                raise ResourceLimitError(
+                    f"cut set expansion exceeded budget of {max_sets} rows at gate {gate_id!r}",
+                    gates_done=done,
+                    gates_total=len(gate_ids),
+                    live_sets=live,
+                    largest_gate=largest_gate,
+                    largest_rows=largest_rows,
+                ) from None
+            if len(results[gate_id]) > largest_rows:
+                largest_gate, largest_rows = gate_id, len(results[gate_id])
         for child in gate.children:
             if child in ft.gates:
                 consumers[child] -= 1
                 if consumers[child] == 0 and child != ft.top:
                     results.pop(child, None)
 
-    top_masks = results[ft.top]
-    if max_order is not None:
-        top_masks = [m for m in top_masks if m.bit_count() <= max_order]
-    return _collect(ft, top_masks, event_ids, max_order)
+    return _collect(ft, results[ft.top], event_ids, max_order)
+
+
+def _threshold(gate: Gate) -> int:
+    """How many children must fail for the gate to fail."""
+    if gate.kind is GateKind.OR:
+        return 1
+    if gate.kind is GateKind.AND:
+        return len(gate.children)
+    assert gate.k is not None
+    return gate.k
+
+
+def _order_lower_bounds(
+    ft: FaultTree, gate_ids: Sequence[str], index_of: Mapping[str, int]
+) -> tuple[dict[str, int], dict[str, int]]:
+    """A lower bound on the order of every cut set of each node, and its event support.
+
+    Gates come children-first. A k-of-n gate (OR: k = 1, AND: k = n) needs k
+    failed children: when the children's supports are pairwise disjoint their
+    cut sets cannot share events, so the k smallest bounds add up; otherwise
+    only the k-th smallest bound is certain. An empty OR never fails; its
+    bound exceeds the order of any cut set of the tree.
+    """
+    never = len(index_of) + 1
+    lo = dict.fromkeys(index_of, 1)
+    supp = {eid: 1 << i for eid, i in index_of.items()}
+    for gate_id in gate_ids:
+        gate = ft.gates[gate_id]
+        union = 0
+        disjoint = True
+        for child in gate.children:
+            s = supp[child]
+            if union & s:
+                disjoint = False
+            union |= s
+        supp[gate_id] = union
+        k = _threshold(gate)
+        if k > len(gate.children):
+            lo[gate_id] = never
+        elif k == 1:
+            lo[gate_id] = min([lo[child] for child in gate.children])
+        else:
+            los = sorted([lo[child] for child in gate.children])
+            lo[gate_id] = sum(los[:k]) if disjoint else los[k - 1]
+    return lo, supp
+
+
+def _order_budgets(
+    ft: FaultTree, gate_ids: Sequence[str], index_of: Mapping[str, int], max_order: int
+) -> dict[str, int]:
+    """The largest cut-set order each gate must deliver for a truncated solve.
+
+    Why a child may get less than its parent's budget b: every minimal cut set
+    M of a k-of-n gate with |M| <= b is the union of one minimal cut set from
+    each of k failed children. When child c's support is disjoint from all
+    its siblings' supports, its part is disjoint from the rest of M, which is
+    a cut set of the other k - 1 children and so has order at least their
+    (k - 1)-of-(n - 1) lower bound; hence c's part has order <= b minus that
+    bound. Every other child keeps b, and a gate shared by several parents
+    takes the largest budget any of them asks for. A gate keeps only rows
+    within its budget; a non-minimal row within budget is absorbed by a
+    minimal row that is also within budget, so each gate still yields
+    exactly its minimal cut sets of order <= its budget. Budget 0 marks a
+    gate with no cut set that small.
+    """
+    lo, supp = _order_lower_bounds(ft, gate_ids, index_of)
+    budgets = {ft.top: max_order}
+    for gate_id in reversed(gate_ids):
+        gate = ft.gates[gate_id]
+        b = budgets.get(gate_id, 0)
+        if lo[gate_id] > b:
+            budgets[gate_id] = 0
+            continue
+        k = _threshold(gate)
+        children = gate.children
+        if k == 1:
+            # One failed child fails the gate; no sibling adds to its order.
+            for child in children:
+                if child in ft.gates:
+                    budgets[child] = max(budgets.get(child, 0), b)
+            continue
+        # Prefix and suffix unions give each child its siblings' support in O(n).
+        sups = [supp[child] for child in children]
+        suffix = [0] * (len(sups) + 1)
+        for i in range(len(sups) - 1, -1, -1):
+            suffix[i] = suffix[i + 1] | sups[i]
+        prefix = 0
+        alone = []
+        for i, s in enumerate(sups):
+            alone.append(not s & (prefix | suffix[i + 1]))
+            prefix |= s
+        disjoint = all(alone)
+        los = sorted([lo[child] for child in children])
+        least_k = sum(los[:k])
+        for i, child in enumerate(children):
+            if child not in ft.gates:
+                continue
+            taken = 0
+            if alone[i] and disjoint:
+                # Sum of the k - 1 smallest bounds once child i is removed.
+                taken = max(least_k - lo[child], least_k - los[k - 1])
+            elif alone[i]:
+                # (k - 1)-th smallest bound once child i is removed.
+                taken = los[k - 1] if lo[child] <= los[k - 2] else los[k - 2]
+            budgets[child] = max(budgets.get(child, 0), b - taken)
+    return budgets
 
 
 def _combine(gate: Gate, parts: list[list[int]], max_order: int | None, budget: int) -> list[int]:
-    """Minimal masks of one gate from the minimal masks of its children."""
+    """Minimal masks of one gate of order <= ``max_order`` from its children's masks."""
     if gate.kind is GateKind.OR:
-        return _or_combine(parts, budget)
+        return _or_combine(parts, max_order, budget)
     if gate.kind is GateKind.AND:
         acc = [0]
         for p in parts:

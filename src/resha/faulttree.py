@@ -686,12 +686,29 @@ def to_exchange_json(ft: FaultTree) -> str:
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
+def _exchange_entries(doc: dict, key: str) -> list[dict]:
+    """The ``gates`` or ``events`` list of an exchange document, shape-checked."""
+    entries = doc.get(key, [])
+    if not isinstance(entries, list):
+        raise FaultTreeError(f"{key!r} must be a list of objects, got {entries!r}")
+    for pos, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise FaultTreeError(f"{key}[{pos}] must be an object, got {entry!r}")
+        for required in ("id", "kind"):
+            if required not in entry:
+                name = f" ({entry['id']!r})" if "id" in entry else ""
+                raise FaultTreeError(f"{key}[{pos}]{name} is missing {required!r}")
+    return entries
+
+
 def from_exchange_json(text: str) -> FaultTree:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise FaultTreeError("exchange document must be a JSON object")
+    if "top" not in doc:
+        raise FaultTreeError("exchange document is missing 'top'")
     gates = {}
-    for g in doc.get("gates", []):
+    for g in _exchange_entries(doc, "gates"):
         children = g.get("children", [])
         if not isinstance(children, list) or not all(isinstance(c, str) for c in children):
             raise FaultTreeError(f"gate {g['id']!r}: children must be a list of ids")
@@ -706,7 +723,7 @@ def from_exchange_json(text: str) -> FaultTree:
             description=g.get("description"),
         )
     events = {}
-    for e in doc.get("events", []):
+    for e in _exchange_entries(doc, "events"):
         events[e["id"]] = BasicEvent(
             id=e["id"],
             kind=EventKind(e["kind"]),

@@ -193,17 +193,28 @@ def test_directory_input_exit_2_without_traceback(argv, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "document",
+    ("document", "named"),
     [
-        {"top": "G", "gates": [{"id": "G", "kind": "or", "children": "AB"}],
-         "events": [{"id": "A", "kind": "HW_INDEP"}, {"id": "B", "kind": "HW_INDEP"}]},
-        [{"top": "A"}],
-        {"top": "G", "gates": [{"id": "G", "kind": "vote", "k": "2", "children": ["A", "B"]}],
-         "events": [{"id": "A", "kind": "HW_INDEP"}, {"id": "B", "kind": "HW_INDEP"}]},
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": "AB"}],
+          "events": [{"id": "A", "kind": "HW_INDEP"}, {"id": "B", "kind": "HW_INDEP"}]},
+         "children must be a list"),
+        ([{"top": "A"}], "must be a JSON object"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "vote", "k": "2", "children": ["A", "B"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP"}, {"id": "B", "kind": "HW_INDEP"}]},
+         "k must be an integer"),
+        ({"top": "A", "gates": 5}, "'gates' must be a list"),
+        ({"top": "A", "events": 7}, "'events' must be a list"),
+        ({"top": "A", "gates": [5]}, "gates[0] must be an object"),
+        ({"top": "G", "gates": [{"id": "G", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gates[0] ('G') is missing 'kind'"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A"}]}, "events[0] ('A') is missing 'kind'"),
+        ({"gates": []}, "missing 'top'"),
     ],
-    ids=["children-string", "array-document", "k-string"],
+    ids=["children-string", "array-document", "k-string", "gates-int", "events-int",
+         "gate-not-object", "gate-without-kind", "event-without-kind", "no-top"],
 )
-def test_cutsets_malformed_exchange_document_exit_1(document, tmp_path, capsys):
+def test_cutsets_malformed_exchange_document_exit_1(document, named, tmp_path, capsys):
     with pytest.raises(FaultTreeError):
         from_exchange_json(json.dumps(document))
     path = tmp_path / "tree.json"
@@ -211,4 +222,6 @@ def test_cutsets_malformed_exchange_document_exit_1(document, tmp_path, capsys):
     rc = main(["cutsets", "--tree", str(path)])
     err = capsys.readouterr().err
     assert rc == 1
+    assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+    assert named in err

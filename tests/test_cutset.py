@@ -20,8 +20,11 @@ from resha.cutset import (
     solve_minimal_cut_sets,
     tree_fingerprint,
     witness_check,
+    _order_budgets,
+    _order_lower_bounds,
+    _topological_gates,
 )
-from resha.faulttree import BasicEvent, EventKind, FaultTree, Gate, GateKind
+from resha.faulttree import BasicEvent, EventKind, FaultTree, Gate, GateKind, extract_subtree
 from resha.sysmodel import NodeId
 
 
@@ -184,6 +187,19 @@ def test_resource_budget_reports_progress():
     with pytest.raises(ResourceLimitError) as exc:
         solve_minimal_cut_sets(ft, max_sets=100)
     assert "progress" in str(exc.value)
+    assert exc.value.largest_gate is None and exc.value.largest_rows == 0
+
+    # A finished 12-row OR is the largest gate seen when its sibling overflows.
+    gates = {
+        "TOP": Gate(id="TOP", kind=GateKind.AND, children=("G1", "G2")),
+        "G1": Gate(id="G1", kind=GateKind.OR, children=tuple(ids)),
+        "G2": Gate(id="G2", kind=GateKind.VOTE, k=6, children=tuple(ids)),
+    }
+    with pytest.raises(ResourceLimitError) as exc:
+        solve_minimal_cut_sets(tree("TOP", gates, ids), max_sets=100)
+    assert "progress" in str(exc.value)
+    assert (exc.value.largest_gate, exc.value.largest_rows) == ("G1", 12)
+    assert "'G1' kept 12 rows" in str(exc.value)
 
 
 def test_cut_set_must_be_non_empty():
@@ -265,3 +281,77 @@ def test_cli_import_does_not_load_numpy():
     code = "import resha.cli, sys; assert 'numpy' not in sys.modules"
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def disjoint_support_tree(rng: random.Random, max_events: int = 13) -> FaultTree:
+    """Random tree whose AND/VOTE children mostly draw on fresh events.
+
+    ``random_coherent_tree`` draws every child from one shared pool, so the
+    disjoint-support budget rule seldom fires there. Here most subtrees get
+    their own events; a few shared events, shared gates and empty ORs keep
+    the overlapping and never-failing cases covered.
+    """
+    events: list[str] = []
+    gates: dict[str, Gate] = {}
+
+    def leaf() -> str:
+        if events and (len(events) >= max_events or rng.random() < 0.15):
+            return rng.choice(events)
+        events.append(f"E{len(events) + 1:02d}")
+        return events[-1]
+
+    def node(depth: int, force_gate: bool = False) -> str:
+        if not force_gate:
+            if depth == 0 or rng.random() < 0.3:
+                return leaf()
+            if gates and rng.random() < 0.25:
+                return rng.choice(sorted(gates))
+        kind = rng.choice([GateKind.AND, GateKind.AND, GateKind.VOTE, GateKind.VOTE, GateKind.OR])
+        if kind is GateKind.OR and rng.random() < 0.05:
+            children: list[str] = []
+        else:
+            children = []
+            for _ in range(rng.randint(2, 4)):
+                child = node(depth - 1)
+                if child not in children:
+                    children.append(child)
+        k = rng.randint(1, len(children)) if kind is GateKind.VOTE else None
+        gate_id = f"G{len(gates) + 1}"
+        gates[gate_id] = Gate(id=gate_id, kind=kind, children=tuple(children), k=k)
+        return gate_id
+
+    return tree(node(3, force_gate=True), gates, events)
+
+
+def test_order_bounds_and_budgets_sound_on_disjoint_support_trees():
+    rng = random.Random(2024)
+    narrowed = 0
+    for _ in range(150):
+        ft = disjoint_support_tree(rng)
+        gate_ids = _topological_gates(ft)
+        index_of = {eid: i for i, eid in enumerate(sorted(ft.events))}
+        lo, _ = _order_lower_bounds(ft, gate_ids, index_of)
+        for gate_id in gate_ids:
+            orders = [c.order for c in brute_force_cut_sets(extract_subtree(ft, gate_id)).cut_sets]
+            if orders:
+                assert lo[gate_id] <= min(orders), gate_id
+        oracle = {c.events for c in brute_force_cut_sets(ft).cut_sets}
+        for k in range(1, 6):
+            got = {c.events for c in solve_minimal_cut_sets(ft, k).cut_sets}
+            assert got == {s for s in oracle if len(s) <= k}
+            budgets = _order_budgets(ft, gate_ids, index_of, k)
+            narrowed += any(0 < b < k for b in budgets.values())
+    # The sibling rule must actually fire, or this test checks nothing new.
+    assert narrowed > 100
+
+
+def test_full_model_order_5_reference_counts(full_tree):
+    css = solve_minimal_cut_sets(full_tree, 5)
+    assert dict(css.per_order) == {4: 468, 5: 8058}
+    assert css.cumulative_count(5) == 8526
+
+
+def test_automatic_trip_order_4_reference_counts(auto_tree):
+    css = solve_minimal_cut_sets(auto_tree, 4)
+    assert dict(css.per_order) == {2: 52, 3: 826, 4: 2664}
+    assert css.cumulative_count(4) == 3542

@@ -3,9 +3,11 @@
 The solver performs top-down gate expansion (OR branches rows, AND merges
 rows, VOTE(k, n) branches over its k-combinations) evaluated gate-wise with
 memoization so shared subtrees expand once. Rows are bitmasks over interned
-event indices; absorption minimization runs at every combination step and
-order truncation prunes rows as soon as they exceed the budget, which is
-sound because expansion of a coherent tree never shrinks a row.
+event indices. Absorption minimization runs at each gate whose children
+share events; a gate whose children's event supports are pairwise disjoint
+skips it, because its rows are already minimal (see ``_combine``). Order
+truncation prunes rows as soon as they exceed the budget, which is sound
+because expansion of a coherent tree never shrinks a row.
 
 With truncation each gate gets its own order budget, not the global one: a
 lower bound on every gate's cut-set order is computed bottom-up, and a child
@@ -153,38 +155,56 @@ def tree_fingerprint(ft: FaultTree) -> str:
 # ---------------------------------------------------------------------------
 
 
+# Masks with at most this many bits are checked for absorption by probing
+# each proper submask (at most 2**8 - 2) in a hash set of kept masks; wider
+# ones scan the kept masks that share their lowest bits.
+_PROBE_BITS = 8
+
+
 def _minimize(masks: Iterable[int]) -> list[int]:
     """Keep only inclusion-minimal masks (absorption law).
 
-    Masks are processed in ascending popcount order. Singleton masks absorb
+    Masks are processed in ascending popcount order, so every minimal subset
+    of a mask is kept before the mask comes up. Singleton masks absorb
     anything containing their bit (the common case once shared common-cause
-    events appear), handled by one OR-accumulated filter; the rest use
-    lowest-bit buckets to narrow subset candidates.
+    events appear), handled by one OR-accumulated filter. A mask of at most
+    ``_PROBE_BITS`` bits is absorbed exactly when one of its proper submasks
+    is kept; wider masks use lowest-bit buckets to narrow subset candidates.
+    The result is in ascending popcount, then value.
     """
     unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
     kept: list[int] = []
+    kept_set: set[int] = set()
     single_union = 0
     by_lowbit: dict[int, list[int]] = {}
     for mask in unique:
         if mask & single_union:
             continue
-        absorbed = False
-        remaining = mask
-        while remaining:
-            low = remaining & -remaining
-            for small in by_lowbit.get(low, ()):
-                if small & mask == small:
-                    absorbed = True
+        if mask.bit_count() <= _PROBE_BITS:
+            sub = (mask - 1) & mask
+            while sub and sub not in kept_set:
+                sub = (sub - 1) & mask
+            if sub:
+                continue
+        else:
+            absorbed = False
+            remaining = mask
+            while remaining:
+                low = remaining & -remaining
+                for small in by_lowbit.get(low, ()):
+                    if small & mask == small:
+                        absorbed = True
+                        break
+                if absorbed:
                     break
+                remaining ^= low
             if absorbed:
-                break
-            remaining ^= low
-        if absorbed:
-            continue
+                continue
         kept.append(mask)
         if mask.bit_count() == 1:
             single_union |= mask
         else:
+            kept_set.add(mask)
             by_lowbit.setdefault(mask & -mask, []).append(mask)
     return kept
 
@@ -204,13 +224,16 @@ def _bit_subsets(mask: int, k: int) -> Iterable[int]:
         yield acc
 
 
-def _and_combine(a: list[int], b: list[int], max_order: int | None, budget: int) -> list[int]:
+def _and_combine(a: list[int], b: list[int], max_order: int | None, budget: int,
+                 disjoint: bool) -> list[int]:
     """Minimized pairwise unions, skipping pairs that cannot fit the budget.
 
     With truncation, a pair (x, y) survives only when |x| + |y| - |shared|
     stays within the order budget; pairs short on popcount are taken whole,
     and the rest are found by joining on shared ``need``-bit submasks, so
-    pairs with too little overlap are never enumerated.
+    pairs with too little overlap are never enumerated. When ``a`` and ``b``
+    draw on disjoint events no pair shares a bit, so only pairs short on
+    popcount fit, and their unions are already minimal.
     """
     if not a or not b:
         return []
@@ -225,7 +248,7 @@ def _and_combine(a: list[int], b: list[int], max_order: int | None, budget: int)
         for x in a:
             for y in b:
                 push(x | y)
-        return _minimize(out)
+        return out if disjoint else _minimize(out)
 
     buckets_a: dict[int, list[int]] = {}
     buckets_b: dict[int, list[int]] = {}
@@ -242,7 +265,7 @@ def _and_combine(a: list[int], b: list[int], max_order: int | None, budget: int)
                     for y in ys:
                         push(x | y)
                 continue
-            if need > min(pa, pb):
+            if disjoint or need > min(pa, pb):
                 continue
             index: dict[int, list[int]] = {}
             for y in ys:
@@ -254,10 +277,11 @@ def _and_combine(a: list[int], b: list[int], max_order: int | None, budget: int)
                         merged = x | y
                         if merged.bit_count() <= max_order:
                             push(merged)
-    return _minimize(out)
+    return out if disjoint else _minimize(out)
 
 
-def _or_combine(parts: list[list[int]], max_order: int | None, budget: int) -> list[int]:
+def _or_combine(parts: list[list[int]], max_order: int | None, budget: int,
+                disjoint: bool) -> list[int]:
     merged: list[int] = []
     for p in parts:
         merged.extend(p)
@@ -267,21 +291,22 @@ def _or_combine(parts: list[list[int]], max_order: int | None, budget: int) -> l
         merged = [m for m in merged if m.bit_count() <= max_order]
     if len(merged) > budget:
         raise _BudgetExceeded()
-    return _minimize(merged)
+    return merged if disjoint else _minimize(merged)
 
 
-def _vote_combine(parts: list[list[int]], k: int, max_order: int | None, budget: int) -> list[int]:
+def _vote_combine(parts: list[list[int]], k: int, max_order: int | None, budget: int,
+                  disjoint: bool) -> list[int]:
     results: list[int] = []
     for combo in itertools.combinations(range(len(parts)), k):
         acc = [0]
         for idx in combo:
-            acc = _and_combine(acc, parts[idx], max_order, budget)
+            acc = _and_combine(acc, parts[idx], max_order, budget, disjoint)
             if not acc:
                 break
         results.extend(acc)
         if len(results) > budget:
             raise _BudgetExceeded()
-    return _minimize(results)
+    return results if disjoint else _minimize(results)
 
 
 class _BudgetExceeded(Exception):
@@ -313,7 +338,8 @@ def solve_minimal_cut_sets(
         return _collect(ft, [1 << index_of[ft.top]], event_ids, max_order)
 
     gate_ids = _topological_gates(ft)
-    budgets = None if max_order is None else _order_budgets(ft, gate_ids, index_of, max_order)
+    supp, disjoint = _supports(ft, gate_ids, index_of)
+    budgets = None if max_order is None else _order_budgets(ft, gate_ids, supp, disjoint, max_order)
     results: dict[str, list[int]] = {}
     largest_gate: str | None = None
     largest_rows = 0
@@ -337,7 +363,7 @@ def solve_minimal_cut_sets(
                 for child in gate.children
             ]
             try:
-                results[gate_id] = _combine(gate, parts, budget, max_sets)
+                results[gate_id] = _combine(gate, parts, budget, max_sets, gate_id in disjoint)
             except _BudgetExceeded:
                 live = sum(len(r) for r in results.values())
                 raise ResourceLimitError(
@@ -369,10 +395,32 @@ def _threshold(gate: Gate) -> int:
     return gate.k
 
 
-def _order_lower_bounds(
+def _supports(
     ft: FaultTree, gate_ids: Sequence[str], index_of: Mapping[str, int]
-) -> tuple[dict[str, int], dict[str, int]]:
-    """A lower bound on the order of every cut set of each node, and its event support.
+) -> tuple[dict[str, int], set[str]]:
+    """The event support of every node, and the gates whose children's supports are pairwise disjoint.
+
+    Gates come children-first. An empty OR has support 0, which is disjoint
+    from every sibling.
+    """
+    supp = {eid: 1 << i for eid, i in index_of.items()}
+    disjoint: set[str] = set()
+    for gate_id in gate_ids:
+        union = 0
+        apart = True
+        for child in ft.gates[gate_id].children:
+            s = supp[child]
+            if union & s:
+                apart = False
+            union |= s
+        supp[gate_id] = union
+        if apart:
+            disjoint.add(gate_id)
+    return supp, disjoint
+
+
+def _order_lower_bounds(ft: FaultTree, gate_ids: Sequence[str], disjoint: set[str]) -> dict[str, int]:
+    """A lower bound on the order of every cut set of each node.
 
     Gates come children-first. A k-of-n gate (OR: k = 1, AND: k = n) needs k
     failed children: when the children's supports are pairwise disjoint their
@@ -380,19 +428,10 @@ def _order_lower_bounds(
     only the k-th smallest bound is certain. An empty OR never fails; its
     bound exceeds the order of any cut set of the tree.
     """
-    never = len(index_of) + 1
-    lo = dict.fromkeys(index_of, 1)
-    supp = {eid: 1 << i for eid, i in index_of.items()}
+    never = len(ft.events) + 1
+    lo = dict.fromkeys(ft.events, 1)
     for gate_id in gate_ids:
         gate = ft.gates[gate_id]
-        union = 0
-        disjoint = True
-        for child in gate.children:
-            s = supp[child]
-            if union & s:
-                disjoint = False
-            union |= s
-        supp[gate_id] = union
         k = _threshold(gate)
         if k > len(gate.children):
             lo[gate_id] = never
@@ -400,12 +439,13 @@ def _order_lower_bounds(
             lo[gate_id] = min([lo[child] for child in gate.children])
         else:
             los = sorted([lo[child] for child in gate.children])
-            lo[gate_id] = sum(los[:k]) if disjoint else los[k - 1]
-    return lo, supp
+            lo[gate_id] = sum(los[:k]) if gate_id in disjoint else los[k - 1]
+    return lo
 
 
 def _order_budgets(
-    ft: FaultTree, gate_ids: Sequence[str], index_of: Mapping[str, int], max_order: int
+    ft: FaultTree, gate_ids: Sequence[str], supp: Mapping[str, int], disjoint: set[str],
+    max_order: int,
 ) -> dict[str, int]:
     """The largest cut-set order each gate must deliver for a truncated solve.
 
@@ -422,7 +462,7 @@ def _order_budgets(
     exactly its minimal cut sets of order <= its budget. Budget 0 marks a
     gate with no cut set that small.
     """
-    lo, supp = _order_lower_bounds(ft, gate_ids, index_of)
+    lo = _order_lower_bounds(ft, gate_ids, disjoint)
     budgets = {ft.top: max_order}
     for gate_id in reversed(gate_ids):
         gate = ft.gates[gate_id]
@@ -448,14 +488,13 @@ def _order_budgets(
         for i, s in enumerate(sups):
             alone.append(not s & (prefix | suffix[i + 1]))
             prefix |= s
-        disjoint = all(alone)
         los = sorted([lo[child] for child in children])
         least_k = sum(los[:k])
         for i, child in enumerate(children):
             if child not in ft.gates:
                 continue
             taken = 0
-            if alone[i] and disjoint:
+            if alone[i] and gate_id in disjoint:
                 # Sum of the k - 1 smallest bounds once child i is removed.
                 taken = max(least_k - lo[child], least_k - los[k - 1])
             elif alone[i]:
@@ -465,19 +504,31 @@ def _order_budgets(
     return budgets
 
 
-def _combine(gate: Gate, parts: list[list[int]], max_order: int | None, budget: int) -> list[int]:
-    """Minimal masks of one gate of order <= ``max_order`` from its children's masks."""
+def _combine(gate: Gate, parts: list[list[int]], max_order: int | None, budget: int,
+             disjoint: bool) -> list[int]:
+    """Minimal masks of one gate of order <= ``max_order`` from its children's masks.
+
+    When the children's supports are pairwise disjoint (``disjoint``) the
+    rows need no absorption. Each child result is an antichain of nonempty
+    masks within its child's support. Unions of antichains over disjoint
+    supports (OR) are an antichain without duplicates, and so are the
+    pairwise unions of two of them (AND): x | y contains x' | y' only when
+    x contains x' and y contains y'. Rows from two different VOTE
+    combinations cannot contain one another, because each row meets exactly
+    the supports of its own combination's children. Dropping rows over the
+    order budget keeps an antichain an antichain.
+    """
     if gate.kind is GateKind.OR:
-        return _or_combine(parts, max_order, budget)
+        return _or_combine(parts, max_order, budget, disjoint)
     if gate.kind is GateKind.AND:
         acc = [0]
         for p in parts:
-            acc = _and_combine(acc, p, max_order, budget)
+            acc = _and_combine(acc, p, max_order, budget, disjoint)
             if not acc:
                 return []
         return acc
     assert gate.k is not None
-    return _vote_combine(parts, gate.k, max_order, budget)
+    return _vote_combine(parts, gate.k, max_order, budget, disjoint)
 
 
 def _topological_gates(ft: FaultTree) -> list[str]:

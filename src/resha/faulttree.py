@@ -19,6 +19,7 @@ from .sysmodel import (
     GateChildSpec,
     GateSpec,
     NodeId,
+    NodeIdError,
     NodeKind,
     SystemModel,
     Technology,
@@ -698,7 +699,20 @@ def _exchange_entries(doc: dict, key: str) -> list[dict]:
             if required not in entry:
                 name = f" ({entry['id']!r})" if "id" in entry else ""
                 raise FaultTreeError(f"{key}[{pos}]{name} is missing {required!r}")
+        if not isinstance(entry["id"], str):
+            raise FaultTreeError(f"{key}[{pos}]: 'id' must be a string, got {entry['id']!r}")
     return entries
+
+
+def _exchange_subjects(event: dict) -> tuple[NodeId, ...]:
+    """The ``subjects`` of an exchange-document event as node ids, shape-checked."""
+    subjects = event.get("subjects", [])
+    if not isinstance(subjects, list):
+        raise FaultTreeError(f"event {event['id']!r}: 'subjects' must be a list of node ids")
+    try:
+        return tuple(parse_node_id(s) for s in subjects)
+    except NodeIdError as exc:
+        raise FaultTreeError(f"event {event['id']!r}: 'subjects': {exc}") from None
 
 
 def from_exchange_json(text: str) -> FaultTree:
@@ -707,6 +721,8 @@ def from_exchange_json(text: str) -> FaultTree:
         raise FaultTreeError("exchange document must be a JSON object")
     if "top" not in doc:
         raise FaultTreeError("exchange document is missing 'top'")
+    if not isinstance(doc["top"], str):
+        raise FaultTreeError(f"exchange document 'top' must be a string, got {doc['top']!r}")
     gates = {}
     for g in _exchange_entries(doc, "gates"):
         children = g.get("children", [])
@@ -727,7 +743,7 @@ def from_exchange_json(text: str) -> FaultTree:
         events[e["id"]] = BasicEvent(
             id=e["id"],
             kind=EventKind(e["kind"]),
-            subjects=tuple(parse_node_id(s) for s in e.get("subjects", [])),
+            subjects=_exchange_subjects(e),
             description=e.get("description", ""),
             category=e.get("category"),
             uca_id=e.get("uca"),

@@ -210,9 +210,20 @@ def test_directory_input_exit_2_without_traceback(argv, tmp_path, capsys):
         ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
           "events": [{"id": "A"}]}, "events[0] ('A') is missing 'kind'"),
         ({"gates": []}, "missing 'top'"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP", "subjects": 5}]},
+         "event 'A': 'subjects' must be a list"),
+        ({"top": "G", "gates": [{"id": ["G"], "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gates[0]: 'id' must be a string"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP", "subjects": ["bad"]}]},
+         "event 'A': 'subjects': malformed node id 'bad'"),
+        ({"top": ["G"], "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "'top' must be a string"),
     ],
     ids=["children-string", "array-document", "k-string", "gates-int", "events-int",
-         "gate-not-object", "gate-without-kind", "event-without-kind", "no-top"],
+         "gate-not-object", "gate-without-kind", "event-without-kind", "no-top",
+         "subjects-int", "gate-id-list", "subject-malformed", "top-list"],
 )
 def test_cutsets_malformed_exchange_document_exit_1(document, named, tmp_path, capsys):
     with pytest.raises(FaultTreeError):

@@ -20,8 +20,10 @@ from resha.cutset import (
     solve_minimal_cut_sets,
     tree_fingerprint,
     witness_check,
+    _minimize,
     _order_budgets,
     _order_lower_bounds,
+    _supports,
     _topological_gates,
 )
 from resha.faulttree import BasicEvent, EventKind, FaultTree, Gate, GateKind, extract_subtree
@@ -330,7 +332,8 @@ def test_order_bounds_and_budgets_sound_on_disjoint_support_trees():
         ft = disjoint_support_tree(rng)
         gate_ids = _topological_gates(ft)
         index_of = {eid: i for i, eid in enumerate(sorted(ft.events))}
-        lo, _ = _order_lower_bounds(ft, gate_ids, index_of)
+        supp, disjoint = _supports(ft, gate_ids, index_of)
+        lo = _order_lower_bounds(ft, gate_ids, disjoint)
         for gate_id in gate_ids:
             orders = [c.order for c in brute_force_cut_sets(extract_subtree(ft, gate_id)).cut_sets]
             if orders:
@@ -339,16 +342,58 @@ def test_order_bounds_and_budgets_sound_on_disjoint_support_trees():
         for k in range(1, 6):
             got = {c.events for c in solve_minimal_cut_sets(ft, k).cut_sets}
             assert got == {s for s in oracle if len(s) <= k}
-            budgets = _order_budgets(ft, gate_ids, index_of, k)
+            budgets = _order_budgets(ft, gate_ids, supp, disjoint, k)
             narrowed += any(0 < b < k for b in budgets.values())
     # The sibling rule must actually fire, or this test checks nothing new.
     assert narrowed > 100
+
+
+def test_disjoint_support_skip_matches_oracle():
+    """Gates whose children share no events skip absorption; results stay exact."""
+    rng = random.Random(7)
+    skipped = 0
+    for _ in range(120):
+        ft = disjoint_support_tree(rng)
+        gate_ids = _topological_gates(ft)
+        _, disjoint = _supports(ft, gate_ids, {eid: i for i, eid in enumerate(sorted(ft.events))})
+        skipped += sum(1 for g in disjoint if len(ft.gates[g].children) > 1)
+        oracle = {c.events for c in brute_force_cut_sets(ft).cut_sets}
+        assert {c.events for c in solve_minimal_cut_sets(ft).cut_sets} == oracle
+        for k in (2, 3):
+            got = {c.events for c in solve_minimal_cut_sets(ft, k).cut_sets}
+            assert got == {s for s in oracle if len(s) <= k}
+    # The skip must actually fire, or this test checks nothing new.
+    assert skipped > 100
+
+
+def naive_antichain(masks: list[int]) -> list[int]:
+    unique = set(masks)
+    minimal = [m for m in unique if not any(s != m and s & m == s for s in unique)]
+    return sorted(minimal, key=lambda m: (m.bit_count(), m))
+
+
+def test_minimize_matches_naive_antichain_filter():
+    rng = random.Random(11)
+    for _ in range(200):
+        width = rng.choice([10, 16, 24])
+        masks = []
+        for _ in range(rng.randint(0, 60)):
+            bits = rng.choice([1, 2, 3, 5, 8, 9, 12])
+            masks.append(sum(1 << b for b in rng.sample(range(width), min(bits, width))))
+        masks += rng.sample(masks, len(masks) // 4)  # duplicates
+        rng.shuffle(masks)
+        assert _minimize(masks) == naive_antichain(masks)
 
 
 def test_full_model_order_5_reference_counts(full_tree):
     css = solve_minimal_cut_sets(full_tree, 5)
     assert dict(css.per_order) == {4: 468, 5: 8058}
     assert css.cumulative_count(5) == 8526
+
+
+def test_rps_order_3_reference_counts(rps_tree):
+    css = solve_minimal_cut_sets(rps_tree, 3)
+    assert dict(css.per_order) == {1: 13, 2: 200, 3: 616}
 
 
 def test_automatic_trip_order_4_reference_counts(auto_tree):

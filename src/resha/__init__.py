@@ -12,7 +12,6 @@ from .cutset import (
     brute_force_cut_sets,
     evaluate_structure_function,
     extract_spofs,
-    order_histogram,
     random_coherent_tree,
     solve_minimal_cut_sets,
     witness_check,
@@ -101,7 +100,6 @@ __all__ = [
     "generate_worksheets",
     "inject_ccfs",
     "integrate_ucas",
-    "order_histogram",
     "parse_node_id",
     "parse_system_model",
     "random_coherent_tree",

@@ -280,9 +280,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_FAILURE
 
     collection = artifacts["collection"]
-    hist = cutsetmod.order_histogram(collection)  # type: ignore[arg-type]
     print(f"scope: {artifacts['root']}")
-    for order, count, cumulative in hist.rows():
+    for order, count, cumulative in collection.rows():  # type: ignore[union-attr]
         print(f"order {order}: {count} cut sets ({cumulative} cumulative)")
     spofs = artifacts["spofs"]
     n_spof = len(spofs.spofs)  # type: ignore[union-attr]
@@ -351,8 +350,7 @@ def cmd_cutsets(args: argparse.Namespace) -> int:
         print(f"wrote {args.out}")
     else:
         print(text, end="")
-    hist = cutsetmod.order_histogram(collection)
-    for order, count, cumulative in hist.rows():
+    for order, count, cumulative in collection.rows():
         print(f"order {order}: {count} cut sets ({cumulative} cumulative)", file=sys.stderr)
     return EXIT_OK
 

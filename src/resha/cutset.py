@@ -7,13 +7,15 @@ event indices. Absorption minimization runs at each gate whose children
 share events; a gate whose children's event supports are pairwise disjoint
 skips it, because its rows are already minimal (see ``_combine``). Order
 truncation prunes rows as soon as they exceed the budget, which is sound
-because expansion of a coherent tree never shrinks a row.
+because expansion of a coherent tree never shrinks a row. An untruncated
+solve is truncated at the tree's event count, which no cut set exceeds, so
+every solve runs the same code.
 
-With truncation each gate gets its own order budget, not the global one: a
-lower bound on every gate's cut-set order is computed bottom-up, and a child
-of an AND or VOTE gate whose events appear under no sibling only needs the
-parent's budget minus the least order its co-failing siblings add. A gate
-whose lower bound exceeds its budget yields no rows at all.
+Each gate gets its own order budget, not the global one: a lower bound on
+every gate's cut-set order is computed bottom-up, and a child of an AND or
+VOTE gate whose events appear under no sibling only needs the parent's
+budget minus the least order its co-failing siblings add. A gate whose lower
+bound exceeds its budget yields no rows at all.
 
 An independent brute-force oracle enumerates the structure function's
 minimal true points over all 2^n assignments for small trees.
@@ -36,6 +38,7 @@ from .faulttree import (
     FaultTree,
     Gate,
     GateKind,
+    children_first,
     to_exchange_json,
 )
 from .sysmodel import NodeId
@@ -110,8 +113,11 @@ class CutSetCollection:
     def cumulative_count(self, order: int) -> int:
         return sum(c for o, c in self.per_order.items() if o <= order)
 
-    def max_order(self) -> int:
-        return max(self.per_order, default=0)
+    def rows(self) -> tuple[tuple[int, int, int], ...]:
+        """(order, count at order, cumulative count) rows, ascending, up to the
+        truncation order (untruncated: up to the largest order found)."""
+        top = self.truncation if self.truncation is not None else max(self.per_order, default=0)
+        return tuple((k, self.per_order.get(k, 0), self.cumulative_count(k)) for k in range(1, top + 1))
 
     def sets_of_order(self, order: int) -> tuple[CutSet, ...]:
         return tuple(c for c in self.cut_sets if c.order == order)
@@ -224,16 +230,16 @@ def _bit_subsets(mask: int, k: int) -> Iterable[int]:
         yield acc
 
 
-def _and_combine(a: list[int], b: list[int], max_order: int | None, budget: int,
+def _and_combine(a: list[int], b: list[int], order: int, max_rows: int,
                  disjoint: bool) -> list[int]:
-    """Minimized pairwise unions, skipping pairs that cannot fit the budget.
+    """Minimized pairwise unions, skipping pairs that cannot fit the order budget.
 
-    With truncation, a pair (x, y) survives only when |x| + |y| - |shared|
-    stays within the order budget; pairs short on popcount are taken whole,
-    and the rest are found by joining on shared ``need``-bit submasks, so
-    pairs with too little overlap are never enumerated. When ``a`` and ``b``
-    draw on disjoint events no pair shares a bit, so only pairs short on
-    popcount fit, and their unions are already minimal.
+    A pair (x, y) survives only when |x| + |y| - |shared| stays within
+    ``order``; pairs short on popcount are taken whole, and the rest are
+    found by joining on shared ``need``-bit submasks, so pairs with too
+    little overlap are never enumerated. When ``a`` and ``b`` draw on
+    disjoint events no pair shares a bit, so only pairs short on popcount
+    fit, and their unions are already minimal.
     """
     if not a or not b:
         return []
@@ -241,14 +247,8 @@ def _and_combine(a: list[int], b: list[int], max_order: int | None, budget: int,
 
     def push(mask: int) -> None:
         out.append(mask)
-        if len(out) > budget:
+        if len(out) > max_rows:
             raise _BudgetExceeded()
-
-    if max_order is None:
-        for x in a:
-            for y in b:
-                push(x | y)
-        return out if disjoint else _minimize(out)
 
     buckets_a: dict[int, list[int]] = {}
     buckets_b: dict[int, list[int]] = {}
@@ -259,7 +259,7 @@ def _and_combine(a: list[int], b: list[int], max_order: int | None, budget: int,
 
     for pa, xs in buckets_a.items():
         for pb, ys in buckets_b.items():
-            need = pa + pb - max_order
+            need = pa + pb - order
             if need <= 0:
                 for x in xs:
                     for y in ys:
@@ -275,38 +275,40 @@ def _and_combine(a: list[int], b: list[int], max_order: int | None, budget: int,
                 for key in _bit_subsets(x, need):
                     for y in index.get(key, ()):
                         merged = x | y
-                        if merged.bit_count() <= max_order:
+                        if merged.bit_count() <= order:
                             push(merged)
     return out if disjoint else _minimize(out)
 
 
-def _or_combine(parts: list[list[int]], max_order: int | None, budget: int,
+def _or_combine(parts: list[list[int]], order: int, max_rows: int,
                 disjoint: bool) -> list[int]:
-    merged: list[int] = []
-    for p in parts:
-        merged.extend(p)
-    if max_order is not None:
-        # A shared child may hold rows sized for a parent with a larger budget;
-        # no ancestor through this gate can use them.
-        merged = [m for m in merged if m.bit_count() <= max_order]
-    if len(merged) > budget:
+    # A shared child may hold rows sized for a parent with a larger budget;
+    # no ancestor through this gate can use them.
+    merged = [m for p in parts for m in p if m.bit_count() <= order]
+    if len(merged) > max_rows:
         raise _BudgetExceeded()
     return merged if disjoint else _minimize(merged)
 
 
-def _vote_combine(parts: list[list[int]], k: int, max_order: int | None, budget: int,
+def _vote_combine(parts: list[list[int]], k: int, order: int, max_rows: int,
                   disjoint: bool) -> list[int]:
     results: list[int] = []
     for combo in itertools.combinations(range(len(parts)), k):
-        acc = [0]
-        for idx in combo:
-            acc = _and_combine(acc, parts[idx], max_order, budget, disjoint)
-            if not acc:
-                break
-        results.extend(acc)
-        if len(results) > budget:
+        results.extend(_and_all([parts[idx] for idx in combo], order, max_rows, disjoint))
+        if len(results) > max_rows:
             raise _BudgetExceeded()
     return results if disjoint else _minimize(results)
+
+
+def _and_all(parts: list[list[int]], order: int, max_rows: int, disjoint: bool) -> list[int]:
+    """Minimal masks of order <= ``order`` in which every part has a row."""
+    # A part is an antichain; dropping its rows over the order keeps it one.
+    acc = [m for m in parts[0] if m.bit_count() <= order]
+    for p in parts[1:]:
+        if not acc:
+            break
+        acc = _and_combine(acc, p, order, max_rows, disjoint)
+    return acc
 
 
 class _BudgetExceeded(Exception):
@@ -337,9 +339,11 @@ def solve_minimal_cut_sets(
     if ft.top in ft.events:
         return _collect(ft, [1 << index_of[ft.top]], event_ids, max_order)
 
-    gate_ids = _topological_gates(ft)
-    supp, disjoint = _supports(ft, gate_ids, index_of)
-    budgets = None if max_order is None else _order_budgets(ft, gate_ids, supp, disjoint, max_order)
+    # No cut set has more events than the tree, so this limit truncates nothing.
+    limit = len(event_ids) if max_order is None else max_order
+    gate_ids = ft.gate_order
+    supp, disjoint, lo = _supports_and_bounds(ft, index_of)
+    budgets = _order_budgets(ft, supp, disjoint, lo, limit)
     results: dict[str, list[int]] = {}
     largest_gate: str | None = None
     largest_rows = 0
@@ -354,7 +358,7 @@ def solve_minimal_cut_sets(
 
     for done, gate_id in enumerate(gate_ids):
         gate = ft.gates[gate_id]
-        budget = None if budgets is None else budgets.get(gate_id, 0)
+        budget = budgets.get(gate_id, 0)
         if budget == 0:
             results[gate_id] = []
         else:
@@ -395,20 +399,29 @@ def _threshold(gate: Gate) -> int:
     return gate.k
 
 
-def _supports(
-    ft: FaultTree, gate_ids: Sequence[str], index_of: Mapping[str, int]
-) -> tuple[dict[str, int], set[str]]:
-    """The event support of every node, and the gates whose children's supports are pairwise disjoint.
+def _supports_and_bounds(
+    ft: FaultTree, index_of: Mapping[str, int]
+) -> tuple[dict[str, int], set[str], dict[str, int]]:
+    """One children-first pass giving every node's event support, the gates
+    whose children's supports are pairwise disjoint, and a lower bound on the
+    order of every cut set of each node.
 
-    Gates come children-first. An empty OR has support 0, which is disjoint
-    from every sibling.
+    An empty OR has support 0, which is disjoint from every sibling. A k-of-n
+    gate (OR: k = 1, AND: k = n) needs k failed children: when the children's
+    supports are pairwise disjoint their cut sets cannot share events, so the
+    k smallest bounds add up; otherwise only the k-th smallest bound is
+    certain. An empty OR never fails; its bound exceeds the order of any cut
+    set of the tree.
     """
     supp = {eid: 1 << i for eid, i in index_of.items()}
     disjoint: set[str] = set()
-    for gate_id in gate_ids:
+    never = len(ft.events) + 1
+    lo = dict.fromkeys(ft.events, 1)
+    for gate_id in ft.gate_order:
+        gate = ft.gates[gate_id]
         union = 0
         apart = True
-        for child in ft.gates[gate_id].children:
+        for child in gate.children:
             s = supp[child]
             if union & s:
                 apart = False
@@ -416,22 +429,6 @@ def _supports(
         supp[gate_id] = union
         if apart:
             disjoint.add(gate_id)
-    return supp, disjoint
-
-
-def _order_lower_bounds(ft: FaultTree, gate_ids: Sequence[str], disjoint: set[str]) -> dict[str, int]:
-    """A lower bound on the order of every cut set of each node.
-
-    Gates come children-first. A k-of-n gate (OR: k = 1, AND: k = n) needs k
-    failed children: when the children's supports are pairwise disjoint their
-    cut sets cannot share events, so the k smallest bounds add up; otherwise
-    only the k-th smallest bound is certain. An empty OR never fails; its
-    bound exceeds the order of any cut set of the tree.
-    """
-    never = len(ft.events) + 1
-    lo = dict.fromkeys(ft.events, 1)
-    for gate_id in gate_ids:
-        gate = ft.gates[gate_id]
         k = _threshold(gate)
         if k > len(gate.children):
             lo[gate_id] = never
@@ -439,15 +436,15 @@ def _order_lower_bounds(ft: FaultTree, gate_ids: Sequence[str], disjoint: set[st
             lo[gate_id] = min([lo[child] for child in gate.children])
         else:
             los = sorted([lo[child] for child in gate.children])
-            lo[gate_id] = sum(los[:k]) if gate_id in disjoint else los[k - 1]
-    return lo
+            lo[gate_id] = sum(los[:k]) if apart else los[k - 1]
+    return supp, disjoint, lo
 
 
 def _order_budgets(
-    ft: FaultTree, gate_ids: Sequence[str], supp: Mapping[str, int], disjoint: set[str],
+    ft: FaultTree, supp: Mapping[str, int], disjoint: set[str], lo: Mapping[str, int],
     max_order: int,
 ) -> dict[str, int]:
-    """The largest cut-set order each gate must deliver for a truncated solve.
+    """The largest cut-set order each gate must deliver for a solve truncated at ``max_order``.
 
     Why a child may get less than its parent's budget b: every minimal cut set
     M of a k-of-n gate with |M| <= b is the union of one minimal cut set from
@@ -462,9 +459,8 @@ def _order_budgets(
     exactly its minimal cut sets of order <= its budget. Budget 0 marks a
     gate with no cut set that small.
     """
-    lo = _order_lower_bounds(ft, gate_ids, disjoint)
     budgets = {ft.top: max_order}
-    for gate_id in reversed(gate_ids):
+    for gate_id in reversed(ft.gate_order):
         gate = ft.gates[gate_id]
         b = budgets.get(gate_id, 0)
         if lo[gate_id] > b:
@@ -478,35 +474,31 @@ def _order_budgets(
                 if child in ft.gates:
                     budgets[child] = max(budgets.get(child, 0), b)
             continue
-        # Prefix and suffix unions give each child its siblings' support in O(n).
-        sups = [supp[child] for child in children]
-        suffix = [0] * (len(sups) + 1)
-        for i in range(len(sups) - 1, -1, -1):
-            suffix[i] = suffix[i + 1] | sups[i]
-        prefix = 0
-        alone = []
-        for i, s in enumerate(sups):
-            alone.append(not s & (prefix | suffix[i + 1]))
-            prefix |= s
+        # A child is alone when none of its events is under two or more children.
+        once = shared = 0
+        for child in children:
+            shared |= once & supp[child]
+            once |= supp[child]
         los = sorted([lo[child] for child in children])
         least_k = sum(los[:k])
-        for i, child in enumerate(children):
+        for child in children:
             if child not in ft.gates:
                 continue
+            alone = not supp[child] & shared
             taken = 0
-            if alone[i] and gate_id in disjoint:
-                # Sum of the k - 1 smallest bounds once child i is removed.
+            if alone and gate_id in disjoint:
+                # Sum of the k - 1 smallest bounds once the child is removed.
                 taken = max(least_k - lo[child], least_k - los[k - 1])
-            elif alone[i]:
-                # (k - 1)-th smallest bound once child i is removed.
+            elif alone:
+                # (k - 1)-th smallest bound once the child is removed.
                 taken = los[k - 1] if lo[child] <= los[k - 2] else los[k - 2]
             budgets[child] = max(budgets.get(child, 0), b - taken)
     return budgets
 
 
-def _combine(gate: Gate, parts: list[list[int]], max_order: int | None, budget: int,
+def _combine(gate: Gate, parts: list[list[int]], order: int, max_rows: int,
              disjoint: bool) -> list[int]:
-    """Minimal masks of one gate of order <= ``max_order`` from its children's masks.
+    """Minimal masks of one gate of order <= ``order`` from its children's masks.
 
     When the children's supports are pairwise disjoint (``disjoint``) the
     rows need no absorption. Each child result is an antichain of nonempty
@@ -519,45 +511,11 @@ def _combine(gate: Gate, parts: list[list[int]], max_order: int | None, budget: 
     order budget keeps an antichain an antichain.
     """
     if gate.kind is GateKind.OR:
-        return _or_combine(parts, max_order, budget, disjoint)
+        return _or_combine(parts, order, max_rows, disjoint)
     if gate.kind is GateKind.AND:
-        acc = [0]
-        for p in parts:
-            acc = _and_combine(acc, p, max_order, budget, disjoint)
-            if not acc:
-                return []
-        return acc
+        return _and_all(parts, order, max_rows, disjoint)
     assert gate.k is not None
-    return _vote_combine(parts, gate.k, max_order, budget, disjoint)
-
-
-def _topological_gates(ft: FaultTree) -> list[str]:
-    """Gate ids ordered children-first; deterministic for identical trees."""
-    order: list[str] = []
-    state: dict[str, int] = {}
-
-    def visit(gate_id: str) -> None:
-        stack = [(gate_id, 0)]
-        state[gate_id] = 1
-        while stack:
-            current, idx = stack.pop()
-            gate = ft.gates[current]
-            advanced = False
-            for j in range(idx, len(gate.children)):
-                child = gate.children[j]
-                if child in ft.gates and state.get(child, 0) == 0:
-                    stack.append((current, j + 1))
-                    state[child] = 1
-                    stack.append((child, 0))
-                    advanced = True
-                    break
-            if not advanced:
-                state[current] = 2
-                order.append(current)
-
-    if ft.top in ft.gates:
-        visit(ft.top)
-    return order
+    return _vote_combine(parts, gate.k, order, max_rows, disjoint)
 
 
 # ---------------------------------------------------------------------------
@@ -669,7 +627,7 @@ def witness_check(ft: FaultTree, cut_set: CutSet) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# SPOFs and histograms
+# SPOFs
 # ---------------------------------------------------------------------------
 
 
@@ -700,29 +658,6 @@ def extract_spofs(css: CutSetCollection) -> SpofReport:
         fallback_order=lowest,
         fallback_sets=css.sets_of_order(lowest),
     )
-
-
-@dataclass(frozen=True)
-class OrderHistogram:
-    """Per-order and cumulative (order <= k) counts up to the truncation."""
-
-    per_order: Mapping[int, int]
-    truncation: int | None
-
-    def count(self, order: int) -> int:
-        return self.per_order.get(order, 0)
-
-    def cumulative(self, order: int) -> int:
-        return sum(c for o, c in self.per_order.items() if o <= order)
-
-    def rows(self) -> tuple[tuple[int, int, int], ...]:
-        """(order, count at order, cumulative count) rows, ascending."""
-        top = self.truncation if self.truncation is not None else max(self.per_order, default=0)
-        return tuple((k, self.count(k), self.cumulative(k)) for k in range(1, top + 1))
-
-
-def order_histogram(css: CutSetCollection) -> OrderHistogram:
-    return OrderHistogram(per_order=dict(css.per_order), truncation=css.truncation)
 
 
 # ---------------------------------------------------------------------------
@@ -768,15 +703,8 @@ def random_coherent_tree(
         gates[gate_id] = Gate(id=gate_id, kind=kind, children=children, k=k)
 
     # Keep only what the top reaches; the constructor enforces the rest.
-    reachable: set[str] = set()
-    stack = ["G1"]
-    while stack:
-        ref = stack.pop()
-        if ref in reachable:
-            continue
-        reachable.add(ref)
-        if ref in gates:
-            stack.extend(gates[ref].children)
+    reachable = set(children_first(gates, "G1"))
+    reachable |= {c for g in reachable for c in gates[g].children}
     return FaultTree(
         top="G1",
         gates={g: gates[g] for g in gates if g in reachable},

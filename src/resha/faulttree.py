@@ -11,7 +11,7 @@ import json
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, Sequence
 from xml.sax.saxutils import escape, quoteattr
 
 from .stpa import UcaRecord
@@ -118,6 +118,11 @@ class FaultTree:
         return tuple(sorted(self.events))
 
     @cached_property
+    def gate_order(self) -> tuple[str, ...]:
+        """Gates reachable from the top, each after all its child gates; walked once."""
+        return children_first(self.gates, self.top)
+
+    @cached_property
     def _node_gates(self) -> dict[tuple[str, str], tuple[str, ...]]:
         """(role, node text) -> that node's canonical gates, sorted; built on first use."""
         index: dict[tuple[str, str], list[str]] = {}
@@ -147,41 +152,52 @@ def validate_tree(ft: FaultTree) -> None:
         for child in gate.children:
             if child not in ft.gates and child not in ft.events:
                 raise FaultTreeError(f"gate {gate.id} references unknown child {child!r}")
-    # Iterative DFS: detects cycles and collects reachable ids.
-    reached: set[str] = set()
-    state: dict[str, int] = {}
-    if ft.top in ft.gates:
-        stack: list[tuple[str, int]] = [(ft.top, 0)]
-        state[ft.top] = 1
-        reached.add(ft.top)
-        while stack:
-            gate_id, idx = stack.pop()
-            gate = ft.gates[gate_id]
-            if idx < len(gate.children):
-                stack.append((gate_id, idx + 1))
-                child = gate.children[idx]
-                reached.add(child)
-                if child in ft.gates:
-                    mark = state.get(child, 0)
-                    if mark == 1:
-                        raise FaultTreeError(f"cycle detected through gate {child!r}")
-                    if mark == 0:
-                        state[child] = 1
-                        stack.append((child, 0))
-            else:
-                state[gate_id] = 2
-    else:
-        reached.add(ft.top)
-    unreachable = set(ft.gates) - {g for g in reached if g in ft.gates}
+    reached = set(ft.gate_order)
+    unreachable = set(ft.gates) - reached
     if unreachable:
         raise FaultTreeError(
             f"gates unreachable from top: {sorted(unreachable)[:3]}"
         )
-    unreferenced = set(ft.events) - {e for e in reached if e in ft.events}
+    unreferenced = set(ft.events) - _events_under(ft.gates, reached) - {ft.top}
     if unreferenced:
         raise FaultTreeError(
             f"events unreachable from top: {sorted(unreferenced)[:3]}"
         )
+
+
+def children_first(gates: Mapping[str, Gate], root: str) -> tuple[str, ...]:
+    """Ids of the gates reachable from ``root``, each after all its child gates.
+
+    An iterative depth-first post-order that visits children in declaration
+    order, so any depth of nesting works and equal trees give equal orders.
+    Children that are not in ``gates`` (events) are skipped.
+    """
+    if root not in gates:
+        return ()
+    order: list[str] = []
+    finished: set[str] = set()
+    on_path = {root}
+    stack: list[tuple[str, Iterator[str]]] = [(root, iter(gates[root].children))]
+    while stack:
+        gate_id, pending = stack[-1]
+        for child in pending:
+            if child in on_path:
+                raise FaultTreeError(f"cycle detected through gate {child!r}")
+            if child in gates and child not in finished:
+                on_path.add(child)
+                stack.append((child, iter(gates[child].children)))
+                break
+        else:
+            stack.pop()
+            on_path.discard(gate_id)
+            finished.add(gate_id)
+            order.append(gate_id)
+    return tuple(order)
+
+
+def _events_under(gates: Mapping[str, Gate], gate_ids: Iterable[str]) -> set[str]:
+    """Children of the given gates that are not gates themselves."""
+    return {c for g in gate_ids for c in gates[g].children if c not in gates}
 
 
 def failure_vote_threshold(k_success: int, n: int) -> int:
@@ -403,35 +419,59 @@ def build_hardware_fault_tree(m: SystemModel, top: str) -> FaultTree:
             )
         return fid
 
-    def instantiate(gate_id: str, trail: tuple[str, ...]) -> str:
-        if gate_id in trail:
-            cycle = " -> ".join(trail + (gate_id,))
-            raise FaultTreeError(f"cycle detected in gate declarations: {cycle}")
-        if gate_id in builder.gates:
-            return gate_id
-        spec = specs.get(gate_id)
-        if spec is None:
-            raise FaultTreeError(f"unknown gate {gate_id!r}")
-        children: list[str] = []
-        for child in spec.children:
-            if child.gate is not None:
-                children.append(instantiate(child.gate, trail + (gate_id,)))
+    def instantiate(root: str) -> str:
+        """Add the declared gate ``root`` and every gate under it, children first.
+
+        Iterative, so declarations may nest deeper than Python's recursion limit.
+        """
+        path: list[str] = []  # declarations being expanded, ``root`` first
+        on_path: set[str] = set()
+        stack: list[tuple[GateSpec, Iterator[GateChildSpec], list[str]]] = []
+
+        def enter(gate_id: str) -> bool:
+            """Start expanding a declaration; False when it is already built."""
+            if gate_id in on_path:
+                cycle = " -> ".join(path + [gate_id])
+                raise FaultTreeError(f"cycle detected in gate declarations: {cycle}")
+            if gate_id in builder.gates:
+                return False
+            spec = specs.get(gate_id)
+            if spec is None:
+                raise FaultTreeError(f"unknown gate {gate_id!r}")
+            path.append(gate_id)
+            on_path.add(gate_id)
+            stack.append((spec, iter(spec.children), []))
+            return True
+
+        enter(root)
+        while stack:
+            spec, pending, children = stack[-1]
+            for child in pending:
+                if child.gate is None:
+                    assert child.fail is not None
+                    children.append(ensure_fail_gate(child.fail, child.ca_to))
+                elif enter(child.gate):
+                    break
+                else:
+                    children.append(child.gate)
             else:
-                assert child.fail is not None
-                children.append(ensure_fail_gate(child.fail, child.ca_to))
-        builder.add_gate(
-            Gate(
-                id=spec.id,
-                kind=GateKind(spec.kind),
-                children=tuple(children),
-                k=spec.k,
-                description=spec.description,
-            )
-        )
-        return spec.id
+                stack.pop()
+                on_path.discard(path.pop())
+                builder.add_gate(
+                    Gate(
+                        id=spec.id,
+                        kind=GateKind(spec.kind),
+                        children=tuple(children),
+                        k=spec.k,
+                        description=spec.description,
+                    )
+                )
+                if stack:
+                    stack[-1][2].append(spec.id)
+        return root
 
     if top in specs:
-        root = instantiate(top, ())
+        root = instantiate(top)
     else:
         try:
             node_id = parse_node_id(top)
@@ -536,22 +576,12 @@ def extract_subtree(ft: FaultTree, gate_id: str) -> FaultTree:
     """New tree rooted at an existing gate; reachable ids are preserved."""
     if gate_id not in ft.gates:
         raise FaultTreeError(f"unknown gate {gate_id!r}")
-    gates: dict[str, Gate] = {}
-    events: dict[str, BasicEvent] = {}
-    stack = [gate_id]
-    seen: set[str] = set()
-    while stack:
-        current = stack.pop()
-        if current in seen:
-            continue
-        seen.add(current)
-        if current in ft.gates:
-            gate = ft.gates[current]
-            gates[current] = gate
-            stack.extend(gate.children)
-        else:
-            events[current] = ft.events[current]
-    return FaultTree(top=gate_id, gates=gates, events=events)
+    gate_ids = children_first(ft.gates, gate_id)
+    return FaultTree(
+        top=gate_id,
+        gates={g: ft.gates[g] for g in gate_ids},
+        events={e: ft.events[e] for e in sorted(_events_under(ft.gates, gate_ids))},
+    )
 
 
 def filter_events(ft: FaultTree, keep_kinds: Iterable[EventKind]) -> FaultTree:
@@ -565,46 +595,8 @@ def filter_events(ft: FaultTree, keep_kinds: Iterable[EventKind]) -> FaultTree:
     wanted = set(keep_kinds)
     if wanted >= {e.kind for e in ft.events.values()}:
         return ft
-    memo: dict[str, str | None] = {}
-    gates: dict[str, Gate] = {}
-    events: dict[str, BasicEvent] = {}
-
-    def visit(ref: str) -> str | None:
-        """Returns surviving id, or None when the subtree is FALSE."""
-        if ref in memo:
-            return memo[ref]
-        if ref in ft.events:
-            event = ft.events[ref]
-            if event.kind in wanted:
-                events[ref] = event
-                memo[ref] = ref
-            else:
-                memo[ref] = None
-            return memo[ref]
-        gate = ft.gates[ref]
-        kept = [c for c in (visit(child) for child in gate.children) if c is not None]
-        result: str | None
-        if gate.kind is GateKind.OR:
-            result = ref if kept else None
-        elif gate.kind is GateKind.AND:
-            result = ref if len(kept) == len(gate.children) else None
-        else:
-            assert gate.k is not None
-            result = ref if gate.k <= len(kept) else None
-        if result is not None:
-            gates[ref] = Gate(
-                id=gate.id,
-                kind=gate.kind,
-                children=tuple(kept),
-                k=gate.k,
-                description=gate.description,
-            )
-        memo[ref] = result
-        return result
-
     if ft.top in ft.events:
-        survivor = visit(ft.top)
-        if survivor is not None:
+        if ft.events[ft.top].kind in wanted:
             # Single-event tree: wrap stays unnecessary, keep identity.
             return FaultTree(top=ft.top, gates={}, events={ft.top: ft.events[ft.top]})
         return FaultTree(
@@ -613,8 +605,29 @@ def filter_events(ft: FaultTree, keep_kinds: Iterable[EventKind]) -> FaultTree:
             events={},
         )
 
-    survivor = visit(ft.top)
-    if survivor is None:
+    # Whether each node survives, decided children first.
+    alive = {eid: e.kind in wanted for eid, e in ft.events.items()}
+    gates: dict[str, Gate] = {}
+    for gate_id in ft.gate_order:
+        gate = ft.gates[gate_id]
+        kept = tuple(c for c in gate.children if alive[c])
+        if gate.kind is GateKind.OR:
+            alive[gate_id] = bool(kept)
+        elif gate.kind is GateKind.AND:
+            alive[gate_id] = len(kept) == len(gate.children)
+        else:
+            assert gate.k is not None
+            alive[gate_id] = gate.k <= len(kept)
+        if alive[gate_id]:
+            gates[gate_id] = Gate(
+                id=gate.id,
+                kind=gate.kind,
+                children=kept,
+                k=gate.k,
+                description=gate.description,
+            )
+
+    if not alive[ft.top]:
         return FaultTree(
             top=ft.top,
             gates={ft.top: Gate(id=ft.top, kind=GateKind.OR, children=(),
@@ -622,30 +635,13 @@ def filter_events(ft: FaultTree, keep_kinds: Iterable[EventKind]) -> FaultTree:
             events={},
         )
     # Drop gates and events no longer reachable (children of killed branches).
-    pruned = _prune(gates, ft.top)
-    live_events = {
-        child
-        for gate in pruned.values()
-        for child in gate.children
-        if child in events
-    }
+    reachable = set(children_first(gates, ft.top))
+    pruned = {g: gates[g] for g in gates if g in reachable}
     return FaultTree(
         top=ft.top,
         gates=pruned,
-        events={e: events[e] for e in sorted(live_events)},
+        events={e: ft.events[e] for e in sorted(_events_under(pruned, pruned))},
     )
-
-
-def _prune(gates: Mapping[str, Gate], top: str) -> dict[str, Gate]:
-    reachable: set[str] = set()
-    stack = [top]
-    while stack:
-        current = stack.pop()
-        if current in reachable or current not in gates:
-            continue
-        reachable.add(current)
-        stack.extend(gates[current].children)
-    return {g: gates[g] for g in gates if g in reachable}
 
 
 def is_vacuous(ft: FaultTree) -> bool:
@@ -715,6 +711,25 @@ def _exchange_subjects(event: dict) -> tuple[NodeId, ...]:
         raise FaultTreeError(f"event {event['id']!r}: 'subjects': {exc}") from None
 
 
+def _exchange_kind(entry: dict, what: str, kinds: type[GateKind] | type[EventKind]):
+    """The ``kind`` of an exchange-document entry as a member of ``kinds``."""
+    try:
+        return kinds(entry["kind"])
+    except (TypeError, ValueError):
+        allowed = ", ".join(repr(k.value) for k in kinds)
+        raise FaultTreeError(
+            f"{what} {entry['id']!r}: 'kind' must be one of {allowed}, got {entry['kind']!r}"
+        ) from None
+
+
+def _exchange_text(entry: dict, what: str, key: str) -> str | None:
+    """An optional string value of an exchange-document entry."""
+    value = entry.get(key)
+    if value is not None and not isinstance(value, str):
+        raise FaultTreeError(f"{what} {entry['id']!r}: {key!r} must be a string, got {value!r}")
+    return value
+
+
 def from_exchange_json(text: str) -> FaultTree:
     doc = json.loads(text)
     if not isinstance(doc, dict):
@@ -733,20 +748,20 @@ def from_exchange_json(text: str) -> FaultTree:
             raise FaultTreeError(f"gate {g['id']!r}: k must be an integer, got {k!r}")
         gates[g["id"]] = Gate(
             id=g["id"],
-            kind=GateKind(g["kind"]),
+            kind=_exchange_kind(g, "gate", GateKind),
             children=tuple(children),
             k=k,
-            description=g.get("description"),
+            description=_exchange_text(g, "gate", "description"),
         )
     events = {}
     for e in _exchange_entries(doc, "events"):
         events[e["id"]] = BasicEvent(
             id=e["id"],
-            kind=EventKind(e["kind"]),
+            kind=_exchange_kind(e, "event", EventKind),
             subjects=_exchange_subjects(e),
-            description=e.get("description", ""),
-            category=e.get("category"),
-            uca_id=e.get("uca"),
+            description=_exchange_text(e, "event", "description") or "",
+            category=_exchange_text(e, "event", "category"),
+            uca_id=_exchange_text(e, "event", "uca"),
         )
     return FaultTree(top=doc["top"], gates=gates, events=events)
 

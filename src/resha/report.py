@@ -18,7 +18,7 @@ from importlib import resources
 from typing import Any, Mapping, Sequence
 
 from .ccf import CcfEvent
-from .cutset import CutSetCollection, SpofReport, extract_spofs, order_histogram
+from .cutset import CutSetCollection, SpofReport, extract_spofs
 from .faulttree import (
     BasicEvent,
     EventKind,
@@ -315,7 +315,6 @@ def render_analysis_report(
     out("")
     for label in sorted(collections):
         css = collections[label]
-        hist = order_histogram(css)
         out(f"### Scope: {label}")
         out("")
         trunc = css.truncation if css.truncation is not None else "none"
@@ -324,7 +323,7 @@ def render_analysis_report(
         out("")
         out("| Truncation (order) | Cut sets (cumulative) |")
         out("| --- | --- |")
-        for order, _, cumulative in reversed(hist.rows()):
+        for order, _, cumulative in reversed(css.rows()):
             out(f"| {order} | {cumulative} |")
         out("")
         lines.extend(_spof_section(css, event_descriptions))

@@ -220,10 +220,28 @@ def test_directory_input_exit_2_without_traceback(argv, tmp_path, capsys):
          "event 'A': 'subjects': malformed node id 'bad'"),
         ({"top": ["G"], "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
           "events": [{"id": "A", "kind": "HW_INDEP"}]}, "'top' must be a string"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP", "description": 7}]},
+         "event 'A': 'description' must be a string"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"], "description": 7}],
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gate 'G': 'description' must be a string"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP", "category": [1]}]},
+         "event 'A': 'category' must be a string"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP", "uca": {}}]}, "event 'A': 'uca' must be a string"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "xor", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gate 'G': 'kind' must be one of"),
+        ({"top": "G", "gates": [{"id": "G", "kind": ["or"], "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gate 'G': 'kind' must be one of"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_X"}]}, "event 'A': 'kind' must be one of"),
     ],
     ids=["children-string", "array-document", "k-string", "gates-int", "events-int",
          "gate-not-object", "gate-without-kind", "event-without-kind", "no-top",
-         "subjects-int", "gate-id-list", "subject-malformed", "top-list"],
+         "subjects-int", "gate-id-list", "subject-malformed", "top-list",
+         "event-description-int", "gate-description-int", "category-list", "uca-object",
+         "gate-kind-xor", "gate-kind-list", "event-kind-unknown"],
 )
 def test_cutsets_malformed_exchange_document_exit_1(document, named, tmp_path, capsys):
     with pytest.raises(FaultTreeError):
@@ -236,3 +254,24 @@ def test_cutsets_malformed_exchange_document_exit_1(document, named, tmp_path, c
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert named in err
+
+
+@pytest.mark.parametrize("flags", [[], ["--filter", "hardware"]], ids=["all", "hardware"])
+def test_analyze_deeply_nested_declarations(flags, tmp_path, capsys):
+    # 1,500 nested ORs: deeper than Python's recursion limit.
+    doc = build_rts_document()
+    depth = 1500
+    for i in range(depth):
+        child = {"gate": f"DEEP{i + 1}"} if i + 1 < depth else {"gate": "RTS"}
+        doc["gates"].append({"id": f"DEEP{i}", "kind": "or", "children": [child]})
+    path = tmp_path / "deep.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(path)]) == 0
+    rc = main(["analyze", "--model", str(path), "--top", "DEEP0", "--truncate", "1",
+               *flags, "--out", str(tmp_path / "out"), "--deterministic"])
+    captured = capsys.readouterr()
+    assert rc == 0, captured.err
+    assert "Traceback" not in captured.err
+    assert "scope: DEEP0" in captured.out
+    tree = json.loads((tmp_path / "out" / "tree.json").read_text())
+    assert sum(g["id"].startswith("DEEP") for g in tree["gates"]) == depth

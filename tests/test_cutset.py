@@ -15,16 +15,13 @@ from resha.cutset import (
     brute_force_cut_sets,
     evaluate_structure_function,
     extract_spofs,
-    order_histogram,
     random_coherent_tree,
     solve_minimal_cut_sets,
     tree_fingerprint,
     witness_check,
     _minimize,
     _order_budgets,
-    _order_lower_bounds,
-    _supports,
-    _topological_gates,
+    _supports_and_bounds,
 )
 from resha.faulttree import BasicEvent, EventKind, FaultTree, Gate, GateKind, extract_subtree
 from resha.sysmodel import NodeId
@@ -144,8 +141,7 @@ def test_truncation_soundness_randomized():
             got = {c.events for c in truncated.cut_sets}
             want = {s for s in full if len(s) <= k}
             assert got == want
-            hist = order_histogram(truncated)
-            rows = [(o, c) for o, c, _ in hist.rows()]
+            rows = [(o, c) for o, c, _ in truncated.rows()]
             assert rows[: len(previous)] == previous
             previous = rows
         assert untruncated.truncation is None
@@ -253,17 +249,17 @@ def test_histogram_cumulative_counts():
         },
         ["X", "A", "B"],
     )
-    hist = order_histogram(solve_minimal_cut_sets(ft))
-    assert hist.count(1) == 1
-    assert hist.count(2) == 1
-    assert hist.cumulative(1) == 1
-    assert hist.cumulative(2) == 2
+    css = solve_minimal_cut_sets(ft)
+    assert css.per_order.get(1, 0) == 1
+    assert css.per_order.get(2, 0) == 1
+    assert css.cumulative_count(1) == 1
+    assert css.cumulative_count(2) == 2
 
 
 def test_histogram_empty_collection_zeroes():
     ft = tree("TOP", {"TOP": Gate(id="TOP", kind=GateKind.OR, children=())}, [])
-    hist = order_histogram(solve_minimal_cut_sets(ft, 3))
-    assert hist.rows() == ((1, 0, 0), (2, 0, 0), (3, 0, 0))
+    css = solve_minimal_cut_sets(ft, 3)
+    assert css.rows() == ((1, 0, 0), (2, 0, 0), (3, 0, 0))
 
 
 def test_collection_csv_format():
@@ -271,6 +267,24 @@ def test_collection_csv_format():
     lines = css.to_csv().splitlines()
     assert lines[0] == "order,events,contains_ccf"
     assert lines[1] == "1,A,no"
+
+
+def test_untruncated_solve_keeps_cut_set_of_every_event():
+    # The only cut set uses every event, so an untruncated solve must allow
+    # that order; the top's children share events, so the submask join runs.
+    ft = tree(
+        "TOP",
+        {
+            "TOP": Gate(id="TOP", kind=GateKind.AND, children=("G1", "G2")),
+            "G1": Gate(id="G1", kind=GateKind.OR, children=("A", "B")),
+            "G2": Gate(id="G2", kind=GateKind.VOTE, k=3, children=("A", "B", "C")),
+        },
+        ["A", "B", "C"],
+    )
+    css = solve_minimal_cut_sets(ft)
+    assert {c.events for c in css.cut_sets} == {frozenset({"A", "B", "C"})}
+    assert css.truncation is None
+    assert css.rows() == ((1, 0, 0), (2, 0, 0), (3, 1, 1))
 
 
 def test_max_order_argument_validated(full_tree):
@@ -330,11 +344,9 @@ def test_order_bounds_and_budgets_sound_on_disjoint_support_trees():
     narrowed = 0
     for _ in range(150):
         ft = disjoint_support_tree(rng)
-        gate_ids = _topological_gates(ft)
         index_of = {eid: i for i, eid in enumerate(sorted(ft.events))}
-        supp, disjoint = _supports(ft, gate_ids, index_of)
-        lo = _order_lower_bounds(ft, gate_ids, disjoint)
-        for gate_id in gate_ids:
+        supp, disjoint, lo = _supports_and_bounds(ft, index_of)
+        for gate_id in ft.gate_order:
             orders = [c.order for c in brute_force_cut_sets(extract_subtree(ft, gate_id)).cut_sets]
             if orders:
                 assert lo[gate_id] <= min(orders), gate_id
@@ -342,7 +354,7 @@ def test_order_bounds_and_budgets_sound_on_disjoint_support_trees():
         for k in range(1, 6):
             got = {c.events for c in solve_minimal_cut_sets(ft, k).cut_sets}
             assert got == {s for s in oracle if len(s) <= k}
-            budgets = _order_budgets(ft, gate_ids, supp, disjoint, k)
+            budgets = _order_budgets(ft, supp, disjoint, lo, k)
             narrowed += any(0 < b < k for b in budgets.values())
     # The sibling rule must actually fire, or this test checks nothing new.
     assert narrowed > 100
@@ -354,8 +366,7 @@ def test_disjoint_support_skip_matches_oracle():
     skipped = 0
     for _ in range(120):
         ft = disjoint_support_tree(rng)
-        gate_ids = _topological_gates(ft)
-        _, disjoint = _supports(ft, gate_ids, {eid: i for i, eid in enumerate(sorted(ft.events))})
+        _, disjoint, _ = _supports_and_bounds(ft, {eid: i for i, eid in enumerate(sorted(ft.events))})
         skipped += sum(1 for g in disjoint if len(ft.gates[g].children) > 1)
         oracle = {c.events for c in brute_force_cut_sets(ft).cut_sets}
         assert {c.events for c in solve_minimal_cut_sets(ft).cut_sets} == oracle
@@ -400,3 +411,33 @@ def test_automatic_trip_order_4_reference_counts(auto_tree):
     css = solve_minimal_cut_sets(auto_tree, 4)
     assert dict(css.per_order) == {2: 52, 3: 826, 4: 2664}
     assert css.cumulative_count(4) == 3542
+
+
+def naive_post_order(ft: FaultTree) -> list[str]:
+    order: list[str] = []
+
+    def visit(ref: str) -> None:
+        if ref in ft.gates and ref not in order:
+            for child in ft.gates[ref].children:
+                visit(child)
+            order.append(ref)
+
+    visit(ft.top)
+    return order
+
+
+def test_gate_order_is_children_first(rps_tree, auto_tree, full_tree):
+    rng = random.Random(31)
+    trees = [random_coherent_tree(rng) for _ in range(200)]
+    trees += [disjoint_support_tree(rng) for _ in range(100)]
+    trees += [rps_tree, auto_tree, full_tree]
+    for ft in trees:
+        order = ft.gate_order
+        assert isinstance(order, tuple)
+        assert sorted(order) == sorted(ft.gates)  # every gate is reachable, listed once
+        position = {g: i for i, g in enumerate(order)}
+        for gate_id in order:
+            for child in ft.gates[gate_id].children:
+                if child in ft.gates:
+                    assert position[child] < position[gate_id]
+        assert list(order) == naive_post_order(ft)

@@ -58,7 +58,7 @@ def test_cycle_detected():
         "G1": Gate(id="G1", kind=GateKind.OR, children=("G2",)),
         "G2": Gate(id="G2", kind=GateKind.OR, children=("G1",)),
     }
-    with pytest.raises(FaultTreeError):
+    with pytest.raises(FaultTreeError, match="cycle detected through gate 'G1'"):
         tree_of("G1", gates, {})
 
 
@@ -249,7 +249,7 @@ def test_cycle_in_declarations_detected():
         "ccf_policy": {},
     }
     model = parse_system_model(doc)
-    with pytest.raises(FaultTreeError, match="cycle"):
+    with pytest.raises(FaultTreeError, match="cycle detected in gate declarations: G1 -> G2 -> G1"):
         build_hardware_fault_tree(model, "G1")
 
 

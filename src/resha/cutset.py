@@ -17,8 +17,13 @@ VOTE gate whose events appear under no sibling only needs the parent's
 budget minus the least order its co-failing siblings add. A gate whose lower
 bound exceeds its budget yields no rows at all.
 
-An independent brute-force oracle enumerates the structure function's
-minimal true points over all 2^n assignments for small trees.
+One bit-parallel evaluator, ``_top_truth``, independent of the solver,
+computes the structure function over many assignments in one pass: each
+node's value is a Python int whose bit ``a`` is its value in assignment
+``a``. It serves three callers: the brute-force oracle
+(``brute_force_cut_sets``, all 2^n assignments of a small tree, minimal true
+points), ``evaluate_structure_function`` (one assignment) and
+``witness_check`` (a cut set and each of its one-member removals).
 """
 
 from __future__ import annotations
@@ -519,8 +524,39 @@ def _combine(gate: Gate, parts: list[list[int]], order: int, max_rows: int,
 
 
 # ---------------------------------------------------------------------------
-# Brute-force oracle
+# Bit-parallel evaluation: the oracle, the structure function, the witness
 # ---------------------------------------------------------------------------
+
+
+def _top_truth(ft: FaultTree, columns: Mapping[str, int]) -> int:
+    """The top event's truth column, given every event's column.
+
+    Bit ``a`` of a column is the node's value in assignment ``a``, so one
+    children-first pass over the gates evaluates every assignment at once.
+    Shares no code with the solver it checks.
+    """
+    value = dict(columns)
+    for gate_id in ft.gate_order:
+        gate = ft.gates[gate_id]
+        kids = [value[c] for c in gate.children]
+        if gate.kind is GateKind.OR:
+            out = 0
+            for v in kids:
+                out |= v
+        elif gate.kind is GateKind.AND:
+            out = kids[0]
+            for v in kids[1:]:
+                out &= v
+        else:
+            # failed[j]: assignments where more than j of the children seen so far fail.
+            failed = [0] * gate.k
+            for v in kids:
+                for j in range(gate.k - 1, 0, -1):
+                    failed[j] |= failed[j - 1] & v
+                failed[0] |= v
+            out = failed[-1]
+        value[gate_id] = out
+    return value[ft.top]
 
 
 def brute_force_cut_sets(
@@ -539,50 +575,34 @@ def brute_force_cut_sets(
         raise CutSetError(
             f"brute force limited to {event_limit} events, tree has {n}"
         )
-    import numpy as np  # deferred: only the oracle needs it, and it is slow to import
-
     size = 1 << n
-    assignments = np.arange(size, dtype=np.uint32)
-    columns = {
-        event_ids[i]: ((assignments >> i) & 1).astype(bool) for i in range(n)
-    }
-    memo: dict[str, np.ndarray] = {}
-
-    def truth(ref: str) -> np.ndarray:
-        cached = memo.get(ref)
-        if cached is not None:
-            return cached
-        if ref in columns:
-            memo[ref] = columns[ref]
-            return columns[ref]
-        gate = ft.gates[ref]
-        if not gate.children:
-            # Only empty OR survives validation: a never-fails placeholder.
-            value = np.zeros(size, dtype=bool)
-        else:
-            stacked = np.vstack([truth(c) for c in gate.children])
-            if gate.kind is GateKind.OR:
-                value = stacked.any(axis=0)
-            elif gate.kind is GateKind.AND:
-                value = stacked.all(axis=0)
-            else:
-                value = stacked.sum(axis=0) >= gate.k
-        memo[ref] = value
-        return value
-
-    top = truth(ft.top)
-    minimal = top.copy()
-    for i in range(n):
-        has_bit = ((assignments >> i) & 1) == 1
-        parents = assignments[has_bit] ^ (1 << i)
-        minimal[has_bit] &= ~top[parents]
-    masks = [int(m) for m in np.nonzero(minimal)[0]]
+    columns = {}
+    for i, eid in enumerate(event_ids):
+        # Bit a is bit i of a: runs of 2**i clear bits, then 2**i set bits.
+        run = 1 << i
+        col = ((1 << run) - 1) << run
+        width = 2 * run
+        while width < size:
+            col |= col << width
+            width *= 2
+        columns[eid] = col
+    top = _top_truth(ft, columns)
+    # A true point of a monotone function is minimal when clearing any one of
+    # its set bits gives a false point: bit a of top << 2**i is top at a - 2**i.
+    covered = 0
+    for i, eid in enumerate(event_ids):
+        covered |= (top << (1 << i)) & columns[eid]
+    minimal = top & ~covered
+    # Scan bytes, not set bits: clearing the lowest bit of a 2**n-bit int
+    # once per cut set is quadratic.
+    masks = [
+        8 * pos + bit
+        for pos, byte in enumerate(minimal.to_bytes((size + 7) // 8, "little"))
+        if byte
+        for bit in range(8)
+        if byte >> bit & 1
+    ]
     return _collect(ft, masks, event_ids, truncation=None)
-
-
-# ---------------------------------------------------------------------------
-# Structure function evaluation
-# ---------------------------------------------------------------------------
 
 
 def evaluate_structure_function(ft: FaultTree, assignment: Mapping[str, bool]) -> bool:
@@ -590,40 +610,17 @@ def evaluate_structure_function(ft: FaultTree, assignment: Mapping[str, bool]) -
     missing = set(ft.events) - set(assignment)
     if missing:
         raise EvaluationError(f"assignment missing events: {sorted(missing)[:3]}")
-    memo: dict[str, bool] = {}
-
-    def value(ref: str) -> bool:
-        if ref in memo:
-            return memo[ref]
-        if ref in ft.events:
-            result = bool(assignment[ref])
-        else:
-            gate = ft.gates[ref]
-            if gate.kind is GateKind.OR:
-                result = any(value(c) for c in gate.children)
-            elif gate.kind is GateKind.AND:
-                result = all(value(c) for c in gate.children)
-            else:
-                result = sum(1 for c in gate.children if value(c)) >= (gate.k or 0)
-        memo[ref] = result
-        return result
-
-    return value(ft.top)
+    return bool(_top_truth(ft, {eid: 1 if assignment[eid] else 0 for eid in ft.events}))
 
 
 def witness_check(ft: FaultTree, cut_set: CutSet) -> bool:
     """Minimality witness: members-true fails the top; dropping any one member un-fails it."""
-    base = {eid: False for eid in ft.events}
-    for eid in cut_set.events:
-        base[eid] = True
-    if not evaluate_structure_function(ft, base):
-        return False
-    for eid in cut_set.events:
-        base[eid] = False
-        if evaluate_structure_function(ft, base):
-            return False
-        base[eid] = True
-    return True
+    # Assignment 0 fails every member; assignment i + 1 fails all but member i.
+    every = (2 << len(cut_set.events)) - 1
+    columns = dict.fromkeys(ft.events, 0)
+    for i, eid in enumerate(cut_set.events):
+        columns[eid] = every ^ (2 << i)
+    return _top_truth(ft, columns) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -114,9 +114,6 @@ class FaultTree:
     def has_gate(self, gate_id: str) -> bool:
         return gate_id in self.gates
 
-    def event_ids(self) -> tuple[str, ...]:
-        return tuple(sorted(self.events))
-
     @cached_property
     def gate_order(self) -> tuple[str, ...]:
         """Gates reachable from the top, each after all its child gates; walked once."""

@@ -714,11 +714,6 @@ def build_rts_document() -> dict[str, Any]:
     }
 
 
-def packaged_model_path() -> Path:
-    resource = resources.files("resha.data").joinpath("rts_model.json")
-    return Path(str(resource))
-
-
 def build_rts_reference_model() -> SystemModel:
     """Parse the packaged reference model file."""
     text = resources.files("resha.data").joinpath("rts_model.json").read_text("utf-8")

@@ -92,10 +92,6 @@ class FeedbackEdge:
     source: NodeId
     target: NodeId
 
-    @property
-    def fb_id(self) -> str:
-        return f"FB{self.number}"
-
 
 @dataclass(frozen=True)
 class Layer:
@@ -155,10 +151,6 @@ class UcaRecord:
     target: NodeId
     source_technology: Technology
     source_class_prefix: str
-
-    @property
-    def is_human(self) -> bool:
-        return self.source_technology is Technology.HUMAN
 
 
 def build_layered_control_structure(m: SystemModel) -> ControlStructure:

@@ -99,9 +99,6 @@ class NodeId:
             return NodeId(self.division, 0, 0, 0)
         return None
 
-    def division_root(self) -> "NodeId":
-        return NodeId(self.division, 0, 0, 0)
-
 
 def parse_node_id(text: str) -> NodeId:
     """Parse canonical ``XXnn.nn.nn`` text into a NodeId."""
@@ -321,9 +318,6 @@ class SystemModel:
             return "NODE"
         return self.classes[tag].prefix
 
-    def control_links(self) -> tuple[Link, ...]:
-        return tuple(l for l in self.links if l.type is LinkType.CONTROL)
-
     def feedback_links(self) -> tuple[Link, ...]:
         return tuple(l for l in self.links if l.type is LinkType.FEEDBACK)
 
@@ -527,7 +521,9 @@ def _parse_nodes(
             issues.append(
                 ModelIssue(f"{where}.equipment_class", f"{kind.value} nodes may not carry an equipment class")
             )
-        if eq_class is not None and eq_class not in classes:
+        if eq_class is not None and not isinstance(eq_class, str):
+            issues.append(ModelIssue(f"{where}.equipment_class", "must be a string"))
+        elif eq_class is not None and eq_class not in classes:
             issues.append(ModelIssue(f"{where}.equipment_class", f"undeclared equipment class {eq_class!r}"))
         if node_id.text in nodes:
             issues.append(ModelIssue(f"{where}.id", f"duplicate node id {node_id.text}"))
@@ -652,7 +648,7 @@ def _parse_hazards(
             issues.append(ModelIssue(f"{where}.losses", "hazards must link at least one loss"))
             linked = []
         for loss_id in linked:
-            if loss_id not in loss_ids:
+            if not isinstance(loss_id, str) or loss_id not in loss_ids:
                 issues.append(ModelIssue(f"{where}.losses", f"unknown loss {loss_id!r}"))
         hazards.append(
             Hazard(
@@ -726,7 +722,7 @@ def _parse_actions(
                 issues.append(ModelIssue(f"{where}.hazards.{cat}", "must be an array"))
                 continue
             for h in hlist:
-                if h not in hazard_ids:
+                if not isinstance(h, str) or h not in hazard_ids:
                     issues.append(ModelIssue(f"{where}.hazards.{cat}", f"unknown hazard {h!r}"))
             hazard_map[cat] = tuple(hlist)
         na_raw = entry.get("not_applicable", {})
@@ -791,6 +787,10 @@ def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
         if replicate not in (None, "per-division", "per-unit"):
             issues.append(ModelIssue(f"{where}.replicate", f"unknown macro {replicate!r}"))
             continue
+        description = entry.get("description")
+        if description is not None and not isinstance(description, str):
+            issues.append(ModelIssue(f"{where}.description", "must be a string"))
+            continue
         children_raw = entry.get("children", [])
         if not isinstance(children_raw, list) or not children_raw:
             issues.append(ModelIssue(f"{where}.children", "gates need at least one child"))
@@ -804,6 +804,15 @@ def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
                 child_ok = False
                 continue
             _check_keys(child, _GATE_CHILD_KEYS, cwhere, issues)
+            malformed = [
+                key for key in ("gate", "fail", "ca_to")
+                if child.get(key) is not None and not (isinstance(child[key], str) and child[key])
+            ]
+            for key in malformed:
+                issues.append(ModelIssue(f"{cwhere}.{key}", "must be a non-empty string"))
+            if malformed:
+                child_ok = False
+                continue
             gate_ref = child.get("gate")
             fail_ref = child.get("fail")
             if (gate_ref is None) == (fail_ref is None):
@@ -833,7 +842,7 @@ def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
                 children=tuple(children),
                 k=k,
                 replicate=replicate,
-                description=entry.get("description"),
+                description=description,
             )
         )
     return tuple(gates)

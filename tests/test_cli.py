@@ -4,6 +4,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from resha.cli import main
 from resha.faulttree import FaultTreeError, from_exchange_json
@@ -275,3 +276,79 @@ def test_analyze_deeply_nested_declarations(flags, tmp_path, capsys):
     assert "scope: DEEP0" in captured.out
     tree = json.loads((tmp_path / "out" / "tree.json").read_text())
     assert sum(g["id"].startswith("DEEP") for g in tree["gates"]) == depth
+
+
+
+_DELETE = object()
+
+
+def _mutate(doc, path: tuple, value) -> None:
+    """Set the value at ``path`` in a model document, or delete it for ``_DELETE``."""
+    *parents, key = path
+    for step in parents:
+        doc = doc[step]
+    if value is _DELETE:
+        del doc[key]
+    else:
+        doc[key] = value
+
+
+@pytest.mark.parametrize(
+    ("path", "value"),
+    [
+        (("control_actions", 1, "hazards", "a"), [["H1"]]),
+        (("hazards", 0, "losses"), [["L1"]]),
+        (("nodes", 3, "equipment_class"), {"a": 1}),
+        # gates[11] is UV-$D-FAILS, gates[9] RTB-$D-FAILS-TO-OPEN.
+        (("gates", 11, "children", 0, "fail"), 2.5),
+        (("gates", 9, "children", 0, "gate"), ["x"]),
+        (("gates", 33, "children", 0, "ca_to"), ["x"]),
+        (("gates", 9, "description"), ["x"]),
+    ],
+    ids=["action-hazard-list", "hazard-loss-list", "equipment-class-object", "child-fail-float",
+         "child-gate-list", "child-ca-to-list", "gate-description-list"],
+)
+def test_malformed_model_value_exit_1(path, value, tmp_path, capsys):
+    doc = build_rts_document()
+    _mutate(doc, path, value)
+    named = path[0] + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path[1:])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(model)]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
+    assert main(["analyze", "--model", str(model), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err and named in err and err.count("\n") == 1
+
+
+def _value_paths(node, prefix=()):
+    if isinstance(node, dict):
+        children = node.items()
+    elif isinstance(node, list):
+        children = enumerate(node)
+    else:
+        return
+    for key, child in children:
+        yield prefix + (key,)
+        yield from _value_paths(child, prefix + (key,))
+
+
+_REFERENCE_DOCUMENT = json.dumps(build_rts_document())
+
+
+# Each example rewrites the one file and reads its own captured output.
+@settings(max_examples=100, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(
+    path=st.sampled_from(list(_value_paths(json.loads(_REFERENCE_DOCUMENT)))),
+    value=st.sampled_from([None, 0, -1, 2.5, "", "x", [], {}, [1], {"a": 1}, True, _DELETE]),
+)
+def test_validate_mutated_model_exits_cleanly(path, value, tmp_path, capsys):
+    doc = json.loads(_REFERENCE_DOCUMENT)
+    _mutate(doc, path, value)
+    model = tmp_path / "mutated.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(model)]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import itertools
+import math
 import os
 import random
 import subprocess
@@ -155,6 +157,40 @@ def test_witness_property_randomized():
             assert witness_check(ft, cut)
 
 
+@pytest.mark.parametrize(("n", "k"), [(1, 1), (6, 1), (6, 3), (6, 6), (20, 2), (20, 3)])
+def test_oracle_vote_over_independent_events_gives_every_k_subset(n, k):
+    ids = [f"E{i:02d}" for i in range(n)]
+    ft = tree("TOP", {"TOP": Gate(id="TOP", kind=GateKind.VOTE, k=k, children=tuple(ids))}, ids)
+    css = brute_force_cut_sets(ft)
+    assert len(css) == math.comb(n, k)
+    assert {c.events for c in css.cut_sets} == {frozenset(c) for c in itertools.combinations(ids, k)}
+
+
+def _assert_witness_rejects_non_minimal(ft, cut_sets):
+    ids = sorted(ft.events)
+    for cut in cut_sets:
+        extra = next((e for e in ids if e not in cut.events), None)
+        if extra is not None:
+            assert not witness_check(ft, CutSet(cut.events | {extra}, cut.contains_ccf))
+        members = sorted(cut.events)
+        for r in range(1, len(members)):
+            for part in itertools.combinations(members, r):
+                assert not witness_check(ft, CutSet(frozenset(part), cut.contains_ccf))
+
+
+def test_witness_rejects_supersets_and_proper_subsets_randomized():
+    rng = random.Random(4242)
+    for _ in range(60):
+        ft = random_coherent_tree(rng)
+        _assert_witness_rejects_non_minimal(ft, solve_minimal_cut_sets(ft).cut_sets)
+
+
+def test_witness_rejects_supersets_and_proper_subsets_rps(rps_tree):
+    cut_sets = solve_minimal_cut_sets(rps_tree, 2).cut_sets
+    assert all(witness_check(rps_tree, c) for c in cut_sets)
+    _assert_witness_rejects_non_minimal(rps_tree, cut_sets)
+
+
 def test_antichain_randomized():
     rng = random.Random(777)
     for _ in range(60):
@@ -293,8 +329,17 @@ def test_max_order_argument_validated(full_tree):
 
 
 def test_cli_import_does_not_load_numpy():
-    # numpy serves only the brute-force oracle; the CLI must not pay its import.
-    code = "import resha.cli, sys; assert 'numpy' not in sys.modules"
+    # resha has no runtime dependency: neither the CLI nor the evaluators load numpy.
+    code = (
+        "import random, sys, resha.cli\n"
+        "from resha.cutset import (brute_force_cut_sets, evaluate_structure_function,\n"
+        "                          random_coherent_tree, witness_check)\n"
+        "ft = random_coherent_tree(random.Random(1))\n"
+        "css = brute_force_cut_sets(ft)\n"
+        "assert css.cut_sets and all(witness_check(ft, c) for c in css.cut_sets)\n"
+        "assert evaluate_structure_function(ft, dict.fromkeys(ft.events, True))\n"
+        "assert 'numpy' not in sys.modules\n"
+    )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
 

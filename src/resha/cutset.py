@@ -138,19 +138,33 @@ class CutSetCollection:
 
 def _collect(ft: FaultTree, masks: Iterable[int], index_to_id: Sequence[str],
              truncation: int | None) -> CutSetCollection:
-    ccf_names = {e.id for e in ft.events.values() if e.kind in CCF_KINDS}
-    cut_sets = []
-    for mask in masks:
-        names = frozenset(
-            index_to_id[i] for i in range(mask.bit_length()) if mask >> i & 1
-        )
-        cut_sets.append(CutSet(events=names, contains_ccf=bool(names & ccf_names)))
-    cut_sets.sort(key=lambda c: (c.order, c.sorted_events()))
+    """The cut sets of ``masks`` sorted by order, then names.
+
+    ``index_to_id`` is sorted, so walking a mask's set bits upwards gives its
+    names already sorted.
+    """
+    ccf_mask = 0
+    for i, eid in enumerate(index_to_id):
+        if ft.events[eid].kind in CCF_KINDS:
+            ccf_mask |= 1 << i
+    rows = []
     per_order: dict[int, int] = {}
-    for cs in cut_sets:
-        per_order[cs.order] = per_order.get(cs.order, 0) + 1
+    for mask in masks:
+        names = []
+        remaining = mask
+        while remaining:
+            low = remaining & -remaining
+            names.append(index_to_id[low.bit_length() - 1])
+            remaining ^= low
+        order = len(names)
+        per_order[order] = per_order.get(order, 0) + 1
+        rows.append((order, tuple(names), mask))
+    rows.sort()
     return CutSetCollection(
-        cut_sets=tuple(cut_sets),
+        cut_sets=tuple(
+            CutSet(events=frozenset(names), contains_ccf=bool(mask & ccf_mask))
+            for _, names, mask in rows
+        ),
         truncation=truncation,
         fingerprint=tree_fingerprint(ft),
         per_order=dict(sorted(per_order.items())),
@@ -221,18 +235,17 @@ def _minimize(masks: Iterable[int]) -> list[int]:
 
 
 def _bit_subsets(mask: int, k: int) -> Iterable[int]:
-    """All k-bit submasks of ``mask``."""
+    """All k-bit submasks of ``mask``; a mask of exactly k bits is its own only one."""
+    if k == mask.bit_count():
+        return (mask,)
     bits = []
     remaining = mask
     while remaining:
         low = remaining & -remaining
         bits.append(low)
         remaining ^= low
-    for combo in itertools.combinations(bits, k):
-        acc = 0
-        for bit in combo:
-            acc |= bit
-        yield acc
+    # Distinct powers of two: their sum is their union.
+    return map(sum, itertools.combinations(bits, k))
 
 
 def _and_combine(a: list[int], b: list[int], order: int, max_rows: int,
@@ -242,9 +255,11 @@ def _and_combine(a: list[int], b: list[int], order: int, max_rows: int,
     A pair (x, y) survives only when |x| + |y| - |shared| stays within
     ``order``; pairs short on popcount are taken whole, and the rest are
     found by joining on shared ``need``-bit submasks, so pairs with too
-    little overlap are never enumerated. When ``a`` and ``b`` draw on
-    disjoint events no pair shares a bit, so only pairs short on popcount
-    fit, and their unions are already minimal.
+    little overlap are never enumerated. A row of exactly ``need`` bits is
+    its own only key, so when both rows are that size the join is an
+    equality join on whole masks and no submask is enumerated. When ``a``
+    and ``b`` draw on disjoint events no pair shares a bit, so only pairs
+    short on popcount fit, and their unions are already minimal.
     """
     if not a or not b:
         return []

@@ -14,6 +14,7 @@ import json
 import re
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import cached_property
 from pathlib import Path
 from typing import Any, Iterable, Mapping
 
@@ -63,10 +64,11 @@ class NodeId:
     component: int
 
     def __str__(self) -> str:
-        return format_node_id(self)
+        return self.text
 
-    @property
+    @cached_property
     def text(self) -> str:
+        """Canonical text, validated and rendered on first use only."""
         return format_node_id(self)
 
     @property
@@ -583,7 +585,7 @@ def _parse_links(
                 )
                 ok = False
         layer = entry.get("layer")
-        if layer is not None and (not isinstance(layer, int) or layer < 1):
+        if layer is not None and (type(layer) is not int or layer < 1):
             issues.append(ModelIssue(f"{where}.layer", "layer must be an integer >= 1"))
             ok = False
         if ok:
@@ -699,7 +701,7 @@ def _parse_actions(
             )
             ok = False
         layer = entry.get("layer")
-        if layer is not None and (not isinstance(layer, int) or layer < 1):
+        if layer is not None and (type(layer) is not int or layer < 1):
             issues.append(ModelIssue(f"{where}.layer", "layer must be an integer >= 1"))
             ok = False
         contexts_raw = entry.get("contexts", {})
@@ -778,7 +780,7 @@ def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
             continue
         k = entry.get("k")
         if kind == "vote":
-            if not isinstance(k, int) or k < 1:
+            if type(k) is not int or k < 1:
                 issues.append(ModelIssue(f"{where}.k", "vote gates need integer k >= 1"))
                 continue
         elif k is not None:

@@ -1,6 +1,10 @@
 from __future__ import annotations
 
+import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -72,6 +76,30 @@ def test_analyze_full_truncate_4_reports_zero_low_orders(model_path, tmp_path, c
     assert "order 2: 0 cut sets (0 cumulative)" in out
     assert "order 3: 0 cut sets (0 cumulative)" in out
     assert "order 4: 468 cut sets (468 cumulative)" in out
+
+
+def test_analyze_full_truncate_4_output_bytes_pinned(model_path, tmp_path, capsys):
+    """The output build (set-bit names, sort, CCF flags) writes the same bytes as ever."""
+    out = tmp_path / "out"
+    assert main(["analyze", "--model", str(model_path), "--truncate", "4",
+                 "--out", str(out), "--deterministic"]) == 0
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
+               for name in ("cutsets.csv", "spofs.csv")}
+    assert digests == {
+        "cutsets.csv": "fe12313cff9ce129b141b0ea5189c53f12d9ec54c02aba31b90420c8f2bb61b1",
+        "spofs.csv": "2b8780d55c4a9987ebcf54e02c567b08521d9a83d99547c6d20057270ac7c11b",
+    }
+
+
+def test_python_dash_m_resha_runs_the_cli():
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (str(src), os.environ.get("PYTHONPATH")) if p))
+    done = subprocess.run([sys.executable, "-m", "resha", "analyze", "--help"],
+                          capture_output=True, text=True, env=env, check=False)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("usage: resha analyze")
 
 
 def test_analyze_hardware_filter_excludes_software(model_path, tmp_path):
@@ -304,9 +332,14 @@ def _mutate(doc, path: tuple, value) -> None:
         (("gates", 9, "children", 0, "gate"), ["x"]),
         (("gates", 33, "children", 0, "ca_to"), ["x"]),
         (("gates", 9, "description"), ["x"]),
+        # JSON true is not the integer 1; gates[32] is the 3-of-n PARAM-1-UNDERVOTED.
+        (("gates", 32, "k"), True),
+        (("links", 77, "layer"), True),  # a physical split no action uses
+        (("control_actions", 0, "layer"), True),
     ],
     ids=["action-hazard-list", "hazard-loss-list", "equipment-class-object", "child-fail-float",
-         "child-gate-list", "child-ca-to-list", "gate-description-list"],
+         "child-gate-list", "child-ca-to-list", "gate-description-list", "vote-k-true",
+         "link-layer-true", "action-layer-true"],
 )
 def test_malformed_model_value_exit_1(path, value, tmp_path, capsys):
     doc = build_rts_document()

@@ -21,6 +21,8 @@ from resha.cutset import (
     solve_minimal_cut_sets,
     tree_fingerprint,
     witness_check,
+    _bit_subsets,
+    _collect,
     _minimize,
     _order_budgets,
     _supports_and_bounds,
@@ -439,6 +441,103 @@ def test_minimize_matches_naive_antichain_filter():
         masks += rng.sample(masks, len(masks) // 4)  # duplicates
         rng.shuffle(masks)
         assert _minimize(masks) == naive_antichain(masks)
+
+
+def test_collect_walks_set_bits_above_64():
+    ids = [f"E{i}" for i in range(80)]  # unpadded, so name order is not number order
+    ccf = {"E7", "E66", "E71"}
+    ft = tree("TOP", {"TOP": Gate(id="TOP", kind=GateKind.OR, children=tuple(ids))}, ids, ccf=ccf)
+    index_to_id = sorted(ft.events)
+    bit = {eid: i for i, eid in enumerate(index_to_id)}
+    sets = [("E79", "E3", "E66"), ("E9",), ("E8", "E64"), ("E1", "E65"), ("E71", "E0"),
+            ("E5", "E6", "E7", "E9"), ("E70",)]
+    masks = [sum(1 << bit[e] for e in s) for s in sets]
+    assert max(m.bit_length() for m in masks) > 70
+    css = _collect(ft, masks, index_to_id, 4)
+    expected = sorted((len(s), tuple(sorted(s))) for s in sets)
+    assert css.cut_sets == tuple(
+        CutSet(events=frozenset(names), contains_ccf=bool(ccf.intersection(names)))
+        for _, names in expected
+    )
+    assert [(c.order, c.sorted_events()) for c in css.cut_sets] == expected
+    assert [c.contains_ccf for c in css.cut_sets] == [False, False, True, False, False, True, True]
+    assert list(css.per_order.items()) == [(1, 2), (2, 3), (3, 1), (4, 1)]
+    assert css.truncation == 4
+
+
+def test_bit_subsets_of_a_whole_mask_is_the_mask():
+    assert tuple(_bit_subsets(0b1011, 3)) == (0b1011,)
+    assert sorted(_bit_subsets(0b1011, 2)) == [0b0011, 0b1001, 0b1010]
+    wide = (1 << 70) | (1 << 3) | 1
+    assert sorted(_bit_subsets(wide, 1)) == [1, 1 << 3, 1 << 70]
+    assert tuple(_bit_subsets(wide, 3)) == (wide,)
+
+
+def groups_and_tree(rng: random.Random, size_a: int, size_b: int) -> FaultTree:
+    """AND of two ORs over AND groups of ``size_a`` and ``size_b`` events drawn from
+    one small pool, so the two sides share events (as the RTS path gates share CCFs)."""
+    pool = [f"E{i}" for i in range(rng.randint(size_b + 1, 9))]
+    gates: dict[str, Gate] = {}
+    sides = []
+    for side, size in (("A", size_a), ("B", size_b)):
+        groups = sorted({tuple(sorted(rng.sample(pool, size))) for _ in range(rng.randint(2, 5))})
+        kids = []
+        for j, group in enumerate(groups):
+            gid = f"{side}{j}"
+            gates[gid] = Gate(id=gid, kind=GateKind.AND, children=group)
+            kids.append(gid)
+        gates[side] = Gate(id=side, kind=GateKind.OR, children=tuple(kids))
+        sides.append(side)
+    gates["TOP"] = Gate(id="TOP", kind=GateKind.AND, children=tuple(sides))
+    used = sorted({c for g in gates.values() for c in g.children if c not in gates})
+    return tree("TOP", gates, used, ccf=set(pool[:2]))
+
+
+@pytest.mark.parametrize(("size_a", "size_b"), [(2, 2), (3, 3), (4, 4), (2, 3), (3, 2), (2, 4)],
+                         ids=["equal-2", "equal-3", "equal-4", "subset-2-3", "subset-3-2",
+                              "subset-2-4"])
+def test_whole_mask_join_keys_match_oracle(size_a, size_b, monkeypatch):
+    """At budget max(size_a, size_b) an AND of rows of those sizes joins on ``need`` =
+    min(size_a, size_b) bits: an equality join on whole masks when the sizes are equal
+    (as at RTS-PATH-AB at order 4), a join of the smaller rows against submasks of the
+    larger otherwise."""
+    whole = 0
+    real = _bit_subsets
+
+    def counting(mask, k):
+        nonlocal whole
+        whole += k == mask.bit_count()
+        return real(mask, k)
+
+    monkeypatch.setattr("resha.cutset._bit_subsets", counting)
+    budget = max(size_a, size_b)
+    rng = random.Random(100 * size_a + size_b)
+    for _ in range(40):
+        ft = groups_and_tree(rng, size_a, size_b)
+        oracle = {c.events for c in brute_force_cut_sets(ft).cut_sets}
+        assert {c.events for c in solve_minimal_cut_sets(ft).cut_sets} == oracle
+        for k in (budget - 1, budget, budget + 1):
+            got = {c.events for c in solve_minimal_cut_sets(ft, k).cut_sets}
+            assert got == {s for s in oracle if len(s) <= k}
+    assert whole > 40
+
+
+def test_whole_mask_equality_join_by_hand():
+    # Both sides hold only 2-event rows and share C1 C2: at order 2 the AND is
+    # exactly the rows on both sides.
+    gates = {
+        "TOP": Gate(id="TOP", kind=GateKind.AND, children=("P", "Q")),
+        "P": Gate(id="P", kind=GateKind.OR, children=("CC", "AB")),
+        "Q": Gate(id="Q", kind=GateKind.OR, children=("CC", "DE")),
+        "CC": Gate(id="CC", kind=GateKind.AND, children=("C1", "C2")),
+        "AB": Gate(id="AB", kind=GateKind.AND, children=("A", "B")),
+        "DE": Gate(id="DE", kind=GateKind.AND, children=("D", "E")),
+    }
+    ft = tree("TOP", gates, ["A", "B", "C1", "C2", "D", "E"], ccf={"C1", "C2"})
+    assert {c.events for c in brute_force_cut_sets(ft).cut_sets} == {
+        frozenset({"C1", "C2"}), frozenset({"A", "B", "D", "E"})}
+    assert [c.events for c in solve_minimal_cut_sets(ft, 2).cut_sets] == [frozenset({"C1", "C2"})]
+    assert [c.order for c in solve_minimal_cut_sets(ft).cut_sets] == [2, 4]
 
 
 def test_full_model_order_5_reference_counts(full_tree):

@@ -5,6 +5,7 @@ import random
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from resha.cutset import (
     brute_force_cut_sets,
@@ -404,6 +405,13 @@ def test_exchange_round_trip_random_trees():
         assert {c.events for c in brute_force_cut_sets(ft).cut_sets} == {
             c.events for c in brute_force_cut_sets(again).cut_sets
         }
+
+
+@settings(max_examples=60, derandomize=True, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), max_events=st.integers(2, 16), max_gates=st.integers(1, 16))
+def test_exchange_round_trip_property(seed, max_events, max_gates):
+    ft = random_coherent_tree(random.Random(seed), max_events=max_events, max_gates=max_gates)
+    assert from_exchange_json(to_exchange_json(ft)) == ft
 
 
 def test_open_psa_emit_parses(full_tree):

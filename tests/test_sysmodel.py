@@ -76,6 +76,24 @@ def test_node_id_round_trip(tag, unit, module, component):
     assert parse_node_id(format_node_id(node_id)) == node_id
 
 
+def test_node_id_text_is_rendered_once_and_still_validated():
+    for bad in (NodeId("B", 100, 0, 0), NodeId("b", 1, 0, 0)):
+        for _ in range(2):  # a failed render caches nothing
+            with pytest.raises(NodeIdError):
+                bad.text
+            with pytest.raises(NodeIdError):
+                str(bad)
+    node = NodeId("B", 1, 2, 3)
+    assert node.text == str(node) == "B01.02.03"
+    assert node.text is node.text
+    fresh = NodeId("B", 1, 2, 3)
+    assert node == fresh and hash(node) == hash(fresh)
+    assert not node < fresh and not fresh < node
+    later = NodeId("B", 1, 2, 4)
+    assert node < later and sorted([later, fresh, node]) == [node, fresh, later]
+    assert {node: 1}[fresh] == 1
+
+
 def test_text_order_matches_structural_order():
     ids = [
         NodeId("A", 1, 2, 3),

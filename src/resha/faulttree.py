@@ -321,19 +321,20 @@ def _expand_gate_specs(m: SystemModel) -> dict[str, GateSpec]:
             description=sub(spec.description),
         )
 
+    contexts = {
+        "per-division": [{"$D": tag} for tag in m.division_tags()],
+        "per-unit": [  # m.nodes is in NodeId order
+            {"$D": node.id.division, "$U": f"{node.id.unit:02d}"}
+            for node in m.nodes.values()
+            if node.kind is NodeKind.UNIT
+        ],
+    }
+
     def instantiations(spec: GateSpec) -> list[GateSpec]:
         if spec.replicate is None:
             return [spec]
         out = []
-        if spec.replicate == "per-division":
-            contexts = [{"$D": tag} for tag in _division_tags(m)]
-        else:  # per-unit
-            contexts = [
-                {"$D": node.id.division, "$U": f"{node.id.unit:02d}"}
-                for node in sorted(m.nodes.values(), key=lambda n: n.id)
-                if node.kind is NodeKind.UNIT
-            ]
-        for ctx in contexts:
+        for ctx in contexts[spec.replicate]:
             candidate = substitute(spec, ctx)
             if _node_refs_exist(m, candidate):
                 out.append(candidate)
@@ -350,14 +351,6 @@ def _expand_gate_specs(m: SystemModel) -> dict[str, GateSpec]:
                 raise FaultTreeError(f"gate id {concrete.id!r} expands more than once")
             expanded[concrete.id] = concrete
     return expanded
-
-
-def _division_tags(m: SystemModel) -> list[str]:
-    return [
-        n.id.division
-        for n in sorted(m.nodes.values(), key=lambda x: x.id)
-        if n.kind is NodeKind.DIVISION
-    ]
 
 
 def _node_refs_exist(m: SystemModel, spec: GateSpec) -> bool:

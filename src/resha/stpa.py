@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Mapping, Sequence
 
@@ -295,22 +295,21 @@ def enumerate_ucas(
                     raise StpaError(
                         f"{ca.ca_id}{letter} is applicable but links no hazards"
                     )
-            record = UcaRecord(
-                uca_id=f"UCA{ca.number}{letter}",
-                ca_id=ca.ca_id,
-                category=category,
-                applicable=applicable,
-                text="Not applicable.",
-                hazards=linked if applicable else (),
-                justification=None if applicable else justification,
-                source=ca.source,
-                target=ca.target,
-                source_technology=ca.source_technology,
-                source_class_prefix=ca.source_class_prefix,
+            records.append(
+                UcaRecord(
+                    uca_id=f"UCA{ca.number}{letter}",
+                    ca_id=ca.ca_id,
+                    category=category,
+                    applicable=applicable,
+                    text=_render(ca, category, linked) if applicable else "Not applicable.",
+                    hazards=linked if applicable else (),
+                    justification=None if applicable else justification,
+                    source=ca.source,
+                    target=ca.target,
+                    source_technology=ca.source_technology,
+                    source_class_prefix=ca.source_class_prefix,
+                )
             )
-            if applicable:
-                record = replace(record, text=_render(ca, category, linked))
-            records.append(record)
     return tuple(records)
 
 

@@ -12,15 +12,16 @@ from __future__ import annotations
 import hashlib
 import json
 import re
+from collections.abc import Iterable, Mapping
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import cached_property
+from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Any, Iterable, Mapping
+from typing import Any
 
 MODEL_VERSION = 1
 
-_NODE_ID_RE = re.compile(r"^([A-Z][A-Z0-9]?)(\d{2})\.(\d{2})\.(\d{2})$")
+_NODE_ID_RE = re.compile(r"([A-Z][A-Z0-9]?)(\d{2})\.(\d{2})\.(\d{2})")
 
 UCA_CATEGORIES = ("a", "b", "c", "d")
 
@@ -103,10 +104,17 @@ class NodeId:
 
 
 def parse_node_id(text: str) -> NodeId:
-    """Parse canonical ``XXnn.nn.nn`` text into a NodeId."""
+    """Parse canonical ``XXnn.nn.nn`` text into a NodeId; the whole text must match."""
     if not isinstance(text, str):
         raise NodeIdError(f"node id must be a string, got {type(text).__name__}")
-    match = _NODE_ID_RE.match(text)
+    return _parse_node_text(text)
+
+
+@lru_cache(maxsize=4096)
+def _parse_node_text(text: str) -> NodeId:
+    # A model names each node many times; a failed parse raises and caches nothing.
+    # ``\d`` also takes non-ASCII digits, so ``.text`` is rendered from the ints.
+    match = _NODE_ID_RE.fullmatch(text)
     if match is None:
         raise NodeIdError(
             f"malformed node id {text!r}: expected a leading 1-2 character division "
@@ -122,7 +130,7 @@ def format_node_id(node_id: NodeId) -> str:
         value = getattr(node_id, name)
         if not 0 <= value <= 99:
             raise NodeIdError(f"{name} field {value} outside 0..99")
-    if not _NODE_ID_RE.match(f"{node_id.division}00.00.00"):
+    if not _NODE_ID_RE.fullmatch(f"{node_id.division}00.00.00"):
         raise NodeIdError(f"invalid division tag {node_id.division!r}")
     return (
         f"{node_id.division}{node_id.unit:02d}.{node_id.module:02d}.{node_id.component:02d}"
@@ -586,8 +594,8 @@ def _parse_links(
                 ok = False
         layer = entry.get("layer")
         if layer is not None and (type(layer) is not int or layer < 1):
+            # Reported once; the link still counts for the actions declared on it.
             issues.append(ModelIssue(f"{where}.layer", "layer must be an integer >= 1"))
-            ok = False
         if ok:
             links.append(Link(source=source, target=target, type=link_type, layer=layer))
     links.sort(key=lambda l: (l.type.value, l.source, l.target))

@@ -78,18 +78,52 @@ def test_analyze_full_truncate_4_reports_zero_low_orders(model_path, tmp_path, c
     assert "order 4: 468 cut sets (468 cumulative)" in out
 
 
-def test_analyze_full_truncate_4_output_bytes_pinned(model_path, tmp_path, capsys):
-    """The output build (set-bit names, sort, CCF flags) writes the same bytes as ever."""
-    out = tmp_path / "out"
-    assert main(["analyze", "--model", str(model_path), "--truncate", "4",
+_ARTIFACTS = ("report.md", "ucas.csv", "tree.json", "cutsets.csv", "spofs.csv", "ccf_catalog.csv")
+
+
+def _analyze_digests(model_path, out, capsys, *args) -> dict[str, str]:
+    assert main(["analyze", "--model", str(model_path), *args,
                  "--out", str(out), "--deterministic"]) == 0
     capsys.readouterr()
-    digests = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()
-               for name in ("cutsets.csv", "spofs.csv")}
-    assert digests == {
+    return {name: hashlib.sha256((out / name).read_bytes()).hexdigest() for name in _ARTIFACTS}
+
+
+def test_analyze_full_truncate_4_output_bytes_pinned(model_path, tmp_path, capsys):
+    """The front end and the output build write the same bytes as ever."""
+    assert _analyze_digests(model_path, tmp_path / "out", capsys, "--truncate", "4") == {
+        "report.md": "3cf395bce5eee09e25fdb0e8b76e525c68d2253a8698993d17b69f4bb73c17f8",
+        "ucas.csv": "6b01280cbbfa170e43d16726d139c40f38a7fa5fdd806fcd70b1d74c65a252de",
+        "tree.json": "5e07d058ea11bf77b191bcc91f870a7eb1d5f3f38f3d21773c1aeb2754ea0a2f",
         "cutsets.csv": "fe12313cff9ce129b141b0ea5189c53f12d9ec54c02aba31b90420c8f2bb61b1",
         "spofs.csv": "2b8780d55c4a9987ebcf54e02c567b08521d9a83d99547c6d20057270ac7c11b",
+        "ccf_catalog.csv": "817ca3ea626e6ce744f425c393aa8b2618f9143643b1fa03aad8423a3b1a25f2",
     }
+
+
+@pytest.mark.parametrize(
+    ("args", "digests"),
+    [
+        (("--scope", "RPS", "--truncate", "1"), {
+            "report.md": "32a58eb7692bfcfe13ceb6876e5545cf60e517817f6032064df277c4434c0a67",
+            "ucas.csv": "6b01280cbbfa170e43d16726d139c40f38a7fa5fdd806fcd70b1d74c65a252de",
+            "tree.json": "af6bcac630383a615b05c92479c8438a90b5fff8f4acc887311a2debdfcae377",
+            "cutsets.csv": "792e77ebe5c04565db4d010338e20390d4fb436b61c946e0ded5fed013513cd0",
+            "spofs.csv": "ea93774d0d4ed266e5142dab36a57ba7d2e62f79734ebffc42de216c8eb591d5",
+            "ccf_catalog.csv": "817ca3ea626e6ce744f425c393aa8b2618f9143643b1fa03aad8423a3b1a25f2",
+        }),
+        (("--scope", "AUTO", "--truncate", "2"), {
+            "report.md": "1b843d8d5b7fcdaeeccebe961a30f6514a491edbe59f1e78b57cf8975fcfca34",
+            "ucas.csv": "6b01280cbbfa170e43d16726d139c40f38a7fa5fdd806fcd70b1d74c65a252de",
+            "tree.json": "54d180c1497ab2f4f0bbdb29b21993bec4369c5fc190ba499e9881e66e35b094",
+            "cutsets.csv": "b5d5443dc3409f179266d89da9af836304bc3fa29314b2b93d48bbfe96370906",
+            "spofs.csv": "2b8780d55c4a9987ebcf54e02c567b08521d9a83d99547c6d20057270ac7c11b",
+            "ccf_catalog.csv": "817ca3ea626e6ce744f425c393aa8b2618f9143643b1fa03aad8423a3b1a25f2",
+        }),
+    ],
+    ids=["RPS-1", "AUTO-2"],
+)
+def test_analyze_scope_output_bytes_pinned(args, digests, model_path, tmp_path, capsys):
+    assert _analyze_digests(model_path, tmp_path / "out", capsys, *args) == digests
 
 
 def test_python_dash_m_resha_runs_the_cli():
@@ -336,10 +370,12 @@ def _mutate(doc, path: tuple, value) -> None:
         (("gates", 32, "k"), True),
         (("links", 77, "layer"), True),  # a physical split no action uses
         (("control_actions", 0, "layer"), True),
+        # links[0] carries control_actions[0]; a bad layer still declares the link.
+        (("links", 0, "layer"), 0),
     ],
     ids=["action-hazard-list", "hazard-loss-list", "equipment-class-object", "child-fail-float",
          "child-gate-list", "child-ca-to-list", "gate-description-list", "vote-k-true",
-         "link-layer-true", "action-layer-true"],
+         "link-layer-true", "action-layer-true", "control-link-layer-zero"],
 )
 def test_malformed_model_value_exit_1(path, value, tmp_path, capsys):
     doc = build_rts_document()
@@ -369,19 +405,58 @@ def _value_paths(node, prefix=()):
 
 
 _REFERENCE_DOCUMENT = json.dumps(build_rts_document())
+_MUTATED_PATHS = st.sampled_from(list(_value_paths(json.loads(_REFERENCE_DOCUMENT))))
+_MUTATED_VALUES = st.sampled_from(
+    [None, 0, -1, 2.5, "", "x", [], {}, [1], {"a": 1}, True, _DELETE])
+
+
+def test_node_id_with_trailing_newline_rejected(tmp_path, capsys):
+    """``$`` also matches before a final newline; the whole id must match."""
+    doc = build_rts_document()
+    _mutate(doc, ("nodes", 0, "id"), "RX00.00.00\n")
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(model)]) == 1
+    first, *rest = capsys.readouterr().err.splitlines()
+    assert first.startswith("error: nodes[0].id: malformed node id 'RX00.00.00\\n'")
+    # Every further line is a reference to the node that is now undeclared.
+    assert rest and all(line.endswith("no node RX00.00.00") for line in rest)
+    assert main(["analyze", "--model", str(model), "--out", str(tmp_path / "out")]) == 1
+    assert "nodes[0].id" in capsys.readouterr().err
+
+
+def test_node_id_in_non_ascii_digits_is_a_duplicate(tmp_path, capsys):
+    """An id written in Arabic-Indic digits names the same node as its ASCII form."""
+    doc = build_rts_document()
+    doc["nodes"].append(dict(doc["nodes"][0], id="RX\u0660\u0660.\u0660\u0660.\u0660\u0660"))
+    where = f"nodes[{len(doc['nodes']) - 1}].id"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(model)]) == 1
+    assert capsys.readouterr().err == f"error: {where}: duplicate node id RX00.00.00\n"
 
 
 # Each example rewrites the one file and reads its own captured output.
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(
-    path=st.sampled_from(list(_value_paths(json.loads(_REFERENCE_DOCUMENT)))),
-    value=st.sampled_from([None, 0, -1, 2.5, "", "x", [], {}, [1], {"a": 1}, True, _DELETE]),
-)
+@given(path=_MUTATED_PATHS, value=_MUTATED_VALUES)
 def test_validate_mutated_model_exits_cleanly(path, value, tmp_path, capsys):
     doc = json.loads(_REFERENCE_DOCUMENT)
     _mutate(doc, path, value)
     model = tmp_path / "mutated.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["validate", str(model)]) in (0, 1, 2)
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@settings(max_examples=25, derandomize=True, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=_MUTATED_PATHS, value=_MUTATED_VALUES)
+def test_analyze_mutated_model_exits_cleanly(path, value, tmp_path, capsys):
+    doc = json.loads(_REFERENCE_DOCUMENT)
+    _mutate(doc, path, value)
+    model = tmp_path / "mutated.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["analyze", "--model", str(model), "--scope", "RPS", "--truncate", "1",
+                 "--out", str(tmp_path / "out"), "--deterministic"]) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err

@@ -6,6 +6,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from resha import sysmodel
+from resha.fixtures import build_rts_document
 from resha.sysmodel import (
     GroupScope,
     ModelValidationError,
@@ -59,7 +61,9 @@ def test_parse_rejects_leading_digit():
         parse_node_id("1A.2")
 
 
-@pytest.mark.parametrize("bad", ["", "A1.02.03", "A01.2.03", "a01.02.03", "A01.02.03.04"])
+@pytest.mark.parametrize(
+    "bad", ["", "A1.02.03", "A01.2.03", "a01.02.03", "A01.02.03.04", "A01.02.03\n"]
+)
 def test_parse_rejects_malformed(bad):
     with pytest.raises(NodeIdError):
         parse_node_id(bad)
@@ -76,7 +80,7 @@ def test_node_id_round_trip(tag, unit, module, component):
     assert parse_node_id(format_node_id(node_id)) == node_id
 
 
-def test_node_id_text_is_rendered_once_and_still_validated():
+def test_node_id_text_is_rendered_once_and_still_validated(monkeypatch):
     for bad in (NodeId("B", 100, 0, 0), NodeId("b", 1, 0, 0)):
         for _ in range(2):  # a failed render caches nothing
             with pytest.raises(NodeIdError):
@@ -92,6 +96,35 @@ def test_node_id_text_is_rendered_once_and_still_validated():
     later = NodeId("B", 1, 2, 4)
     assert node < later and sorted([later, fresh, node]) == [node, fresh, later]
     assert {node: 1}[fresh] == 1
+
+    # Parsed ids come from a cache, so each distinct id is rendered at most once.
+    sysmodel._parse_node_text.cache_clear()
+    rendered = []
+    render = sysmodel.format_node_id
+    monkeypatch.setattr(sysmodel, "format_node_id", lambda n: rendered.append(n) or render(n))
+    for _ in range(2):  # a miss, then a hit
+        parsed = parse_node_id("B01.02.03")
+        assert parsed == fresh and hash(parsed) == hash(fresh)
+        assert parsed.text == str(parsed) == "B01.02.03"
+    assert rendered == [fresh]
+    monkeypatch.undo()
+    for bad in ("B01.02.3", "B01.02.03\n", None, [], {}):
+        for _ in range(2):  # a failed parse caches nothing
+            with pytest.raises(NodeIdError):
+                parse_node_id(bad)
+    doc = build_rts_document()
+    sysmodel._parse_node_text.cache_clear()
+    cold = parse_system_model(doc).fingerprint()
+    assert parse_system_model(doc).fingerprint() == cold
+
+
+def test_parse_renders_non_ascii_digits_canonically():
+    # ``\d`` matches any Unicode decimal digit; the text is rebuilt from the ints.
+    for text in ("A\u0660\u0661.\u0660\u0662.\u0660\u0663", "A\uff10\uff11.\uff10\uff12.\uff10\uff13"):
+        for _ in range(2):  # a miss, then a hit
+            parsed = parse_node_id(text)
+            assert parsed == NodeId("A", 1, 2, 3)
+            assert parsed.text == str(parsed) == "A01.02.03"
 
 
 def test_text_order_matches_structural_order():

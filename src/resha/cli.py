@@ -71,7 +71,6 @@ class RunConfig:
     top: str | None = None
     kind: stpamod.TopEventKind = stpamod.TopEventKind.FAILURE_TO_ACT
     truncate: int | None = 4
-    scope: str | None = None
     event_filter: frozenset[EventKind] | None = None
     out_dir: Path = field(default_factory=lambda: Path(os.environ.get("RESHA_OUT", "resha-out")))
     deterministic: bool = False
@@ -149,7 +148,7 @@ def run_analysis(config: RunConfig) -> dict[str, object]:
     # Any declared gate can serve as an analysis root, so a scope is simply a
     # different root; extraction from a wider tree would yield the same result.
     try:
-        root = config.scope or config.top or _default_top(model)
+        root = config.top or _default_top(model)
         tree = build_hardware_fault_tree(model, root)
     except FaultTreeError as exc:
         raise StageError("fault-tree", exc) from exc
@@ -263,7 +262,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         top=args.top,
         kind=stpamod.TopEventKind(args.kind),
         truncate=args.truncate,
-        scope=args.scope,
         event_filter=args.filter,
         out_dir=Path(args.out) if args.out else Path(os.environ.get("RESHA_OUT", "resha-out")),
         deterministic=args.deterministic,
@@ -389,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_analyze = sub.add_parser("analyze", help="run the full pipeline")
     p_analyze.add_argument("--model", required=True)
-    p_analyze.add_argument("--top", help="root gate for the fault tree (default: first declared gate)")
+    p_analyze.add_argument("--top", "--scope", dest="top",
+                           help="root gate or node of the fault tree (default: first declared gate)")
     p_analyze.add_argument(
         "--kind",
         choices=[k.value for k in stpamod.TopEventKind],
@@ -397,7 +396,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p_analyze.add_argument("--truncate", type=int, default=4, help="maximum cut-set order (default 4)")
     p_analyze.add_argument("--no-truncate", dest="truncate", action="store_const", const=None)
-    p_analyze.add_argument("--scope", help="analyze the subtree rooted at this gate")
     p_analyze.add_argument("--filter", type=_parse_filter, default=None,
                            help="keep only these event kinds (hardware/software/all or a list)")
     p_analyze.add_argument("--out", help="output directory (default $RESHA_OUT or ./resha-out)")

@@ -8,7 +8,7 @@ children are allowed, negation is not. Every operation returns a new tree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
@@ -16,11 +16,8 @@ from xml.sax.saxutils import escape, quoteattr
 
 from .stpa import UcaRecord
 from .sysmodel import (
-    GateChildSpec,
-    GateSpec,
     NodeId,
     NodeIdError,
-    NodeKind,
     SystemModel,
     Technology,
     parse_node_id,
@@ -279,94 +276,6 @@ def ccf_event_id(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class _Builder:
-    """Mutable scratch space used while instantiating a tree."""
-
-    gates: dict[str, Gate] = field(default_factory=dict)
-    events: dict[str, BasicEvent] = field(default_factory=dict)
-
-    def add_event(self, event: BasicEvent) -> str:
-        existing = self.events.get(event.id)
-        if existing is None:
-            self.events[event.id] = event
-        return event.id
-
-    def add_gate(self, gate: Gate) -> str:
-        self.gates[gate.id] = gate
-        return gate.id
-
-
-def _expand_gate_specs(m: SystemModel) -> dict[str, GateSpec]:
-    """Instantiate replication templates; returns concrete specs by id."""
-    expanded: dict[str, GateSpec] = {}
-
-    def substitute(spec: GateSpec, mapping: Mapping[str, str]) -> GateSpec:
-        def sub(text: str | None) -> str | None:
-            if text is None:
-                return None
-            for token, value in mapping.items():
-                text = text.replace(token, value)
-            return text
-
-        return GateSpec(
-            id=sub(spec.id) or spec.id,
-            kind=spec.kind,
-            children=tuple(
-                GateChildSpec(gate=sub(c.gate), fail=sub(c.fail), ca_to=sub(c.ca_to))
-                for c in spec.children
-            ),
-            k=spec.k,
-            replicate=None,
-            description=sub(spec.description),
-        )
-
-    contexts = {
-        "per-division": [{"$D": tag} for tag in m.division_tags()],
-        "per-unit": [  # m.nodes is in NodeId order
-            {"$D": node.id.division, "$U": f"{node.id.unit:02d}"}
-            for node in m.nodes.values()
-            if node.kind is NodeKind.UNIT
-        ],
-    }
-
-    def instantiations(spec: GateSpec) -> list[GateSpec]:
-        if spec.replicate is None:
-            return [spec]
-        out = []
-        for ctx in contexts[spec.replicate]:
-            candidate = substitute(spec, ctx)
-            if _node_refs_exist(m, candidate):
-                out.append(candidate)
-        if not out:
-            raise FaultTreeError(
-                f"replicated gate {spec.id!r} instantiates for no division/unit: "
-                "referenced nodes are absent from the model"
-            )
-        return out
-
-    for spec in m.gates:
-        for concrete in instantiations(spec):
-            if concrete.id in expanded:
-                raise FaultTreeError(f"gate id {concrete.id!r} expands more than once")
-            expanded[concrete.id] = concrete
-    return expanded
-
-
-def _node_refs_exist(m: SystemModel, spec: GateSpec) -> bool:
-    for child in spec.children:
-        for ref in (child.fail, child.ca_to):
-            if ref is None:
-                continue
-            try:
-                node_id = parse_node_id(ref)
-            except Exception:
-                return False
-            if not m.has_node(node_id):
-                return False
-    return True
-
-
 def build_hardware_fault_tree(m: SystemModel, top: str) -> FaultTree:
     """Build the hardware-failure tree rooted at a declared gate.
 
@@ -375,103 +284,63 @@ def build_hardware_fault_tree(m: SystemModel, top: str) -> FaultTree:
     the node's independent hardware event (none for human controllers);
     common-cause and software events are attached by later pipeline stages.
     """
-    specs = _expand_gate_specs(m)
-    builder = _Builder()
+    gates: dict[str, Gate] = {}
+    events: dict[str, BasicEvent] = {}
 
-    def ensure_fail_gate(node_ref: str, ca_to: str | None) -> str:
-        node_id = parse_node_id(node_ref)
-        if not m.has_node(node_id):
-            raise FaultTreeError(f"gate declaration references unknown node {node_ref!r}")
-        node = m.node(node_id)
-        hw_id = hw_gate_id(node_id)
-        if hw_id not in builder.gates:
+    def fail_gate(node_text: str, ca_to: str | None) -> str:
+        node = m.nodes[node_text]
+        hw_id = hw_gate_id(node.id)
+        if hw_id not in gates:
             children: tuple[str, ...] = ()
             if node.technology is not Technology.HUMAN:
-                prefix = m.class_prefix(node.equipment_class)
                 event = BasicEvent(
-                    id=independent_event_id(prefix, node_id),
+                    id=independent_event_id(m.class_prefix(node.equipment_class), node.id),
                     kind=EventKind.HW_INDEP,
-                    subjects=(node_id,),
+                    subjects=(node.id,),
                     description=f"{node.name} hardware failure.",
                 )
-                children = (builder.add_event(event),)
-            builder.add_gate(Gate(id=hw_id, kind=GateKind.OR, children=children))
-        target = parse_node_id(ca_to) if ca_to is not None else None
-        fid = fail_gate_id(node_id, target)
-        if fid not in builder.gates:
-            builder.add_gate(
-                Gate(
-                    id=fid,
-                    kind=GateKind.OR,
-                    children=(hw_id,),
-                    description=f"{node.name} fails" + (f" (action toward {ca_to})" if ca_to else ""),
-                )
+                events[event.id] = event
+                children = (event.id,)
+            gates[hw_id] = Gate(id=hw_id, kind=GateKind.OR, children=children)
+        fid = fail_gate_id(node.id, m.nodes[ca_to].id if ca_to is not None else None)
+        if fid not in gates:
+            gates[fid] = Gate(
+                id=fid,
+                kind=GateKind.OR,
+                children=(hw_id,),
+                description=f"{node.name} fails" + (f" (action toward {ca_to})" if ca_to else ""),
             )
         return fid
 
-    def instantiate(root: str) -> str:
-        """Add the declared gate ``root`` and every gate under it, children first.
-
-        Iterative, so declarations may nest deeper than Python's recursion limit.
-        """
-        path: list[str] = []  # declarations being expanded, ``root`` first
-        on_path: set[str] = set()
-        stack: list[tuple[GateSpec, Iterator[GateChildSpec], list[str]]] = []
-
-        def enter(gate_id: str) -> bool:
-            """Start expanding a declaration; False when it is already built."""
-            if gate_id in on_path:
-                cycle = " -> ".join(path + [gate_id])
-                raise FaultTreeError(f"cycle detected in gate declarations: {cycle}")
-            if gate_id in builder.gates:
-                return False
-            spec = specs.get(gate_id)
-            if spec is None:
-                raise FaultTreeError(f"unknown gate {gate_id!r}")
-            path.append(gate_id)
-            on_path.add(gate_id)
-            stack.append((spec, iter(spec.children), []))
-            return True
-
-        enter(root)
-        while stack:
-            spec, pending, children = stack[-1]
-            for child in pending:
-                if child.gate is None:
-                    assert child.fail is not None
-                    children.append(ensure_fail_gate(child.fail, child.ca_to))
-                elif enter(child.gate):
-                    break
-                else:
-                    children.append(child.gate)
-            else:
-                stack.pop()
-                on_path.discard(path.pop())
-                builder.add_gate(
-                    Gate(
-                        id=spec.id,
-                        kind=GateKind(spec.kind),
-                        children=tuple(children),
-                        k=spec.k,
-                        description=spec.description,
-                    )
-                )
-                if stack:
-                    stack[-1][2].append(spec.id)
-        return root
-
-    if top in specs:
-        root = instantiate(top)
-    else:
+    declared = m.resolved_gates
+    if top not in declared:
         try:
             node_id = parse_node_id(top)
-        except Exception:
+        except NodeIdError:
             raise FaultTreeError(f"unknown top event {top!r}") from None
-        if not m.has_node(node_id):
+        if node_id.text not in m.nodes:
             raise FaultTreeError(f"unknown top event {top!r}")
-        root = ensure_fail_gate(top, None)
+        return FaultTree(top=fail_gate(node_id.text, None), gates=gates, events=events)
 
-    return FaultTree(top=root, gates=dict(builder.gates), events=dict(builder.events))
+    # Children first and iterative, so declarations may nest deeper than
+    # Python's recursion limit; the model has no declaration cycles.
+    stack = [(declared[top], iter(declared[top].children))]
+    while stack:
+        spec, pending = stack[-1]
+        for child in pending:
+            if child.gate is not None and child.gate not in gates:
+                stack.append((declared[child.gate], iter(declared[child.gate].children)))
+                break
+        else:
+            stack.pop()
+            gates[spec.id] = Gate(
+                id=spec.id,
+                kind=GateKind(spec.kind),
+                children=tuple(c.gate or fail_gate(c.fail, c.ca_to) for c in spec.children),
+                k=spec.k,
+                description=spec.description,
+            )
+    return FaultTree(top=top, gates=gates, events=events)
 
 
 # ---------------------------------------------------------------------------

@@ -12,12 +12,12 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections.abc import Iterable, Mapping
+from collections.abc import Iterable, Mapping, Sized
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple
 
 MODEL_VERSION = 1
 
@@ -42,10 +42,10 @@ class ModelIssue:
 
 
 class ModelValidationError(ModelError):
-    """Raised when a document fails validation; carries every issue found."""
+    """Raised when a document fails validation; carries every issue found, once."""
 
     def __init__(self, issues: Iterable[ModelIssue]):
-        self.issues = tuple(issues)
+        self.issues = tuple(dict.fromkeys(issues))
         summary = "; ".join(str(i) for i in self.issues[:5])
         extra = f" (+{len(self.issues) - 5} more)" if len(self.issues) > 5 else ""
         super().__init__(f"invalid model: {summary}{extra}")
@@ -242,8 +242,9 @@ class ActionSpec:
         return self.contexts.get(key)
 
 
-@dataclass(frozen=True)
-class GateChildSpec:
+# Gate declarations are named tuples, not frozen dataclasses: every parse
+# makes one per template copy, and a tuple is several times cheaper to build.
+class GateChildSpec(NamedTuple):
     """One child reference inside a gate declaration."""
 
     gate: str | None = None
@@ -251,8 +252,7 @@ class GateChildSpec:
     ca_to: str | None = None
 
 
-@dataclass(frozen=True)
-class GateSpec:
+class GateSpec(NamedTuple):
     """A declared fault-tree gate, possibly a replication template.
 
     Templates carry ``replicate`` (``per-division`` or ``per-unit``) and use
@@ -309,14 +309,13 @@ class SystemModel:
     gates: tuple[GateSpec, ...]
     ccf_policy: CcfPolicy
     classes: Mapping[str, EquipmentClass]
+    # The concrete gates ``gates`` declares, by id: templates expanded, node
+    # references in canonical text, every reference known to exist, no cycles.
+    resolved_gates: Mapping[str, GateSpec]
 
     def node(self, node_id: NodeId | str) -> Node:
         key = node_id if isinstance(node_id, str) else node_id.text
         return self.nodes[key]
-
-    def has_node(self, node_id: NodeId | str) -> bool:
-        key = node_id if isinstance(node_id, str) else node_id.text
-        return key in self.nodes
 
     def division_tags(self) -> tuple[str, ...]:
         return tuple(
@@ -337,9 +336,6 @@ class SystemModel:
             for l in self.links
             if l.type is LinkType.PHYSICAL_SPLIT and l.source == source
         )
-
-    def hazard_ids(self) -> frozenset[str]:
-        return frozenset(h.id for h in self.hazards)
 
     def to_document(self) -> dict[str, Any]:
         """Canonical document form: arrays sorted by ID, stable key order."""
@@ -427,12 +423,21 @@ def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
         )
 
     classes = _parse_classes(doc.get("equipment_classes", []), issues)
-    nodes = _parse_nodes(doc.get("nodes", []), classes, issues)
-    links = _parse_links(doc.get("links", []), nodes, issues)
+    raw_nodes, raw_gates = doc.get("nodes", []), doc.get("gates", [])
+    nodes = _parse_nodes(raw_nodes, classes, issues)
+    # A rejected entry is one fault, so the references to it go unchecked
+    # rather than each reporting it again.
+    declared = nodes if _all_accepted(raw_nodes, nodes) else None
+    links = _parse_links(doc.get("links", []), declared, issues)
     losses = _parse_losses(doc.get("losses", []), issues)
     hazards = _parse_hazards(doc.get("hazards", []), losses, issues)
-    actions = _parse_actions(doc.get("control_actions", []), nodes, links, hazards, issues)
-    gates = _parse_gates(doc.get("gates", []), issues)
+    actions = _parse_actions(doc.get("control_actions", []), declared, links, hazards, issues)
+    gates = _parse_gates(raw_gates, issues)
+    resolved = (
+        _resolve_gates(gates, declared, issues)
+        if declared is not None and _all_accepted(raw_gates, gates)
+        else {}
+    )
     policy = _parse_policy(doc.get("ccf_policy", {}), issues)
 
     if issues:
@@ -448,7 +453,13 @@ def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
         gates=gates,
         ccf_policy=policy,
         classes=classes,
+        resolved_gates=resolved,
     )
+
+
+def _all_accepted(raw: Any, parsed: Sized) -> bool:
+    """Whether every entry of the array ``raw`` made it into ``parsed``."""
+    return isinstance(raw, list) and len(parsed) == len(raw)
 
 
 def _check_keys(entry: Mapping[str, Any], allowed: set[str], where: str, issues: list[ModelIssue]) -> None:
@@ -492,7 +503,6 @@ def _parse_nodes(
     if not isinstance(raw, list):
         issues.append(ModelIssue("nodes", "must be an array"))
         return nodes
-    parsed: list[Node] = []
     for i, entry in enumerate(raw):
         where = f"nodes[{i}]"
         if not isinstance(entry, Mapping):
@@ -538,7 +548,7 @@ def _parse_nodes(
         if node_id.text in nodes:
             issues.append(ModelIssue(f"{where}.id", f"duplicate node id {node_id.text}"))
             continue
-        node = Node(
+        nodes[node_id.text] = Node(
             id=node_id,
             name=str(entry.get("name", node_id.text)),
             kind=kind,
@@ -546,23 +556,22 @@ def _parse_nodes(
             role=str(entry.get("role", "")),
             equipment_class=eq_class,
         )
-        nodes[node_id.text] = node
-        parsed.append(node)
 
-    for node in parsed:
-        parent = node.id.parent()
-        if parent is not None and parent.text not in nodes:
-            issues.append(
-                ModelIssue(
-                    f"nodes[{node.id.text}]",
-                    f"missing parent node {parent.text} (hierarchy must nest)",
+    if _all_accepted(raw, nodes):
+        for node in nodes.values():
+            parent = node.id.parent()
+            if parent is not None and parent.text not in nodes:
+                issues.append(
+                    ModelIssue(
+                        f"nodes[{node.id.text}]",
+                        f"missing parent node {parent.text} (hierarchy must nest)",
+                    )
                 )
-            )
     return dict(sorted(nodes.items()))
 
 
 def _parse_links(
-    raw: Any, nodes: Mapping[str, Node], issues: list[ModelIssue]
+    raw: Any, nodes: Mapping[str, Node] | None, issues: list[ModelIssue]
 ) -> tuple[Link, ...]:
     links: list[Link] = []
     if not isinstance(raw, list):
@@ -587,7 +596,7 @@ def _parse_links(
             continue
         ok = True
         for end, node_id in (("source", source), ("target", target)):
-            if node_id.text not in nodes:
+            if nodes is not None and node_id.text not in nodes:
                 issues.append(
                     ModelIssue(f"{where}.{end}", f"dangling link: no node {node_id.text}")
                 )
@@ -673,7 +682,7 @@ def _parse_hazards(
 
 def _parse_actions(
     raw: Any,
-    nodes: Mapping[str, Node],
+    nodes: Mapping[str, Node] | None,
     links: tuple[Link, ...],
     hazards: tuple[Hazard, ...],
     issues: list[ModelIssue],
@@ -700,7 +709,7 @@ def _parse_actions(
             continue
         ok = True
         for end, node_id in (("source", source), ("target", target)):
-            if node_id.text not in nodes:
+            if nodes is not None and node_id.text not in nodes:
                 issues.append(ModelIssue(f"{where}.{end}", f"no node {node_id.text}"))
                 ok = False
         if ok and (source.text, target.text) not in control_edges:
@@ -856,6 +865,127 @@ def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
             )
         )
     return tuple(gates)
+
+
+def _resolve_gates(
+    gates: tuple[GateSpec, ...], nodes: Mapping[str, Node], issues: list[ModelIssue]
+) -> dict[str, GateSpec]:
+    """The concrete gate declarations by id, in declaration order.
+
+    Expects every ``gates`` entry accepted, so ``gates[i]`` is the document's
+    ``gates[i]``. A template is copied for each division or unit in which
+    every node it references exists and every gate it references is kept.
+    A bad reference in a plain declaration, a template without copies, an id
+    declared twice and a declaration cycle are each reported once.
+    """
+    # A plain declaration is its own single copy, with nothing to substitute.
+    contexts: dict[str | None, list[dict[str, str]]] = {
+        None: [{}], "per-division": [], "per-unit": []
+    }
+    for node in nodes.values():  # in text order
+        if node.kind is NodeKind.DIVISION:
+            contexts["per-division"].append({"$D": node.id.division})
+        elif node.kind is NodeKind.UNIT:
+            contexts["per-unit"].append({"$D": node.id.division, "$U": f"{node.id.unit:02d}"})
+
+    by_id: dict[str, tuple[int, GateSpec]] = {}  # id -> (declaration index, declaration)
+    for i, spec in enumerate(gates):
+        where = f"gates[{i}]" if spec.replicate is None else None
+        for context in contexts[spec.replicate]:
+            gate = _concrete_gate(spec, context, nodes, where, issues)
+            if gate is None:
+                continue
+            if gate.id in by_id:
+                issues.append(ModelIssue(f"gates[{i}].id", f"gate id {gate.id!r} expands more than once"))
+            else:
+                by_id[gate.id] = (i, gate)
+
+    # Children first, so that a copy is kept once every gate it names is; a
+    # plain declaration is always kept. Iterative, so any depth of nesting works.
+    kept: dict[str, bool] = {}
+    for root in by_id:
+        if root in kept:
+            continue
+        path, on_path, stack = [root], {root}, [iter(by_id[root][1].children)]
+        while stack:
+            for child in stack[-1]:
+                if child.gate in on_path:
+                    cycle = " -> ".join(path[path.index(child.gate):] + [child.gate])
+                    message = f"cycle detected in gate declarations: {cycle}"
+                    issues.append(ModelIssue(f"gates[{by_id[child.gate][0]}]", message))
+                elif child.gate in by_id and child.gate not in kept:
+                    path.append(child.gate)
+                    on_path.add(child.gate)
+                    stack.append(iter(by_id[child.gate][1].children))
+                    break
+            else:
+                stack.pop()
+                on_path.discard(path[-1])
+                i, gate = by_id[path.pop()]
+                kept[gate.id] = gates[i].replicate is None or all(
+                    c.gate is None or kept.get(c.gate, False) for c in gate.children
+                )
+
+    # A template left without copies strands every gate that names them, so
+    # it is reported once, at the first template of the chain.
+    copied = {i for i, gate in by_id.values() if kept[gate.id]}
+    empty = [i for i in range(len(gates)) if i not in copied]
+    stranded = {gates[i].id for i in empty}
+    for i in [i for i in empty if all(c.gate not in stranded for c in gates[i].children)] or empty:
+        message = f"replicated gate {gates[i].id!r} instantiates for no division/unit"
+        issues.append(ModelIssue(f"gates[{i}]", f"{message}: a node or gate it references is absent"))
+    resolved = {gate_id: gate for gate_id, (_, gate) in by_id.items() if kept[gate_id]}
+    for gate_id, gate in resolved.items():
+        for j, child in enumerate(gate.children):
+            if not empty and child.gate is not None and child.gate not in resolved:
+                where = f"gates[{by_id[gate_id][0]}].children[{j}].gate"
+                issues.append(ModelIssue(where, f"unknown gate {child.gate!r}"))
+    return resolved
+
+
+def _concrete_gate(
+    spec: GateSpec,
+    context: Mapping[str, str],
+    nodes: Mapping[str, Node],
+    where: str | None,
+    issues: list[ModelIssue],
+) -> GateSpec | None:
+    """``spec`` with the tokens of ``context`` substituted and node references
+    in canonical text. A template copy (no ``where``) that references no node
+    is None; a plain declaration reports each such reference and is kept."""
+
+    def sub(text: str) -> str:
+        for token, value in context.items():
+            text = text.replace(token, value)
+        return text
+
+    children: list[GateChildSpec] = []
+    for j, child in enumerate(spec.children):
+        refs: dict[str, str] = {}
+        for key in ("fail", "ca_to"):
+            ref = getattr(child, key)
+            if ref is None:
+                continue
+            try:
+                node_id = parse_node_id(sub(ref))
+            except NodeIdError as exc:
+                message = str(exc)
+            else:
+                if node_id.text in nodes:
+                    refs[key] = node_id.text
+                    continue
+                message = f"no node {node_id.text}"
+            if where is None:
+                return None
+            issues.append(ModelIssue(f"{where}.children[{j}].{key}", message))
+        children.append(GateChildSpec(gate=child.gate and sub(child.gate), **refs))
+    return GateSpec(
+        id=sub(spec.id),
+        kind=spec.kind,
+        children=tuple(children),
+        k=spec.k,
+        description=spec.description and sub(spec.description),
+    )
 
 
 def _parse_policy(raw: Any, issues: list[ModelIssue]) -> CcfPolicy:

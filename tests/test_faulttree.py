@@ -33,7 +33,7 @@ from resha.faulttree import (
     to_open_psa_xml,
 )
 from resha.fixtures import TOP_FULL, TOP_RPS
-from resha.sysmodel import parse_system_model
+from resha.sysmodel import ModelValidationError, parse_system_model
 
 
 def event(eid: str, kind=EventKind.HW_INDEP) -> BasicEvent:
@@ -249,9 +249,10 @@ def test_cycle_in_declarations_detected():
         ],
         "ccf_policy": {},
     }
-    model = parse_system_model(doc)
-    with pytest.raises(FaultTreeError, match="cycle detected in gate declarations: G1 -> G2 -> G1"):
-        build_hardware_fault_tree(model, "G1")
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(doc)
+    (issue,) = exc.value.issues
+    assert str(issue) == "gates[0]: cycle detected in gate declarations: G1 -> G2 -> G1"
 
 
 def test_replication_macro_with_no_instantiations_is_error():
@@ -277,9 +278,10 @@ def test_replication_macro_with_no_instantiations_is_error():
         ],
         "ccf_policy": {},
     }
-    model = parse_system_model(doc)
-    with pytest.raises(FaultTreeError):
-        build_hardware_fault_tree(model, "G-A")
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(doc)
+    (issue,) = exc.value.issues
+    assert issue.path == "gates[0]" and "instantiates for no division/unit" in issue.message
 
 
 def test_filter_keep_all_is_identity(full_tree):

@@ -138,6 +138,9 @@ def test_text_order_matches_structural_order():
     structural = sorted(ids)
     textual = sorted(ids, key=format_node_id)
     assert structural == textual
+    # Not when a tag is another tag plus a digit: sorting by text would reorder output.
+    assert NodeId("A", 99, 0, 0) < NodeId("A0", 0, 0, 0)
+    assert format_node_id(NodeId("A0", 0, 0, 0)) < format_node_id(NodeId("A", 99, 0, 0))
 
 
 def test_minimal_model_parses():
@@ -298,3 +301,60 @@ def test_canonical_serialization_round_trips(rts_model):
     doc = rts_model.to_document()
     again = parse_system_model(doc)
     assert again.fingerprint() == rts_model.fingerprint()
+
+
+def test_reference_model_gate_declarations_resolved(rts_model):
+    # A copy stays only if every node and gate it names exists, repeated until
+    # stable: the DP-division breaker copies name gates no DP copy defines.
+    resolved = rts_model.resolved_gates
+    assert len(rts_model.gates) == 48 and len(resolved) == 129
+    assert "RTB-A-FAILS-TO-OPEN" in resolved and "RTB-DP-FAILS-TO-OPEN" not in resolved
+    bp = resolved["BP-SIG-1-A-LOST"]
+    assert bp.replicate is None and (bp.children[0].fail, bp.children[0].ca_to) == (
+        "A01.01.00", "A01.05.00")
+
+
+def _divisions_doc(tags, gates):
+    doc = doc_with(gates=gates)
+    doc["nodes"] = []
+    for tag in tags:
+        doc["nodes"] += [
+            {"id": f"{tag}00.00.00", "name": tag, "kind": "division", "technology": "digital"},
+            dict(MINIMAL_DOC["nodes"][1], id=f"{tag}00.00.01"),
+        ]
+    return doc
+
+
+def test_template_copies_drop_until_stable():
+    # C-B lacks its node, so B-B, which names it, goes too, and then A-B.
+    doc = _divisions_doc("AB", [
+        {"id": "A-$D", "kind": "or", "children": [{"gate": "B-$D"}], "replicate": "per-division"},
+        {"id": "B-$D", "kind": "or", "children": [{"gate": "C-$D"}], "replicate": "per-division"},
+        {"id": "C-$D", "kind": "or", "children": [{"fail": "$D00.00.01"}, {"fail": "A00.00.01"}],
+         "replicate": "per-division"},
+    ])
+    doc["nodes"].pop()  # B00.00.01
+    assert list(parse_system_model(doc).resolved_gates) == ["A-A", "B-A", "C-A"]
+
+
+def test_gate_id_produced_twice_is_one_issue():
+    doc = _divisions_doc("ABC", [
+        {"id": "G-A", "kind": "or", "children": [{"fail": "A00.00.01"}]},
+        {"id": "G-$D", "kind": "or", "children": [{"fail": "$D00.00.01"}], "replicate": "per-division"},
+        {"id": "H", "kind": "or", "children": [{"fail": "A00.00.01"}], "replicate": "per-division"},
+    ])
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(doc)
+    assert [str(i) for i in exc.value.issues] == [
+        "gates[1].id: gate id 'G-A' expands more than once",
+        "gates[2].id: gate id 'H' expands more than once",
+    ]
+
+
+def test_template_without_copies_is_one_issue_not_one_per_stranded_gate():
+    doc = build_rts_document()
+    doc["gates"][13]["children"][0] = {"fail": "garbage"}  # SP1-$D-NO-TRIP
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(doc)
+    (issue,) = exc.value.issues
+    assert issue.path == "gates[13]" and "'SP1-$D-NO-TRIP' instantiates for no" in issue.message

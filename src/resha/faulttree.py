@@ -108,9 +108,6 @@ class FaultTree:
     def event(self, event_id: str) -> BasicEvent:
         return self.events[event_id]
 
-    def has_gate(self, gate_id: str) -> bool:
-        return gate_id in self.gates
-
     @cached_property
     def gate_order(self) -> tuple[str, ...]:
         """Gates reachable from the top, each after all its child gates; walked once."""

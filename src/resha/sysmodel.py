@@ -425,9 +425,9 @@ def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
     classes = _parse_classes(doc.get("equipment_classes", []), issues)
     raw_nodes, raw_gates = doc.get("nodes", []), doc.get("gates", [])
     nodes = _parse_nodes(raw_nodes, classes, issues)
-    # A rejected entry is one fault, so the references to it go unchecked
-    # rather than each reporting it again.
-    declared = nodes if _all_accepted(raw_nodes, nodes) else None
+    # A rejected entry or a missing parent is one fault, so the references
+    # to it go unchecked rather than each reporting it again.
+    declared = nodes if _all_accepted(raw_nodes, nodes) and _nested(nodes, issues) else None
     links = _parse_links(doc.get("links", []), declared, issues)
     losses = _parse_losses(doc.get("losses", []), issues)
     hazards = _parse_hazards(doc.get("hazards", []), losses, issues)
@@ -462,10 +462,12 @@ def _all_accepted(raw: Any, parsed: Sized) -> bool:
     return isinstance(raw, list) and len(parsed) == len(raw)
 
 
-def _check_keys(entry: Mapping[str, Any], allowed: set[str], where: str, issues: list[ModelIssue]) -> None:
-    for key in entry:
-        if key not in allowed:
-            issues.append(ModelIssue(f"{where}.{key}", "unknown field"))
+def _check_keys(entry: Mapping[str, Any], allowed: set[str], where: str, issues: list[ModelIssue]) -> bool:
+    """Report each key of ``entry`` outside ``allowed``; whether there were none."""
+    unknown = [key for key in entry if key not in allowed]
+    for key in unknown:
+        issues.append(ModelIssue(f"{where}.{key}", "unknown field"))
+    return not unknown
 
 
 def _parse_classes(
@@ -556,18 +558,21 @@ def _parse_nodes(
             role=str(entry.get("role", "")),
             equipment_class=eq_class,
         )
-
-    if _all_accepted(raw, nodes):
-        for node in nodes.values():
-            parent = node.id.parent()
-            if parent is not None and parent.text not in nodes:
-                issues.append(
-                    ModelIssue(
-                        f"nodes[{node.id.text}]",
-                        f"missing parent node {parent.text} (hierarchy must nest)",
-                    )
-                )
     return dict(sorted(nodes.items()))
+
+
+def _nested(nodes: Mapping[str, Node], issues: list[ModelIssue]) -> bool:
+    """Report each missing parent once, at its first child; whether none is missing."""
+    missing: dict[str, str] = {}  # parent text -> first child text
+    for node in nodes.values():
+        parent = node.id.parent()
+        if parent is not None and parent.text not in nodes:
+            missing.setdefault(parent.text, node.id.text)
+    for parent, child in missing.items():
+        issues.append(
+            ModelIssue(f"nodes[{child}]", f"missing parent node {parent} (hierarchy must nest)")
+        )
+    return not missing
 
 
 def _parse_links(
@@ -782,7 +787,9 @@ def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
         if not isinstance(entry, Mapping):
             issues.append(ModelIssue(where, "must be an object"))
             continue
-        _check_keys(entry, _GATE_KEYS, where, issues)
+        # An unknown key may be a misspelt known one, so the entry is not read further.
+        if not _check_keys(entry, _GATE_KEYS, where, issues):
+            continue
         gate_id = entry.get("id")
         if not isinstance(gate_id, str) or not gate_id:
             issues.append(ModelIssue(f"{where}.id", "missing gate id"))
@@ -822,7 +829,9 @@ def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
                 issues.append(ModelIssue(cwhere, "must be an object"))
                 child_ok = False
                 continue
-            _check_keys(child, _GATE_CHILD_KEYS, cwhere, issues)
+            if not _check_keys(child, _GATE_CHILD_KEYS, cwhere, issues):
+                child_ok = False
+                continue
             malformed = [
                 key for key in ("gate", "fail", "ca_to")
                 if child.get(key) is not None and not (isinstance(child[key], str) and child[key])
@@ -934,12 +943,18 @@ def _resolve_gates(
     for i in [i for i in empty if all(c.gate not in stranded for c in gates[i].children)] or empty:
         message = f"replicated gate {gates[i].id!r} instantiates for no division/unit"
         issues.append(ModelIssue(f"gates[{i}]", f"{message}: a node or gate it references is absent"))
+    # Only a plain declaration can name an unknown gate (a copy that does is
+    # not kept); its unknown names are one line, at the first of them.
     resolved = {gate_id: gate for gate_id, (_, gate) in by_id.items() if kept[gate_id]}
     for gate_id, gate in resolved.items():
-        for j, child in enumerate(gate.children):
-            if not empty and child.gate is not None and child.gate not in resolved:
-                where = f"gates[{by_id[gate_id][0]}].children[{j}].gate"
-                issues.append(ModelIssue(where, f"unknown gate {child.gate!r}"))
+        unknown = [
+            j for j, c in enumerate(gate.children) if c.gate is not None and c.gate not in resolved
+        ]
+        if unknown and not empty:
+            names = list(dict.fromkeys(repr(gate.children[j].gate) for j in unknown))
+            where = f"gates[{by_id[gate_id][0]}].children[{unknown[0]}].gate"
+            message = f"unknown gate{'s' * (len(names) > 1)} {', '.join(names)}"
+            issues.append(ModelIssue(where, message))
     return resolved
 
 

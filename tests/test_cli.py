@@ -417,6 +417,34 @@ def test_gate_reference_fault_exit_1(child, key, tmp_path, capsys):
     assert "Traceback" not in err and named in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    ("path", "value", "line"),
+    [
+        # gates[42] is the plain vote PARAM-6-UNDERVOTED.
+        (("gates", 42, "children", 2), {"a": 1}, "gates[42].children[2].a: unknown field"),
+        (("gates", 42), {"fail": "garbage"}, "gates[42].fail: unknown field"),
+        # gates[41] is the template BP-SIG-5-$D-LOST, named once a division by gates[40].
+        (("gates", 41, "id"), "BP-SIG-5-$D-GONE",
+         "gates[40].children[0].gate: unknown gates 'BP-SIG-5-A-LOST', 'BP-SIG-5-B-LOST', "
+         "'BP-SIG-5-C-LOST', 'BP-SIG-5-D-LOST'"),
+        # nodes[54] is division C00.00.00, the parent of eight nodes.
+        (("nodes", 54), _DELETE,
+         "nodes[C00.00.01]: missing parent node C00.00.00 (hierarchy must nest)"),
+    ],
+    ids=["child-unknown-key", "gate-unknown-key", "renamed-template", "deleted-division"],
+)
+def test_one_model_fault_one_line(path, value, line, tmp_path, capsys):
+    doc = build_rts_document()
+    _mutate(doc, path, value)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(model)]) == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert main(["analyze", "--model", str(model), "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and line in err and err.count("\n") == 1
+
+
 def _value_paths(node, prefix=()):
     if isinstance(node, dict):
         children = node.items()

@@ -120,8 +120,8 @@ def test_hardware_tree_has_only_hardware_events(rts_model):
 def test_replication_covers_rps_divisions(rts_model):
     ft = build_hardware_fault_tree(rts_model, TOP_FULL)
     for tag in "ABCD":
-        assert ft.has_gate(f"UV-{tag}-FAILS")
-        assert ft.has_gate(f"RTB-{tag}-FAILS-TO-OPEN")
+        assert f"UV-{tag}-FAILS" in ft.gates
+        assert f"RTB-{tag}-FAILS-TO-OPEN" in ft.gates
 
 
 def test_integrate_adds_exactly_selected(rts_model, rts_selected):
@@ -224,8 +224,8 @@ def test_per_unit_replication_macro():
     }
     model = parse_system_model(doc)
     ft = build_hardware_fault_tree(model, "TOP")
-    assert ft.has_gate("UNIT-A-01-DOWN")
-    assert ft.has_gate("UNIT-A-02-DOWN")
+    assert "UNIT-A-01-DOWN" in ft.gates
+    assert "UNIT-A-02-DOWN" in ft.gates
     sets = {c.events for c in brute_force_cut_sets(ft).cut_sets}
     assert sets == {frozenset({"PRC-HD-A01.00.01", "PRC-HD-A02.00.01"})}
 

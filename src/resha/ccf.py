@@ -187,13 +187,6 @@ def inject_ccfs(
     return FaultTree(top=ft.top, gates=gates, events=events)
 
 
-def injected_event_names(
-    groups: Sequence[RedundancyGroup], policy: CcfPolicy
-) -> tuple[str, ...]:
-    """Names the policy would inject given full attachment availability."""
-    return tuple(sorted(c.name for c in _candidates(groups, policy)))
-
-
 def catalog_to_csv(catalog: Iterable[CcfEvent]) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")

@@ -500,12 +500,6 @@ def filter_events(ft: FaultTree, keep_kinds: Iterable[EventKind]) -> FaultTree:
     )
 
 
-def is_vacuous(ft: FaultTree) -> bool:
-    """True when the top simplified away entirely (no failure can occur)."""
-    top = ft.gates.get(ft.top)
-    return top is not None and not top.children
-
-
 # ---------------------------------------------------------------------------
 # Exchange formats
 # ---------------------------------------------------------------------------

@@ -122,13 +122,6 @@ class ControlStructure:
                 return a
         raise StpaError(f"unknown control action {ca_id!r}")
 
-    def tracking_table(self) -> tuple[tuple[str, int, str, str, str], ...]:
-        """(CA id, layer, source, target, verb) rows for every numbered action."""
-        return tuple(
-            (a.ca_id, a.layer, a.source.text, a.target.text, a.spec.verb)
-            for a in self.actions
-        )
-
 
 @dataclass(frozen=True)
 class UcaRecord:
@@ -335,28 +328,6 @@ def potential_uca_count(records: Sequence[UcaRecord]) -> int:
 
 def identified_uca_count(records: Sequence[UcaRecord]) -> int:
     return sum(1 for r in records if r.applicable)
-
-
-def unsplit_destination_count(m: SystemModel, spec: ActionSpec) -> int:
-    """Number of per-destination actions this declaration stands for.
-
-    A physically split action is declared once; its duplicate destinations
-    are the physical-split links from the same source whose targets occupy
-    the same in-division coordinates as the declared target.
-    """
-    if not spec.split:
-        return 1
-    extra = sum(
-        1
-        for link in m.split_links_from(spec.source)
-        if link.target.coordinates == spec.target.coordinates
-    )
-    return 1 + extra
-
-
-def unsplit_potential_slots(m: SystemModel, cs: ControlStructure) -> int:
-    """Potential UCA slot count had split actions been declared per destination."""
-    return sum(4 * unsplit_destination_count(m, ca.spec) for ca in cs.actions)
 
 
 def uca_table_to_csv(records: Sequence[UcaRecord]) -> str:

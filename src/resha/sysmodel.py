@@ -12,7 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections.abc import Iterable, Mapping, Sized
+from collections.abc import Iterable, Iterator, Mapping, Sized
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -86,11 +86,6 @@ class NodeId:
         if self.unit:
             return 2
         return 1
-
-    @property
-    def coordinates(self) -> tuple[int, int, int]:
-        """Position within a division; equal coordinates across divisions mark replicas."""
-        return (self.unit, self.module, self.component)
 
     def parent(self) -> "NodeId | None":
         """Nearest ancestor, obtained by zeroing the lowest populated field."""
@@ -330,13 +325,6 @@ class SystemModel:
     def feedback_links(self) -> tuple[Link, ...]:
         return tuple(l for l in self.links if l.type is LinkType.FEEDBACK)
 
-    def split_links_from(self, source: NodeId) -> tuple[Link, ...]:
-        return tuple(
-            l
-            for l in self.links
-            if l.type is LinkType.PHYSICAL_SPLIT and l.source == source
-        )
-
     def to_document(self) -> dict[str, Any]:
         """Canonical document form: arrays sorted by ID, stable key order."""
         return _model_to_document(self)
@@ -427,7 +415,7 @@ def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
     nodes = _parse_nodes(raw_nodes, classes, issues)
     # A rejected entry or a missing parent is one fault, so the references
     # to it go unchecked rather than each reporting it again.
-    declared = nodes if _all_accepted(raw_nodes, nodes) and _nested(nodes, issues) else None
+    declared = nodes if _all_accepted(raw_nodes, nodes) and _nested(raw_nodes, nodes, issues) else None
     links = _parse_links(doc.get("links", []), declared, issues)
     losses = _parse_losses(doc.get("losses", []), issues)
     hazards = _parse_hazards(doc.get("hazards", []), losses, issues)
@@ -462,27 +450,49 @@ def _all_accepted(raw: Any, parsed: Sized) -> bool:
     return isinstance(raw, list) and len(parsed) == len(raw)
 
 
-def _check_keys(entry: Mapping[str, Any], allowed: set[str], where: str, issues: list[ModelIssue]) -> bool:
-    """Report each key of ``entry`` outside ``allowed``; whether there were none."""
-    unknown = [key for key in entry if key not in allowed]
-    for key in unknown:
-        issues.append(ModelIssue(f"{where}.{key}", "unknown field"))
-    return not unknown
+def _check_keys(entry: Mapping[str, Any], allowed: set[str], where: str, issues: list[ModelIssue]) -> None:
+    """Report each key of ``entry`` outside ``allowed``."""
+    for key in entry:
+        if key not in allowed:
+            issues.append(ModelIssue(f"{where}.{key}", "unknown field"))
+
+
+def _entries(
+    raw: Any, name: str, keys: set[str], issues: list[ModelIssue]
+) -> Iterator[tuple[str, Mapping[str, Any]]]:
+    """``(path, entry)`` for each object entry of the array ``raw`` at ``name``.
+
+    A non-array is one issue and yields nothing; an entry that is not an
+    object is one issue and is skipped; unknown keys are reported.
+    """
+    if not isinstance(raw, list):
+        issues.append(ModelIssue(name, "must be an array"))
+        return
+    for i, entry in enumerate(raw):
+        where = f"{name}[{i}]"
+        if not isinstance(entry, Mapping):
+            issues.append(ModelIssue(where, "must be an object"))
+            continue
+        _check_keys(entry, keys, where, issues)
+        yield where, entry
+
+
+def _flag(raw: Mapping[str, Any], key: str, default: bool, where: str, issues: list[ModelIssue]) -> bool:
+    """The JSON boolean ``raw[key]``; ``default`` when absent or null, or after an issue."""
+    value = raw.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, bool):
+        issues.append(ModelIssue(f"{where}.{key}", "must be true or false"))
+        return default
+    return value
 
 
 def _parse_classes(
     raw: Any, issues: list[ModelIssue]
 ) -> dict[str, EquipmentClass]:
     classes: dict[str, EquipmentClass] = {}
-    if not isinstance(raw, list):
-        issues.append(ModelIssue("equipment_classes", "must be an array"))
-        return classes
-    for i, entry in enumerate(raw):
-        where = f"equipment_classes[{i}]"
-        if not isinstance(entry, Mapping):
-            issues.append(ModelIssue(where, "must be an object"))
-            continue
-        _check_keys(entry, _CLASS_KEYS, where, issues)
+    for where, entry in _entries(raw, "equipment_classes", _CLASS_KEYS, issues):
         tag = entry.get("tag")
         if not isinstance(tag, str) or not tag:
             issues.append(ModelIssue(where, "missing class tag"))
@@ -502,15 +512,7 @@ def _parse_nodes(
     raw: Any, classes: Mapping[str, EquipmentClass], issues: list[ModelIssue]
 ) -> dict[str, Node]:
     nodes: dict[str, Node] = {}
-    if not isinstance(raw, list):
-        issues.append(ModelIssue("nodes", "must be an array"))
-        return nodes
-    for i, entry in enumerate(raw):
-        where = f"nodes[{i}]"
-        if not isinstance(entry, Mapping):
-            issues.append(ModelIssue(where, "must be an object"))
-            continue
-        _check_keys(entry, _NODE_KEYS, where, issues)
+    for where, entry in _entries(raw, "nodes", _NODE_KEYS, issues):
         try:
             node_id = parse_node_id(entry.get("id", ""))
         except NodeIdError as exc:
@@ -561,17 +563,19 @@ def _parse_nodes(
     return dict(sorted(nodes.items()))
 
 
-def _nested(nodes: Mapping[str, Node], issues: list[ModelIssue]) -> bool:
-    """Report each missing parent once, at its first child; whether none is missing."""
+def _nested(raw: list[Any], nodes: Mapping[str, Node], issues: list[ModelIssue]) -> bool:
+    """Report each missing parent once, at the id of its first child; whether
+    none is missing. Expects every entry of ``raw`` accepted into ``nodes``."""
     missing: dict[str, str] = {}  # parent text -> first child text
     for node in nodes.values():
         parent = node.id.parent()
         if parent is not None and parent.text not in nodes:
             missing.setdefault(parent.text, node.id.text)
-    for parent, child in missing.items():
-        issues.append(
-            ModelIssue(f"nodes[{child}]", f"missing parent node {parent} (hierarchy must nest)")
-        )
+    if missing:
+        index = {parse_node_id(entry["id"]).text: i for i, entry in enumerate(raw)}
+        for parent, child in missing.items():
+            message = f"missing parent node {parent} (hierarchy must nest)"
+            issues.append(ModelIssue(f"nodes[{index[child]}].id", message))
     return not missing
 
 
@@ -579,15 +583,7 @@ def _parse_links(
     raw: Any, nodes: Mapping[str, Node] | None, issues: list[ModelIssue]
 ) -> tuple[Link, ...]:
     links: list[Link] = []
-    if not isinstance(raw, list):
-        issues.append(ModelIssue("links", "must be an array"))
-        return ()
-    for i, entry in enumerate(raw):
-        where = f"links[{i}]"
-        if not isinstance(entry, Mapping):
-            issues.append(ModelIssue(where, "must be an object"))
-            continue
-        _check_keys(entry, _LINK_KEYS, where, issues)
+    for where, entry in _entries(raw, "links", _LINK_KEYS, issues):
         try:
             source = parse_node_id(entry.get("source", ""))
             target = parse_node_id(entry.get("target", ""))
@@ -618,16 +614,8 @@ def _parse_links(
 
 def _parse_losses(raw: Any, issues: list[ModelIssue]) -> tuple[Loss, ...]:
     losses: list[Loss] = []
-    if not isinstance(raw, list):
-        issues.append(ModelIssue("losses", "must be an array"))
-        return ()
     seen: set[str] = set()
-    for i, entry in enumerate(raw):
-        where = f"losses[{i}]"
-        if not isinstance(entry, Mapping):
-            issues.append(ModelIssue(where, "must be an object"))
-            continue
-        _check_keys(entry, _LOSS_KEYS, where, issues)
+    for where, entry in _entries(raw, "losses", _LOSS_KEYS, issues):
         loss_id = entry.get("id", "")
         if not re.fullmatch(r"L[1-9]\d*", str(loss_id)):
             issues.append(ModelIssue(f"{where}.id", f"loss id must look like L1, got {loss_id!r}"))
@@ -648,17 +636,9 @@ def _parse_hazards(
     raw: Any, losses: tuple[Loss, ...], issues: list[ModelIssue]
 ) -> tuple[Hazard, ...]:
     hazards: list[Hazard] = []
-    if not isinstance(raw, list):
-        issues.append(ModelIssue("hazards", "must be an array"))
-        return ()
     loss_ids = {l.id for l in losses}
     seen: set[str] = set()
-    for i, entry in enumerate(raw):
-        where = f"hazards[{i}]"
-        if not isinstance(entry, Mapping):
-            issues.append(ModelIssue(where, "must be an object"))
-            continue
-        _check_keys(entry, _HAZARD_KEYS, where, issues)
+    for where, entry in _entries(raw, "hazards", _HAZARD_KEYS, issues):
         hazard_id = entry.get("id", "")
         if not re.fullmatch(r"H[1-9]\d*", str(hazard_id)):
             issues.append(ModelIssue(f"{where}.id", f"hazard id must look like H1, got {hazard_id!r}"))
@@ -693,19 +673,11 @@ def _parse_actions(
     issues: list[ModelIssue],
 ) -> tuple[ActionSpec, ...]:
     actions: list[ActionSpec] = []
-    if not isinstance(raw, list):
-        issues.append(ModelIssue("control_actions", "must be an array"))
-        return ()
     control_edges = {
         (l.source.text, l.target.text) for l in links if l.type is LinkType.CONTROL
     }
     hazard_ids = {h.id for h in hazards}
-    for i, entry in enumerate(raw):
-        where = f"control_actions[{i}]"
-        if not isinstance(entry, Mapping):
-            issues.append(ModelIssue(where, "must be an object"))
-            continue
-        _check_keys(entry, _ACTION_KEYS, where, issues)
+    for where, entry in _entries(raw, "control_actions", _ACTION_KEYS, issues):
         try:
             source = parse_node_id(entry.get("source", ""))
             target = parse_node_id(entry.get("target", ""))
@@ -722,6 +694,8 @@ def _parse_actions(
                 ModelIssue(where, f"no control link {source.text} -> {target.text} declared")
             )
             ok = False
+        continuous = _flag(entry, "continuous", False, where, issues)
+        split = _flag(entry, "split", False, where, issues)
         layer = entry.get("layer")
         if layer is not None and (type(layer) is not int or layer < 1):
             issues.append(ModelIssue(f"{where}.layer", "layer must be an integer >= 1"))
@@ -765,8 +739,8 @@ def _parse_actions(
                 verb=str(entry.get("verb", "")),
                 source_label=str(entry.get("source_label", source.text)),
                 action_phrase=str(entry.get("action_phrase", "")),
-                continuous=bool(entry.get("continuous", False)),
-                split=bool(entry.get("split", False)),
+                continuous=continuous,
+                split=split,
                 layer=layer,
                 contexts={k: contexts_raw.get(k) for k in _CONTEXT_KEYS},
                 hazards=hazard_map,
@@ -778,17 +752,10 @@ def _parse_actions(
 
 def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
     gates: list[GateSpec] = []
-    if not isinstance(raw, list):
-        issues.append(ModelIssue("gates", "must be an array"))
-        return ()
     seen: set[str] = set()
-    for i, entry in enumerate(raw):
-        where = f"gates[{i}]"
-        if not isinstance(entry, Mapping):
-            issues.append(ModelIssue(where, "must be an object"))
-            continue
+    for where, entry in _entries(raw, "gates", _GATE_KEYS, issues):
         # An unknown key may be a misspelt known one, so the entry is not read further.
-        if not _check_keys(entry, _GATE_KEYS, where, issues):
+        if not entry.keys() <= _GATE_KEYS:
             continue
         gate_id = entry.get("id")
         if not isinstance(gate_id, str) or not gate_id:
@@ -822,15 +789,8 @@ def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
             issues.append(ModelIssue(f"{where}.children", "gates need at least one child"))
             continue
         children: list[GateChildSpec] = []
-        child_ok = True
-        for j, child in enumerate(children_raw):
-            cwhere = f"{where}.children[{j}]"
-            if not isinstance(child, Mapping):
-                issues.append(ModelIssue(cwhere, "must be an object"))
-                child_ok = False
-                continue
-            if not _check_keys(child, _GATE_CHILD_KEYS, cwhere, issues):
-                child_ok = False
+        for cwhere, child in _entries(children_raw, f"{where}.children", _GATE_CHILD_KEYS, issues):
+            if not child.keys() <= _GATE_CHILD_KEYS:
                 continue
             malformed = [
                 key for key in ("gate", "fail", "ca_to")
@@ -839,26 +799,17 @@ def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
             for key in malformed:
                 issues.append(ModelIssue(f"{cwhere}.{key}", "must be a non-empty string"))
             if malformed:
-                child_ok = False
                 continue
             gate_ref = child.get("gate")
             fail_ref = child.get("fail")
             if (gate_ref is None) == (fail_ref is None):
                 issues.append(ModelIssue(cwhere, "child must reference exactly one of gate/fail"))
-                child_ok = False
                 continue
             if child.get("ca_to") is not None and fail_ref is None:
                 issues.append(ModelIssue(cwhere, "ca_to only applies to fail references"))
-                child_ok = False
                 continue
-            children.append(
-                GateChildSpec(
-                    gate=gate_ref,
-                    fail=fail_ref,
-                    ca_to=child.get("ca_to"),
-                )
-            )
-        if not child_ok:
+            children.append(GateChildSpec(gate=gate_ref, fail=fail_ref, ca_to=child.get("ca_to")))
+        if len(children) < len(children_raw):
             continue
         if kind == "vote" and isinstance(k, int) and k > len(children):
             issues.append(ModelIssue(f"{where}.k", f"k={k} exceeds {len(children)} children"))
@@ -1013,9 +964,13 @@ def _parse_policy(raw: Any, issues: list[ModelIssue]) -> CcfPolicy:
         issues.append(ModelIssue("ccf_policy.software_categories", "categories must be from a/b/c/d"))
         cats_raw = ["a", "c"]
     policy = CcfPolicy(
-        include_intra_division=bool(raw.get("include_intra_division", True)),
-        include_cross_all_divisions=bool(raw.get("include_cross_all_divisions", True)),
-        include_partial_interdivision=bool(raw.get("include_partial_interdivision", False)),
+        include_intra_division=_flag(raw, "include_intra_division", True, "ccf_policy", issues),
+        include_cross_all_divisions=_flag(
+            raw, "include_cross_all_divisions", True, "ccf_policy", issues
+        ),
+        include_partial_interdivision=_flag(
+            raw, "include_partial_interdivision", False, "ccf_policy", issues
+        ),
         software_categories=tuple(cats_raw),
     )
     if not (
@@ -1173,17 +1128,3 @@ def derive_redundancy_groups(m: SystemModel) -> tuple[RedundancyGroup, ...]:
             )
     groups.sort(key=lambda g: (g.class_tag, g.scope.value, g.division or ""))
     return tuple(groups)
-
-
-def serialize_groups(groups: Iterable[RedundancyGroup]) -> str:
-    """Stable text form of a group list, used for determinism checks."""
-    payload = [
-        {
-            "class": g.class_tag,
-            "scope": g.scope.value,
-            "division": g.division,
-            "members": [n.text for n in g.members],
-        }
-        for g in groups
-    ]
-    return json.dumps(payload, sort_keys=True)

@@ -6,12 +6,7 @@ import logging
 
 import pytest
 
-from resha.ccf import (
-    catalog_to_csv,
-    enumerate_ccf_catalog,
-    inject_ccfs,
-    injected_event_names,
-)
+from resha.ccf import _candidates, catalog_to_csv, enumerate_ccf_catalog, inject_ccfs
 from resha.cutset import evaluate_structure_function, solve_minimal_cut_sets
 from resha.faulttree import EventKind, build_hardware_fault_tree, to_exchange_json
 from resha.fixtures import TOP_RPS
@@ -100,7 +95,7 @@ def test_catalog_superset_of_injected(rts_groups, rts_model):
         CcfPolicy(software_categories=("b",)),
     ):
         catalog = {e.name for e in enumerate_ccf_catalog(rts_groups, policy)}
-        assert set(injected_event_names(rts_groups, policy)) <= catalog
+        assert {c.name for c in _candidates(rts_groups, policy)} <= catalog
 
 
 def test_policy_monotonicity(rts_groups):
@@ -114,16 +109,16 @@ def test_policy_monotonicity(rts_groups):
         include_cross_all_divisions=True,
         software_categories=("a", "c"),
     )
-    assert set(injected_event_names(rts_groups, narrow)) <= set(
-        injected_event_names(rts_groups, wide)
-    )
+    assert {c.name for c in _candidates(rts_groups, narrow)} <= {
+        c.name for c in _candidates(rts_groups, wide)
+    }
 
 
 def test_partial_interdivision_combinations_optional(rts_groups):
-    without = set(injected_event_names(rts_groups, CcfPolicy()))
-    with_partial = set(
-        injected_event_names(rts_groups, CcfPolicy(include_partial_interdivision=True))
-    )
+    without = {c.name for c in _candidates(rts_groups, CcfPolicy())}
+    with_partial = {
+        c.name for c in _candidates(rts_groups, CcfPolicy(include_partial_interdivision=True))
+    }
     assert without <= with_partial
     extra = with_partial - without
     assert extra

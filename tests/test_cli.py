@@ -3,6 +3,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -427,9 +428,10 @@ def test_gate_reference_fault_exit_1(child, key, tmp_path, capsys):
         (("gates", 41, "id"), "BP-SIG-5-$D-GONE",
          "gates[40].children[0].gate: unknown gates 'BP-SIG-5-A-LOST', 'BP-SIG-5-B-LOST', "
          "'BP-SIG-5-C-LOST', 'BP-SIG-5-D-LOST'"),
-        # nodes[54] is division C00.00.00, the parent of eight nodes.
+        # nodes[54] is division C00.00.00, the parent of eight nodes; its first
+        # child C00.00.01 moves up to nodes[54].
         (("nodes", 54), _DELETE,
-         "nodes[C00.00.01]: missing parent node C00.00.00 (hierarchy must nest)"),
+         "nodes[54].id: missing parent node C00.00.00 (hierarchy must nest)"),
     ],
     ids=["child-unknown-key", "gate-unknown-key", "renamed-template", "deleted-division"],
 )
@@ -443,6 +445,28 @@ def test_one_model_fault_one_line(path, value, line, tmp_path, capsys):
     assert main(["analyze", "--model", str(model), "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and line in err and err.count("\n") == 1
+
+
+@pytest.mark.parametrize(
+    ("path", "value"),
+    [
+        (("control_actions", 0, "continuous"), "false"),
+        (("control_actions", 0, "split"), "no"),
+        (("ccf_policy", "include_intra_division"), 1),
+        (("ccf_policy", "include_cross_all_divisions"), "true"),
+        (("ccf_policy", "include_partial_interdivision"), "false"),
+    ],
+    ids=["continuous", "split", "include-intra", "include-cross", "include-partial"],
+)
+def test_boolean_field_rejects_other_values(path, value, tmp_path, capsys):
+    """A string or number is not read as a flag: ``"false"`` would be truthy."""
+    doc = build_rts_document()
+    _mutate(doc, path, value)
+    named = path[0] + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path[1:])
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(model)]) == 1
+    assert capsys.readouterr().err == f"error: {named}: must be true or false\n"
 
 
 def _value_paths(node, prefix=()):
@@ -461,6 +485,9 @@ _REFERENCE_DOCUMENT = json.dumps(build_rts_document())
 _MUTATED_PATHS = st.sampled_from(list(_value_paths(json.loads(_REFERENCE_DOCUMENT))))
 _MUTATED_VALUES = st.sampled_from(
     [None, 0, -1, 2.5, "", "x", [], {}, [1], {"a": 1}, True, _DELETE])
+# A document path: ``$``, or names joined by dots, each followed by any number
+# of ``[n]`` array indexes (so a node id inside brackets does not match).
+_ISSUE_PATH = re.compile(r"\$|\w+(\[\d+\])*(\.\w+(\[\d+\])*)*")
 
 
 def test_node_id_with_trailing_newline_rejected(tmp_path, capsys):
@@ -488,6 +515,12 @@ def test_node_id_in_non_ascii_digits_is_a_duplicate(tmp_path, capsys):
     assert capsys.readouterr().err == f"error: {where}: duplicate node id RX00.00.00\n"
 
 
+def test_issue_path_grammar():
+    assert all(_ISSUE_PATH.fullmatch(p) for p in ("$", "gates", "nodes[54].id", "ccf_policy",
+                                                   "gates[3].children[0].fail"))
+    assert not any(_ISSUE_PATH.fullmatch(p) for p in ("nodes[C00.00.01]", "nodes[].id", "a..b"))
+
+
 # Each example rewrites the one file and reads its own captured output.
 @settings(max_examples=100, derandomize=True, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -498,7 +531,10 @@ def test_validate_mutated_model_exits_cleanly(path, value, tmp_path, capsys):
     model = tmp_path / "mutated.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["validate", str(model)]) in (0, 1, 2)
-    assert "Traceback" not in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    for line in err.splitlines():
+        assert line.startswith("error: ") and _ISSUE_PATH.fullmatch(line[7:].split(": ")[0]), line
 
 
 @settings(max_examples=25, derandomize=True, deadline=None,

@@ -14,9 +14,8 @@ from resha.stpa import (
     select_ucas_for_top_event,
     uca_table_to_csv,
     uca_table_to_markdown,
-    unsplit_potential_slots,
 )
-from resha.sysmodel import parse_system_model
+from resha.sysmodel import LinkType, parse_system_model
 
 TRIP_CONTEXTS = {
     "needed": "during AOO",
@@ -218,11 +217,26 @@ def test_rts_layer1_holds_four_trip_paths(rts_cs):
     assert labels == ["DPS", "MCR operator", "RPS", "RSR operator"]
 
 
-def test_tracking_table_dense_and_ordered(rts_cs):
-    table = rts_cs.tracking_table()
+def test_action_numbering_dense_and_ordered(rts_cs):
+    table = [(a.ca_id, a.layer, a.source.text, a.target.text, a.spec.verb) for a in rts_cs.actions]
     assert [row[0] for row in table] == [f"CA{i}" for i in range(1, len(table) + 1)]
     assert table[17][0] == "CA18"
     assert table[17][4] == "demands SP1 to trip the reactor"
+
+
+def _destinations(model, action):
+    """Per-destination actions a declaration stands for: a split action also
+    stands for each physical-split link from its source to a target at the
+    declared target's unit/module/component position."""
+    if not action.spec.split:
+        return 1
+    position = (action.target.unit, action.target.module, action.target.component)
+    return 1 + sum(
+        1
+        for l in model.links
+        if l.type is LinkType.PHYSICAL_SPLIT and l.source == action.source
+        and (l.target.unit, l.target.module, l.target.component) == position
+    )
 
 
 def test_rts_split_simplification_arithmetic(rts_model, rts_cs):
@@ -232,16 +246,12 @@ def test_rts_split_simplification_arithmetic(rts_model, rts_cs):
     assert len(bp_actions) == 32
     split_slots = 4 * len(bp_actions)
     assert split_slots == 128
-    unsplit = sum(
-        4 * (1 + len([l for l in rts_model.split_links_from(a.source)
-                      if l.target.coordinates == a.target.coordinates]))
-        for a in bp_actions
-    )
-    assert unsplit == 512
+    assert sum(4 * _destinations(rts_model, a) for a in bp_actions) == 512
 
 
 def test_rts_unsplit_total_includes_bp_expansion(rts_model, rts_cs):
-    assert unsplit_potential_slots(rts_model, rts_cs) - potential_uca_count(
+    unsplit = sum(4 * _destinations(rts_model, a) for a in rts_cs.actions)
+    assert unsplit - potential_uca_count(
         enumerate_ucas(rts_cs, rts_model.hazards)
     ) == (512 - 128) + 3 * 4 * 3  # BP fan-out plus MCR/RSR/DPS three-way splits
 

@@ -10,6 +10,7 @@ from resha import sysmodel
 from resha.fixtures import build_rts_document
 from resha.sysmodel import (
     GroupScope,
+    ModelIssue,
     ModelValidationError,
     NodeId,
     NodeIdError,
@@ -17,7 +18,6 @@ from resha.sysmodel import (
     format_node_id,
     parse_node_id,
     parse_system_model,
-    serialize_groups,
 )
 
 MINIMAL_DOC = {
@@ -199,7 +199,39 @@ def test_missing_parent_rejected():
     )
     with pytest.raises(ModelValidationError) as exc:
         parse_system_model(doc)
-    assert any("parent" in str(issue) for issue in exc.value.issues)
+    assert exc.value.issues == (
+        ModelIssue("nodes[2].id", "missing parent node A01.00.00 (hierarchy must nest)"),
+    )
+
+
+_ARRAYS = ("equipment_classes", "nodes", "links", "losses", "hazards", "control_actions", "gates")
+
+
+@pytest.mark.parametrize("name", _ARRAYS)
+def test_array_shape_issues(name):
+    """Each top-level array reports a non-array, and a non-object entry, at its path."""
+    doc = build_rts_document()
+    doc[name] = {}
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(doc)
+    assert exc.value.issues[0] == ModelIssue(name, "must be an array")
+    doc = build_rts_document()
+    doc[name][0] = 5
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(doc)
+    assert exc.value.issues[0] == ModelIssue(f"{name}[0]", "must be an object")
+
+
+def test_gate_with_rejected_child_is_not_checked_further():
+    """Counting only the accepted children would add ``k=3 exceeds 2 children``."""
+    doc = build_rts_document()
+    doc["gates"][32]["children"][:2] = [5, 5]  # PARAM-1-UNDERVOTED, a 3-of-4 vote
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(doc)
+    assert [str(issue) for issue in exc.value.issues] == [
+        "gates[32].children[0]: must be an object",
+        "gates[32].children[1]: must be an object",
+    ]
 
 
 def test_losses_must_be_contiguous():
@@ -260,9 +292,7 @@ def test_singleton_classes_produce_no_groups():
 def test_group_derivation_deterministic():
     model_a = parse_system_model(_two_division_three_module_doc())
     model_b = parse_system_model(_two_division_three_module_doc())
-    assert serialize_groups(derive_redundancy_groups(model_a)) == serialize_groups(
-        derive_redundancy_groups(model_b)
-    )
+    assert derive_redundancy_groups(model_a) == derive_redundancy_groups(model_b)
 
 
 def test_group_members_sorted():

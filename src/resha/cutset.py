@@ -264,12 +264,6 @@ def _and_combine(a: list[int], b: list[int], order: int, max_rows: int,
     if not a or not b:
         return []
     out: list[int] = []
-
-    def push(mask: int) -> None:
-        out.append(mask)
-        if len(out) > max_rows:
-            raise _BudgetExceeded()
-
     buckets_a: dict[int, list[int]] = {}
     buckets_b: dict[int, list[int]] = {}
     for x in a:
@@ -281,9 +275,9 @@ def _and_combine(a: list[int], b: list[int], order: int, max_rows: int,
         for pb, ys in buckets_b.items():
             need = pa + pb - order
             if need <= 0:
-                for x in xs:
-                    for y in ys:
-                        push(x | y)
+                if len(out) + len(xs) * len(ys) > max_rows:
+                    raise _BudgetExceeded()
+                out.extend(x | y for x in xs for y in ys)
                 continue
             if disjoint or need > min(pa, pb):
                 continue
@@ -296,7 +290,9 @@ def _and_combine(a: list[int], b: list[int], order: int, max_rows: int,
                     for y in index.get(key, ()):
                         merged = x | y
                         if merged.bit_count() <= order:
-                            push(merged)
+                            out.append(merged)
+                if len(out) > max_rows:
+                    raise _BudgetExceeded()
     return out if disjoint else _minimize(out)
 
 

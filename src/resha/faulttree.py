@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
 from typing import Iterable, Iterator, Literal, Mapping, Sequence
-from xml.sax.saxutils import escape, quoteattr
 
 from .stpa import UcaRecord
 from .sysmodel import (
@@ -618,6 +617,9 @@ def from_exchange_json(text: str) -> FaultTree:
 
 def to_open_psa_xml(ft: FaultTree, name: str = "fault-tree") -> str:
     """Emit an Open-PSA style model exchange document (emit only)."""
+    # Imported here: xml.sax pulls in urllib and the network stack, which no CLI command needs.
+    from xml.sax.saxutils import escape, quoteattr
+
     lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<opsa-mef>"]
     lines.append(f"  <define-fault-tree name={quoteattr(name)}>")
 

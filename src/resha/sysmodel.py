@@ -488,6 +488,18 @@ def _flag(raw: Mapping[str, Any], key: str, default: bool, where: str, issues: l
     return value
 
 
+def _text(raw: Mapping[str, Any], key: str, default: str | None, where: str,
+          issues: list[ModelIssue]) -> str | None:
+    """The JSON string ``raw[key]``; ``default`` when absent or null, or after an issue."""
+    value = raw.get(key)
+    if value is None:
+        return default
+    if not isinstance(value, str):
+        issues.append(ModelIssue(f"{where}.{key}", "must be a string"))
+        return default
+    return value
+
+
 def _parse_classes(
     raw: Any, issues: list[ModelIssue]
 ) -> dict[str, EquipmentClass]:
@@ -502,8 +514,8 @@ def _parse_classes(
             continue
         classes[tag] = EquipmentClass(
             tag=tag,
-            prefix=str(entry.get("prefix", tag.upper())),
-            display=str(entry.get("display", tag)),
+            prefix=_text(entry, "prefix", tag.upper(), where, issues),
+            display=_text(entry, "display", tag, where, issues),
         )
     return classes
 
@@ -554,10 +566,10 @@ def _parse_nodes(
             continue
         nodes[node_id.text] = Node(
             id=node_id,
-            name=str(entry.get("name", node_id.text)),
+            name=_text(entry, "name", node_id.text, where, issues),
             kind=kind,
             technology=technology,
-            role=str(entry.get("role", "")),
+            role=_text(entry, "role", "", where, issues),
             equipment_class=eq_class,
         )
     return dict(sorted(nodes.items()))
@@ -624,7 +636,7 @@ def _parse_losses(raw: Any, issues: list[ModelIssue]) -> tuple[Loss, ...]:
             issues.append(ModelIssue(f"{where}.id", f"duplicate loss id {loss_id}"))
             continue
         seen.add(loss_id)
-        losses.append(Loss(id=loss_id, description=str(entry.get("description", ""))))
+        losses.append(Loss(id=loss_id, description=_text(entry, "description", "", where, issues)))
     losses.sort(key=lambda l: l.number)
     expected = list(range(1, len(losses) + 1))
     if [l.number for l in losses] != expected:
@@ -657,7 +669,7 @@ def _parse_hazards(
         hazards.append(
             Hazard(
                 id=hazard_id,
-                description=str(entry.get("description", "")),
+                description=_text(entry, "description", "", where, issues),
                 losses=tuple(linked),
             )
         )
@@ -696,6 +708,9 @@ def _parse_actions(
             ok = False
         continuous = _flag(entry, "continuous", False, where, issues)
         split = _flag(entry, "split", False, where, issues)
+        verb = _text(entry, "verb", "", where, issues)
+        source_label = _text(entry, "source_label", source.text, where, issues)
+        action_phrase = _text(entry, "action_phrase", "", where, issues)
         layer = entry.get("layer")
         if layer is not None and (type(layer) is not int or layer < 1):
             issues.append(ModelIssue(f"{where}.layer", "layer must be an integer >= 1"))
@@ -704,9 +719,10 @@ def _parse_actions(
         if not isinstance(contexts_raw, Mapping):
             issues.append(ModelIssue(f"{where}.contexts", "must be an object"))
             contexts_raw = {}
-        for key in contexts_raw:
-            if key not in _CONTEXT_KEYS:
-                issues.append(ModelIssue(f"{where}.contexts.{key}", "unknown field"))
+        _check_keys(contexts_raw, _CONTEXT_KEYS, f"{where}.contexts", issues)
+        contexts = {
+            k: _text(contexts_raw, k, None, f"{where}.contexts", issues) for k in sorted(_CONTEXT_KEYS)
+        }
         hazards_raw = entry.get("hazards", {})
         if not isinstance(hazards_raw, Mapping):
             issues.append(ModelIssue(f"{where}.hazards", "must be an object"))
@@ -727,24 +743,29 @@ def _parse_actions(
         if not isinstance(na_raw, Mapping):
             issues.append(ModelIssue(f"{where}.not_applicable", "must be an object"))
             na_raw = {}
+        not_applicable: dict[str, str] = {}
         for cat in na_raw:
             if cat not in UCA_CATEGORIES:
                 issues.append(ModelIssue(f"{where}.not_applicable.{cat}", "unknown category"))
+                continue
+            justification = _text(na_raw, cat, None, f"{where}.not_applicable", issues)
+            if justification is not None:
+                not_applicable[cat] = justification
         if not ok:
             continue
         actions.append(
             ActionSpec(
                 source=source,
                 target=target,
-                verb=str(entry.get("verb", "")),
-                source_label=str(entry.get("source_label", source.text)),
-                action_phrase=str(entry.get("action_phrase", "")),
+                verb=verb,
+                source_label=source_label,
+                action_phrase=action_phrase,
                 continuous=continuous,
                 split=split,
                 layer=layer,
-                contexts={k: contexts_raw.get(k) for k in _CONTEXT_KEYS},
+                contexts=contexts,
                 hazards=hazard_map,
-                not_applicable={k: str(v) for k, v in na_raw.items() if k in UCA_CATEGORIES},
+                not_applicable=not_applicable,
             )
         )
     return tuple(actions)

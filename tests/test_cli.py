@@ -14,6 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from resha.cli import main
 from resha.faulttree import FaultTreeError, from_exchange_json, to_exchange_json
 from resha.fixtures import build_rts_document
+from resha.sysmodel import parse_system_model
 
 
 @pytest.fixture(scope="module")
@@ -447,6 +448,11 @@ def test_one_model_fault_one_line(path, value, line, tmp_path, capsys):
     assert err.startswith("error: ") and line in err and err.count("\n") == 1
 
 
+def _named(path: tuple) -> str:
+    """The issue path of a document path: ``("nodes", 0, "name")`` is ``nodes[0].name``."""
+    return path[0] + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path[1:])
+
+
 @pytest.mark.parametrize(
     ("path", "value"),
     [
@@ -462,11 +468,51 @@ def test_boolean_field_rejects_other_values(path, value, tmp_path, capsys):
     """A string or number is not read as a flag: ``"false"`` would be truthy."""
     doc = build_rts_document()
     _mutate(doc, path, value)
-    named = path[0] + "".join(f"[{p}]" if isinstance(p, int) else f".{p}" for p in path[1:])
     model = tmp_path / "model.json"
     model.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["validate", str(model)]) == 1
-    assert capsys.readouterr().err == f"error: {named}: must be true or false\n"
+    assert capsys.readouterr().err == f"error: {_named(path)}: must be true or false\n"
+
+
+_TEXT_FIELDS = [
+    (("equipment_classes", 0, "prefix"), [1]),
+    (("equipment_classes", 0, "display"), 5),
+    (("nodes", 0, "name"), {"a": 1}),
+    (("nodes", 0, "role"), 7),
+    (("losses", 0, "description"), ["x"]),
+    (("hazards", 0, "description"), 1.5),
+    (("control_actions", 1, "verb"), 3),
+    (("control_actions", 1, "source_label"), ["MCR"]),
+    (("control_actions", 1, "action_phrase"), True),
+    (("control_actions", 1, "contexts", "needed"), 1),
+    (("control_actions", 1, "not_applicable", "d"), False),
+]
+
+
+@pytest.mark.parametrize(("path", "value"), _TEXT_FIELDS, ids=[_named(p) for p, _ in _TEXT_FIELDS])
+def test_text_field_rejects_other_values(path, value, tmp_path, capsys):
+    """A list or number is not rendered with ``str``: ``[1]`` would name events ``[1]-HD-CCF``."""
+    doc = build_rts_document()
+    _mutate(doc, path, value)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(model)]) == 1
+    assert capsys.readouterr().err == f"error: {_named(path)}: must be a string\n"
+
+
+def test_null_text_field_keeps_default(tmp_path, capsys):
+    doc = build_rts_document()
+    for path, _ in _TEXT_FIELDS:
+        _mutate(doc, path, None)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(model)]) == 0
+    parsed = parse_system_model(doc)
+    assert parsed.classes[doc["equipment_classes"][0]["tag"]].prefix == doc["equipment_classes"][0]["tag"].upper()
+    assert parsed.nodes[doc["nodes"][0]["id"]].name == doc["nodes"][0]["id"]
+    action = parsed.actions[1]
+    assert action.verb == "" and action.source_label == action.source.text
+    assert action.context("needed") is None and "d" not in action.not_applicable
 
 
 def _value_paths(node, prefix=()):

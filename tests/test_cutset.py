@@ -238,6 +238,40 @@ def test_resource_budget_reports_progress():
     assert "'G1' kept 12 rows" in str(exc.value)
 
 
+def _pairs_tree() -> FaultTree:
+    """AND of two disjoint ORs: 2 + 1 rows by 3 rows, taken whole (need <= 0), 9 sets."""
+    gates = {
+        "TOP": Gate(id="TOP", kind=GateKind.AND, children=("G1", "G2")),
+        "G1": Gate(id="G1", kind=GateKind.OR, children=("A1", "A2", "P")),
+        "P": Gate(id="P", kind=GateKind.AND, children=("A3", "A4")),
+        "G2": Gate(id="G2", kind=GateKind.OR, children=("B1", "B2", "B3")),
+    }
+    return tree("TOP", gates, ["A1", "A2", "A3", "A4", "B1", "B2", "B3"])
+
+
+def _join_tree() -> FaultTree:
+    """AND of two ORs of pairs sharing E0: at order 3 every pair joins on E0, 9 sets."""
+    gates = {"TOP": Gate(id="TOP", kind=GateKind.AND, children=("G1", "G2"))}
+    events = ["E0"]
+    for or_id, side in (("G1", "X"), ("G2", "Y")):
+        pairs = (f"{side}1", f"{side}2", f"{side}3")
+        gates[or_id] = Gate(id=or_id, kind=GateKind.OR, children=pairs)
+        for p in pairs:
+            gates[p] = Gate(id=p, kind=GateKind.AND, children=("E0", f"{p}E"))
+            events.append(f"{p}E")
+    return tree("TOP", gates, events)
+
+
+@pytest.mark.parametrize("ft, max_order", [(_pairs_tree(), None), (_join_tree(), 3)], ids=["whole", "join"])
+def test_and_budget_boundary(ft, max_order):
+    # The AND's rows are counted as pushed: exactly max_sets pass, one more does not.
+    css = solve_minimal_cut_sets(ft, max_order, max_sets=9)
+    assert len(css.cut_sets) == 9
+    with pytest.raises(ResourceLimitError) as exc:
+        solve_minimal_cut_sets(ft, max_order, max_sets=8)
+    assert str(exc.value).startswith("cut set expansion exceeded budget of 8 rows at gate 'TOP'")
+
+
 def test_cut_set_must_be_non_empty():
     with pytest.raises(CutSetError):
         CutSet(events=frozenset(), contains_ccf=False)
@@ -344,6 +378,23 @@ def test_cli_import_does_not_load_numpy():
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
     subprocess.run([sys.executable, "-c", code], check=True, env=env)
+
+
+def test_cli_does_not_load_network_stack(tmp_path):
+    # Only to_open_psa_xml needs xml.sax, whose import pulls in urllib, http, email and ssl.
+    code = (
+        "import sys\n"
+        "from importlib import resources\n"
+        "from resha.cli import main\n"
+        "model = str(resources.files('resha.data') / 'rts_model.json')\n"
+        "assert main(['analyze', '--model', model, '--scope', 'RPS', '--truncate', '1',\n"
+        "             '--deterministic', '--out', sys.argv[1]]) == 0\n"
+        "loaded = [m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'ssl', 'socket')\n"
+        "          if m in sys.modules]\n"
+        "assert not loaded, loaded\n"
+    )
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}
+    subprocess.run([sys.executable, "-c", code, str(tmp_path / "out")], check=True, env=env)
 
 
 def disjoint_support_tree(rng: random.Random, max_events: int = 13) -> FaultTree:

@@ -427,3 +427,64 @@ def test_open_psa_emit_parses(full_tree):
     assert len(data.findall("define-basic-event")) == len(full_tree.events)
     votes = [g for g in gates if g.find("atleast") is not None]
     assert votes, "vote gates should emit atleast elements"
+
+
+def test_open_psa_escaping_bytes():
+    # quoteattr picks double quotes unless the value holds only double quotes,
+    # writes &quot; when it holds both kinds, and escapes tab and newline;
+    # a label escapes only &, < and >. Gate descriptions are not emitted.
+    gates = {
+        'top "A" & <B>': Gate('top "A" & <B>', GateKind.AND, ("it's", "e&1"), description="a & <b>"),
+        "it's": Gate("it's", GateKind.VOTE, ("e<2>", "e\"3'", "both \"q\" 'q'"), k=2),
+        "both \"q\" 'q'": Gate("both \"q\" 'q'", GateKind.OR, ("plain", "tab\tnl\n")),
+        "tab\tnl\n": Gate("tab\tnl\n", GateKind.OR, ()),
+    }
+    events = {
+        "e&1": BasicEvent("e&1", EventKind.HW_INDEP, event("x").subjects, description="a & b"),
+        "e<2>": BasicEvent("e<2>", EventKind.HW_INDEP, event("x").subjects, description="<x> \"y\" 'z'"),
+        "e\"3'": BasicEvent("e\"3'", EventKind.HW_INDEP, event("x").subjects, description="line1\nline2\tend"),
+        "plain": event("plain"),
+    }
+    ft = tree_of('top "A" & <B>', gates, events)
+    assert to_open_psa_xml(ft, name="rts \"x\" & 'y'") == (
+        '<?xml version="1.0" encoding="UTF-8"?>\n'
+        "<opsa-mef>\n"
+        "  <define-fault-tree name=\"rts &quot;x&quot; &amp; 'y'\">\n"
+        "    <define-gate name=\"both &quot;q&quot; 'q'\">\n"
+        "      <or>\n"
+        '        <basic-event name="plain"/>\n'
+        '        <gate name="tab&#9;nl&#10;"/>\n'
+        "      </or>\n"
+        "    </define-gate>\n"
+        "    <define-gate name=\"it's\">\n"
+        '      <atleast min="2">\n'
+        '        <basic-event name="e&lt;2&gt;"/>\n'
+        "        <basic-event name=\"e&quot;3'\"/>\n"
+        "        <gate name=\"both &quot;q&quot; 'q'\"/>\n"
+        "      </atleast>\n"
+        "    </define-gate>\n"
+        '    <define-gate name="tab&#9;nl&#10;">\n'
+        "      <or/>\n"
+        "    </define-gate>\n"
+        "    <define-gate name='top \"A\" &amp; &lt;B&gt;'>\n"
+        "      <and>\n"
+        "        <gate name=\"it's\"/>\n"
+        '        <basic-event name="e&amp;1"/>\n'
+        "      </and>\n"
+        "    </define-gate>\n"
+        "  </define-fault-tree>\n"
+        "  <model-data>\n"
+        "    <define-basic-event name=\"e&quot;3'\">\n"
+        "      <label>line1\nline2\tend</label>\n"
+        "    </define-basic-event>\n"
+        '    <define-basic-event name="e&amp;1">\n'
+        "      <label>a &amp; b</label>\n"
+        "    </define-basic-event>\n"
+        '    <define-basic-event name="e&lt;2&gt;">\n'
+        "      <label>&lt;x&gt; \"y\" 'z'</label>\n"
+        "    </define-basic-event>\n"
+        '    <define-basic-event name="plain">\n'
+        "    </define-basic-event>\n"
+        "  </model-data>\n"
+        "</opsa-mef>\n"
+    )

@@ -13,8 +13,7 @@ import csv
 import io
 import itertools
 import logging
-from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .faulttree import (
     BasicEvent,
@@ -30,8 +29,7 @@ logger = logging.getLogger(__name__)
 _CATEGORY_WORD = {"a": "type A", "b": "type B", "c": "type C", "d": "type D"}
 
 
-@dataclass(frozen=True)
-class CcfEvent:
+class CcfEvent(NamedTuple):
     """A catalog entry; ``injected`` candidates become shared basic events."""
 
     name: str

@@ -15,8 +15,8 @@ import os
 import random
 import sys
 import time
-from dataclasses import dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 
 from . import ccf as ccfmod
 from . import cutset as cutsetmod
@@ -39,6 +39,7 @@ from .sysmodel import (
     ModelError,
     ModelValidationError,
     SystemModel,
+    UCA_CATEGORIES,
     derive_redundancy_groups,
     parse_system_model,
 )
@@ -63,16 +64,19 @@ class StageError(Exception):
         self.cause = cause
 
 
-@dataclass
-class RunConfig:
-    """Options controlling one analyze run."""
+class RunConfig(NamedTuple):
+    """Options controlling one analyze run.
+
+    ``out_dir`` None means ``$RESHA_OUT`` or ``./resha-out``, read when the
+    artifacts are written.
+    """
 
     model_path: Path
     top: str | None = None
     kind: stpamod.TopEventKind = stpamod.TopEventKind.FAILURE_TO_ACT
     truncate: int | None = 4
     event_filter: frozenset[EventKind] | None = None
-    out_dir: Path = field(default_factory=lambda: Path(os.environ.get("RESHA_OUT", "resha-out")))
+    out_dir: Path | None = None
     deterministic: bool = False
     ccf_intra: bool | None = None
     ccf_cross: bool | None = None
@@ -105,6 +109,27 @@ def _parse_filter(text: str) -> frozenset[EventKind]:
                 f"unknown event kind {token!r}; use hardware/software/all or kind names"
             ) from None
     return frozenset(kinds)
+
+
+def _parse_categories(text: str) -> tuple[str, ...]:
+    categories = tuple(token.strip() for token in text.split(","))
+    for token in categories:
+        if token not in UCA_CATEGORIES:
+            raise argparse.ArgumentTypeError(
+                f"unknown UCA category {token!r}; use a comma-separated subset of a,b,c,d"
+            )
+    return categories
+
+
+def _positive_int(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError:
+        pass
+    else:
+        if value >= 1:
+            return value
+    raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
 def _effective_policy(model: SystemModel, config: RunConfig) -> CcfPolicy:
@@ -214,7 +239,7 @@ def run_analysis(config: RunConfig) -> dict[str, object]:
 
 
 def write_artifacts(config: RunConfig, artifacts: dict[str, object]) -> Path:
-    out_root = config.out_dir
+    out_root = config.out_dir or Path(os.environ.get("RESHA_OUT", "resha-out"))
     if config.deterministic:
         run_dir = out_root
     else:
@@ -263,12 +288,12 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         kind=stpamod.TopEventKind(args.kind),
         truncate=args.truncate,
         event_filter=args.filter,
-        out_dir=Path(args.out) if args.out else Path(os.environ.get("RESHA_OUT", "resha-out")),
+        out_dir=Path(args.out) if args.out else None,
         deterministic=args.deterministic,
         ccf_intra=args.ccf_intra,
         ccf_cross=args.ccf_cross,
         ccf_partial=args.ccf_partial,
-        ccf_categories=tuple(args.ccf_categories.split(",")) if args.ccf_categories else None,
+        ccf_categories=args.ccf_categories,
     )
     try:
         artifacts = run_analysis(config)
@@ -404,7 +429,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--ccf-intra", action=argparse.BooleanOptionalAction, default=None)
     p_analyze.add_argument("--ccf-cross", action=argparse.BooleanOptionalAction, default=None)
     p_analyze.add_argument("--ccf-partial", action=argparse.BooleanOptionalAction, default=None)
-    p_analyze.add_argument("--ccf-categories", help="comma-separated UCA categories for software CCFs")
+    p_analyze.add_argument("--ccf-categories", type=_parse_categories,
+                           help="comma-separated UCA categories (a-d) for software CCFs")
     p_analyze.set_defaults(func=cmd_analyze)
 
     p_ucas = sub.add_parser("ucas", help="emit the UCA table")
@@ -425,10 +451,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_cutsets.set_defaults(func=cmd_cutsets)
 
     p_oracle = sub.add_parser("oracle-check", help="randomized solver-vs-oracle equivalence")
-    p_oracle.add_argument("--trees", type=int, default=500)
+    p_oracle.add_argument("--trees", type=_positive_int, default=500)
     p_oracle.add_argument("--seed", type=int, default=20260810)
-    p_oracle.add_argument("--max-events", type=int, default=12)
-    p_oracle.add_argument("--max-gates", type=int, default=8)
+    p_oracle.add_argument("--max-events", type=_positive_int, default=12)
+    p_oracle.add_argument("--max-gates", type=_positive_int, default=8)
     p_oracle.set_defaults(func=cmd_oracle_check)
 
     return parser

@@ -33,8 +33,8 @@ import hashlib
 import io
 import itertools
 import random
-from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from types import MappingProxyType
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .faulttree import (
     BasicEvent,
@@ -84,16 +84,21 @@ class EvaluationError(CutSetError):
     """Raised when a structure-function assignment is not total."""
 
 
-@dataclass(frozen=True)
-class CutSet:
-    """A set of basic events that jointly fail the top event."""
-
+class _CutSetFields(NamedTuple):
     events: frozenset[str]
     contains_ccf: bool
 
-    def __post_init__(self) -> None:
+
+class CutSet(_CutSetFields):
+    """A set of basic events that jointly fail the top event."""
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> CutSet:
+        self = super().__new__(cls, *args, **kwargs)
         if not self.events:
             raise CutSetError("cut sets must be non-empty")
+        return self
 
     @property
     def order(self) -> int:
@@ -103,15 +108,15 @@ class CutSet:
         return tuple(sorted(self.events))
 
 
-@dataclass(frozen=True)
-class CutSetCollection:
+class CutSetCollection(NamedTuple):
     """Minimal cut sets with truncation provenance and per-order counts."""
 
     cut_sets: tuple[CutSet, ...]
     truncation: int | None
     fingerprint: str
-    per_order: Mapping[int, int] = field(default_factory=dict)
+    per_order: Mapping[int, int] = MappingProxyType({})
 
+    # len() counts cut sets, not fields, so ``_make`` and ``_replace`` do not apply.
     def __len__(self) -> int:
         return len(self.cut_sets)
 
@@ -144,8 +149,9 @@ def _collect(ft: FaultTree, masks: Iterable[int], index_to_id: Sequence[str],
     names already sorted.
     """
     ccf_mask = 0
+    events = ft.events
     for i, eid in enumerate(index_to_id):
-        if ft.events[eid].kind in CCF_KINDS:
+        if events[eid].kind in CCF_KINDS:
             ccf_mask |= 1 << i
     rows = []
     per_order: dict[int, int] = {}
@@ -350,9 +356,10 @@ def solve_minimal_cut_sets(
     if max_order is not None and max_order < 1:
         raise CutSetError("max_order must be >= 1 when given")
 
-    event_ids = sorted(ft.events)
+    gates, events = ft.gates, ft.events
+    event_ids = sorted(events)
     index_of = {eid: i for i, eid in enumerate(event_ids)}
-    if ft.top in ft.events:
+    if ft.top in events:
         return _collect(ft, [1 << index_of[ft.top]], event_ids, max_order)
 
     # No cut set has more events than the tree, so this limit truncates nothing.
@@ -368,18 +375,18 @@ def solve_minimal_cut_sets(
     # sets must survive to the end.
     consumers: dict[str, int] = {}
     for gate_id in gate_ids:
-        for child in ft.gates[gate_id].children:
-            if child in ft.gates:
+        for child in gates[gate_id].children:
+            if child in gates:
                 consumers[child] = consumers.get(child, 0) + 1
 
     for done, gate_id in enumerate(gate_ids):
-        gate = ft.gates[gate_id]
+        gate = gates[gate_id]
         budget = budgets.get(gate_id, 0)
         if budget == 0:
             results[gate_id] = []
         else:
             parts = [
-                [1 << index_of[child]] if child in ft.events else results[child]
+                [1 << index_of[child]] if child in events else results[child]
                 for child in gate.children
             ]
             try:
@@ -397,7 +404,7 @@ def solve_minimal_cut_sets(
             if len(results[gate_id]) > largest_rows:
                 largest_gate, largest_rows = gate_id, len(results[gate_id])
         for child in gate.children:
-            if child in ft.gates:
+            if child in gates:
                 consumers[child] -= 1
                 if consumers[child] == 0 and child != ft.top:
                     results.pop(child, None)
@@ -433,8 +440,9 @@ def _supports_and_bounds(
     disjoint: set[str] = set()
     never = len(ft.events) + 1
     lo = dict.fromkeys(ft.events, 1)
+    gates = ft.gates
     for gate_id in ft.gate_order:
-        gate = ft.gates[gate_id]
+        gate = gates[gate_id]
         union = 0
         apart = True
         for child in gate.children:
@@ -475,9 +483,10 @@ def _order_budgets(
     exactly its minimal cut sets of order <= its budget. Budget 0 marks a
     gate with no cut set that small.
     """
+    gates = ft.gates
     budgets = {ft.top: max_order}
     for gate_id in reversed(ft.gate_order):
-        gate = ft.gates[gate_id]
+        gate = gates[gate_id]
         b = budgets.get(gate_id, 0)
         if lo[gate_id] > b:
             budgets[gate_id] = 0
@@ -487,7 +496,7 @@ def _order_budgets(
         if k == 1:
             # One failed child fails the gate; no sibling adds to its order.
             for child in children:
-                if child in ft.gates:
+                if child in gates:
                     budgets[child] = max(budgets.get(child, 0), b)
             continue
         # A child is alone when none of its events is under two or more children.
@@ -498,7 +507,7 @@ def _order_budgets(
         los = sorted([lo[child] for child in children])
         least_k = sum(los[:k])
         for child in children:
-            if child not in ft.gates:
+            if child not in gates:
                 continue
             alone = not supp[child] & shared
             taken = 0
@@ -547,8 +556,9 @@ def _top_truth(ft: FaultTree, columns: Mapping[str, int]) -> int:
     Shares no code with the solver it checks.
     """
     value = dict(columns)
+    gates = ft.gates
     for gate_id in ft.gate_order:
-        gate = ft.gates[gate_id]
+        gate = gates[gate_id]
         kids = [value[c] for c in gate.children]
         if gate.kind is GateKind.OR:
             out = 0
@@ -639,8 +649,7 @@ def witness_check(ft: FaultTree, cut_set: CutSet) -> bool:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class SpofReport:
+class SpofReport(NamedTuple):
     """First-order cut sets; falls back to the lowest populated order when none exist."""
 
     spofs: tuple[CutSet, ...]

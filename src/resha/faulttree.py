@@ -8,10 +8,9 @@ children are allowed, negation is not. Every operation returns a new tree.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Literal, Mapping, Sequence
+from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
 
 from .stpa import UcaRecord
 from .sysmodel import (
@@ -53,8 +52,7 @@ CCF_KINDS = frozenset({EventKind.HW_CCF, EventKind.SW_CCF})
 GateRole = Literal["HW", "FAIL", "SW"]
 
 
-@dataclass(frozen=True)
-class BasicEvent:
+class _BasicEventFields(NamedTuple):
     id: str
     kind: EventKind
     subjects: tuple[NodeId, ...]
@@ -62,22 +60,32 @@ class BasicEvent:
     category: str | None = None
     uca_id: str | None = None
 
-    def __post_init__(self) -> None:
+
+class BasicEvent(_BasicEventFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> BasicEvent:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind in CCF_KINDS and len(self.subjects) < 2:
             raise FaultTreeError(f"CCF event {self.id} must reference >= 2 subjects")
         if self.kind is EventKind.SW_UCA and self.uca_id is None:
             raise FaultTreeError(f"software UCA event {self.id} must reference its UCA")
+        return self
 
 
-@dataclass(frozen=True)
-class Gate:
+class _GateFields(NamedTuple):
     id: str
     kind: GateKind
     children: tuple[str, ...]
     k: int | None = None
     description: str | None = None
 
-    def __post_init__(self) -> None:
+
+class Gate(_GateFields):
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs) -> Gate:
+        self = super().__new__(cls, *args, **kwargs)
         if self.kind is GateKind.VOTE:
             if self.k is None or not 1 <= self.k <= len(self.children):
                 raise FaultTreeError(
@@ -88,18 +96,22 @@ class Gate:
         # Empty OR is a never-fails placeholder; an empty AND has no sound reading.
         if self.kind is GateKind.AND and not self.children:
             raise FaultTreeError(f"AND gate {self.id} must have children")
+        return self
 
 
-@dataclass(frozen=True)
-class FaultTree:
-    """Immutable coherent fault tree rooted at ``top``."""
-
+class _FaultTreeFields(NamedTuple):
     top: str
     gates: Mapping[str, Gate]
     events: Mapping[str, BasicEvent]
 
-    def __post_init__(self) -> None:
+
+class FaultTree(_FaultTreeFields):
+    """Immutable coherent fault tree rooted at ``top``."""
+
+    def __new__(cls, *args, **kwargs) -> FaultTree:
+        self = super().__new__(cls, *args, **kwargs)
         validate_tree(self)
+        return self
 
     def gate(self, gate_id: str) -> Gate:
         return self.gates[gate_id]

@@ -13,9 +13,8 @@ import csv
 import io
 import json
 import re
-from dataclasses import dataclass
 from importlib import resources
-from typing import Any, Mapping, Sequence
+from typing import Any, Mapping, NamedTuple, Sequence
 
 from .ccf import CcfEvent
 from .cutset import CutSetCollection, SpofReport, extract_spofs
@@ -53,8 +52,7 @@ class GuidanceBankError(Exception):
     """Raised when the guidance bank file is malformed."""
 
 
-@dataclass(frozen=True)
-class GuidanceEntry:
+class GuidanceEntry(NamedTuple):
     """Prompts and scenario template for one (kind, class, category) key."""
 
     event_kind: str
@@ -125,8 +123,7 @@ class GuidanceBank:
         return best
 
 
-@dataclass(frozen=True)
-class CausalFactorWorksheet:
+class CausalFactorWorksheet(NamedTuple):
     """Analyst worksheet for one basic event found in the selected cut sets."""
 
     event_id: str

@@ -10,9 +10,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .sysmodel import (
     ActionSpec,
@@ -61,8 +60,7 @@ CATEGORIES_FOR_TOP_EVENT = {
 }
 
 
-@dataclass(frozen=True)
-class ControlAction:
+class ControlAction(NamedTuple):
     """A numbered control action within the layered structure."""
 
     number: int
@@ -85,16 +83,14 @@ class ControlAction:
         return self.spec.target
 
 
-@dataclass(frozen=True)
-class FeedbackEdge:
+class FeedbackEdge(NamedTuple):
     number: int
     layer: int
     source: NodeId
     target: NodeId
 
 
-@dataclass(frozen=True)
-class Layer:
+class Layer(NamedTuple):
     """One redundancy level of the control structure."""
 
     index: int
@@ -104,8 +100,7 @@ class Layer:
     feedbacks: tuple[FeedbackEdge, ...]
 
 
-@dataclass(frozen=True)
-class ControlStructure:
+class ControlStructure(NamedTuple):
     layers: tuple[Layer, ...]
 
     @property
@@ -123,8 +118,7 @@ class ControlStructure:
         raise StpaError(f"unknown control action {ca_id!r}")
 
 
-@dataclass(frozen=True)
-class UcaRecord:
+class UcaRecord(NamedTuple):
     """One slot of the UCA table: a control action crossed with a category.
 
     Applicable records carry rendered text and hazard links; inapplicable

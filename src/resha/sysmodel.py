@@ -13,10 +13,10 @@ import hashlib
 import json
 import re
 from collections.abc import Iterable, Iterator, Mapping, Sized
-from dataclasses import dataclass, field
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, NamedTuple
 
 MODEL_VERSION = 1
@@ -30,8 +30,17 @@ class ModelError(Exception):
     """Base class for model parsing and validation failures."""
 
 
-@dataclass(frozen=True)
-class ModelIssue:
+# Records are named tuples, not dataclasses. Defining one generates a single
+# method where a dataclass generates about six, and no record needs the
+# ``dataclasses`` module or the ``inspect`` it imports: together these were
+# a fifth of CLI start-up. Building a record is one tuple allocation, and
+# comparisons and hashes are C tuple operations in field order. Records are
+# read-only and compare equal to plain tuples of their fields. A record that
+# validates is a named-tuple base plus a subclass whose ``__new__`` runs the
+# checks; ``_replace`` skips them, so such records are built by calling the
+# class. A record that caches a derived value declares no ``__slots__``, so
+# ``cached_property`` has an instance dict to keep it in.
+class ModelIssue(NamedTuple):
     """A single validation finding, located by a JSON-path-like string."""
 
     path: str
@@ -55,14 +64,15 @@ class NodeIdError(ModelError):
     """Raised for malformed node-ID text."""
 
 
-@dataclass(frozen=True, order=True)
-class NodeId:
-    """Hierarchical node identifier ordered by (division, unit, module, component)."""
-
+class _NodeIdFields(NamedTuple):
     division: str
     unit: int
     module: int
     component: int
+
+
+class NodeId(_NodeIdFields):
+    """Hierarchical node identifier ordered by (division, unit, module, component)."""
 
     def __str__(self) -> str:
         return self.text
@@ -162,8 +172,7 @@ def expected_kind(node_id: NodeId) -> NodeKind:
     return NodeKind.DIVISION
 
 
-@dataclass(frozen=True)
-class Node:
+class Node(NamedTuple):
     id: NodeId
     name: str
     kind: NodeKind
@@ -172,16 +181,14 @@ class Node:
     equipment_class: str | None = None
 
 
-@dataclass(frozen=True)
-class Link:
+class Link(NamedTuple):
     source: NodeId
     target: NodeId
     type: LinkType
     layer: int | None = None
 
 
-@dataclass(frozen=True)
-class Loss:
+class Loss(NamedTuple):
     id: str
     description: str
 
@@ -190,8 +197,7 @@ class Loss:
         return int(self.id[1:])
 
 
-@dataclass(frozen=True)
-class Hazard:
+class Hazard(NamedTuple):
     id: str
     description: str
     losses: tuple[str, ...]
@@ -201,8 +207,7 @@ class Hazard:
         return int(self.id[1:])
 
 
-@dataclass(frozen=True)
-class EquipmentClass:
+class EquipmentClass(NamedTuple):
     """Metadata for an equipment-class tag used in naming and reporting."""
 
     tag: str
@@ -210,8 +215,7 @@ class EquipmentClass:
     display: str
 
 
-@dataclass(frozen=True)
-class ActionSpec:
+class ActionSpec(NamedTuple):
     """A declared control action, prior to numbering.
 
     ``contexts`` holds the phrase fragments used to render each unsafe-variant
@@ -229,16 +233,14 @@ class ActionSpec:
     continuous: bool = False
     split: bool = False
     layer: int | None = None
-    contexts: Mapping[str, str | None] = field(default_factory=dict)
-    hazards: Mapping[str, tuple[str, ...]] = field(default_factory=dict)
-    not_applicable: Mapping[str, str] = field(default_factory=dict)
+    contexts: Mapping[str, str | None] = MappingProxyType({})
+    hazards: Mapping[str, tuple[str, ...]] = MappingProxyType({})
+    not_applicable: Mapping[str, str] = MappingProxyType({})
 
     def context(self, key: str) -> str | None:
         return self.contexts.get(key)
 
 
-# Gate declarations are named tuples, not frozen dataclasses: every parse
-# makes one per template copy, and a tuple is several times cheaper to build.
 class GateChildSpec(NamedTuple):
     """One child reference inside a gate declaration."""
 
@@ -263,8 +265,7 @@ class GateSpec(NamedTuple):
     description: str | None = None
 
 
-@dataclass(frozen=True)
-class CcfPolicy:
+class CcfPolicy(NamedTuple):
     """Which common-cause failure scopes and software categories to instantiate."""
 
     include_intra_division: bool = True
@@ -278,8 +279,7 @@ class GroupScope(str, Enum):
     CROSS_DIVISION = "cross-division"
 
 
-@dataclass(frozen=True)
-class RedundancyGroup:
+class RedundancyGroup(NamedTuple):
     """A set of functionally identical nodes sharing an equipment class."""
 
     class_tag: str
@@ -291,8 +291,7 @@ class RedundancyGroup:
     software_capable: bool = False
 
 
-@dataclass(frozen=True)
-class SystemModel:
+class SystemModel(NamedTuple):
     """Validated, immutable system description."""
 
     version: int

@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import logging
 
@@ -195,5 +194,5 @@ def test_integrated_tree_bytes_pinned(fixture, digest, request):
     ],
 )
 def test_catalog_bytes_pinned(partial, digest, rts_groups, rts_model):
-    policy = dataclasses.replace(rts_model.ccf_policy, include_partial_interdivision=partial)
+    policy = rts_model.ccf_policy._replace(include_partial_interdivision=partial)
     assert sha256(catalog_to_csv(enumerate_ccf_catalog(rts_groups, policy))) == digest

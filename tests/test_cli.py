@@ -11,10 +11,11 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from resha.cli import main
+from resha.cli import RunConfig, main, run_analysis, write_artifacts
 from resha.faulttree import FaultTreeError, from_exchange_json, to_exchange_json
 from resha.fixtures import build_rts_document
-from resha.sysmodel import parse_system_model
+from resha.report import GuidanceBank
+from resha.sysmodel import ModelIssue, derive_redundancy_groups, parse_system_model
 
 
 @pytest.fixture(scope="module")
@@ -215,6 +216,72 @@ def test_cutsets_subcommand_roundtrip(model_path, tmp_path, capsys):
 def test_oracle_check_subcommand(capsys):
     assert main(["oracle-check", "--trees", "50", "--seed", "7"]) == 0
     assert "passed" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize(("value", "token"), [("z", "z"), ("a,,c", ""), ("b,e", "e"), ("", "")])
+def test_analyze_unknown_ccf_category_is_a_usage_error(value, token, model_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--model", str(model_path), "--ccf-categories", value,
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "resha analyze: error: argument --ccf-categories: unknown UCA category "
+        f"{token!r}; use a comma-separated subset of a,b,c,d"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_analyze_ccf_categories_choose_the_software_ccfs(model_path, tmp_path, capsys):
+    assert main(["analyze", "--model", str(model_path), "--scope", "RPS", "--truncate", "1",
+                 "--ccf-categories", "b, d", "--out", str(tmp_path), "--deterministic"]) == 0
+    capsys.readouterr()
+    tree = json.loads((tmp_path / "tree.json").read_text(encoding="utf-8"))
+    assert {e["category"] for e in tree["events"] if e["kind"] == "SW_CCF"} == {"b", "d"}
+
+
+@pytest.mark.parametrize("flag", ["--trees", "--max-events", "--max-gates"])
+@pytest.mark.parametrize("value", ["0", "-2", "x", "1.5"])
+def test_oracle_check_counts_must_be_positive(flag, value, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", flag, value])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"resha oracle-check: error: argument {flag}: must be an integer >= 1, got {value!r}"
+    )
+
+
+def test_records_are_read_only_tuples(model_path):
+    config = RunConfig(model_path=model_path, top="RPS", truncate=1, deterministic=True)
+    artifacts = run_analysis(config)
+    model, cs, tree = artifacts["model"], artifacts["control_structure"], artifacts["tree"]
+    collection = artifacts["collection"]
+    node = next(iter(model.nodes.values()))
+    # One of each record type the pipeline makes.
+    records = [
+        config, model, node, node.id, model.links[0], model.losses[0], model.hazards[0],
+        model.actions[0], model.gates[0], model.gates[0].children[0], model.ccf_policy,
+        next(iter(model.classes.values())), derive_redundancy_groups(model)[0],
+        ModelIssue("$", "unknown field"), cs, cs.layers[0], cs.actions[0], cs.feedbacks[0],
+        artifacts["ucas"][0], tree, next(iter(tree.gates.values())),
+        next(iter(tree.events.values())), collection, collection.cut_sets[0],
+        artifacts["spofs"], artifacts["worksheets"][0], artifacts["catalog"][0],
+        GuidanceBank.packaged().entries[0],
+    ]
+    for record in records:
+        assert record == tuple(record), type(record).__name__
+        with pytest.raises(AttributeError):
+            setattr(record, record._fields[0], None)
+    # Derived values are computed once, and a collection's length counts its cut sets.
+    assert node.id.text is node.id.text
+    assert tree.gate_order is tree.gate_order
+    assert len(collection) == len(collection.cut_sets) == 13
+
+
+def test_run_config_reads_resha_out_when_writing(model_path, tmp_path, monkeypatch):
+    config = RunConfig(model_path=model_path, top="RPS", truncate=1, deterministic=True)
+    monkeypatch.setenv("RESHA_OUT", str(tmp_path / "env"))
+    assert write_artifacts(config, run_analysis(config)) == tmp_path / "env"
+    assert (tmp_path / "env" / "report.md").is_file()
 
 
 def test_deterministic_runs_are_byte_identical(model_path, tmp_path, capsys):

@@ -382,6 +382,7 @@ def test_cli_import_does_not_load_numpy():
 
 def test_cli_does_not_load_network_stack(tmp_path):
     # Only to_open_psa_xml needs xml.sax, whose import pulls in urllib, http, email and ssl.
+    # Records are named tuples, so neither dataclasses nor the inspect it imports is loaded.
     code = (
         "import sys\n"
         "from importlib import resources\n"
@@ -389,8 +390,8 @@ def test_cli_does_not_load_network_stack(tmp_path):
         "model = str(resources.files('resha.data') / 'rts_model.json')\n"
         "assert main(['analyze', '--model', model, '--scope', 'RPS', '--truncate', '1',\n"
         "             '--deterministic', '--out', sys.argv[1]]) == 0\n"
-        "loaded = [m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'ssl', 'socket')\n"
-        "          if m in sys.modules]\n"
+        "loaded = [m for m in ('xml.sax', 'urllib.request', 'http.client', 'email', 'ssl', 'socket',\n"
+        "                      'dataclasses', 'inspect') if m in sys.modules]\n"
         "assert not loaded, loaded\n"
     )
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)}

@@ -8,6 +8,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from resha.cutset import (
+    CutSet,
+    CutSetError,
     brute_force_cut_sets,
     evaluate_structure_function,
     random_coherent_tree,
@@ -32,7 +34,7 @@ from resha.faulttree import (
     to_open_psa_xml,
 )
 from resha.fixtures import TOP_FULL, TOP_RPS
-from resha.sysmodel import ModelValidationError, parse_system_model
+from resha.sysmodel import ModelValidationError, NodeId, parse_system_model
 
 
 def event(eid: str, kind=EventKind.HW_INDEP) -> BasicEvent:
@@ -51,6 +53,35 @@ def tree_of(top: str, gates: dict[str, Gate], events: dict[str, BasicEvent]) -> 
 def test_vote_gate_arity_enforced():
     with pytest.raises(FaultTreeError):
         Gate(id="G", kind=GateKind.VOTE, children=("a", "b"), k=3)
+
+
+_ONE = (NodeId("XA", 0, 0, 1),)
+
+
+@pytest.mark.parametrize(
+    ("build", "message"),
+    [
+        (lambda: BasicEvent("C", EventKind.HW_CCF, _ONE), "CCF event C must reference >= 2 subjects"),
+        (lambda: BasicEvent("C", EventKind.SW_CCF, _ONE), "CCF event C must reference >= 2 subjects"),
+        (lambda: BasicEvent("S", EventKind.SW_UCA, _ONE), "software UCA event S must reference its UCA"),
+        (lambda: Gate("V", GateKind.VOTE, ("a", "b"), k=3), "vote gate V needs 1 <= k <= 2, got 3"),
+        (lambda: Gate("V", GateKind.VOTE, ("a", "b"), k=0), "vote gate V needs 1 <= k <= 2, got 0"),
+        (lambda: Gate("V", GateKind.VOTE, ("a", "b")), "vote gate V needs 1 <= k <= 2, got None"),
+        (lambda: Gate("O", GateKind.OR, ("a",), k=1), "gate O: k only applies to vote gates"),
+        (lambda: Gate("A", GateKind.AND, ()), "AND gate A must have children"),
+        (
+            lambda: FaultTree("G", {"G": Gate("G", GateKind.OR, ("E1", "X"))}, {"E1": event("E1")}),
+            "gate G references unknown child 'X'",
+        ),
+        (lambda: CutSet(frozenset(), contains_ccf=False), "cut sets must be non-empty"),
+    ],
+    ids=["hw-ccf-one-subject", "sw-ccf-one-subject", "sw-uca-no-uca", "vote-k-above",
+         "vote-k-zero", "vote-no-k", "k-on-or", "empty-and", "unknown-child", "empty-cut-set"],
+)
+def test_validating_records_keep_their_messages(build, message):
+    with pytest.raises((FaultTreeError, CutSetError)) as exc:
+        build()
+    assert str(exc.value) == message
 
 
 def test_cycle_detected():

@@ -419,7 +419,7 @@ def build_parser() -> argparse.ArgumentParser:
         choices=[k.value for k in stpamod.TopEventKind],
         default=stpamod.TopEventKind.FAILURE_TO_ACT.value,
     )
-    p_analyze.add_argument("--truncate", type=int, default=4, help="maximum cut-set order (default 4)")
+    p_analyze.add_argument("--truncate", type=_positive_int, default=4, help="maximum cut-set order (default 4)")
     p_analyze.add_argument("--no-truncate", dest="truncate", action="store_const", const=None)
     p_analyze.add_argument("--filter", type=_parse_filter, default=None,
                            help="keep only these event kinds (hardware/software/all or a list)")
@@ -446,7 +446,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_cutsets = sub.add_parser("cutsets", help="solve an exchange-format tree")
     p_cutsets.add_argument("--tree", required=True)
-    p_cutsets.add_argument("--truncate", type=int, default=None)
+    p_cutsets.add_argument("--truncate", type=_positive_int, default=None)
     p_cutsets.add_argument("--out")
     p_cutsets.set_defaults(func=cmd_cutsets)
 

@@ -17,6 +17,30 @@ VOTE gate whose events appear under no sibling only needs the parent's
 budget minus the least order its co-failing siblings add. A gate whose lower
 bound exceeds its budget yields no rows at all.
 
+Replicated gates are solved once. Every gate has a shape, a hash of its
+subtree with event names erased (``FaultTree.gate_shapes``). A top-down plan
+(``_plan``) visits only the gates a solve needs; a gate that has an earlier
+representative of its shape with at least its budget, and whose subtree a
+parallel walk pairs node for node with the representative's (``_match``),
+takes the representative's rows of at most its own budget with every bit
+renamed, and nothing under it is visited. Why this is sound: a gate's rows
+are exactly its minimal cut sets of order <= its budget, which depend only
+on its subtree and its budget. The walk's bijection turns the
+representative's structure function into the copy's, and a bijection
+preserves popcount and containment, so the renamed rows within the copy's
+budget are exactly the copy's rows.
+
+At an AND or VOTE gate whose children share events, each child's rows are
+also capped on their private events, those under no sibling: with gate
+budget b, a row of child c with more than b - t_c private events is dropped,
+where t_c is the (k - 1)-th smallest lower bound among the other children.
+Why this is sound: a minimal cut set M of order <= b is the union of a row x
+of c and rows of k - 1 other children. The union Y of those rows has order
+at least t_c, and x's private events are under none of those children, so
+they miss Y and |M| >= |private part of x| + t_c. So each row that M is
+built from passes its own cap and M is still built; a union of kept rows
+that is not minimal contains such an M, which absorbs it.
+
 One bit-parallel evaluator, ``_top_truth``, independent of the solver,
 computes the structure function over many assignments in one pass: each
 node's value is a Python int whose bit ``a`` is its value in assignment
@@ -366,29 +390,48 @@ def solve_minimal_cut_sets(
     limit = len(event_ids) if max_order is None else max_order
     gate_ids = ft.gate_order
     supp, disjoint, lo = _supports_and_bounds(ft, index_of)
-    budgets = _order_budgets(ft, supp, disjoint, lo, limit)
+    caps: dict[str, list[tuple[int, int] | None]] = {}
+    budgets = _order_budgets(ft, supp, disjoint, lo, limit, caps)
+    plan = _plan(ft, budgets, index_of)
     results: dict[str, list[int]] = {}
     largest_gate: str | None = None
     largest_rows = 0
 
-    # Free child results once every parent has consumed them; only the top's
-    # sets must survive to the end.
+    # What each planned gate reads: its child gates, or its representative.
+    # Free a result once every reader has consumed it; only the top's sets
+    # must survive to the end.
+    reads: dict[str, tuple[str, ...]] = {}
     consumers: dict[str, int] = {}
-    for gate_id in gate_ids:
-        for child in gates[gate_id].children:
-            if child in gates:
-                consumers[child] = consumers.get(child, 0) + 1
+    for gate_id, source in plan.items():
+        if source is not None:
+            reads[gate_id] = (source.rep,)
+        elif budgets.get(gate_id, 0):
+            reads[gate_id] = tuple(c for c in gates[gate_id].children if c in gates)
+        else:
+            reads[gate_id] = ()
+        for child in reads[gate_id]:
+            consumers[child] = consumers.get(child, 0) + 1
 
     for done, gate_id in enumerate(gate_ids):
+        if gate_id not in plan:
+            continue
         gate = gates[gate_id]
         budget = budgets.get(gate_id, 0)
+        source = plan[gate_id]
         if budget == 0:
             results[gate_id] = []
+        elif source is not None:
+            results[gate_id] = _rename(results[source.rep], budget, source)
         else:
             parts = [
                 [1 << index_of[child]] if child in events else results[child]
                 for child in gate.children
             ]
+            if gate_id in caps:
+                parts = [
+                    p if cap is None else [m for m in p if (m & cap[0]).bit_count() <= cap[1]]
+                    for p, cap in zip(parts, caps[gate_id])
+                ]
             try:
                 results[gate_id] = _combine(gate, parts, budget, max_sets, gate_id in disjoint)
             except _BudgetExceeded:
@@ -401,15 +444,120 @@ def solve_minimal_cut_sets(
                     largest_gate=largest_gate,
                     largest_rows=largest_rows,
                 ) from None
-            if len(results[gate_id]) > largest_rows:
-                largest_gate, largest_rows = gate_id, len(results[gate_id])
-        for child in gate.children:
-            if child in gates:
-                consumers[child] -= 1
-                if consumers[child] == 0 and child != ft.top:
-                    results.pop(child, None)
+        if len(results[gate_id]) > largest_rows:
+            largest_gate, largest_rows = gate_id, len(results[gate_id])
+        for child in reads[gate_id]:
+            consumers[child] -= 1
+            if consumers[child] == 0 and child != ft.top:
+                del results[child]
 
     return _collect(ft, results[ft.top], event_ids, max_order)
+
+
+class _Copy(NamedTuple):
+    """How a mapped gate gets its rows: its representative's, renamed."""
+
+    rep: str
+    fixed: int  # the events that pair with themselves
+    moves: dict[int, int]  # every other representative bit -> the copy's bit
+
+
+def _plan(
+    ft: FaultTree, budgets: Mapping[str, int], index_of: Mapping[str, int]
+) -> dict[str, _Copy | None]:
+    """The gates a solve must build: None for a gate solved from its children,
+    a ``_Copy`` for one that takes a representative's rows.
+
+    A depth-first walk from the top, in child order, visits only the gates
+    some visited parent reads. A visited gate with a budget tries the
+    representatives kept so far that share its shape, come earlier in
+    ``gate_order`` and have at least its budget. The first whose subtree
+    ``_match`` pairs with its own makes it a copy, and its children are not
+    visited. Otherwise it is solved and becomes a representative itself.
+    """
+    gates = ft.gates
+    shapes = ft.gate_shapes
+    position = {g: i for i, g in enumerate(ft.gate_order)}
+    plan: dict[str, _Copy | None] = {}
+    kept: dict[int, list[str]] = {}
+    stack = [ft.top]
+    while stack:
+        gate_id = stack.pop()
+        if gate_id in plan:
+            continue
+        plan[gate_id] = None
+        budget = budgets.get(gate_id, 0)
+        if budget == 0:
+            continue
+        reps = kept.setdefault(shapes[gate_id], [])
+        for rep in reps:
+            if position[rep] < position[gate_id] and budgets[rep] >= budget:
+                pairs = _match(gates, gate_id, rep)
+                if pairs is not None:
+                    plan[gate_id] = _copy_of(rep, pairs, index_of)
+                    break
+        else:
+            reps.append(gate_id)
+            stack.extend(c for c in reversed(gates[gate_id].children) if c in gates)
+    return plan
+
+
+def _match(gates: Mapping[str, Gate], gate_id: str, rep: str) -> dict[str, str] | None:
+    """Each event of ``gate_id``'s subtree -> its partner in ``rep``'s, or None.
+
+    Walks both subtrees in parallel. Paired gates must agree in kind, k and
+    arity, and paired children must both be events or both be gates. The
+    pairing must stay a bijection: a node met again must pair with the same
+    node, and no two nodes may pair with one.
+    """
+    ours_of = {rep: gate_id}
+    theirs_of = {gate_id: rep}
+    stack = [(gate_id, rep)]
+    while stack:
+        ours, theirs = stack.pop()
+        a, b = gates[ours], gates[theirs]
+        if a.kind is not b.kind or a.k != b.k or len(a.children) != len(b.children):
+            return None
+        for x, y in zip(a.children, b.children):
+            paired = theirs_of.get(x)
+            if paired is None:
+                if y in ours_of or (x in gates) is not (y in gates):
+                    return None
+                theirs_of[x] = y
+                ours_of[y] = x
+                if x in gates:
+                    stack.append((x, y))
+            elif paired != y:
+                return None
+    return {x: y for x, y in theirs_of.items() if x not in gates}
+
+
+def _copy_of(rep: str, pairs: Mapping[str, str], index_of: Mapping[str, int]) -> _Copy:
+    fixed = 0
+    moves = {}
+    for ours, theirs in pairs.items():
+        if ours == theirs:
+            fixed |= 1 << index_of[ours]
+        else:
+            moves[1 << index_of[theirs]] = 1 << index_of[ours]
+    return _Copy(rep, fixed, moves)
+
+
+def _rename(rows: list[int], order: int, copy: _Copy) -> list[int]:
+    """The representative's rows of at most ``order`` bits, renamed for the copy."""
+    fixed, moves = copy.fixed, copy.moves
+    out = []
+    for row in rows:
+        if row.bit_count() > order:
+            continue
+        renamed = row & fixed
+        row ^= renamed
+        while row:
+            low = row & -row
+            renamed |= moves[low]
+            row ^= low
+        out.append(renamed)
+    return out
 
 
 def _threshold(gate: Gate) -> int:
@@ -466,7 +614,7 @@ def _supports_and_bounds(
 
 def _order_budgets(
     ft: FaultTree, supp: Mapping[str, int], disjoint: set[str], lo: Mapping[str, int],
-    max_order: int,
+    max_order: int, caps: dict[str, list[tuple[int, int] | None]] | None = None,
 ) -> dict[str, int]:
     """The largest cut-set order each gate must deliver for a solve truncated at ``max_order``.
 
@@ -482,6 +630,13 @@ def _order_budgets(
     minimal row that is also within budget, so each gate still yields
     exactly its minimal cut sets of order <= its budget. Budget 0 marks a
     gate with no cut set that small.
+
+    When ``caps`` is given, the same pass fills it for every AND or VOTE gate
+    whose children share events: one (private mask, cap) per child, or None
+    where the cap cannot bite. A child's private events are those under no
+    sibling, and a row of that child with more than ``cap`` of them is
+    in no minimal cut set of the gate within its budget (see the module
+    docstring).
     """
     gates = ft.gates
     budgets = {ft.top: max_order}
@@ -506,18 +661,27 @@ def _order_budgets(
             once |= supp[child]
         los = sorted([lo[child] for child in children])
         least_k = sum(los[:k])
+        apart = gate_id in disjoint
+        gate_caps: list[tuple[int, int] | None] | None = None if apart or caps is None else []
         for child in children:
+            # (k - 1)-th smallest bound once the child is removed.
+            others = los[k - 1] if lo[child] <= los[k - 2] else los[k - 2]
+            if gate_caps is not None:
+                private = supp[child] & ~shared
+                cap = b - others
+                gate_caps.append((private, cap) if private.bit_count() > cap else None)
             if child not in gates:
                 continue
             alone = not supp[child] & shared
             taken = 0
-            if alone and gate_id in disjoint:
+            if alone and apart:
                 # Sum of the k - 1 smallest bounds once the child is removed.
                 taken = max(least_k - lo[child], least_k - los[k - 1])
             elif alone:
-                # (k - 1)-th smallest bound once the child is removed.
-                taken = los[k - 1] if lo[child] <= los[k - 2] else los[k - 2]
+                taken = others
             budgets[child] = max(budgets.get(child, 0), b - taken)
+        if gate_caps is not None and any(gate_caps):
+            caps[gate_id] = gate_caps
     return budgets
 
 

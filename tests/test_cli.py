@@ -250,6 +250,20 @@ def test_oracle_check_counts_must_be_positive(flag, value, capsys):
     )
 
 
+@pytest.mark.parametrize("command", ["analyze", "cutsets"])
+@pytest.mark.parametrize("value", ["0", "-1", "x"])
+def test_truncate_below_one_is_a_usage_error(command, value, model_path, tmp_path, capsys):
+    # Rejected while parsing, before the model or tree is read.
+    source = ["--model", str(model_path)] if command == "analyze" else ["--tree", str(model_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, "--truncate", value, "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"resha {command}: error: argument --truncate: must be an integer >= 1, got {value!r}"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 def test_records_are_read_only_tuples(model_path):
     config = RunConfig(model_path=model_path, top="RPS", truncate=1, deterministic=True)
     artifacts = run_analysis(config)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import math
 import os
@@ -25,6 +26,8 @@ from resha.cutset import (
     _collect,
     _minimize,
     _order_budgets,
+    _plan,
+    _rename,
     _supports_and_bounds,
 )
 from resha.faulttree import BasicEvent, EventKind, FaultTree, Gate, GateKind, extract_subtree
@@ -474,6 +477,157 @@ def test_disjoint_support_skip_matches_oracle():
             assert got == {s for s in oracle if len(s) <= k}
     # The skip must actually fire, or this test checks nothing new.
     assert skipped > 100
+
+
+def replicated_tree(rng: random.Random, max_events: int = 20) -> FaultTree:
+    """Random template replicated into 2-4 division copies under a VOTE, AND or OR top.
+
+    The template's AND, OR and VOTE gates draw on local leaves, one event per
+    division, and on two or three shared leaves, which are drawn twice as
+    often. A shared leaf is one CCF event of all divisions or, more often, a
+    partial CCF of divisions A and B while the other divisions keep an event
+    of their own, so A and B share with a sibling copy and the others do not
+    and their budgets differ. The copies sit under the top in a shuffled
+    order. In about half the trees one copy is rewired: a leaf slot takes
+    another leaf of the same copy, so that copy keeps the shape and changes
+    its sharing.
+    """
+    divisions = "ABCD"[: rng.randint(2, 4)]
+    n = len(divisions)
+    partial = [rng.random() < 0.8 for _ in range(rng.randint(2, 3))]
+    spare = max_events - sum(n - 1 if p else 1 for p in partial)
+    leaves = [("L", i) for i in range(rng.randint(1, min(4, spare // n)))]
+    shared = [("S", j) for j in range(len(partial))]
+    leaves += shared
+    template: dict[str, tuple[GateKind, int | None, list]] = {}
+
+    def node(depth: int, force_gate: bool = False):
+        if not force_gate:
+            if depth == 0 or rng.random() < 0.35:
+                return rng.choice(leaves + shared)
+            if template and rng.random() < 0.15:
+                return rng.choice(sorted(template))
+        kind = rng.choice([GateKind.AND, GateKind.OR, GateKind.VOTE])
+        children: list = []
+        for _ in range(rng.randint(2, 3)):
+            child = node(depth - 1)
+            if child not in children:
+                children.append(child)
+        k = rng.randint(1, len(children)) if kind is GateKind.VOTE else None
+        name = f"T{len(template)}"
+        template[name] = (kind, k, children)
+        return name
+
+    root = node(3, force_gate=True)
+
+    def event(division: str, leaf) -> str:
+        tag, i = leaf
+        if tag == "L":
+            return f"{division}L{i}"
+        if not partial[i]:
+            return f"CCF{i}"
+        return f"CCF{i}AB" if division in "AB" else f"{division}S{i}"
+
+    copies = {d: {name: list(children) for name, (_, _, children) in template.items()}
+              for d in divisions}
+    if rng.random() < 0.5:
+        rewired = copies[rng.choice(divisions)]
+        slots = [(name, i) for name, children in sorted(rewired.items())
+                 for i, child in enumerate(children) if child in leaves]
+        name, i = rng.choice(slots)
+        others = [leaf for leaf in leaves if leaf not in rewired[name]]
+        if others:
+            rewired[name][i] = rng.choice(others)
+
+    gates: dict[str, Gate] = {}
+    for d in divisions:
+        for name, (kind, k, _) in template.items():
+            kids = tuple(f"{d}-{c}" if c in template else event(d, c) for c in copies[d][name])
+            gates[f"{d}-{name}"] = Gate(id=f"{d}-{name}", kind=kind, children=kids, k=k)
+    tops = [f"{d}-{root}" for d in divisions]
+    rng.shuffle(tops)
+    kind = rng.choice([GateKind.VOTE, GateKind.VOTE, GateKind.AND, GateKind.OR])
+    k = rng.randint(2, max(2, n - 1)) if kind is GateKind.VOTE else None
+    gates["TOP"] = Gate(id="TOP", kind=kind, children=tuple(tops), k=k)
+    # A rewired copy may no longer use one of its events.
+    used = sorted({c for g in gates.values() for c in g.children if c not in gates})
+    ccf = {event("A", leaf) for leaf in shared}
+    return tree("TOP", gates, used, ccf=ccf)
+
+
+def _planned(ft: FaultTree, max_order: int):
+    """(budgets, plan) of a solve truncated at ``max_order``."""
+    index_of = {eid: i for i, eid in enumerate(sorted(ft.events))}
+    supp, disjoint, lo = _supports_and_bounds(ft, index_of)
+    budgets = _order_budgets(ft, supp, disjoint, lo, max_order)
+    return budgets, _plan(ft, budgets, index_of)
+
+
+def check_replicated_tree(ft: FaultTree) -> int:
+    """Assert the solve of ``ft`` matches the oracle; return how many gates were mapped.
+
+    Besides the top, every mapped gate is checked on its own: its
+    representative's oracle cut sets within the representative's budget,
+    renamed and cut to the gate's budget, are the gate's oracle cut sets
+    within its budget. A wrong pairing or a representative short of budget
+    shows there even when the top absorbs the difference.
+    """
+    oracle = {c.events for c in brute_force_cut_sets(ft).cut_sets}
+    untruncated = solve_minimal_cut_sets(ft)
+    assert {c.events for c in untruncated.cut_sets} == oracle
+    assert all(witness_check(ft, c) for c in untruncated.cut_sets)
+    names = sorted(ft.events)
+    bit = {eid: 1 << i for i, eid in enumerate(names)}
+    gate_oracle: dict[str, list[frozenset[str]]] = {}
+
+    def within(gate_id: str, order: int) -> set[frozenset[str]]:
+        if gate_id not in gate_oracle:
+            subtree = extract_subtree(ft, gate_id)
+            gate_oracle[gate_id] = [c.events for c in brute_force_cut_sets(subtree).cut_sets]
+        return {s for s in gate_oracle[gate_id] if len(s) <= order}
+
+    mapped = 0
+    for k in range(1, 5):
+        got = {c.events for c in solve_minimal_cut_sets(ft, k).cut_sets}
+        assert got == {s for s in oracle if len(s) <= k}
+        budgets, plan = _planned(ft, k)
+        for gate_id, source in plan.items():
+            if source is None:
+                continue
+            mapped += 1
+            rows = [sum(bit[e] for e in s) for s in within(source.rep, budgets[source.rep])]
+            renamed = {frozenset(e for e in names if bit[e] & m)
+                       for m in _rename(rows, budgets[gate_id], source)}
+            assert renamed == within(gate_id, budgets[gate_id]), (gate_id, source.rep, k)
+    return mapped
+
+
+def test_replicated_trees_with_shared_ccf_events_match_oracle():
+    """Division copies are solved once and renamed; results stay exact."""
+    rng = random.Random(1414)
+    mapped = 0
+    for _ in range(150):
+        ft = replicated_tree(rng)
+        assert len(ft.events) <= 20
+        mapped += check_replicated_tree(ft)
+    # Copies must actually be mapped, or this test checks nothing new.
+    assert mapped > 1000
+
+
+@pytest.mark.parametrize(("scope", "order", "digest"), [
+    ("full", 5, "3276ab21ae50d1b6be849bddc71af514dbc4b0987689548ea80c9576747d2040"),
+    ("auto", 4, "ac8e53061f11e079939ef2fb8fbb3056c48246b50e1d8189afdfe03922e5384b"),
+    ("rps", 4, "2078eb3452170910134755779921cadb7ac9cdfc660b8ac2c97845035ea50b18"),
+], ids=["full@5", "AUTO@4", "RPS@4"])
+def test_reference_cut_set_csv_bytes(scope, order, digest, request):
+    ft = request.getfixturevalue(f"{scope}_tree")
+    csv_text = solve_minimal_cut_sets(ft, order).to_csv()
+    assert hashlib.sha256(csv_text.encode()).hexdigest() == digest
+
+
+def test_full_model_order_4_maps_path_cd_from_path_ab(full_tree):
+    _, plan = _planned(full_tree, 4)
+    assert plan["RTS-PATH-CD"].rep == "RTS-PATH-AB"
 
 
 def naive_antichain(masks: list[int]) -> list[int]:

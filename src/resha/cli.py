@@ -269,6 +269,15 @@ def write_artifacts(config: RunConfig, artifacts: dict[str, object]) -> Path:
 # ---------------------------------------------------------------------------
 
 
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to the file ``out`` and say so, or print it when ``out`` is unset."""
+    if out:
+        Path(out).write_text(text, encoding="utf-8")
+        print(f"wrote {out}")
+    else:
+        print(text, end="")
+
+
 def cmd_validate(args: argparse.Namespace) -> int:
     path = Path(args.model)
     try:
@@ -327,14 +336,9 @@ def cmd_ucas(args: argparse.Namespace) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     if args.format == "markdown":
-        text = stpamod.uca_table_to_markdown(cs, ucas)
+        _emit(stpamod.uca_table_to_markdown(cs, ucas), args.out)
     else:
-        text = stpamod.uca_table_to_csv(ucas)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+        _emit(stpamod.uca_table_to_csv(ucas), args.out)
     print(
         f"potential UCAs: {stpamod.potential_uca_count(ucas)}; "
         f"identified: {stpamod.identified_uca_count(ucas)}",
@@ -351,12 +355,7 @@ def cmd_ccf_catalog(args: argparse.Namespace) -> int:
     except ModelError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    text = ccfmod.catalog_to_csv(catalog)
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _emit(ccfmod.catalog_to_csv(catalog), args.out)
     return EXIT_OK
 
 
@@ -367,12 +366,7 @@ def cmd_cutsets(args: argparse.Namespace) -> int:
     except (FaultTreeError, cutsetmod.CutSetError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
-    text = collection.to_csv()
-    if args.out:
-        Path(args.out).write_text(text, encoding="utf-8")
-        print(f"wrote {args.out}")
-    else:
-        print(text, end="")
+    _emit(collection.to_csv(), args.out)
     for order, count, cumulative in collection.rows():
         print(f"order {order}: {count} cut sets ({cumulative} cumulative)", file=sys.stderr)
     return EXIT_OK

@@ -326,27 +326,7 @@ def _and_combine(a: list[int], b: list[int], order: int, max_rows: int,
     return out if disjoint else _minimize(out)
 
 
-def _or_combine(parts: list[list[int]], order: int, max_rows: int,
-                disjoint: bool) -> list[int]:
-    # A shared child may hold rows sized for a parent with a larger budget;
-    # no ancestor through this gate can use them.
-    merged = [m for p in parts for m in p if m.bit_count() <= order]
-    if len(merged) > max_rows:
-        raise _BudgetExceeded()
-    return merged if disjoint else _minimize(merged)
-
-
-def _vote_combine(parts: list[list[int]], k: int, order: int, max_rows: int,
-                  disjoint: bool) -> list[int]:
-    results: list[int] = []
-    for combo in itertools.combinations(range(len(parts)), k):
-        results.extend(_and_all([parts[idx] for idx in combo], order, max_rows, disjoint))
-        if len(results) > max_rows:
-            raise _BudgetExceeded()
-    return results if disjoint else _minimize(results)
-
-
-def _and_all(parts: list[list[int]], order: int, max_rows: int, disjoint: bool) -> list[int]:
+def _and_all(parts: Sequence[list[int]], order: int, max_rows: int, disjoint: bool) -> list[int]:
     """Minimal masks of order <= ``order`` in which every part has a row."""
     # A part is an antichain; dropping its rows over the order keeps it one.
     acc = [m for m in parts[0] if m.bit_count() <= order]
@@ -689,6 +669,9 @@ def _combine(gate: Gate, parts: list[list[int]], order: int, max_rows: int,
              disjoint: bool) -> list[int]:
     """Minimal masks of one gate of order <= ``order`` from its children's masks.
 
+    Every gate is a k-of-n vote (OR: k = 1, AND: k = n): its rows are the
+    minimized unions of one row from each child of some k-combination. With
+    k = n there is a single combination, which ``_and_all`` already minimizes.
     When the children's supports are pairwise disjoint (``disjoint``) the
     rows need no absorption. Each child result is an antichain of nonempty
     masks within its child's support. Unions of antichains over disjoint
@@ -699,12 +682,15 @@ def _combine(gate: Gate, parts: list[list[int]], order: int, max_rows: int,
     the supports of its own combination's children. Dropping rows over the
     order budget keeps an antichain an antichain.
     """
-    if gate.kind is GateKind.OR:
-        return _or_combine(parts, order, max_rows, disjoint)
-    if gate.kind is GateKind.AND:
+    k = _threshold(gate)
+    if k == len(parts):
         return _and_all(parts, order, max_rows, disjoint)
-    assert gate.k is not None
-    return _vote_combine(parts, gate.k, order, max_rows, disjoint)
+    rows: list[int] = []
+    for combo in itertools.combinations(parts, k):
+        rows.extend(_and_all(combo, order, max_rows, disjoint))
+        if len(rows) > max_rows:
+            raise _BudgetExceeded()
+    return rows if disjoint else _minimize(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -744,9 +730,7 @@ def _top_truth(ft: FaultTree, columns: Mapping[str, int]) -> int:
     return value[ft.top]
 
 
-def brute_force_cut_sets(
-    ft: FaultTree, *, event_limit: int = DEFAULT_BRUTE_FORCE_LIMIT
-) -> CutSetCollection:
+def brute_force_cut_sets(ft: FaultTree) -> CutSetCollection:
     """All minimal cut sets by exhaustive truth-table enumeration.
 
     Evaluates the structure function over every assignment of the tree's
@@ -756,9 +740,9 @@ def brute_force_cut_sets(
     """
     event_ids = sorted(ft.events)
     n = len(event_ids)
-    if n > event_limit:
+    if n > DEFAULT_BRUTE_FORCE_LIMIT:
         raise CutSetError(
-            f"brute force limited to {event_limit} events, tree has {n}"
+            f"brute force limited to {DEFAULT_BRUTE_FORCE_LIMIT} events, tree has {n}"
         )
     size = 1 << n
     columns = {}

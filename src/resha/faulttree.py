@@ -113,12 +113,6 @@ class FaultTree(_FaultTreeFields):
         validate_tree(self)
         return self
 
-    def gate(self, gate_id: str) -> Gate:
-        return self.gates[gate_id]
-
-    def event(self, event_id: str) -> BasicEvent:
-        return self.events[event_id]
-
     @cached_property
     def gate_order(self) -> tuple[str, ...]:
         """Gates reachable from the top, each after all its child gates; walked once."""
@@ -478,16 +472,6 @@ def filter_events(ft: FaultTree, keep_kinds: Iterable[EventKind]) -> FaultTree:
     wanted = set(keep_kinds)
     if wanted >= {e.kind for e in ft.events.values()}:
         return ft
-    if ft.top in ft.events:
-        if ft.events[ft.top].kind in wanted:
-            # Single-event tree: wrap stays unnecessary, keep identity.
-            return FaultTree(top=ft.top, gates={}, events={ft.top: ft.events[ft.top]})
-        return FaultTree(
-            top="TOP-UNREACHABLE",
-            gates={"TOP-UNREACHABLE": Gate(id="TOP-UNREACHABLE", kind=GateKind.OR, children=())},
-            events={},
-        )
-
     # Whether each node survives, decided children first.
     alive = {eid: e.kind in wanted for eid, e in ft.events.items()}
     gates: dict[str, Gate] = {}
@@ -511,10 +495,12 @@ def filter_events(ft: FaultTree, keep_kinds: Iterable[EventKind]) -> FaultTree:
             )
 
     if not alive[ft.top]:
+        # A single-event tree has an event top, which becomes the empty OR.
+        top = ft.gates.get(ft.top) or ft.events[ft.top]
         return FaultTree(
             top=ft.top,
             gates={ft.top: Gate(id=ft.top, kind=GateKind.OR, children=(),
-                                description=ft.gates[ft.top].description)},
+                                description=top.description)},
             events={},
         )
     # Drop gates and events no longer reachable (children of killed branches).

@@ -143,7 +143,6 @@ def generate_worksheets(
     collection: CutSetCollection | SpofReport | Sequence,
     ucas: Sequence[UcaRecord],
     tree: FaultTree,
-    bank: GuidanceBank | None = None,
 ) -> tuple[CausalFactorWorksheet, ...]:
     """One worksheet per distinct basic event in the selected cut sets.
 
@@ -157,7 +156,7 @@ def generate_worksheets(
         cut_sets = collection.cut_sets
     else:
         cut_sets = tuple(collection)
-    bank = bank or GuidanceBank.packaged()
+    bank = GuidanceBank.packaged()
     uca_by_id = {u.uca_id: u for u in ucas}
 
     lowest: dict[str, int] = {}
@@ -168,45 +167,31 @@ def generate_worksheets(
 
     sheets = []
     for eid in sorted(lowest, key=lambda e: (lowest[e], e)):
-        event = tree.event(eid)
+        event = tree.events[eid]
         entry = bank.lookup(event, event_class_prefix(eid))
         linked = ()
         if event.uca_id and event.uca_id in uca_by_id:
             linked = uca_by_id[event.uca_id].hazards
         hardware = event.kind in HARDWARE_KINDS
+        prompts1 = entry.category1
         if hardware:
             prompts1 = tuple(
-                p for p in entry.category1 if "algorithm" not in p and "process model" not in p
+                p for p in prompts1 if "algorithm" not in p and "process model" not in p
             ) or (_DEFAULT_CATEGORY1[0],)
-            sheets.append(
-                CausalFactorWorksheet(
-                    event_id=eid,
-                    event_kind=event.kind,
-                    description=event.description,
-                    lowest_order=lowest[eid],
-                    category1_prompts=prompts1,
-                    category2_prompts=None,
-                    scenario=entry.scenario,
-                    guidance=entry.guidance,
-                    historical_note=HARDWARE_HISTORICAL_NOTE,
-                    hazards=linked,
-                )
+        sheets.append(
+            CausalFactorWorksheet(
+                event_id=eid,
+                event_kind=event.kind,
+                description=event.description,
+                lowest_order=lowest[eid],
+                category1_prompts=prompts1,
+                category2_prompts=None if hardware else entry.category2,
+                scenario=entry.scenario,
+                guidance=entry.guidance,
+                historical_note=HARDWARE_HISTORICAL_NOTE if hardware else None,
+                hazards=linked,
             )
-        else:
-            sheets.append(
-                CausalFactorWorksheet(
-                    event_id=eid,
-                    event_kind=event.kind,
-                    description=event.description,
-                    lowest_order=lowest[eid],
-                    category1_prompts=entry.category1,
-                    category2_prompts=entry.category2,
-                    scenario=entry.scenario,
-                    guidance=entry.guidance,
-                    historical_note=None,
-                    hazards=linked,
-                )
-            )
+        )
     return tuple(sheets)
 
 
@@ -236,11 +221,9 @@ def render_analysis_report(
     worksheets: Sequence[CausalFactorWorksheet],
     catalog: Sequence[CcfEvent] = (),
     notes: Sequence[str] = (),
-    event_descriptions: Mapping[str, str] | None = None,
 ) -> str:
     """Single deterministic Markdown document covering every analysis stage."""
-    if event_descriptions is None:
-        event_descriptions = {e.id: e.description for e in tree.events.values()}
+    event_descriptions = {e.id: e.description for e in tree.events.values()}
     lines: list[str] = []
     out = lines.append
 
@@ -296,8 +279,6 @@ def render_analysis_report(
     out(f"- Gates: {len(tree.gates)}; basic events: {len(tree.events)}")
     for kind in sorted(kind_counts):
         out(f"  - {kind}: {kind_counts[kind]}")
-    if not any(k in kind_counts for k in ("SW_UCA", "SW_CCF", "HUMAN_UCA")):
-        out("- Note: software failures excluded by filter.")
     out("")
 
     if catalog:

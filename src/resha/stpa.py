@@ -11,7 +11,7 @@ from __future__ import annotations
 import csv
 import io
 from enum import Enum
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .sysmodel import (
     ActionSpec,
@@ -110,12 +110,6 @@ class ControlStructure(NamedTuple):
     @property
     def feedbacks(self) -> tuple[FeedbackEdge, ...]:
         return tuple(f for layer in self.layers for f in layer.feedbacks)
-
-    def action(self, ca_id: str) -> ControlAction:
-        for a in self.actions:
-            if a.ca_id == ca_id:
-                return a
-        raise StpaError(f"unknown control action {ca_id!r}")
 
 
 class UcaRecord(NamedTuple):
@@ -238,33 +232,21 @@ def _render(ca: ControlAction, category: UcaCategory, hazards: Sequence[str]) ->
     return f"{body.rstrip()}{hazard_part}."
 
 
-def enumerate_ucas(
-    cs: ControlStructure,
-    hazards: Sequence[Hazard],
-    overrides: Mapping[str, Mapping[str, str]] | None = None,
-) -> tuple[UcaRecord, ...]:
+def enumerate_ucas(cs: ControlStructure, hazards: Sequence[Hazard]) -> tuple[UcaRecord, ...]:
     """Produce exactly four UCA slots per control action.
 
-    Category d applies only to continuous actions unless overridden. Each
+    Category d applies only to continuous actions. Each
     applicable slot renders its text and must link at least one declared
-    hazard; each inapplicable slot carries a justification. ``overrides``
-    maps CA id to ``{category: justification}`` for extra not-applicable
-    rulings beyond those declared in the model.
+    hazard; each inapplicable slot carries a justification.
     """
     declared = {h.id for h in hazards}
-    overrides = overrides or {}
-    known_cas = {a.ca_id for a in cs.actions}
-    for ca_id in overrides:
-        if ca_id not in known_cas:
-            raise StpaError(f"applicability override references unknown control action {ca_id!r}")
 
     records: list[UcaRecord] = []
     for ca in cs.actions:
         spec = ca.spec
-        extra_na = overrides.get(ca.ca_id, {})
         for category in UcaCategory:
             letter = category.letter
-            justification = extra_na.get(letter) or spec.not_applicable.get(letter)
+            justification = spec.not_applicable.get(letter)
             applicable = justification is None
             if category is UcaCategory.WRONG_DURATION and not spec.continuous and applicable:
                 applicable = False

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from resha import cutset as cutsetmod
 from resha.cli import RunConfig, main, run_analysis, write_artifacts
 from resha.faulttree import FaultTreeError, from_exchange_json, to_exchange_json
 from resha.fixtures import build_rts_document
@@ -155,6 +156,90 @@ def test_analyze_hardware_filter_excludes_software(model_path, tmp_path):
     tree = json.loads((tmp_path / "out" / "tree.json").read_text())
     kinds = {e["kind"] for e in tree["events"]}
     assert kinds <= {"HW_INDEP", "HW_CCF"}
+
+
+def test_filter_kind_list_matches_its_alias(model_path, tmp_path, capsys):
+    args = ("--scope", "RPS", "--truncate", "1", "--filter")
+    assert _analyze_digests(model_path, tmp_path / "alias", capsys, *args, "hardware") == (
+        _analyze_digests(model_path, tmp_path / "list", capsys, *args, "HW_INDEP,HW_CCF")
+    )
+
+
+def test_filter_unknown_kind_is_a_usage_error(model_path, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--model", str(model_path), "--filter", "HW_INDEP,bogus",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "resha analyze: error: argument --filter: unknown event kind 'bogus'; "
+        "use hardware/software/all or kind names"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("args", "notes"),
+    [
+        (("--top", "A00.00.02", "--truncate", "2"), 0),
+        (("--scope", "RPS", "--truncate", "1", "--filter", "hardware"), 1),
+    ],
+    ids=["analog-breaker-unfiltered", "RPS-hardware"],
+)
+def test_report_names_the_filter_only_when_one_ran(args, notes, model_path, tmp_path, capsys):
+    # A00.00.02 has no software events, yet no filter ran.
+    _analyze_digests(model_path, tmp_path, capsys, *args)
+    report = (tmp_path / "report.md").read_text(encoding="utf-8")
+    assert report.lower().count("excluded by filter") == notes
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["ucas", "--format", "markdown"], ["ccf-catalog"], ["cutsets", "--truncate", "2"]],
+    ids=["ucas", "ccf-catalog", "cutsets"],
+)
+def test_out_file_holds_the_printed_bytes(command, model_path, tmp_path, capsys):
+    if command[0] == "cutsets":
+        _analyze_digests(model_path, tmp_path / "a", capsys, "--scope", "RPS", "--truncate", "1")
+        source = ["--tree", str(tmp_path / "a" / "tree.json")]
+    else:
+        source = ["--model", str(model_path)]
+    assert main([*command, *source]) == 0
+    printed = capsys.readouterr()
+    target = tmp_path / "table.txt"
+    assert main([*command, *source, "--out", str(target)]) == 0
+    written = capsys.readouterr()
+    assert target.read_text(encoding="utf-8") == printed.out
+    assert written.out == f"wrote {target}\n"
+    assert written.err == printed.err
+
+
+def test_oracle_check_reports_a_mismatch(monkeypatch, capsys):
+    oracle = cutsetmod.brute_force_cut_sets
+    dropped = []
+
+    def drop_one_set_once(tree):
+        found = oracle(tree)
+        if dropped or not found.cut_sets:
+            return found
+        dropped.append(tree)
+        return cutsetmod.CutSetCollection(found.cut_sets[1:], None, found.fingerprint)
+
+    monkeypatch.setattr(cutsetmod, "brute_force_cut_sets", drop_one_set_once)
+    assert main(["oracle-check", "--trees", "3", "--seed", "7"]) == 1
+    captured = capsys.readouterr()
+    assert len(dropped) == 1
+    assert len(captured.err.splitlines()) == 1
+    assert "MISMATCH" in captured.err
+    assert captured.out == "oracle check FAILED on 1/3 trees\n"
+
+
+def test_analyze_without_deterministic_writes_one_stamped_run(model_path, tmp_path, capsys):
+    assert main(["analyze", "--model", str(model_path), "--scope", "RPS", "--truncate", "1",
+                 "--out", str(tmp_path)]) == 0
+    (run_dir,) = tmp_path.iterdir()
+    assert re.fullmatch(r"run-\d{8}-\d{6}", run_dir.name)
+    assert sorted(p.name for p in run_dir.iterdir()) == sorted(_ARTIFACTS)
+    assert capsys.readouterr().out.endswith(f"artifacts written to {run_dir}\n")
 
 
 def test_analyze_unknown_scope_exit_1(model_path, tmp_path, capsys):

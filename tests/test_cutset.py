@@ -275,6 +275,21 @@ def test_and_budget_boundary(ft, max_order):
     assert str(exc.value).startswith("cut set expansion exceeded budget of 8 rows at gate 'TOP'")
 
 
+def test_or_budget_counts_the_rows_of_all_children():
+    """An OR of two 9-row ANDs: each child fits 17 rows, their 18 together do not."""
+    gates = {"TOP": Gate(id="TOP", kind=GateKind.OR, children=("G1", "G2"))}
+    for gate_id, (x, y) in {"G1": "AB", "G2": "CD"}.items():
+        gates[gate_id] = Gate(id=gate_id, kind=GateKind.AND, children=(x, y))
+        for name in (x, y):
+            gates[name] = Gate(id=name, kind=GateKind.OR, children=tuple(f"{name}{i}" for i in range(3)))
+    ft = tree("TOP", gates, [f"{name}{i}" for name in "ABCD" for i in range(3)])
+    assert len(solve_minimal_cut_sets(ft, max_sets=18).cut_sets) == 18
+    with pytest.raises(ResourceLimitError) as exc:
+        solve_minimal_cut_sets(ft, max_sets=17)
+    assert str(exc.value).startswith("cut set expansion exceeded budget of 17 rows at gate 'TOP'")
+    assert (exc.value.largest_gate, exc.value.largest_rows) == ("G1", 9)
+
+
 def test_cut_set_must_be_non_empty():
     with pytest.raises(CutSetError):
         CutSet(events=frozenset(), contains_ccf=False)

@@ -174,7 +174,7 @@ def test_dom1_gains_uca18_events(rts_model, rts_selected):
     ft = integrate_ucas(base, in_scope)
     assert "LC-DOM-SF-UCA18A" in ft.events
     assert "LC-DOM-SF-UCA18C" in ft.events
-    sw_gate = ft.gate("SW::A01.09.00")
+    sw_gate = ft.gates["SW::A01.09.00"]
     assert "LC-DOM-SF-UCA18A" in sw_gate.children
     assert "LC-DOM-SF-UCA18C" in sw_gate.children
 
@@ -210,7 +210,7 @@ def test_extract_subtree_preserves_ids(full_tree):
     sub = extract_subtree(full_tree, "UV-A-FAILS")
     assert sub.top == "UV-A-FAILS"
     for gate_id, gate in sub.gates.items():
-        assert full_tree.gate(gate_id) == gate
+        assert full_tree.gates[gate_id] == gate
 
 
 def test_extract_basic_event_only_gate(full_tree):
@@ -353,6 +353,17 @@ def test_filter_empty_top_reported_vacuous():
     assert len(solve_minimal_cut_sets(filtered).cut_sets) == 0
 
 
+def test_filter_single_event_tree():
+    ft = tree_of("E1", {}, {"E1": event("E1", EventKind.SW_UCA)})
+    assert filter_events(ft, {EventKind.SW_UCA}) is ft
+    # A dropped event top becomes an empty OR at its own id, like a killed gate top.
+    filtered = filter_events(ft, HARDWARE_KINDS)
+    assert filtered.top == "E1"
+    assert filtered.gates["E1"].kind is GateKind.OR
+    assert not filtered.gates["E1"].children and not filtered.events
+    assert len(solve_minimal_cut_sets(filtered).cut_sets) == 0
+
+
 def test_filter_rewrites_vote_over_remaining():
     gates = {
         "TOP": Gate(id="TOP", kind=GateKind.VOTE, k=2, children=("E1", "E2", "E3")),
@@ -364,7 +375,7 @@ def test_filter_rewrites_vote_over_remaining():
     }
     ft = tree_of("TOP", gates, events)
     filtered = filter_events(ft, HARDWARE_KINDS)
-    top = filtered.gate("TOP")
+    top = filtered.gates["TOP"]
     assert top.children == ("E1", "E2")
     assert top.k == 2
     sets = {c.events for c in solve_minimal_cut_sets(filtered).cut_sets}

@@ -65,7 +65,7 @@ def test_worksheets_cover_all_selected_events(rts_ucas, rps_tree):
 
 def test_guidance_bank_fallback_for_unknown_class(rps_tree):
     bank = GuidanceBank.packaged()
-    event = rps_tree.event("SNS-A-HD-A00.00.01")
+    event = rps_tree.events["SNS-A-HD-A00.00.01"]
     entry = bank.lookup(event, "SNS-A")
     assert entry.category1
 

@@ -155,13 +155,6 @@ def test_continuous_action_all_categories_applicable():
     assert all(r.applicable for r in by_cat.values())
 
 
-def test_override_unknown_ca_is_error():
-    model = parse_system_model(small_doc())
-    cs = build_layered_control_structure(model)
-    with pytest.raises(StpaError):
-        enumerate_ucas(cs, model.hazards, overrides={"CA99": {"a": "no such"}})
-
-
 def test_selection_failure_to_act_takes_a_and_c(rts_ucas):
     selected = select_ucas_for_top_event(rts_ucas, TopEventKind.FAILURE_TO_ACT)
     assert {r.category for r in selected} == {

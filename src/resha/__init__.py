@@ -46,7 +46,6 @@ from .stpa import (
     UcaRecord,
     build_layered_control_structure,
     enumerate_ucas,
-    render_uca_text,
     select_ucas_for_top_event,
 )
 from .sysmodel import (
@@ -104,7 +103,6 @@ __all__ = [
     "parse_system_model",
     "random_coherent_tree",
     "render_analysis_report",
-    "render_uca_text",
     "select_ucas_for_top_event",
     "solve_minimal_cut_sets",
     "to_exchange_json",

@@ -168,7 +168,7 @@ def inject_ccfs(
         present = 0
         for member in candidate.members:
             member_points = ft.node_gate_ids(member, role)
-            if role == "SW" and not member_points and ft.fail_gate_ids(member):
+            if role == "SW" and not member_points and ft.node_gate_ids(member, "FAIL"):
                 logger.warning(
                     "skipping software CCF %s for %s: no software subtree",
                     candidate.name,

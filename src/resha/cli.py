@@ -179,8 +179,7 @@ def run_analysis(config: RunConfig) -> dict[str, object]:
         raise StageError("fault-tree", exc) from exc
 
     try:
-        in_scope = tuple(u for u in selected if tree.fail_gate_ids(u.source))
-        tree = integrate_ucas(tree, in_scope)
+        tree = integrate_ucas(tree, selected)
     except FaultTreeError as exc:
         raise StageError("integrate", exc) from exc
 
@@ -205,7 +204,9 @@ def run_analysis(config: RunConfig) -> dict[str, object]:
 
     try:
         spofs = cutsetmod.extract_spofs(collection)
-        worksheets = reportmod.generate_worksheets(spofs, ucas, tree)
+        worksheets = reportmod.generate_worksheets(
+            model, spofs.spofs or spofs.fallback_sets, ucas, tree
+        )
         notes = []
         if config.event_filter is not None and not (
             config.event_filter & SOFTWARE_KINDS
@@ -216,7 +217,9 @@ def run_analysis(config: RunConfig) -> dict[str, object]:
             cs,
             ucas,
             tree,
-            {root: collection},
+            root,
+            collection,
+            spofs,
             worksheets,
             catalog=catalog,
             notes=notes,
@@ -249,6 +252,7 @@ def write_artifacts(config: RunConfig, artifacts: dict[str, object]) -> Path:
 
     tree: FaultTree = artifacts["tree"]  # type: ignore[assignment]
     collection = artifacts["collection"]
+    spofs = artifacts["spofs"]
     ucas = artifacts["ucas"]
     catalog = artifacts["catalog"]
     descriptions = {e.id: e.description for e in tree.events.values()}
@@ -257,7 +261,7 @@ def write_artifacts(config: RunConfig, artifacts: dict[str, object]) -> Path:
     (run_dir / "ucas.csv").write_text(stpamod.uca_table_to_csv(ucas), encoding="utf-8")  # type: ignore[arg-type]
     (run_dir / "cutsets.csv").write_text(collection.to_csv(), encoding="utf-8")  # type: ignore[union-attr]
     (run_dir / "spofs.csv").write_text(
-        reportmod.spof_table_to_csv(collection, descriptions), encoding="utf-8"  # type: ignore[arg-type]
+        reportmod.spof_table_to_csv(spofs, descriptions), encoding="utf-8"  # type: ignore[arg-type]
     )
     (run_dir / "ccf_catalog.csv").write_text(ccfmod.catalog_to_csv(catalog), encoding="utf-8")  # type: ignore[arg-type]
     (run_dir / "tree.json").write_text(to_exchange_json(tree), encoding="utf-8")

@@ -148,10 +148,6 @@ class FaultTree(_FaultTreeFields):
         """Canonical ``role`` gates belonging to a node, sorted."""
         return self._node_gates.get((role, node.text), ())
 
-    def fail_gate_ids(self, node: NodeId) -> tuple[str, ...]:
-        """Failure gates belonging to a node: whole-node plus per-action ones."""
-        return self.node_gate_ids(node, "FAIL")
-
 
 def validate_tree(ft: FaultTree) -> None:
     """Check reference integrity, vote arity, reachability, and acyclicity."""
@@ -369,10 +365,15 @@ def build_hardware_fault_tree(m: SystemModel, top: str) -> FaultTree:
 def integrate_ucas(ft: FaultTree, selected: Sequence[UcaRecord]) -> FaultTree:
     """Attach selected UCAs as basic events under their sources' failure gates.
 
-    Each affected failure gate becomes OR(hardware subtree, software subtree);
-    the software subtree is an OR of that action's UCA events, one basic
-    event per UCA, and later receives common-cause events. Human-controller
-    UCAs are attached exactly like software ones.
+    A UCA attaches under the failure gate of its own action
+    (``FAIL::source::target``) when the tree has one, else under its source's
+    whole-node failure gate (``FAIL::source``); with neither, its action is
+    outside this tree and it is skipped. A UCA of an analog source is an error
+    only where it would attach. Each affected failure gate becomes
+    OR(hardware subtree, software subtree); the software subtree is an OR of
+    that action's UCA events, one basic event per UCA, and later receives
+    common-cause events. Human-controller UCAs are attached exactly like
+    software ones.
     """
     if not selected:
         return ft
@@ -382,10 +383,6 @@ def integrate_ucas(ft: FaultTree, selected: Sequence[UcaRecord]) -> FaultTree:
     for record in selected:
         if not record.applicable:
             raise IntegrationError(f"{record.uca_id} is not applicable; cannot integrate")
-        if record.source_technology is Technology.ANALOG:
-            raise IntegrationError(
-                f"{record.uca_id}: source {record.source.text} is analog and carries no software"
-            )
         exact = fail_gate_id(record.source, record.target)
         whole = fail_gate_id(record.source)
         if exact in gates:
@@ -395,8 +392,10 @@ def integrate_ucas(ft: FaultTree, selected: Sequence[UcaRecord]) -> FaultTree:
             fail_id = whole
             sw_id = sw_gate_id(record.source)
         else:
+            continue
+        if record.source_technology is Technology.ANALOG:
             raise IntegrationError(
-                f"{record.uca_id}: source {record.source.text} has no failure node in the tree"
+                f"{record.uca_id}: source {record.source.text} is analog and carries no software"
             )
         human = record.source_technology is Technology.HUMAN
         event = BasicEvent(

@@ -12,12 +12,11 @@ from __future__ import annotations
 import csv
 import io
 import json
-import re
 from importlib import resources
 from typing import Any, Mapping, NamedTuple, Sequence
 
 from .ccf import CcfEvent
-from .cutset import CutSetCollection, SpofReport, extract_spofs
+from .cutset import CutSet, CutSetCollection, SpofReport
 from .faulttree import (
     BasicEvent,
     EventKind,
@@ -44,8 +43,6 @@ _DEFAULT_CATEGORY2 = (
     "Inadequate feedback or input is received by the controller.",
     "Unsafe control input arrives from another controller.",
 )
-
-_RE_DIV_SUFFIX = re.compile(r"-DIV[A-Z][A-Z0-9]?$")
 
 
 class GuidanceBankError(Exception):
@@ -136,26 +133,22 @@ class CausalFactorWorksheet(NamedTuple):
     guidance: str
     historical_note: str | None
     hazards: tuple[str, ...] = ()
-    disposition: str = ""
 
 
 def generate_worksheets(
-    collection: CutSetCollection | SpofReport | Sequence,
+    model: SystemModel,
+    cut_sets: Sequence[CutSet],
     ucas: Sequence[UcaRecord],
     tree: FaultTree,
 ) -> tuple[CausalFactorWorksheet, ...]:
     """One worksheet per distinct basic event in the selected cut sets.
 
-    Ordered by the lowest order of a containing set, then event ID. Hardware
-    events carry category-1 physical prompts plus the historical-data note;
-    software and human events carry both causal categories.
+    Ordered by the lowest order of a containing set, then event ID. Guidance
+    is looked up by the equipment class of the event's first subject in
+    ``model``. Hardware events carry category-1 physical prompts plus the
+    historical-data note; software and human events carry both causal
+    categories.
     """
-    if isinstance(collection, SpofReport):
-        cut_sets = collection.spofs or collection.fallback_sets
-    elif isinstance(collection, CutSetCollection):
-        cut_sets = collection.cut_sets
-    else:
-        cut_sets = tuple(collection)
     bank = GuidanceBank.packaged()
     uca_by_id = {u.uca_id: u for u in ucas}
 
@@ -168,7 +161,8 @@ def generate_worksheets(
     sheets = []
     for eid in sorted(lowest, key=lambda e: (lowest[e], e)):
         event = tree.events[eid]
-        entry = bank.lookup(event, event_class_prefix(eid))
+        subject = model.node(event.subjects[0])
+        entry = bank.lookup(event, model.class_prefix(subject.equipment_class))
         linked = ()
         if event.uca_id and event.uca_id in uca_by_id:
             linked = uca_by_id[event.uca_id].hazards
@@ -195,18 +189,6 @@ def generate_worksheets(
     return tuple(sheets)
 
 
-def event_class_prefix(event_id: str) -> str | None:
-    """Equipment-class prefix encoded in a canonical event name.
-
-    ``LC-BP-SF-CCF-TC`` and ``LC-BP-DIVA-HD-CCF`` both resolve to ``LC-BP``.
-    """
-    for marker in ("-HD-", "-SF-", "-HF-"):
-        if marker in event_id:
-            prefix = event_id.split(marker, 1)[0]
-            return _RE_DIV_SUFFIX.sub("", prefix)
-    return None
-
-
 # ---------------------------------------------------------------------------
 # Markdown report
 # ---------------------------------------------------------------------------
@@ -217,7 +199,9 @@ def render_analysis_report(
     cs: ControlStructure,
     ucas: Sequence[UcaRecord],
     tree: FaultTree,
-    collections: Mapping[str, CutSetCollection],
+    root: str,
+    collection: CutSetCollection,
+    spofs: SpofReport,
     worksheets: Sequence[CausalFactorWorksheet],
     catalog: Sequence[CcfEvent] = (),
     notes: Sequence[str] = (),
@@ -291,20 +275,18 @@ def render_analysis_report(
 
     out("## Stage 6: Minimal cut sets")
     out("")
-    for label in sorted(collections):
-        css = collections[label]
-        out(f"### Scope: {label}")
-        out("")
-        trunc = css.truncation if css.truncation is not None else "none"
-        out(f"- Truncation order: {trunc}")
-        out(f"- Cut sets: {len(css)}")
-        out("")
-        out("| Truncation (order) | Cut sets (cumulative) |")
-        out("| --- | --- |")
-        for order, _, cumulative in reversed(css.rows()):
-            out(f"| {order} | {cumulative} |")
-        out("")
-        lines.extend(_spof_section(css, event_descriptions))
+    out(f"### Scope: {root}")
+    out("")
+    trunc = collection.truncation if collection.truncation is not None else "none"
+    out(f"- Truncation order: {trunc}")
+    out(f"- Cut sets: {len(collection)}")
+    out("")
+    out("| Truncation (order) | Cut sets (cumulative) |")
+    out("| --- | --- |")
+    for order, _, cumulative in reversed(collection.rows()):
+        out(f"| {order} | {cumulative} |")
+    out("")
+    lines.extend(_spof_section(spofs, event_descriptions))
 
     out("## Stage 7: Causal-factor worksheets")
     out("")
@@ -330,7 +312,7 @@ def render_analysis_report(
             out(f"- Scenario: {sheet.scenario}")
         if sheet.guidance:
             out(f"- Guidance: {sheet.guidance}")
-        out(f"- Disposition: {sheet.disposition or '(analyst to complete)'}")
+        out("- Disposition: (analyst to complete)")
         out("")
 
     return "\n".join(lines).rstrip() + "\n"
@@ -341,9 +323,8 @@ def _describe_cut(cut, descriptions: Mapping[str, str]) -> str:
     return " ".join(p for p in parts if p)
 
 
-def _spof_section(css: CutSetCollection, descriptions: Mapping[str, str]) -> list[str]:
+def _spof_section(report: SpofReport, descriptions: Mapping[str, str]) -> list[str]:
     lines: list[str] = []
-    report = extract_spofs(css)
     if report.has_spofs:
         lines.append(f"Single points of failure: {len(report.spofs)}")
         lines.append("")
@@ -365,12 +346,11 @@ def _spof_section(css: CutSetCollection, descriptions: Mapping[str, str]) -> lis
     return lines
 
 
-def spof_table_to_csv(css: CutSetCollection, descriptions: Mapping[str, str]) -> str:
+def spof_table_to_csv(report: SpofReport, descriptions: Mapping[str, str]) -> str:
     """CSV of the SPOF table: number, cut set, description."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["number", "cut_set", "description"])
-    report = extract_spofs(css)
     for i, cut in enumerate(report.spofs, start=1):
         writer.writerow(
             [i, " ".join(cut.sorted_events()), _describe_cut(cut, descriptions)]

@@ -214,13 +214,6 @@ def build_layered_control_structure(m: SystemModel) -> ControlStructure:
     return ControlStructure(layers=tuple(layers))
 
 
-def render_uca_text(record: UcaRecord) -> str:
-    """Canonical text of an applicable UCA record."""
-    if not record.applicable:
-        return "Not applicable."
-    return record.text
-
-
 def _render(ca: ControlAction, category: UcaCategory, hazards: Sequence[str]) -> str:
     spec = ca.spec
     context = spec.context(_CATEGORY_CONTEXT_KEY[category]) or ""

@@ -40,9 +40,7 @@ def rts_groups(rts_model):
 
 def integrated_tree(model, selected, groups, top) -> FaultTree:
     """Hardware tree at ``top`` with in-scope UCAs and CCFs attached."""
-    tree = build_hardware_fault_tree(model, top)
-    in_scope = tuple(u for u in selected if tree.fail_gate_ids(u.source))
-    tree = integrate_ucas(tree, in_scope)
+    tree = integrate_ucas(build_hardware_fault_tree(model, top), selected)
     return inject_ccfs(tree, groups, model.ccf_policy)
 
 

@@ -255,6 +255,33 @@ def test_analyze_unknown_scope_exit_1(model_path, tmp_path, capsys):
     assert "[stage: fault-tree]" in capsys.readouterr().err
 
 
+def test_analyze_per_action_scope_exit_0(model_path, tmp_path, capsys):
+    """A scope that holds some of a source's actions leaves out the UCAs of the others."""
+    rc = main(
+        [
+            "analyze",
+            "--model", str(model_path),
+            "--scope", "BP-SIG-1-A-LOST",
+            "--truncate", "2",
+            "--out", str(tmp_path / "out"),
+        ]
+    )
+    assert rc == 0, capsys.readouterr().err
+
+
+@pytest.mark.parametrize(("scope", "rc"), [("RPS", 0), ("RTS", 1)])
+def test_analog_source_fails_only_scopes_that_hold_it(scope, rc, tmp_path, capsys):
+    doc = build_rts_document()
+    next(n for n in doc["nodes"] if n["id"] == "DP00.00.01")["technology"] = "analog"
+    path = tmp_path / "analog-dps.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    argv = ["analyze", "--model", str(path), "--scope", scope, "--truncate", "1",
+            "--out", str(tmp_path / "out"), "--deterministic"]
+    assert main(argv) == rc
+    err = capsys.readouterr().err
+    assert ("is analog and carries no software" in err) == bool(rc)
+
+
 def test_analyze_missing_model_exit_2(tmp_path, capsys):
     rc = main(["analyze", "--model", str(tmp_path / "none.json"), "--out", str(tmp_path)])
     assert rc == 2

@@ -23,7 +23,6 @@ from resha.faulttree import (
     Gate,
     GateKind,
     HARDWARE_KINDS,
-    IntegrationError,
     build_hardware_fault_tree,
     extract_subtree,
     failure_vote_threshold,
@@ -34,7 +33,10 @@ from resha.faulttree import (
     to_open_psa_xml,
 )
 from resha.fixtures import TOP_FULL, TOP_RPS
+from resha.stpa import TopEventKind, select_ucas_for_top_event
 from resha.sysmodel import ModelValidationError, NodeId, parse_system_model
+
+from conftest import integrated_tree
 
 
 def event(eid: str, kind=EventKind.HW_INDEP) -> BasicEvent:
@@ -156,9 +158,8 @@ def test_replication_covers_rps_divisions(rts_model):
 
 def test_integrate_adds_exactly_selected(rts_model, rts_selected):
     base = build_hardware_fault_tree(rts_model, TOP_FULL)
-    in_scope = tuple(u for u in rts_selected if base.fail_gate_ids(u.source))
-    ft = integrate_ucas(base, in_scope)
-    assert len(ft.events) == len(base.events) + len(in_scope)
+    ft = integrate_ucas(base, rts_selected)
+    assert len(ft.events) == len(base.events) + len(rts_selected)
     assert set(base.events) <= set(ft.events)
     for eid, original in base.events.items():
         assert ft.events[eid] == original
@@ -169,9 +170,7 @@ def test_integrate_empty_selection_is_identity(full_tree):
 
 
 def test_dom1_gains_uca18_events(rts_model, rts_selected):
-    base = build_hardware_fault_tree(rts_model, TOP_FULL)
-    in_scope = tuple(u for u in rts_selected if base.fail_gate_ids(u.source))
-    ft = integrate_ucas(base, in_scope)
+    ft = integrate_ucas(build_hardware_fault_tree(rts_model, TOP_FULL), rts_selected)
     assert "LC-DOM-SF-UCA18A" in ft.events
     assert "LC-DOM-SF-UCA18C" in ft.events
     sw_gate = ft.gates["SW::A01.09.00"]
@@ -188,11 +187,20 @@ def test_mcr_operator_events_are_human_kind(full_tree):
         assert e.id.startswith("MCR-OP-HF-")
 
 
-def test_integration_error_when_source_missing(rts_model, rts_selected):
+def test_ucas_without_a_failure_gate_are_skipped(rts_model, rts_selected):
     rps_only = build_hardware_fault_tree(rts_model, TOP_RPS)
     mcr_ucas = [u for u in rts_selected if u.source.division == "MC"]
-    with pytest.raises(IntegrationError):
-        integrate_ucas(rps_only, mcr_ucas)
+    assert mcr_ucas
+    assert integrate_ucas(rps_only, mcr_ucas).events == rps_only.events
+
+
+@pytest.mark.parametrize("kind", list(TopEventKind))
+def test_every_reference_root_analyses_at_order_1(kind, rts_model, rts_ucas, rts_groups):
+    # Per-action scopes such as BP-SIG-1-A-LOST hold FAIL::source::target
+    # gates only; the UCAs of the source's other actions stay outside them.
+    selected = select_ucas_for_top_event(rts_ucas, kind)
+    for root in [*rts_model.resolved_gates, *rts_model.nodes]:
+        solve_minimal_cut_sets(integrated_tree(rts_model, selected, rts_groups, root), 1)
 
 
 def test_extract_subtree_identity(full_tree):

@@ -95,13 +95,13 @@ def test_golden_uca_table(rts_ucas):
 
 
 def test_golden_spof_table(rps_tree):
-    from resha.cutset import solve_minimal_cut_sets
+    from resha.cutset import extract_spofs, solve_minimal_cut_sets
     from resha.report import spof_table_to_csv
 
     golden = resources.files("resha.data").joinpath("expected_spofs.csv").read_text("utf-8")
-    css = solve_minimal_cut_sets(rps_tree, 1)
+    spofs = extract_spofs(solve_minimal_cut_sets(rps_tree, 1))
     descriptions = {e.id: e.description for e in rps_tree.events.values()}
-    assert spof_table_to_csv(css, descriptions) == golden
+    assert spof_table_to_csv(spofs, descriptions) == golden
 
 
 def test_golden_spof_names_match_published_table(rps_tree):

@@ -2,12 +2,12 @@ from __future__ import annotations
 
 import pytest
 
-from resha.ccf import enumerate_ccf_catalog
+from resha.ccf import enumerate_ccf_catalog, inject_ccfs
 from resha.cutset import extract_spofs, solve_minimal_cut_sets
-from resha.faulttree import HARDWARE_KINDS, filter_events
+from resha.faulttree import HARDWARE_KINDS, build_hardware_fault_tree, filter_events, integrate_ucas
+from resha.fixtures import TOP_RPS
 from resha.report import (
     GuidanceBank,
-    event_class_prefix,
     generate_worksheets,
     render_analysis_report,
     spof_table_to_csv,
@@ -16,29 +16,22 @@ from resha.report import (
 
 @pytest.fixture(scope="module")
 def rps_spofs(rps_tree):
-    return extract_spofs(solve_minimal_cut_sets(rps_tree, 1))
+    return extract_spofs(solve_minimal_cut_sets(rps_tree, 1)).spofs
 
 
-def test_event_class_prefix_parsing():
-    assert event_class_prefix("LC-BP-SF-CCF-TC") == "LC-BP"
-    assert event_class_prefix("LC-BP-DIVA-HD-CCF") == "LC-BP"
-    assert event_class_prefix("SP-HD-A02.01.00") == "SP"
-    assert event_class_prefix("MCR-OP-HF-UCA2A") == "MCR-OP"
-
-
-def test_worksheet_per_distinct_event(rps_spofs, rts_ucas, rps_tree):
-    sheets = generate_worksheets(rps_spofs, rts_ucas, rps_tree)
+def test_worksheet_per_distinct_event(rts_model, rps_spofs, rts_ucas, rps_tree):
+    sheets = generate_worksheets(rts_model, rps_spofs, rts_ucas, rps_tree)
     assert len(sheets) == 13
     assert len({s.event_id for s in sheets}) == 13
     assert [s.event_id for s in sheets] == sorted(s.event_id for s in sheets)
 
 
-def test_empty_cut_sets_give_no_worksheets(rts_ucas, rps_tree):
-    assert generate_worksheets((), rts_ucas, rps_tree) == ()
+def test_empty_cut_sets_give_no_worksheets(rts_model, rts_ucas, rps_tree):
+    assert generate_worksheets(rts_model, (), rts_ucas, rps_tree) == ()
 
 
-def test_bp_software_ccf_worksheet_prompts(rps_spofs, rts_ucas, rps_tree):
-    sheets = generate_worksheets(rps_spofs, rts_ucas, rps_tree)
+def test_bp_software_ccf_worksheet_prompts(rts_model, rps_spofs, rts_ucas, rps_tree):
+    sheets = generate_worksheets(rts_model, rps_spofs, rts_ucas, rps_tree)
     sheet = next(s for s in sheets if s.event_id == "LC-BP-SF-CCF-TC")
     joined = " ".join(sheet.category1_prompts) + " " + sheet.scenario
     assert "delay" in joined.lower()
@@ -48,17 +41,31 @@ def test_bp_software_ccf_worksheet_prompts(rps_spofs, rts_ucas, rps_tree):
     assert sheet.historical_note is None
 
 
-def test_hardware_ccf_worksheet_physical_only(rps_spofs, rts_ucas, rps_tree):
-    sheets = generate_worksheets(rps_spofs, rts_ucas, rps_tree)
+def test_partial_ccf_worksheet_takes_its_class_guidance(
+    rts_model, rts_selected, rts_groups, rts_ucas
+):
+    tree = integrate_ucas(build_hardware_fault_tree(rts_model, TOP_RPS), rts_selected)
+    policy = rts_model.ccf_policy._replace(include_partial_interdivision=True)
+    tree = inject_ccfs(tree, rts_groups, policy)
+    spofs = extract_spofs(solve_minimal_cut_sets(tree, 1)).spofs
+    sheets = {s.event_id: s for s in generate_worksheets(rts_model, spofs, rts_ucas, tree)}
+    whole, partial = sheets["LC-BP-SF-CCF-TC"], sheets["LC-BP-DIVABC-SF-CCF-TC"]
+    assert partial.category1_prompts == whole.category1_prompts
+    assert partial.category2_prompts == whole.category2_prompts
+    assert (partial.scenario, partial.guidance) == (whole.scenario, whole.guidance)
+
+
+def test_hardware_ccf_worksheet_physical_only(rts_model, rps_spofs, rts_ucas, rps_tree):
+    sheets = generate_worksheets(rts_model, rps_spofs, rts_ucas, rps_tree)
     sheet = next(s for s in sheets if s.event_id == "RTB-UV-HD-CCF")
     assert sheet.category2_prompts is None
     assert sheet.historical_note is not None
     assert all("algorithm" not in p for p in sheet.category1_prompts)
 
 
-def test_worksheets_cover_all_selected_events(rts_ucas, rps_tree):
+def test_worksheets_cover_all_selected_events(rts_model, rts_ucas, rps_tree):
     css = solve_minimal_cut_sets(rps_tree, 2)
-    sheets = generate_worksheets(css, rts_ucas, rps_tree)
+    sheets = generate_worksheets(rts_model, css.cut_sets, rts_ucas, rps_tree)
     in_sets = {e for c in css.cut_sets for e in c.events}
     assert {s.event_id for s in sheets} == in_sets
 
@@ -73,10 +80,10 @@ def test_guidance_bank_fallback_for_unknown_class(rps_tree):
 def report_for(rts_model, rts_cs, rts_ucas, tree, label="RPS"):
     css = solve_minimal_cut_sets(tree, 1)
     spofs = extract_spofs(css)
-    sheets = generate_worksheets(spofs, rts_ucas, tree)
+    sheets = generate_worksheets(rts_model, spofs.spofs, rts_ucas, tree)
     catalog = enumerate_ccf_catalog((), rts_model.ccf_policy)
     return render_analysis_report(
-        rts_model, rts_cs, rts_ucas, tree, {label: css}, sheets, catalog=catalog
+        rts_model, rts_cs, rts_ucas, tree, label, css, spofs, sheets, catalog=catalog
     )
 
 
@@ -97,9 +104,10 @@ def test_report_contains_spof_table(rts_model, rts_cs, rts_ucas, rps_tree):
 def test_report_notes_hardware_filter(rts_model, rts_cs, rts_ucas, rps_tree):
     filtered = filter_events(rps_tree, HARDWARE_KINDS)
     css = solve_minimal_cut_sets(filtered, 1)
-    sheets = generate_worksheets(extract_spofs(css), rts_ucas, filtered)
+    spofs = extract_spofs(css)
+    sheets = generate_worksheets(rts_model, spofs.spofs, rts_ucas, filtered)
     text = render_analysis_report(
-        rts_model, rts_cs, rts_ucas, filtered, {"RPS": css}, sheets,
+        rts_model, rts_cs, rts_ucas, filtered, "RPS", css, spofs, sheets,
         notes=["Software failures excluded by filter."],
     )
     assert "software failures excluded by filter" in text.lower()
@@ -108,7 +116,7 @@ def test_report_notes_hardware_filter(rts_model, rts_cs, rts_ucas, rps_tree):
 def test_spof_csv_layout(rps_tree):
     css = solve_minimal_cut_sets(rps_tree, 1)
     descriptions = {e.id: e.description for e in rps_tree.events.values()}
-    text = spof_table_to_csv(css, descriptions)
+    text = spof_table_to_csv(extract_spofs(css), descriptions)
     lines = text.splitlines()
     assert lines[0] == "number,cut_set,description"
     assert len(lines) == 14
@@ -117,7 +125,10 @@ def test_spof_csv_layout(rps_tree):
 
 def test_report_histogram_rows_are_cumulative(rts_model, rts_cs, rts_ucas, rps_tree):
     css = solve_minimal_cut_sets(rps_tree, 2)
-    sheets = generate_worksheets(extract_spofs(css), rts_ucas, rps_tree)
-    text = render_analysis_report(rts_model, rts_cs, rts_ucas, rps_tree, {"RPS": css}, sheets)
+    spofs = extract_spofs(css)
+    sheets = generate_worksheets(rts_model, spofs.spofs, rts_ucas, rps_tree)
+    text = render_analysis_report(
+        rts_model, rts_cs, rts_ucas, rps_tree, "RPS", css, spofs, sheets
+    )
     assert "| 2 | 213 |" in text  # 13 first-order + 200 second-order
     assert "| 1 | 13 |" in text

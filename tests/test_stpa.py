@@ -10,7 +10,6 @@ from resha.stpa import (
     enumerate_ucas,
     identified_uca_count,
     potential_uca_count,
-    render_uca_text,
     select_ucas_for_top_event,
     uca_table_to_csv,
     uca_table_to_markdown,
@@ -139,7 +138,7 @@ def test_discrete_action_case_d_not_applicable():
     records = enumerate_ucas(cs, model.hazards)
     case_d = [r for r in records if r.category is UcaCategory.WRONG_DURATION]
     assert all(not r.applicable for r in case_d)
-    assert all(render_uca_text(r) == "Not applicable." for r in case_d)
+    assert all(r.text == "Not applicable." for r in case_d)
 
 
 def test_continuous_action_all_categories_applicable():

@@ -132,6 +132,16 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
+def _oracle_event_count(text: str) -> int:
+    value = _positive_int(text)
+    limit = cutsetmod.DEFAULT_BRUTE_FORCE_LIMIT
+    if value > limit:
+        raise argparse.ArgumentTypeError(
+            f"must be at most {limit}, the brute-force oracle's event limit, got {text!r}"
+        )
+    return value
+
+
 def _effective_policy(model: SystemModel, config: RunConfig) -> CcfPolicy:
     base = model.ccf_policy
     return CcfPolicy(
@@ -451,7 +461,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle-check", help="randomized solver-vs-oracle equivalence")
     p_oracle.add_argument("--trees", type=_positive_int, default=500)
     p_oracle.add_argument("--seed", type=int, default=20260810)
-    p_oracle.add_argument("--max-events", type=_positive_int, default=12)
+    p_oracle.add_argument("--max-events", type=_oracle_event_count, default=12,
+                          help=f"events per tree, 1-{cutsetmod.DEFAULT_BRUTE_FORCE_LIMIT} (default 12)")
     p_oracle.add_argument("--max-gates", type=_positive_int, default=8)
     p_oracle.set_defaults(func=cmd_oracle_check)
 

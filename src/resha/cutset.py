@@ -41,6 +41,21 @@ they miss Y and |M| >= |private part of x| + t_c. So each row that M is
 built from passes its own cap and M is still built; a union of kept rows
 that is not minimal contains such an M, which absorbs it.
 
+Absorption looks only where a subset of a row can exist. First, only a
+strictly smaller row can absorb a row, so ``_minimize`` keeps the rows of
+the input's lowest popcount unchecked, and returns an input whose rows all
+have one popcount deduplicated. Second, at an OR whose children share events
+(``_absorb_across``) each child's rows are an antichain, so a row y of child
+j is absorbed only by a row x of another child i, and x lies in supp(i) &
+supp(j), inside the gate's shared mask: the events under two or more
+children. If x is itself absorbed, its absorber is smaller still, lies
+inside the shared mask too and absorbs y. So the rows inside the shared
+mask, minimized among themselves, are the only absorbers needed. A row with
+an event outside the shared mask contains an absorber exactly when its
+shared part does, and it equals none of them. A VOTE gate with 1 < k < n
+keeps ``_minimize``, because rows of two of its combinations can come from
+the same child.
+
 One bit-parallel evaluator, ``_top_truth``, independent of the solver,
 computes the structure function over many assignments in one pass: each
 node's value is a Python int whose bit ``a`` is its value in assignment
@@ -220,22 +235,32 @@ def _minimize(masks: Iterable[int]) -> list[int]:
     """Keep only inclusion-minimal masks (absorption law).
 
     Masks are processed in ascending popcount order, so every minimal subset
-    of a mask is kept before the mask comes up. Singleton masks absorb
-    anything containing their bit (the common case once shared common-cause
-    events appear), handled by one OR-accumulated filter. A mask of at most
-    ``_PROBE_BITS`` bits is absorbed exactly when one of its proper submasks
-    is kept; wider masks use lowest-bit buckets to narrow subset candidates.
-    The result is in ascending popcount, then value.
+    of a mask is kept before the mask comes up. Only a strictly smaller mask
+    can absorb one, so the masks of the lowest popcount are kept unchecked,
+    and masks that all have one popcount come back deduplicated. Singleton
+    masks absorb anything containing their bit (the common case once shared
+    common-cause events appear), handled by one OR-accumulated filter. A
+    mask of at most ``_PROBE_BITS`` bits is absorbed exactly when one of its
+    proper submasks is kept; wider masks use lowest-bit buckets to narrow
+    subset candidates. The result is in ascending popcount, then value.
     """
     unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
+    if not unique:
+        return unique
+    least = unique[0].bit_count()
+    if unique[-1].bit_count() == least:
+        return unique
     kept: list[int] = []
     kept_set: set[int] = set()
     single_union = 0
     by_lowbit: dict[int, list[int]] = {}
     for mask in unique:
-        if mask & single_union:
+        size = mask.bit_count()
+        if size == least:
+            pass  # nothing smaller is kept
+        elif mask & single_union:
             continue
-        if mask.bit_count() <= _PROBE_BITS:
+        elif size <= _PROBE_BITS:
             sub = (mask - 1) & mask
             while sub and sub not in kept_set:
                 sub = (sub - 1) & mask
@@ -256,11 +281,45 @@ def _minimize(masks: Iterable[int]) -> list[int]:
             if absorbed:
                 continue
         kept.append(mask)
-        if mask.bit_count() == 1:
+        if size == 1:
             single_union |= mask
         else:
             kept_set.add(mask)
             by_lowbit.setdefault(mask & -mask, []).append(mask)
+    return kept
+
+
+def _absorb_across(rows: list[int], shared: int) -> list[int]:
+    """``_minimize(rows)`` for the rows of an OR whose children's rows are antichains.
+
+    ``shared`` holds the events under two or more children. Only a row that
+    lies inside ``shared`` can absorb a row of another child (see the module
+    docstring), so those rows are minimized among themselves, and a row with
+    an event outside ``shared`` is kept unless one of them is a subset of its
+    shared part. Rows with the same shared part get the same verdict. The
+    result is the list ``_minimize(rows)`` returns, in the same order.
+    """
+    absorbers = _minimize([m for m in rows if m & shared == m])
+    kept = list(absorbers)
+    absorber_set = set(absorbers)
+    verdicts: dict[int, bool] = {}
+    for mask in rows:
+        key = mask & shared
+        if key == mask:
+            continue
+        absorbed = verdicts.get(key)
+        if absorbed is None:
+            if key.bit_count() <= _PROBE_BITS:
+                sub = key
+                while sub and sub not in absorber_set:
+                    sub = (sub - 1) & key
+                absorbed = sub != 0
+            else:
+                absorbed = any(a & key == a for a in absorbers)
+            verdicts[key] = absorbed
+        if not absorbed:
+            kept.append(mask)
+    kept.sort(key=lambda m: (m.bit_count(), m))
     return kept
 
 
@@ -369,9 +428,9 @@ def solve_minimal_cut_sets(
     # No cut set has more events than the tree, so this limit truncates nothing.
     limit = len(event_ids) if max_order is None else max_order
     gate_ids = ft.gate_order
-    supp, disjoint, lo = _supports_and_bounds(ft, index_of)
+    supp, shared, lo = _supports_and_bounds(ft, index_of)
     caps: dict[str, list[tuple[int, int] | None]] = {}
-    budgets = _order_budgets(ft, supp, disjoint, lo, limit, caps)
+    budgets = _order_budgets(ft, supp, shared, lo, limit, caps)
     plan = _plan(ft, budgets, index_of)
     results: dict[str, list[int]] = {}
     largest_gate: str | None = None
@@ -413,7 +472,7 @@ def solve_minimal_cut_sets(
                     for p, cap in zip(parts, caps[gate_id])
                 ]
             try:
-                results[gate_id] = _combine(gate, parts, budget, max_sets, gate_id in disjoint)
+                results[gate_id] = _combine(gate, parts, budget, max_sets, shared[gate_id])
             except _BudgetExceeded:
                 live = sum(len(r) for r in results.values())
                 raise ResourceLimitError(
@@ -552,9 +611,10 @@ def _threshold(gate: Gate) -> int:
 
 def _supports_and_bounds(
     ft: FaultTree, index_of: Mapping[str, int]
-) -> tuple[dict[str, int], set[str], dict[str, int]]:
-    """One children-first pass giving every node's event support, the gates
-    whose children's supports are pairwise disjoint, and a lower bound on the
+) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
+    """One children-first pass giving every node's event support, every
+    gate's shared mask (the events under two or more of its children; 0 when
+    the children's supports are pairwise disjoint), and a lower bound on the
     order of every cut set of each node.
 
     An empty OR has support 0, which is disjoint from every sibling. A k-of-n
@@ -565,22 +625,18 @@ def _supports_and_bounds(
     set of the tree.
     """
     supp = {eid: 1 << i for eid, i in index_of.items()}
-    disjoint: set[str] = set()
+    shared: dict[str, int] = {}
     never = len(ft.events) + 1
     lo = dict.fromkeys(ft.events, 1)
     gates = ft.gates
     for gate_id in ft.gate_order:
         gate = gates[gate_id]
-        union = 0
-        apart = True
+        once = twice = 0
         for child in gate.children:
-            s = supp[child]
-            if union & s:
-                apart = False
-            union |= s
-        supp[gate_id] = union
-        if apart:
-            disjoint.add(gate_id)
+            twice |= once & supp[child]
+            once |= supp[child]
+        supp[gate_id] = once
+        shared[gate_id] = twice
         k = _threshold(gate)
         if k > len(gate.children):
             lo[gate_id] = never
@@ -588,12 +644,12 @@ def _supports_and_bounds(
             lo[gate_id] = min([lo[child] for child in gate.children])
         else:
             los = sorted([lo[child] for child in gate.children])
-            lo[gate_id] = sum(los[:k]) if apart else los[k - 1]
-    return supp, disjoint, lo
+            lo[gate_id] = los[k - 1] if twice else sum(los[:k])
+    return supp, shared, lo
 
 
 def _order_budgets(
-    ft: FaultTree, supp: Mapping[str, int], disjoint: set[str], lo: Mapping[str, int],
+    ft: FaultTree, supp: Mapping[str, int], shared: Mapping[str, int], lo: Mapping[str, int],
     max_order: int, caps: dict[str, list[tuple[int, int] | None]] | None = None,
 ) -> dict[str, int]:
     """The largest cut-set order each gate must deliver for a solve truncated at ``max_order``.
@@ -635,24 +691,21 @@ def _order_budgets(
                     budgets[child] = max(budgets.get(child, 0), b)
             continue
         # A child is alone when none of its events is under two or more children.
-        once = shared = 0
-        for child in children:
-            shared |= once & supp[child]
-            once |= supp[child]
+        common = shared[gate_id]
         los = sorted([lo[child] for child in children])
         least_k = sum(los[:k])
-        apart = gate_id in disjoint
+        apart = not common
         gate_caps: list[tuple[int, int] | None] | None = None if apart or caps is None else []
         for child in children:
             # (k - 1)-th smallest bound once the child is removed.
             others = los[k - 1] if lo[child] <= los[k - 2] else los[k - 2]
             if gate_caps is not None:
-                private = supp[child] & ~shared
+                private = supp[child] & ~common
                 cap = b - others
                 gate_caps.append((private, cap) if private.bit_count() > cap else None)
             if child not in gates:
                 continue
-            alone = not supp[child] & shared
+            alone = not supp[child] & common
             taken = 0
             if alone and apart:
                 # Sum of the k - 1 smallest bounds once the child is removed.
@@ -666,31 +719,36 @@ def _order_budgets(
 
 
 def _combine(gate: Gate, parts: list[list[int]], order: int, max_rows: int,
-             disjoint: bool) -> list[int]:
+             shared: int) -> list[int]:
     """Minimal masks of one gate of order <= ``order`` from its children's masks.
 
     Every gate is a k-of-n vote (OR: k = 1, AND: k = n): its rows are the
     minimized unions of one row from each child of some k-combination. With
     k = n there is a single combination, which ``_and_all`` already minimizes.
-    When the children's supports are pairwise disjoint (``disjoint``) the
-    rows need no absorption. Each child result is an antichain of nonempty
-    masks within its child's support. Unions of antichains over disjoint
-    supports (OR) are an antichain without duplicates, and so are the
-    pairwise unions of two of them (AND): x | y contains x' | y' only when
-    x contains x' and y contains y'. Rows from two different VOTE
-    combinations cannot contain one another, because each row meets exactly
-    the supports of its own combination's children. Dropping rows over the
-    order budget keeps an antichain an antichain.
+    ``shared`` holds the events under two or more children. When it is 0 the
+    children's supports are pairwise disjoint and the rows need no
+    absorption. Each child result is an antichain of nonempty masks within
+    its child's support. Unions of antichains over disjoint supports (OR) are
+    an antichain without duplicates, and so are the pairwise unions of two of
+    them (AND): x | y contains x' | y' only when x contains x' and y contains
+    y'. Rows from two different VOTE combinations cannot contain one another,
+    because each row meets exactly the supports of its own combination's
+    children. Dropping rows over the order budget keeps an antichain an
+    antichain. An OR whose children share events absorbs only through the
+    rows inside ``shared`` (``_absorb_across``); a VOTE keeps ``_minimize``,
+    because rows of two combinations can share children.
     """
     k = _threshold(gate)
     if k == len(parts):
-        return _and_all(parts, order, max_rows, disjoint)
+        return _and_all(parts, order, max_rows, not shared)
     rows: list[int] = []
     for combo in itertools.combinations(parts, k):
-        rows.extend(_and_all(combo, order, max_rows, disjoint))
+        rows.extend(_and_all(combo, order, max_rows, not shared))
         if len(rows) > max_rows:
             raise _BudgetExceeded()
-    return rows if disjoint else _minimize(rows)
+    if not shared:
+        return rows
+    return _absorb_across(rows, shared) if k == 1 else _minimize(rows)
 
 
 # ---------------------------------------------------------------------------

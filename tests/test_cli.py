@@ -362,6 +362,17 @@ def test_oracle_check_counts_must_be_positive(flag, value, capsys):
     )
 
 
+def test_oracle_check_events_above_the_oracle_limit_are_a_usage_error(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["oracle-check", "--trees", "1", "--max-events", "21"])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "resha oracle-check: error: argument --max-events: must be at most 20, "
+        "the brute-force oracle's event limit, got '21'"
+    )
+    assert main(["oracle-check", "--trees", "1", "--max-events", "20"]) == 0
+
+
 @pytest.mark.parametrize("command", ["analyze", "cutsets"])
 @pytest.mark.parametrize("value", ["0", "-1", "x"])
 def test_truncate_below_one_is_a_usage_error(command, value, model_path, tmp_path, capsys):

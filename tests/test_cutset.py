@@ -24,6 +24,7 @@ from resha.cutset import (
     witness_check,
     _bit_subsets,
     _collect,
+    _combine,
     _minimize,
     _order_budgets,
     _plan,
@@ -462,7 +463,7 @@ def test_order_bounds_and_budgets_sound_on_disjoint_support_trees():
     for _ in range(150):
         ft = disjoint_support_tree(rng)
         index_of = {eid: i for i, eid in enumerate(sorted(ft.events))}
-        supp, disjoint, lo = _supports_and_bounds(ft, index_of)
+        supp, shared, lo = _supports_and_bounds(ft, index_of)
         for gate_id in ft.gate_order:
             orders = [c.order for c in brute_force_cut_sets(extract_subtree(ft, gate_id)).cut_sets]
             if orders:
@@ -471,7 +472,7 @@ def test_order_bounds_and_budgets_sound_on_disjoint_support_trees():
         for k in range(1, 6):
             got = {c.events for c in solve_minimal_cut_sets(ft, k).cut_sets}
             assert got == {s for s in oracle if len(s) <= k}
-            budgets = _order_budgets(ft, supp, disjoint, lo, k)
+            budgets = _order_budgets(ft, supp, shared, lo, k)
             narrowed += any(0 < b < k for b in budgets.values())
     # The sibling rule must actually fire, or this test checks nothing new.
     assert narrowed > 100
@@ -483,8 +484,8 @@ def test_disjoint_support_skip_matches_oracle():
     skipped = 0
     for _ in range(120):
         ft = disjoint_support_tree(rng)
-        _, disjoint, _ = _supports_and_bounds(ft, {eid: i for i, eid in enumerate(sorted(ft.events))})
-        skipped += sum(1 for g in disjoint if len(ft.gates[g].children) > 1)
+        _, shared, _ = _supports_and_bounds(ft, {eid: i for i, eid in enumerate(sorted(ft.events))})
+        skipped += sum(1 for g, s in shared.items() if not s and len(ft.gates[g].children) > 1)
         oracle = {c.events for c in brute_force_cut_sets(ft).cut_sets}
         assert {c.events for c in solve_minimal_cut_sets(ft).cut_sets} == oracle
         for k in (2, 3):
@@ -573,8 +574,8 @@ def replicated_tree(rng: random.Random, max_events: int = 20) -> FaultTree:
 def _planned(ft: FaultTree, max_order: int):
     """(budgets, plan) of a solve truncated at ``max_order``."""
     index_of = {eid: i for i, eid in enumerate(sorted(ft.events))}
-    supp, disjoint, lo = _supports_and_bounds(ft, index_of)
-    budgets = _order_budgets(ft, supp, disjoint, lo, max_order)
+    supp, shared, lo = _supports_and_bounds(ft, index_of)
+    budgets = _order_budgets(ft, supp, shared, lo, max_order)
     return budgets, _plan(ft, budgets, index_of)
 
 
@@ -651,6 +652,10 @@ def naive_antichain(masks: list[int]) -> list[int]:
     return sorted(minimal, key=lambda m: (m.bit_count(), m))
 
 
+def random_mask(rng: random.Random, width: int, bits: int) -> int:
+    return sum(1 << b for b in rng.sample(range(width), bits))
+
+
 def test_minimize_matches_naive_antichain_filter():
     rng = random.Random(11)
     for _ in range(200):
@@ -662,6 +667,100 @@ def test_minimize_matches_naive_antichain_filter():
         masks += rng.sample(masks, len(masks) // 4)  # duplicates
         rng.shuffle(masks)
         assert _minimize(masks) == naive_antichain(masks)
+    # One popcount: nothing absorbs anything, so the masks come back deduplicated and sorted.
+    assert _minimize([]) == []
+    assert _minimize([0b100, 0b100]) == [0b100]
+    for _ in range(150):
+        width = rng.choice([10, 24, 70])
+        bits = rng.choice([1, 2, 4, 9])
+        masks = [random_mask(rng, width, bits) for _ in range(rng.randint(1, 40))]
+        masks += rng.sample(masks, len(masks) // 3)
+        rng.shuffle(masks)
+        assert _minimize(masks) == naive_antichain(masks)
+    # A repeated lowest popcount, kept unchecked, under masks one and two bits
+    # larger that it absorbs.
+    for _ in range(150):
+        width = rng.choice([12, 24, 70])
+        bits = rng.choice([1, 2, 3, 9])
+        lowest = [random_mask(rng, width, bits) for _ in range(rng.randint(1, 8))]
+        masks = lowest * rng.randint(2, 3)
+        for low in lowest:
+            extra = random_mask(rng, width, 2) & ~low
+            masks += [low | (extra & -extra), low | extra]
+        masks += [random_mask(rng, width, bits + rng.randint(1, 3)) for _ in range(10)]
+        rng.shuffle(masks)
+        assert _minimize(masks) == naive_antichain(masks)
+
+
+def overlapping_or(rng: random.Random) -> tuple[FaultTree, list[list[int]], int]:
+    """(tree, rows of each child, budget) for an OR of 2-4 children whose rows share events.
+
+    Every child is an OR over its rows, an antichain of private events and
+    shared ones; a shared event is under two or more children, and under
+    fewer than all of them when there are three or more. Some children are
+    empty, some rows appear in two children, and some rows are a shared-only
+    row of another child plus a private event, so that row absorbs them.
+    """
+    n = rng.randint(2, 4)
+    pools = [[f"P{i}{j}" for j in range(rng.randint(1, 3))] for i in range(n)]
+    for j in range(rng.randint(1, 4)):
+        for i in rng.sample(range(n), rng.randint(2, max(2, n - 1))):
+            pools[i].append(f"S{j}")
+    shared_only = [rng.sample([e for e in pool if e[0] == "S"] or pool, 1) for pool in pools]
+    wanted: list[list[frozenset[str]]] = []
+    for i, pool in enumerate(pools):
+        if rng.random() < 0.15:
+            wanted.append([])
+            continue
+        rows = [frozenset(rng.sample(pool, rng.randint(1, min(4, len(pool)))))
+                for _ in range(rng.randint(1, 6))]
+        other = rng.randrange(n)
+        if set(shared_only[other]) <= set(pool):
+            rows.append(frozenset(shared_only[other]))  # identical in two children
+            rows.append(frozenset(shared_only[other]) | {pools[i][0]})  # absorbed by it
+        wanted.append([r for r in set(rows) if not any(o < r for o in rows)])
+    names = sorted({e for rows in wanted for row in rows for e in row})
+    bit = {e: 1 << i for i, e in enumerate(names)}
+    gates: dict[str, Gate] = {}
+    parts = []
+    for i, rows in enumerate(wanted):
+        masks = sorted(sum(bit[e] for e in row) for row in rows)
+        kids = []
+        for r, mask in enumerate(masks):
+            row = tuple(e for e in names if bit[e] & mask)
+            if len(row) == 1:
+                kids.append(row[0])
+            else:
+                gates[f"C{i}R{r}"] = Gate(id=f"C{i}R{r}", kind=GateKind.AND, children=row)
+                kids.append(f"C{i}R{r}")
+        gates[f"C{i}"] = Gate(id=f"C{i}", kind=GateKind.OR, children=tuple(kids))
+        parts.append(masks)
+    gates["TOP"] = Gate(id="TOP", kind=GateKind.OR, children=tuple(f"C{i}" for i in range(n)))
+    return tree("TOP", gates, names), parts, rng.randint(1, 4)
+
+
+def test_or_absorption_matches_minimize():
+    """An OR whose children share events returns exactly ``_minimize`` of their rows."""
+    rng = random.Random(18)
+    seen = {"absorbed": 0, "identical": 0, "empty": 0, "over budget": 0}
+    for _ in range(300):
+        ft, parts, budget = overlapping_or(rng)
+        index_of = {eid: i for i, eid in enumerate(sorted(ft.events))}
+        _, shared, _ = _supports_and_bounds(ft, index_of)
+        if not shared["TOP"]:
+            continue  # the children's rows happen to share no event
+        rows = [m for p in parts for m in p if m.bit_count() <= budget]
+        expected = _minimize(rows)
+        assert _combine(ft.gates["TOP"], parts, budget, 10**6, shared["TOP"]) == expected
+        seen["absorbed"] += any(m & ~shared["TOP"] for m in set(rows) - set(expected))
+        seen["identical"] += len(rows) > len(set(rows))
+        seen["empty"] += not all(parts)
+        seen["over budget"] += any(m.bit_count() > budget for p in parts for m in p)
+        oracle = {c.events for c in brute_force_cut_sets(ft).cut_sets}
+        got = {c.events for c in solve_minimal_cut_sets(ft, budget).cut_sets}
+        assert got == {s for s in oracle if len(s) <= budget}
+    # Every case must actually occur, or this test checks less than it says.
+    assert min(seen.values()) > 20, seen
 
 
 def test_collect_walks_set_bits_above_64():

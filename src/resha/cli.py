@@ -5,18 +5,20 @@ inspectable: ``validate``, ``analyze`` (full run), ``ucas``, ``ccf-catalog``,
 ``cutsets`` (solver only, exchange-format trees), and ``oracle-check``
 (randomized solver-vs-brute-force equivalence).
 
-Exit codes: 0 success, 1 validation or analysis failure, 2 I/O failure.
+Exit codes, decided in ``main`` alone: 0 success, 1 validation or analysis
+failure, 2 I/O failure.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import random
 import sys
 import time
 from pathlib import Path
-from typing import NamedTuple
+from typing import Any, Iterator, Mapping, NamedTuple
 
 from . import ccf as ccfmod
 from . import cutset as cutsetmod
@@ -68,7 +70,8 @@ class RunConfig(NamedTuple):
     """Options controlling one analyze run.
 
     ``out_dir`` None means ``$RESHA_OUT`` or ``./resha-out``, read when the
-    artifacts are written.
+    artifacts are written. ``ccf`` overrides fields of the model's
+    ``CcfPolicy`` by name.
     """
 
     model_path: Path
@@ -78,10 +81,22 @@ class RunConfig(NamedTuple):
     event_filter: frozenset[EventKind] | None = None
     out_dir: Path | None = None
     deterministic: bool = False
-    ccf_intra: bool | None = None
-    ccf_cross: bool | None = None
-    ccf_partial: bool | None = None
-    ccf_categories: tuple[str, ...] | None = None
+    ccf: Mapping[str, Any] = {}
+
+
+class Analysis(NamedTuple):
+    """The in-memory results of one analyze run."""
+
+    model: SystemModel
+    control_structure: stpamod.ControlStructure
+    ucas: tuple[stpamod.UcaRecord, ...]
+    tree: FaultTree
+    collection: cutsetmod.CutSetCollection
+    spofs: cutsetmod.SpofReport
+    worksheets: tuple[reportmod.CausalFactorWorksheet, ...]
+    catalog: tuple[ccfmod.CcfEvent, ...]
+    report: str
+    root: str
 
 
 def _existing(path: str | Path, what: str) -> Path:
@@ -142,138 +157,81 @@ def _oracle_event_count(text: str) -> int:
     return value
 
 
-def _effective_policy(model: SystemModel, config: RunConfig) -> CcfPolicy:
-    base = model.ccf_policy
-    return CcfPolicy(
-        include_intra_division=(
-            base.include_intra_division if config.ccf_intra is None else config.ccf_intra
-        ),
-        include_cross_all_divisions=(
-            base.include_cross_all_divisions if config.ccf_cross is None else config.ccf_cross
-        ),
-        include_partial_interdivision=(
-            base.include_partial_interdivision if config.ccf_partial is None else config.ccf_partial
-        ),
-        software_categories=(
-            base.software_categories if config.ccf_categories is None else config.ccf_categories
-        ),
-    )
-
-
 def _default_top(model: SystemModel) -> str:
-    if not model.gates:
-        raise FaultTreeError("model declares no gates; specify a node id as --top")
-    return model.gates[0].id
+    for gate in model.gates:
+        if gate.replicate is None:
+            return gate.id
+    raise FaultTreeError("model declares no gate outside a replicate template; specify --top")
 
 
-def run_analysis(config: RunConfig) -> dict[str, object]:
+@contextlib.contextmanager
+def _stage(name: str, errors: type[Exception]) -> Iterator[None]:
+    """Re-raise ``errors`` from the block as a ``StageError`` naming stage ``name``."""
+    try:
+        yield
+    except errors as exc:
+        raise StageError(name, exc) from exc
+
+
+def run_analysis(config: RunConfig) -> Analysis:
     """Execute the full pipeline and return the artifacts in memory."""
-    try:
+    with _stage("parse", ModelError):
         model = _load_model(config.model_path)
-    except ModelError as exc:
-        raise StageError("parse", exc) from exc
 
-    try:
+    with _stage("stpa", stpamod.StpaError):
         cs = stpamod.build_layered_control_structure(model)
         ucas = stpamod.enumerate_ucas(cs, model.hazards)
         selected = stpamod.select_ucas_for_top_event(ucas, config.kind)
-    except stpamod.StpaError as exc:
-        raise StageError("stpa", exc) from exc
 
     # Any declared gate can serve as an analysis root, so a scope is simply a
     # different root; extraction from a wider tree would yield the same result.
-    try:
+    with _stage("fault-tree", FaultTreeError):
         root = config.top or _default_top(model)
         tree = build_hardware_fault_tree(model, root)
-    except FaultTreeError as exc:
-        raise StageError("fault-tree", exc) from exc
 
-    try:
+    with _stage("integrate", FaultTreeError):
         tree = integrate_ucas(tree, selected)
-    except FaultTreeError as exc:
-        raise StageError("integrate", exc) from exc
 
-    try:
+    with _stage("ccf", Exception):
         groups = derive_redundancy_groups(model)
-        policy = _effective_policy(model, config)
+        policy = model.ccf_policy._replace(**config.ccf)
         tree = ccfmod.inject_ccfs(tree, groups, policy)
         catalog = ccfmod.enumerate_ccf_catalog(groups, policy)
-    except Exception as exc:
-        raise StageError("ccf", exc) from exc
 
     if config.event_filter is not None:
-        try:
+        with _stage("filter", FaultTreeError):
             tree = filter_events(tree, config.event_filter)
-        except FaultTreeError as exc:
-            raise StageError("filter", exc) from exc
 
-    try:
+    with _stage("solve", cutsetmod.CutSetError):
         collection = cutsetmod.solve_minimal_cut_sets(tree, config.truncate)
-    except cutsetmod.CutSetError as exc:
-        raise StageError("solve", exc) from exc
 
-    try:
+    with _stage("report", Exception):
         spofs = cutsetmod.extract_spofs(collection)
-        worksheets = reportmod.generate_worksheets(
-            model, spofs.spofs or spofs.fallback_sets, ucas, tree
-        )
-        notes = []
-        if config.event_filter is not None and not (
-            config.event_filter & SOFTWARE_KINDS
-        ):
-            notes.append("Software failures excluded by filter.")
+        worksheets = reportmod.generate_worksheets(model, spofs.spofs or spofs.fallback_sets, ucas, tree)
+        excluded = config.event_filter is not None and not config.event_filter & SOFTWARE_KINDS
         document = reportmod.render_analysis_report(
-            model,
-            cs,
-            ucas,
-            tree,
-            root,
-            collection,
-            spofs,
-            worksheets,
-            catalog=catalog,
-            notes=notes,
+            model, cs, ucas, tree, root, collection, spofs, worksheets, catalog=catalog,
+            notes=["Software failures excluded by filter."] if excluded else [],
         )
-    except Exception as exc:
-        raise StageError("report", exc) from exc
 
-    return {
-        "model": model,
-        "control_structure": cs,
-        "ucas": ucas,
-        "tree": tree,
-        "collection": collection,
-        "spofs": spofs,
-        "worksheets": worksheets,
-        "catalog": catalog,
-        "report": document,
-        "root": root,
-    }
+    return Analysis(model, cs, ucas, tree, collection, spofs, worksheets, catalog, document, root)
 
 
-def write_artifacts(config: RunConfig, artifacts: dict[str, object]) -> Path:
+def write_artifacts(config: RunConfig, artifacts: Analysis) -> Path:
     out_root = config.out_dir or Path(os.environ.get("RESHA_OUT", "resha-out"))
-    if config.deterministic:
-        run_dir = out_root
-    else:
-        stamp = time.strftime("run-%Y%m%d-%H%M%S")
-        run_dir = out_root / stamp
+    run_dir = out_root if config.deterministic else out_root / time.strftime("run-%Y%m%d-%H%M%S")
     run_dir.mkdir(parents=True, exist_ok=True)
 
-    tree: FaultTree = artifacts["tree"]  # type: ignore[assignment]
-    collection = artifacts["collection"]
-    spofs = artifacts["spofs"]
-    ucas = artifacts["ucas"]
-    catalog = artifacts["catalog"]
+    tree = artifacts.tree
     descriptions = {e.id: e.description for e in tree.events.values()}
 
-    (run_dir / "report.md").write_text(artifacts["report"], encoding="utf-8")  # type: ignore[arg-type]
-    (run_dir / "ucas.csv").write_text(stpamod.uca_table_to_csv(ucas), encoding="utf-8")  # type: ignore[arg-type]
-    (run_dir / "cutsets.csv").write_text(collection.to_csv(), encoding="utf-8")  # type: ignore[union-attr]
+    (run_dir / "report.md").write_text(artifacts.report, encoding="utf-8")
+    (run_dir / "ucas.csv").write_text(stpamod.uca_table_to_csv(artifacts.ucas), encoding="utf-8")
+    (run_dir / "cutsets.csv").write_text(artifacts.collection.to_csv(), encoding="utf-8")
     (run_dir / "spofs.csv").write_text(
-        reportmod.spof_table_to_csv(spofs, descriptions), encoding="utf-8"  # type: ignore[arg-type]
+        reportmod.spof_table_to_csv(artifacts.spofs, descriptions), encoding="utf-8"
     )
-    (run_dir / "ccf_catalog.csv").write_text(ccfmod.catalog_to_csv(catalog), encoding="utf-8")  # type: ignore[arg-type]
+    (run_dir / "ccf_catalog.csv").write_text(ccfmod.catalog_to_csv(artifacts.catalog), encoding="utf-8")
     (run_dir / "tree.json").write_text(to_exchange_json(tree), encoding="utf-8")
     return run_dir
 
@@ -313,42 +271,26 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         event_filter=args.filter,
         out_dir=Path(args.out) if args.out else None,
         deterministic=args.deterministic,
-        ccf_intra=args.ccf_intra,
-        ccf_cross=args.ccf_cross,
-        ccf_partial=args.ccf_partial,
-        ccf_categories=args.ccf_categories,
+        ccf={f: getattr(args, f) for f in CcfPolicy._fields if getattr(args, f) is not None},
     )
-    try:
-        artifacts = run_analysis(config)
-        run_dir = write_artifacts(config, artifacts)
-    except StageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    artifacts = run_analysis(config)
+    run_dir = write_artifacts(config, artifacts)
 
-    collection = artifacts["collection"]
-    print(f"scope: {artifacts['root']}")
-    for order, count, cumulative in collection.rows():  # type: ignore[union-attr]
+    print(f"scope: {artifacts.root}")
+    for order, count, cumulative in artifacts.collection.rows():
         print(f"order {order}: {count} cut sets ({cumulative} cumulative)")
-    spofs = artifacts["spofs"]
-    n_spof = len(spofs.spofs)  # type: ignore[union-attr]
-    print(f"{n_spof} first-order cut sets")
-    if not n_spof and spofs.fallback_order is not None:  # type: ignore[union-attr]
-        print(
-            f"lowest populated order: {spofs.fallback_order} "  # type: ignore[union-attr]
-            f"({len(spofs.fallback_sets)} sets)"  # type: ignore[union-attr]
-        )
+    spofs = artifacts.spofs
+    print(f"{len(spofs.spofs)} first-order cut sets")
+    if not spofs.spofs and spofs.fallback_order is not None:
+        print(f"lowest populated order: {spofs.fallback_order} ({len(spofs.fallback_sets)} sets)")
     print(f"artifacts written to {run_dir}")
     return EXIT_OK
 
 
 def cmd_ucas(args: argparse.Namespace) -> int:
-    try:
-        model = _load_model(args.model)
-        cs = stpamod.build_layered_control_structure(model)
-        ucas = stpamod.enumerate_ucas(cs, model.hazards)
-    except (ModelError, stpamod.StpaError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    model = _load_model(args.model)
+    cs = stpamod.build_layered_control_structure(model)
+    ucas = stpamod.enumerate_ucas(cs, model.hazards)
     if args.format == "markdown":
         _emit(stpamod.uca_table_to_markdown(cs, ucas), args.out)
     else:
@@ -362,24 +304,15 @@ def cmd_ucas(args: argparse.Namespace) -> int:
 
 
 def cmd_ccf_catalog(args: argparse.Namespace) -> int:
-    try:
-        model = _load_model(args.model)
-        groups = derive_redundancy_groups(model)
-        catalog = ccfmod.enumerate_ccf_catalog(groups, model.ccf_policy)
-    except ModelError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
-    _emit(ccfmod.catalog_to_csv(catalog), args.out)
+    model = _load_model(args.model)
+    groups = derive_redundancy_groups(model)
+    _emit(ccfmod.catalog_to_csv(ccfmod.enumerate_ccf_catalog(groups, model.ccf_policy)), args.out)
     return EXIT_OK
 
 
 def cmd_cutsets(args: argparse.Namespace) -> int:
-    try:
-        tree = from_exchange_json(_existing(args.tree, "tree").read_text(encoding="utf-8"))
-        collection = cutsetmod.solve_minimal_cut_sets(tree, args.truncate)
-    except (FaultTreeError, cutsetmod.CutSetError, ValueError, KeyError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_FAILURE
+    tree = from_exchange_json(_existing(args.tree, "tree").read_bytes())
+    collection = cutsetmod.solve_minimal_cut_sets(tree, args.truncate)
     _emit(collection.to_csv(), args.out)
     for order, count, cumulative in collection.rows():
         print(f"order {order}: {count} cut sets ({cumulative} cumulative)", file=sys.stderr)
@@ -421,7 +354,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze = sub.add_parser("analyze", help="run the full pipeline")
     p_analyze.add_argument("--model", required=True)
     p_analyze.add_argument("--top", "--scope", dest="top",
-                           help="root gate or node of the fault tree (default: first declared gate)")
+                           help="root gate or node of the fault tree "
+                                "(default: first declared gate that is not a replicate template)")
     p_analyze.add_argument(
         "--kind",
         choices=[k.value for k in stpamod.TopEventKind],
@@ -434,10 +368,15 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out", help="output directory (default $RESHA_OUT or ./resha-out)")
     p_analyze.add_argument("--deterministic", action="store_true",
                            help="pin output names and bytes for reproducible runs")
-    p_analyze.add_argument("--ccf-intra", action=argparse.BooleanOptionalAction, default=None)
-    p_analyze.add_argument("--ccf-cross", action=argparse.BooleanOptionalAction, default=None)
-    p_analyze.add_argument("--ccf-partial", action=argparse.BooleanOptionalAction, default=None)
-    p_analyze.add_argument("--ccf-categories", type=_parse_categories,
+    # Each --ccf-* flag overrides the CcfPolicy field it is stored under.
+    p_analyze.add_argument("--ccf-intra", dest="include_intra_division",
+                           action=argparse.BooleanOptionalAction)
+    p_analyze.add_argument("--ccf-cross", dest="include_cross_all_divisions",
+                           action=argparse.BooleanOptionalAction)
+    p_analyze.add_argument("--ccf-partial", dest="include_partial_interdivision",
+                           action=argparse.BooleanOptionalAction)
+    p_analyze.add_argument("--ccf-categories", dest="software_categories",
+                           metavar="CCF_CATEGORIES", type=_parse_categories,
                            help="comma-separated UCA categories (a-d) for software CCFs")
     p_analyze.set_defaults(func=cmd_analyze)
 
@@ -474,6 +413,9 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except (ModelError, stpamod.StpaError, FaultTreeError, cutsetmod.CutSetError, StageError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_FAILURE
     except OSError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_IO

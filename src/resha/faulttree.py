@@ -592,8 +592,13 @@ def _exchange_text(entry: dict, what: str, key: str) -> str | None:
     return value
 
 
-def from_exchange_json(text: str) -> FaultTree:
-    doc = json.loads(text)
+def from_exchange_json(data: str | bytes) -> FaultTree:
+    """Decode an exchange document; ``bytes`` must be UTF-8."""
+    try:
+        doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
+    # Not UTF-8, not JSON, an integer too long to convert, or nesting too deep to decode.
+    except (ValueError, RecursionError) as exc:
+        raise FaultTreeError(f"exchange document is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FaultTreeError("exchange document must be a JSON object")
     if "top" not in doc:

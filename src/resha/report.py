@@ -167,18 +167,13 @@ def generate_worksheets(
         if event.uca_id and event.uca_id in uca_by_id:
             linked = uca_by_id[event.uca_id].hazards
         hardware = event.kind in HARDWARE_KINDS
-        prompts1 = entry.category1
-        if hardware:
-            prompts1 = tuple(
-                p for p in prompts1 if "algorithm" not in p and "process model" not in p
-            ) or (_DEFAULT_CATEGORY1[0],)
         sheets.append(
             CausalFactorWorksheet(
                 event_id=eid,
                 event_kind=event.kind,
                 description=event.description,
                 lowest_order=lowest[eid],
-                category1_prompts=prompts1,
+                category1_prompts=entry.category1,
                 category2_prompts=None if hardware else entry.category2,
                 scenario=entry.scenario,
                 guidance=entry.guidance,

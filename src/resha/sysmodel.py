@@ -388,13 +388,15 @@ def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
         doc: Any = source
     else:
         path = Path(source)
-        text = path.read_text(encoding="utf-8")
         try:
-            doc = json.loads(text)
+            doc = json.loads(path.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ModelValidationError(
                 [ModelIssue(f"{path}:{exc.lineno}:{exc.colno}", f"syntax error: {exc.msg}")]
             ) from exc
+        # Bytes that are not UTF-8, an integer too long to convert, nesting too deep to decode.
+        except (ValueError, RecursionError) as exc:
+            raise ModelValidationError([ModelIssue(str(path), f"cannot decode: {exc}")]) from None
 
     issues: list[ModelIssue] = []
     if not isinstance(doc, Mapping):

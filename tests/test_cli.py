@@ -16,7 +16,12 @@ from resha.cli import RunConfig, main, run_analysis, write_artifacts
 from resha.faulttree import FaultTreeError, from_exchange_json, to_exchange_json
 from resha.fixtures import build_rts_document
 from resha.report import GuidanceBank
-from resha.sysmodel import ModelIssue, derive_redundancy_groups, parse_system_model
+from resha.sysmodel import (
+    ModelIssue,
+    ModelValidationError,
+    derive_redundancy_groups,
+    parse_system_model,
+)
 
 
 @pytest.fixture(scope="module")
@@ -255,6 +260,29 @@ def test_analyze_unknown_scope_exit_1(model_path, tmp_path, capsys):
     assert "[stage: fault-tree]" in capsys.readouterr().err
 
 
+def test_default_root_skips_replicate_templates(tmp_path, capsys):
+    doc = build_rts_document()
+    doc["gates"].insert(0, doc["gates"].pop(9))
+    assert doc["gates"][0]["replicate"] == "per-division"
+    path = tmp_path / "reordered.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["analyze", "--model", str(path), "--truncate", "1", "--out", str(tmp_path / "out")])
+    assert rc == 0
+    assert capsys.readouterr().out.startswith("scope: RTS\n")
+
+
+def test_default_root_without_a_plain_gate_asks_for_top(tmp_path, capsys):
+    doc = build_rts_document()
+    doc["gates"] = [g for g in doc["gates"] if g["id"] == "ST-$D-FAILS"]
+    path = tmp_path / "templates.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    rc = main(["analyze", "--model", str(path), "--truncate", "1", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.endswith("error: [stage: fault-tree] model declares no gate outside a "
+                        "replicate template; specify --top\n")
+
+
 def test_analyze_per_action_scope_exit_0(model_path, tmp_path, capsys):
     """A scope that holds some of a source's actions leaves out the UCAs of the others."""
     rc = main(
@@ -390,18 +418,18 @@ def test_truncate_below_one_is_a_usage_error(command, value, model_path, tmp_pat
 def test_records_are_read_only_tuples(model_path):
     config = RunConfig(model_path=model_path, top="RPS", truncate=1, deterministic=True)
     artifacts = run_analysis(config)
-    model, cs, tree = artifacts["model"], artifacts["control_structure"], artifacts["tree"]
-    collection = artifacts["collection"]
+    model, cs, tree = artifacts.model, artifacts.control_structure, artifacts.tree
+    collection = artifacts.collection
     node = next(iter(model.nodes.values()))
     # One of each record type the pipeline makes.
     records = [
-        config, model, node, node.id, model.links[0], model.losses[0], model.hazards[0],
-        model.actions[0], model.gates[0], model.gates[0].children[0], model.ccf_policy,
-        next(iter(model.classes.values())), derive_redundancy_groups(model)[0],
+        config, artifacts, model, node, node.id, model.links[0], model.losses[0],
+        model.hazards[0], model.actions[0], model.gates[0], model.gates[0].children[0],
+        model.ccf_policy, next(iter(model.classes.values())), derive_redundancy_groups(model)[0],
         ModelIssue("$", "unknown field"), cs, cs.layers[0], cs.actions[0], cs.feedbacks[0],
-        artifacts["ucas"][0], tree, next(iter(tree.gates.values())),
+        artifacts.ucas[0], tree, next(iter(tree.gates.values())),
         next(iter(tree.events.values())), collection, collection.cut_sets[0],
-        artifacts["spofs"], artifacts["worksheets"][0], artifacts["catalog"][0],
+        artifacts.spofs, artifacts.worksheets[0], artifacts.catalog[0],
         GuidanceBank.packaged().entries[0],
     ]
     for record in records:
@@ -459,6 +487,55 @@ def test_directory_input_exit_2_without_traceback(argv, tmp_path, capsys):
     assert rc == 2
     assert "Traceback" not in err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+_UNDECODABLE = {
+    "not-utf8": b'{"top": "\xff"}',
+    "deep-array": b"[" * 100_000 + b"]" * 100_000,
+    "long-integer": b"1" * 5_000,
+}
+
+
+@pytest.mark.parametrize("content", list(_UNDECODABLE.values()), ids=list(_UNDECODABLE))
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{file}"],
+        ["analyze", "--model", "{file}", "--out", "{dir}/out"],
+        ["ucas", "--model", "{file}"],
+        ["ccf-catalog", "--model", "{file}"],
+        ["cutsets", "--tree", "{file}"],
+    ],
+    ids=["validate", "analyze", "ucas", "ccf-catalog", "cutsets"],
+)
+def test_undecodable_input_exit_1_without_traceback(argv, content, tmp_path, capsys):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    rc = main([arg.format(file=path, dir=tmp_path) for arg in argv])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("content", list(_UNDECODABLE.values()), ids=list(_UNDECODABLE))
+def test_undecodable_input_is_a_library_error(content, tmp_path):
+    path = tmp_path / "input.json"
+    path.write_bytes(content)
+    with pytest.raises(ModelValidationError) as info:
+        parse_system_model(path)
+    assert len(info.value.issues) == 1
+    with pytest.raises(FaultTreeError):
+        from_exchange_json(content)
+
+
+def test_exchange_bytes_must_be_utf8(auto_tree):
+    text = to_exchange_json(auto_tree)
+    assert from_exchange_json(text.encode("utf-8")) == from_exchange_json(text)
+    # json.loads alone would take UTF-16.
+    with pytest.raises(FaultTreeError, match="not JSON"):
+        from_exchange_json(text.encode("utf-16"))
 
 
 @pytest.mark.parametrize(

@@ -388,3 +388,269 @@ def test_template_without_copies_is_one_issue_not_one_per_stranded_gate():
         parse_system_model(doc)
     (issue,) = exc.value.issues
     assert issue.path == "gates[13]" and "'SP1-$D-NO-TRIP' instantiates for no" in issue.message
+
+
+_DELETE = object()
+
+# A small model that parses, with one of each kind of entry, so that each
+# mutation below is one fault.
+_PIN_DOC = {
+    "resha_model_version": 1,
+    "equipment_classes": [{"tag": "pump", "prefix": "PMP", "display": "Pump"}, {"tag": "valve"}],
+    "nodes": [
+        {"id": "A00.00.00", "name": "Division A", "kind": "division", "technology": "digital"},
+        {"id": "A01.00.00", "name": "Unit", "kind": "unit", "technology": "digital"},
+        {"id": "A01.01.00", "name": "Module", "kind": "module", "technology": "analog"},
+        {"id": "A00.00.01", "name": "Pump", "kind": "component", "technology": "digital",
+         "equipment_class": "pump"},
+        {"id": "B00.00.00", "name": "Division B", "kind": "division", "technology": "digital"},
+        {"id": "B00.00.01", "name": "Pump", "kind": "component", "technology": "digital",
+         "equipment_class": "pump"},
+    ],
+    "links": [
+        {"source": "A01.00.00", "target": "A00.00.01", "type": "control"},
+        {"source": "A00.00.01", "target": "A01.00.00", "type": "feedback"},
+    ],
+    "losses": [{"id": "L1", "description": "loss"}, {"id": "L2", "description": "other"}],
+    "hazards": [{"id": "H1", "description": "hazard", "losses": ["L1"]},
+                {"id": "H2", "description": "other", "losses": ["L1"]}],
+    "control_actions": [
+        {"source": "A01.00.00", "target": "A00.00.01", "verb": "starts", "source_label": "U",
+         "action_phrase": "start", "contexts": {"needed": "on demand"},
+         "hazards": {"a": ["H1"]}, "not_applicable": {"d": "not continuous"}},
+    ],
+    "gates": [
+        {"id": "TOP", "kind": "or", "children": [{"fail": "A00.00.01"}, {"gate": "G-A"}]},
+        {"id": "G-$D", "kind": "or", "replicate": "per-division",
+         "children": [{"fail": "$D00.00.01"}]},
+        {"id": "V", "kind": "vote", "k": 1, "children": [{"fail": "A01.00.00", "ca_to": "A00.00.01"}]},
+    ],
+    "ccf_policy": {},
+}
+
+_MALFORMED = ("expected a leading 1-2 character division tag (uppercase letter first) "
+              "followed by three dot-separated two-digit fields")
+
+# (document path, new value or _DELETE, the one issue it gives). An index one
+# past the end of an array appends.
+_ONE_FAULT_ISSUES = [
+    (("colour",), "red", "colour: unknown field"),
+    (("resha_model_version",), 2, "resha_model_version: expected 1, got 2"),
+    (("nodes",), {}, "nodes: must be an array"),
+    (("nodes", 0), 5, "nodes[0]: must be an object"),
+    (("equipment_classes", 1, "tag"), 5, "equipment_classes[1]: missing class tag"),
+    (("equipment_classes", 1, "tag"), "pump", "equipment_classes[1]: duplicate equipment class 'pump'"),
+    (("equipment_classes", 0, "prefix"), [1], "equipment_classes[0].prefix: must be a string"),
+    (("equipment_classes", 0, "size"), 1, "equipment_classes[0].size: unknown field"),
+    (("nodes", 3, "id"), "garbage", f"nodes[3].id: malformed node id 'garbage': {_MALFORMED}"),
+    (("nodes", 3, "id"), 5, "nodes[3].id: node id must be a string, got int"),
+    (("nodes", 0, "kind"), "gizmo", "nodes[0].kind: unknown kind 'gizmo'"),
+    (("nodes", 3, "kind"), "module",
+     "nodes[3].kind: kind 'module' inconsistent with id A00.00.01 (id implies 'component')"),
+    (("nodes", 0, "technology"), "quantum", "nodes[0].technology: unknown technology 'quantum'"),
+    (("nodes", 3, "equipment_class"), _DELETE,
+     "nodes[3].equipment_class: components require an equipment class"),
+    (("nodes", 1, "equipment_class"), "pump",
+     "nodes[1].equipment_class: unit nodes may not carry an equipment class"),
+    (("nodes", 3, "equipment_class"), 5, "nodes[3].equipment_class: must be a string"),
+    (("nodes", 3, "equipment_class"), "gear", "nodes[3].equipment_class: undeclared equipment class 'gear'"),
+    (("nodes", 6), dict(_PIN_DOC["nodes"][3], name="Twin"), "nodes[6].id: duplicate node id A00.00.01"),
+    (("nodes", 0, "name"), 5, "nodes[0].name: must be a string"),
+    (("nodes", 6), dict(_PIN_DOC["nodes"][2], id="A02.01.00"),
+     "nodes[6].id: missing parent node A02.00.00 (hierarchy must nest)"),
+    (("links", 1, "source"), "garbage", f"links[1]: malformed node id 'garbage': {_MALFORMED}"),
+    (("links", 1, "type"), "wire", "links[1].type: unknown link type 'wire'"),
+    (("links", 1, "target"), "Z01.00.00", "links[1].target: dangling link: no node Z01.00.00"),
+    (("links", 1, "layer"), 0, "links[1].layer: layer must be an integer >= 1"),
+    (("links", 0, "layer"), True, "links[0].layer: layer must be an integer >= 1"),
+    (("losses", 1, "id"), "X2", "losses[1].id: loss id must look like L1, got 'X2'"),
+    (("losses", 1, "id"), "L1", "losses[1].id: duplicate loss id L1"),
+    (("losses", 1, "id"), "L3", "losses: loss ids must be contiguous from L1"),
+    (("losses", 1, "description"), 5, "losses[1].description: must be a string"),
+    (("hazards", 1, "id"), "X", "hazards[1].id: hazard id must look like H1, got 'X'"),
+    (("hazards", 1, "id"), "H1", "hazards[1].id: duplicate hazard id H1"),
+    (("hazards", 1, "losses"), [], "hazards[1].losses: hazards must link at least one loss"),
+    (("hazards", 1, "losses"), ["L9"], "hazards[1].losses: unknown loss 'L9'"),
+    (("control_actions", 0, "source"), "garbage",
+     f"control_actions[0]: malformed node id 'garbage': {_MALFORMED}"),
+    (("control_actions", 0, "source"), "Z01.00.00", "control_actions[0].source: no node Z01.00.00"),
+    (("control_actions", 0, "target"), "A01.01.00",
+     "control_actions[0]: no control link A01.00.00 -> A01.01.00 declared"),
+    (("control_actions", 0, "continuous"), "false", "control_actions[0].continuous: must be true or false"),
+    (("control_actions", 0, "verb"), 3, "control_actions[0].verb: must be a string"),
+    (("control_actions", 0, "layer"), 0, "control_actions[0].layer: layer must be an integer >= 1"),
+    (("control_actions", 0, "contexts"), [], "control_actions[0].contexts: must be an object"),
+    (("control_actions", 0, "contexts", "when"), "x", "control_actions[0].contexts.when: unknown field"),
+    (("control_actions", 0, "contexts", "needed"), 1, "control_actions[0].contexts.needed: must be a string"),
+    (("control_actions", 0, "hazards"), [], "control_actions[0].hazards: must be an object"),
+    (("control_actions", 0, "hazards", "e"), [], "control_actions[0].hazards.e: unknown category"),
+    (("control_actions", 0, "hazards", "a"), "H1", "control_actions[0].hazards.a: must be an array"),
+    (("control_actions", 0, "hazards", "a"), ["H9"], "control_actions[0].hazards.a: unknown hazard 'H9'"),
+    (("control_actions", 0, "not_applicable"), [], "control_actions[0].not_applicable: must be an object"),
+    (("control_actions", 0, "not_applicable", "e"), "x",
+     "control_actions[0].not_applicable.e: unknown category"),
+    (("control_actions", 0, "not_applicable", "d"), 5,
+     "control_actions[0].not_applicable.d: must be a string"),
+    (("gates", 0, "id"), "", "gates[0].id: missing gate id"),
+    (("gates", 2, "id"), "TOP", "gates[2].id: duplicate gate id 'TOP'"),
+    (("gates", 0, "kind"), "xor", "gates[0].kind: unknown gate kind 'xor'"),
+    (("gates", 2, "k"), 0, "gates[2].k: vote gates need integer k >= 1"),
+    (("gates", 0, "k"), 1, "gates[0].k: k only applies to vote gates"),
+    (("gates", 1, "replicate"), "per-module", "gates[1].replicate: unknown macro 'per-module'"),
+    (("gates", 0, "description"), 5, "gates[0].description: must be a string"),
+    (("gates", 0, "children"), [], "gates[0].children: gates need at least one child"),
+    (("gates", 0, "colour"), "red", "gates[0].colour: unknown field"),
+    (("gates", 0, "children", 0), 5, "gates[0].children[0]: must be an object"),
+    (("gates", 0, "children", 0, "x"), 1, "gates[0].children[0].x: unknown field"),
+    (("gates", 0, "children", 0, "fail"), "", "gates[0].children[0].fail: must be a non-empty string"),
+    (("gates", 0, "children", 0), {}, "gates[0].children[0]: child must reference exactly one of gate/fail"),
+    (("gates", 0, "children", 1, "ca_to"), "A00.00.01",
+     "gates[0].children[1]: ca_to only applies to fail references"),
+    (("gates", 2, "k"), 3, "gates[2].k: k=3 exceeds 1 children"),
+    (("gates", 0, "id"), "G-B", "gates[1].id: gate id 'G-B' expands more than once"),
+    (("gates", 0, "children", 1, "gate"), "TOP", "gates[0]: cycle detected in gate declarations: TOP -> TOP"),
+    (("gates", 1, "children", 0, "fail"), "$D00.00.09",
+     "gates[1]: replicated gate 'G-$D' instantiates for no division/unit: "
+     "a node or gate it references is absent"),
+    (("gates", 0, "children", 0, "fail"), "Z00.00.01", "gates[0].children[0].fail: no node Z00.00.01"),
+    (("gates", 2, "children", 0, "ca_to"), "garbage",
+     f"gates[2].children[0].ca_to: malformed node id 'garbage': {_MALFORMED}"),
+    (("gates", 0, "children", 1, "gate"), "NOPE", "gates[0].children[1].gate: unknown gate 'NOPE'"),
+    (("gates", 0, "children"), [{"gate": "X"}, {"gate": "Y"}],
+     "gates[0].children[0].gate: unknown gates 'X', 'Y'"),
+    (("ccf_policy",), [], "ccf_policy: must be an object"),
+    (("ccf_policy", "colour"), 1, "ccf_policy.colour: unknown field"),
+    (("ccf_policy", "software_categories"), ["e"],
+     "ccf_policy.software_categories: categories must be from a/b/c/d"),
+    (("ccf_policy", "include_intra_division"), "yes", "ccf_policy.include_intra_division: must be true or false"),
+    (("ccf_policy",), {"include_intra_division": False, "include_cross_all_divisions": False},
+     "ccf_policy: at least one CCF scope must be enabled"),
+]
+
+
+def test_pin_document_parses():
+    assert list(parse_system_model(_PIN_DOC).resolved_gates) == ["TOP", "G-A", "G-B", "V"]
+
+
+@pytest.mark.parametrize(("path", "value", "issue"), _ONE_FAULT_ISSUES,
+                         ids=[line for _, _, line in _ONE_FAULT_ISSUES])
+def test_one_fault_issue_text(path, value, issue):
+    """Each one-fault document gives exactly this issue text."""
+    doc = json.loads(json.dumps(_PIN_DOC))
+    *parents, key = path
+    entry = doc
+    for step in parents:
+        entry = entry[step]
+    if value is _DELETE:
+        del entry[key]
+    elif isinstance(entry, list) and key == len(entry):
+        entry.append(value)
+    else:
+        entry[key] = value
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(doc)
+    assert [str(i) for i in exc.value.issues] == [issue]
+
+
+def test_reference_model_fingerprint(rts_model):
+    assert rts_model.fingerprint() == (
+        "89fa09b75b4ecc91a6291f7121ffe13b9ada25a6b237a1dec634edf0fcd732a3")
+
+
+# Every optional field set away from its default, and entries out of canonical order.
+_EVERY_FIELD_SET = {
+    "resha_model_version": 1,
+    "equipment_classes": [{"tag": "pump", "prefix": "PMP", "display": "Pump"}],
+    "nodes": [
+        {"id": "A01.00.00", "name": "Unit", "kind": "unit", "technology": "human", "role": "operator"},
+        {"id": "A00.00.00", "name": "Division A", "kind": "division", "technology": "digital"},
+        {"id": "A01.01.00", "name": "Module", "kind": "module", "technology": "analog",
+         "equipment_class": "pump"},
+    ],
+    "links": [
+        {"source": "A01.01.00", "target": "A01.00.00", "type": "feedback", "layer": 2},
+        {"source": "A01.00.00", "target": "A01.01.00", "type": "control"},
+    ],
+    "losses": [{"id": "L1", "description": "loss"}],
+    "hazards": [{"id": "H1", "description": "hazard", "losses": ["L1"]}],
+    "control_actions": [
+        {"source": "A01.00.00", "target": "A01.01.00", "verb": "runs", "source_label": "U",
+         "action_phrase": "run", "continuous": True, "split": True, "layer": 2,
+         "contexts": {"timing": "late", "needed": "on demand", "unneeded": "idle", "duration": "long"},
+         "hazards": {"d": ["H1"], "a": ["H1"]}, "not_applicable": {"c": "no", "b": "never"}},
+    ],
+    "gates": [
+        {"id": "V-$D", "kind": "vote", "k": 1, "replicate": "per-division", "description": "vote",
+         "children": [{"fail": "$D01.00.00", "ca_to": "$D01.01.00"}]},
+        {"id": "TOP", "kind": "or", "children": [{"gate": "V-A"}, {"fail": "A01.01.00"}]},
+    ],
+    "ccf_policy": {"include_intra_division": False, "include_cross_all_divisions": False,
+                   "include_partial_interdivision": True, "software_categories": ["d", "b"]},
+}
+
+
+def test_canonical_document_with_every_field_set():
+    assert parse_system_model(_EVERY_FIELD_SET).to_document() == {
+        "resha_model_version": 1,
+        "equipment_classes": [{"tag": "pump", "prefix": "PMP", "display": "Pump"}],
+        "nodes": [
+            {"id": "A00.00.00", "name": "Division A", "kind": "division", "technology": "digital"},
+            {"id": "A01.00.00", "name": "Unit", "kind": "unit", "technology": "human",
+             "role": "operator"},
+            {"id": "A01.01.00", "name": "Module", "kind": "module", "technology": "analog",
+             "equipment_class": "pump"},
+        ],
+        "links": [
+            {"source": "A01.00.00", "target": "A01.01.00", "type": "control"},
+            {"source": "A01.01.00", "target": "A01.00.00", "type": "feedback", "layer": 2},
+        ],
+        "losses": [{"id": "L1", "description": "loss"}],
+        "hazards": [{"id": "H1", "description": "hazard", "losses": ["L1"]}],
+        "control_actions": [
+            {"source": "A01.00.00", "target": "A01.01.00", "verb": "runs", "source_label": "U",
+             "action_phrase": "run", "continuous": True, "split": True, "layer": 2,
+             "contexts": {"duration": "long", "needed": "on demand", "timing": "late",
+                          "unneeded": "idle"},
+             "hazards": {"a": ["H1"], "d": ["H1"]}, "not_applicable": {"b": "never", "c": "no"}},
+        ],
+        "gates": [
+            {"id": "TOP", "kind": "or", "children": [{"gate": "V-A"}, {"fail": "A01.01.00"}]},
+            {"id": "V-$D", "kind": "vote", "children": [{"fail": "$D01.00.00", "ca_to": "$D01.01.00"}],
+             "k": 1, "replicate": "per-division", "description": "vote"},
+        ],
+        "ccf_policy": {"include_intra_division": False, "include_cross_all_divisions": False,
+                       "include_partial_interdivision": True, "software_categories": ["d", "b"]},
+    }
+
+
+def test_canonical_document_with_every_optional_field_absent():
+    """A field at its default is left out, except the action fields and the policy."""
+    doc = {
+        "resha_model_version": 1,
+        "nodes": [{"id": "A00.00.00", "kind": "division"}, {"id": "A01.00.00", "kind": "unit"},
+                  {"id": "A01.01.00", "kind": "module"}],
+        "links": [{"source": "A01.00.00", "target": "A01.01.00", "type": "control"}],
+        "losses": [{"id": "L1"}],
+        "hazards": [{"id": "H1", "losses": ["L1"]}],
+        "control_actions": [{"source": "A01.00.00", "target": "A01.01.00"}],
+        "gates": [{"id": "TOP", "kind": "and", "children": [{"fail": "A01.01.00"}]}],
+    }
+    assert parse_system_model(doc).to_document() == {
+        "resha_model_version": 1,
+        "equipment_classes": [],
+        "nodes": [
+            {"id": "A00.00.00", "name": "A00.00.00", "kind": "division", "technology": "digital"},
+            {"id": "A01.00.00", "name": "A01.00.00", "kind": "unit", "technology": "digital"},
+            {"id": "A01.01.00", "name": "A01.01.00", "kind": "module", "technology": "digital"},
+        ],
+        "links": [{"source": "A01.00.00", "target": "A01.01.00", "type": "control"}],
+        "losses": [{"id": "L1", "description": ""}],
+        "hazards": [{"id": "H1", "description": "", "losses": ["L1"]}],
+        "control_actions": [
+            {"source": "A01.00.00", "target": "A01.01.00", "verb": "", "source_label": "A01.00.00",
+             "action_phrase": "", "continuous": False, "split": False, "contexts": {}, "hazards": {}},
+        ],
+        "gates": [{"id": "TOP", "kind": "and", "children": [{"fail": "A01.01.00"}]}],
+        "ccf_policy": {"include_intra_division": True, "include_cross_all_divisions": True,
+                       "include_partial_interdivision": False, "software_categories": ["a", "c"]},
+    }

@@ -126,10 +126,9 @@ def enumerate_ccf_catalog(
     picture. Partial inter-division combinations appear only when the policy
     enables them.
     """
-    widened = CcfPolicy(
+    widened = policy._replace(
         include_intra_division=True,
         include_cross_all_divisions=True,
-        include_partial_interdivision=policy.include_partial_interdivision,
         software_categories=tuple(sorted(set("abc") | set(policy.software_categories))),
     )
     return tuple(

@@ -192,7 +192,7 @@ def run_analysis(config: RunConfig) -> Analysis:
     with _stage("integrate", FaultTreeError):
         tree = integrate_ucas(tree, selected)
 
-    with _stage("ccf", Exception):
+    with _stage("ccf", FaultTreeError):
         groups = derive_redundancy_groups(model)
         policy = model.ccf_policy._replace(**config.ccf)
         tree = ccfmod.inject_ccfs(tree, groups, policy)
@@ -205,7 +205,7 @@ def run_analysis(config: RunConfig) -> Analysis:
     with _stage("solve", cutsetmod.CutSetError):
         collection = cutsetmod.solve_minimal_cut_sets(tree, config.truncate)
 
-    with _stage("report", Exception):
+    with _stage("report", reportmod.GuidanceBankError):
         spofs = cutsetmod.extract_spofs(collection)
         worksheets = reportmod.generate_worksheets(model, spofs.spofs or spofs.fallback_sets, ucas, tree)
         excluded = config.event_filter is not None and not config.event_filter & SOFTWARE_KINDS
@@ -413,7 +413,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ModelError, stpamod.StpaError, FaultTreeError, cutsetmod.CutSetError, StageError) as exc:
+    except (ModelError, stpamod.StpaError, FaultTreeError, cutsetmod.CutSetError,
+            reportmod.GuidanceBankError, StageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except OSError as exc:

@@ -18,6 +18,7 @@ from .sysmodel import (
     NodeIdError,
     SystemModel,
     Technology,
+    _shown,
     parse_node_id,
 )
 
@@ -413,13 +414,7 @@ def integrate_ucas(ft: FaultTree, selected: Sequence[UcaRecord]) -> FaultTree:
         if sw_gate is None:
             gates[sw_id] = Gate(id=sw_id, kind=GateKind.OR, children=(event.id,))
             parent = gates[fail_id]
-            gates[fail_id] = Gate(
-                id=parent.id,
-                kind=parent.kind,
-                children=parent.children + (sw_id,),
-                k=parent.k,
-                description=parent.description,
-            )
+            gates[fail_id] = Gate(*parent._replace(children=parent.children + (sw_id,)))
         else:
             gates[sw_id] = Gate(id=sw_id, kind=GateKind.OR, children=sw_gate.children + (event.id,))
 
@@ -434,13 +429,7 @@ def attach_shared_event(
         gate = ft_gates[gate_id]
         if event_id in gate.children:
             continue
-        ft_gates[gate_id] = Gate(
-            id=gate.id,
-            kind=gate.kind,
-            children=gate.children + (event_id,),
-            k=gate.k,
-            description=gate.description,
-        )
+        ft_gates[gate_id] = Gate(*gate._replace(children=gate.children + (event_id,)))
 
 
 # ---------------------------------------------------------------------------
@@ -485,13 +474,7 @@ def filter_events(ft: FaultTree, keep_kinds: Iterable[EventKind]) -> FaultTree:
             assert gate.k is not None
             alive[gate_id] = gate.k <= len(kept)
         if alive[gate_id]:
-            gates[gate_id] = Gate(
-                id=gate.id,
-                kind=gate.kind,
-                children=kept,
-                k=gate.k,
-                description=gate.description,
-            )
+            gates[gate_id] = Gate(*gate._replace(children=kept))
 
     if not alive[ft.top]:
         # A single-event tree has an event top, which becomes the empty OR.
@@ -549,16 +532,16 @@ def _exchange_entries(doc: dict, key: str) -> list[dict]:
     """The ``gates`` or ``events`` list of an exchange document, shape-checked."""
     entries = doc.get(key, [])
     if not isinstance(entries, list):
-        raise FaultTreeError(f"{key!r} must be a list of objects, got {entries!r}")
+        raise FaultTreeError(f"{key!r} must be a list of objects, got {_shown(entries)}")
     for pos, entry in enumerate(entries):
         if not isinstance(entry, dict):
-            raise FaultTreeError(f"{key}[{pos}] must be an object, got {entry!r}")
+            raise FaultTreeError(f"{key}[{pos}] must be an object, got {_shown(entry)}")
         for required in ("id", "kind"):
             if required not in entry:
-                name = f" ({entry['id']!r})" if "id" in entry else ""
+                name = f" ({_shown(entry['id'])})" if "id" in entry else ""
                 raise FaultTreeError(f"{key}[{pos}]{name} is missing {required!r}")
         if not isinstance(entry["id"], str):
-            raise FaultTreeError(f"{key}[{pos}]: 'id' must be a string, got {entry['id']!r}")
+            raise FaultTreeError(f"{key}[{pos}]: 'id' must be a string, got {_shown(entry['id'])}")
     return entries
 
 
@@ -566,11 +549,11 @@ def _exchange_subjects(event: dict) -> tuple[NodeId, ...]:
     """The ``subjects`` of an exchange-document event as node ids, shape-checked."""
     subjects = event.get("subjects", [])
     if not isinstance(subjects, list):
-        raise FaultTreeError(f"event {event['id']!r}: 'subjects' must be a list of node ids")
+        raise FaultTreeError(f"event {_shown(event['id'])}: 'subjects' must be a list of node ids")
     try:
         return tuple(parse_node_id(s) for s in subjects)
     except NodeIdError as exc:
-        raise FaultTreeError(f"event {event['id']!r}: 'subjects': {exc}") from None
+        raise FaultTreeError(f"event {_shown(event['id'])}: 'subjects': {exc}") from None
 
 
 def _exchange_kind(entry: dict, what: str, kinds: type[GateKind] | type[EventKind]):
@@ -580,7 +563,7 @@ def _exchange_kind(entry: dict, what: str, kinds: type[GateKind] | type[EventKin
     except (TypeError, ValueError):
         allowed = ", ".join(repr(k.value) for k in kinds)
         raise FaultTreeError(
-            f"{what} {entry['id']!r}: 'kind' must be one of {allowed}, got {entry['kind']!r}"
+            f"{what} {_shown(entry['id'])}: 'kind' must be one of {allowed}, got {_shown(entry['kind'])}"
         ) from None
 
 
@@ -588,7 +571,7 @@ def _exchange_text(entry: dict, what: str, key: str) -> str | None:
     """An optional string value of an exchange-document entry."""
     value = entry.get(key)
     if value is not None and not isinstance(value, str):
-        raise FaultTreeError(f"{what} {entry['id']!r}: {key!r} must be a string, got {value!r}")
+        raise FaultTreeError(f"{what} {_shown(entry['id'])}: {key!r} must be a string, got {_shown(value)}")
     return value
 
 
@@ -604,15 +587,15 @@ def from_exchange_json(data: str | bytes) -> FaultTree:
     if "top" not in doc:
         raise FaultTreeError("exchange document is missing 'top'")
     if not isinstance(doc["top"], str):
-        raise FaultTreeError(f"exchange document 'top' must be a string, got {doc['top']!r}")
+        raise FaultTreeError(f"exchange document 'top' must be a string, got {_shown(doc['top'])}")
     gates = {}
     for g in _exchange_entries(doc, "gates"):
         children = g.get("children", [])
         if not isinstance(children, list) or not all(isinstance(c, str) for c in children):
-            raise FaultTreeError(f"gate {g['id']!r}: children must be a list of ids")
+            raise FaultTreeError(f"gate {_shown(g['id'])}: children must be a list of ids")
         k = g.get("k")
         if k is not None and type(k) is not int:
-            raise FaultTreeError(f"gate {g['id']!r}: k must be an integer, got {k!r}")
+            raise FaultTreeError(f"gate {_shown(g['id'])}: k must be an integer, got {_shown(k)}")
         gates[g["id"]] = Gate(
             id=g["id"],
             kind=_exchange_kind(g, "gate", GateKind),
@@ -648,20 +631,14 @@ def to_open_psa_xml(ft: FaultTree, name: str = "fault-tree") -> str:
 
     for _, gate in sorted(ft.gates.items()):
         lines.append(f"    <define-gate name={quoteattr(gate.id)}>")
-        if gate.kind is GateKind.VOTE:
-            lines.append(f'      <atleast min="{gate.k}">')
-            for child in gate.children:
-                lines.append(f"        {ref(child)}")
-            lines.append("      </atleast>")
+        vote = gate.kind is GateKind.VOTE
+        tag, attrs = ("atleast", f' min="{gate.k}"') if vote else (gate.kind.value, "")
+        if gate.children:
+            lines.append(f"      <{tag}{attrs}>")
+            lines.extend(f"        {ref(child)}" for child in gate.children)
+            lines.append(f"      </{tag}>")
         else:
-            tag = gate.kind.value
-            if gate.children:
-                lines.append(f"      <{tag}>")
-                for child in gate.children:
-                    lines.append(f"        {ref(child)}")
-                lines.append(f"      </{tag}>")
-            else:
-                lines.append(f"      <{tag}/>")
+            lines.append(f"      <{tag}{attrs}/>")
         lines.append("    </define-gate>")
     lines.append("  </define-fault-tree>")
     lines.append("  <model-data>")

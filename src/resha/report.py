@@ -53,12 +53,12 @@ class GuidanceEntry(NamedTuple):
     """Prompts and scenario template for one (kind, class, category) key."""
 
     event_kind: str
-    class_tag: str | None
-    category: str | None
-    category1: tuple[str, ...]
-    category2: tuple[str, ...]
-    scenario: str
-    guidance: str
+    class_tag: str | None = None
+    category: str | None = None
+    category1: tuple[str, ...] = _DEFAULT_CATEGORY1
+    category2: tuple[str, ...] = _DEFAULT_CATEGORY2
+    scenario: str = ""
+    guidance: str = ""
 
 
 class GuidanceBank:
@@ -73,20 +73,18 @@ class GuidanceBank:
             raise GuidanceBankError(
                 f"expected guidance_bank_version {GUIDANCE_BANK_VERSION}"
             )
-        entries = []
-        for raw in doc.get("entries", []):
-            entries.append(
-                GuidanceEntry(
-                    event_kind=raw["event_kind"],
-                    class_tag=raw.get("class"),
-                    category=raw.get("category"),
-                    category1=tuple(raw.get("category1", _DEFAULT_CATEGORY1)),
-                    category2=tuple(raw.get("category2", _DEFAULT_CATEGORY2)),
-                    scenario=raw.get("scenario", ""),
-                    guidance=raw.get("guidance", ""),
-                )
+        return cls(
+            GuidanceEntry(
+                event_kind=raw["event_kind"],
+                class_tag=raw.get("class"),
+                category=raw.get("category"),
+                category1=tuple(raw.get("category1", _DEFAULT_CATEGORY1)),
+                category2=tuple(raw.get("category2", _DEFAULT_CATEGORY2)),
+                scenario=raw.get("scenario", ""),
+                guidance=raw.get("guidance", ""),
             )
-        return cls(entries)
+            for raw in doc.get("entries", [])
+        )
 
     @classmethod
     def packaged(cls) -> "GuidanceBank":
@@ -108,15 +106,7 @@ class GuidanceBank:
             if rank > best_rank:
                 best, best_rank = entry, rank
         if best is None:
-            return GuidanceEntry(
-                event_kind=event.kind.value,
-                class_tag=None,
-                category=None,
-                category1=_DEFAULT_CATEGORY1,
-                category2=_DEFAULT_CATEGORY2,
-                scenario="",
-                guidance="",
-            )
+            return GuidanceEntry(event_kind=event.kind.value)
         return best
 
 

@@ -148,43 +148,26 @@ def build_layered_control_structure(m: SystemModel) -> ControlStructure:
     if not m.actions:
         raise StpaError("model declares no control actions; control structure is empty")
 
-    def action_layer(spec: ActionSpec) -> int:
-        return spec.layer if spec.layer is not None else spec.source.structural_depth
+    def declared_layer(item: ActionSpec | Link) -> int:
+        return item.layer if item.layer is not None else item.source.structural_depth
 
-    def feedback_layer(link: Link) -> int:
-        return link.layer if link.layer is not None else link.source.structural_depth
-
-    raw_layers = sorted(
-        {action_layer(a) for a in m.actions}
-        | {feedback_layer(l) for l in m.feedback_links()}
-    )
+    feedback = m.feedback_links()
+    raw_layers = sorted({declared_layer(item) for item in (*m.actions, *feedback)})
     compact = {raw: idx + 1 for idx, raw in enumerate(raw_layers)}
 
-    ordered_actions = sorted(
-        enumerate(m.actions),
-        key=lambda pair: (
-            compact[action_layer(pair[1])],
-            pair[1].source,
-            pair[1].target,
-            pair[0],
-        ),
-    )
-    ordered_feedback = sorted(
-        enumerate(m.feedback_links()),
-        key=lambda pair: (
-            compact[feedback_layer(pair[1])],
-            pair[1].source,
-            pair[1].target,
-            pair[0],
-        ),
-    )
+    def layer(item: ActionSpec | Link) -> int:
+        return compact[declared_layer(item)]
+
+    # A stable sort: equal keys keep declaration order.
+    ordered_actions = sorted(m.actions, key=lambda a: (layer(a), a.source, a.target))
+    ordered_feedback = sorted(feedback, key=lambda l: (layer(l), l.source, l.target))
 
     actions_by_layer: dict[int, list[ControlAction]] = {}
-    for number, (_, spec) in enumerate(ordered_actions, start=1):
+    for number, spec in enumerate(ordered_actions, start=1):
         node = m.node(spec.source)
         ca = ControlAction(
             number=number,
-            layer=compact[action_layer(spec)],
+            layer=layer(spec),
             spec=spec,
             source_technology=node.technology,
             source_class_prefix=m.class_prefix(node.equipment_class),
@@ -193,10 +176,10 @@ def build_layered_control_structure(m: SystemModel) -> ControlStructure:
         actions_by_layer.setdefault(ca.layer, []).append(ca)
 
     feedback_by_layer: dict[int, list[FeedbackEdge]] = {}
-    for number, (_, link) in enumerate(ordered_feedback, start=1):
+    for number, link in enumerate(ordered_feedback, start=1):
         fb = FeedbackEdge(
             number=number,
-            layer=compact[feedback_layer(link)],
+            layer=layer(link),
             source=link.source,
             target=link.target,
         )

@@ -12,7 +12,8 @@ from __future__ import annotations
 import hashlib
 import json
 import re
-from collections.abc import Iterable, Iterator, Mapping, Sized
+import reprlib
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sized
 from enum import Enum
 from functools import cached_property, lru_cache
 from pathlib import Path
@@ -85,17 +86,7 @@ class NodeId(_NodeIdFields):
     @property
     def structural_depth(self) -> int:
         """1 for a division node, one more per populated lower field."""
-        if self.component:
-            if self.module:
-                return 4
-            if self.unit:
-                return 3
-            return 2
-        if self.module:
-            return 3 if self.unit else 2
-        if self.unit:
-            return 2
-        return 1
+        return 1 + bool(self.unit) + bool(self.module) + bool(self.component)
 
     def parent(self) -> "NodeId | None":
         """Nearest ancestor, obtained by zeroing the lowest populated field."""
@@ -122,7 +113,7 @@ def _parse_node_text(text: str) -> NodeId:
     match = _NODE_ID_RE.fullmatch(text)
     if match is None:
         raise NodeIdError(
-            f"malformed node id {text!r}: expected a leading 1-2 character division "
+            f"malformed node id {_shown(text)}: expected a leading 1-2 character division "
             "tag (uppercase letter first) followed by three dot-separated two-digit fields"
         )
     tag, unit, module, component = match.groups()
@@ -326,7 +317,16 @@ class SystemModel(NamedTuple):
 
     def to_document(self) -> dict[str, Any]:
         """Canonical document form: arrays sorted by ID, stable key order."""
-        return _model_to_document(self)
+        doc = {}
+        for name, value in zip(self._fields, self):
+            if name == "resolved_gates":
+                continue
+            if isinstance(value, Mapping):  # nodes and classes, by id
+                value = [value[key] for key in sorted(value)]
+            elif name in _ARRAY_ORDER:
+                value = sorted(value, key=_ARRAY_ORDER[name])
+            doc[_DOCUMENT_NAMES.get(name, name)] = _document(value)
+        return doc
 
     def fingerprint(self) -> str:
         payload = json.dumps(self.to_document(), sort_keys=True).encode()
@@ -337,45 +337,145 @@ class SystemModel(NamedTuple):
 # Parsing
 # ---------------------------------------------------------------------------
 
-_TOP_LEVEL_KEYS = {
-    "resha_model_version",
-    "nodes",
-    "links",
-    "losses",
-    "hazards",
-    "control_actions",
-    "gates",
-    "ccf_policy",
-    "equipment_classes",
+# Every record's JSON keys are its field names; only these SystemModel fields
+# take another name in the document.
+_DOCUMENT_NAMES = {
+    "version": "resha_model_version",
+    "actions": "control_actions",
+    "classes": "equipment_classes",
+}
+_TOP_LEVEL_KEYS = {_DOCUMENT_NAMES.get(f, f) for f in SystemModel._fields if f != "resolved_gates"}
+
+_SHOWN_LIMIT = 200
+_REPR = reprlib.Repr()
+_REPR.maxstring = _REPR.maxother = _SHOWN_LIMIT
+
+
+def _shown(value: Any) -> str:
+    """``repr(value)`` in at most ``_SHOWN_LIMIT`` characters, for an issue text.
+
+    Six levels of nesting and six items of an array are shown, and long
+    strings are cut in the middle, so an issue stays one short line however
+    large the offending value in the input is.
+    """
+    text = _REPR.repr(value)
+    return text if len(text) <= _SHOWN_LIMIT else text[: _SHOWN_LIMIT - 3] + "..."
+
+
+class _Invalid(Exception):
+    """A value that a text, flag or layer reader refuses; the field keeps its default."""
+
+
+class _Unknown(Exception):
+    """A value outside a field's choices; the entry is rejected."""
+
+
+def _text(value: Any) -> str:
+    if not isinstance(value, str):
+        raise _Invalid("must be a string")
+    return value
+
+
+def _flag(value: Any) -> bool:
+    if not isinstance(value, bool):
+        raise _Invalid("must be true or false")
+    return value
+
+
+def _layer(value: Any) -> int:
+    if type(value) is not int or value < 1:  # JSON true is not the integer 1
+        raise _Invalid("layer must be an integer >= 1")
+    return value
+
+
+def _node_id(value: Any) -> NodeId:
+    return parse_node_id("" if value is None else value)  # an absent id is the empty text
+
+
+def _enum(label: str, choices: Iterable[Any]) -> Callable[[Any], Any]:
+    """A reader that takes one of ``choices``, enum members or strings, by its text."""
+    by_text = {getattr(choice, "value", choice): choice for choice in choices}
+
+    def read(value: Any) -> Any:
+        try:
+            return by_text[value]
+        except (KeyError, TypeError):  # an array or an object is unhashable
+            raise _Unknown(f"unknown {label} {_shown(value)}") from None
+
+    return read
+
+
+# How each field of a record is read: its reader and the value an absent or
+# null field takes. A _REQUIRED field goes to its reader as None. Fields not
+# listed are read by the record's own rules below.
+_REQUIRED = object()
+_NODE_FIELDS = {
+    "id": (_node_id, _REQUIRED),
+    "name": (_text, None),  # None: the node id
+    "kind": (_enum("kind", NodeKind), _REQUIRED),
+    "technology": (_enum("technology", Technology), Technology.DIGITAL),
+    "role": (_text, ""),
+    "equipment_class": (_text, None),
+}
+_ENDS = {"source": (_node_id, _REQUIRED), "target": (_node_id, _REQUIRED)}  # of an edge
+_LINK_FIELDS = {
+    **_ENDS,
+    "type": (_enum("link type", LinkType), _REQUIRED),
+    "layer": (_layer, None),
+}
+_DESCRIPTION_FIELDS = {"description": (_text, "")}  # losses and hazards
+_ACTION_FIELDS = {
+    **_ENDS,
+    "verb": (_text, ""),
+    "source_label": (_text, None),  # None: the source node id
+    "action_phrase": (_text, ""),
+    "continuous": (_flag, False),
+    "split": (_flag, False),
+    "layer": (_layer, None),
+}
+_CONTEXT_FIELDS = {key: (_text, None) for key in ("duration", "needed", "timing", "unneeded")}
+_CATEGORY_TEXTS = {category: (_text, None) for category in UCA_CATEGORIES}
+_GATE_FIELDS = {
+    "kind": (_enum("gate kind", ("and", "or", "vote")), _REQUIRED),
+    "replicate": (_enum("macro", ("per-division", "per-unit")), None),
+    "description": (_text, None),
+}
+_POLICY_FLAGS = {
+    name: (_flag, default)
+    for name, default in CcfPolicy._field_defaults.items()
+    if name != "software_categories"
 }
 
-_NODE_KEYS = {"id", "name", "kind", "technology", "role", "equipment_class"}
-_LINK_KEYS = {"source", "target", "type", "layer"}
-_LOSS_KEYS = {"id", "description"}
-_HAZARD_KEYS = {"id", "description", "losses"}
-_ACTION_KEYS = {
-    "source",
-    "target",
-    "verb",
-    "source_label",
-    "action_phrase",
-    "continuous",
-    "split",
-    "layer",
-    "contexts",
-    "hazards",
-    "not_applicable",
-}
-_GATE_KEYS = {"id", "kind", "k", "children", "replicate", "description"}
-_GATE_CHILD_KEYS = {"gate", "fail", "ca_to"}
-_POLICY_KEYS = {
-    "include_intra_division",
-    "include_cross_all_divisions",
-    "include_partial_interdivision",
-    "software_categories",
-}
-_CLASS_KEYS = {"tag", "prefix", "display"}
-_CONTEXT_KEYS = {"needed", "unneeded", "timing", "duration"}
+
+def _read(
+    entry: Mapping[str, Any],
+    fields: Mapping[str, tuple[Callable[[Any], Any], Any]],
+    where: str,
+    issues: list[ModelIssue],
+) -> dict[str, Any] | None:
+    """Each of ``fields`` read from ``entry``, or None when the entry is rejected.
+
+    A text, flag or layer that its reader refuses is one issue, and the field
+    takes its default. The first choice or node id that its reader refuses is
+    one issue and rejects the entry, which is not read further. The two ends
+    of a link or an action name one edge, so their issue is located at the
+    entry.
+    """
+    values: dict[str, Any] = {}
+    for key, (read, default) in fields.items():
+        value = entry.get(key)
+        if value is None and default is not _REQUIRED:
+            values[key] = default
+            continue
+        try:
+            values[key] = read(value)
+        except _Invalid as exc:
+            issues.append(ModelIssue(f"{where}.{key}", str(exc)))
+            values[key] = default
+        except (_Unknown, NodeIdError) as exc:
+            issues.append(ModelIssue(where if key in _ENDS else f"{where}.{key}", str(exc)))
+            return None
+    return values
 
 
 def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
@@ -408,7 +508,7 @@ def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
     version = doc.get("resha_model_version")
     if version != MODEL_VERSION:
         issues.append(
-            ModelIssue("resha_model_version", f"expected {MODEL_VERSION}, got {version!r}")
+            ModelIssue("resha_model_version", f"expected {MODEL_VERSION}, got {_shown(version)}")
         )
 
     classes = _parse_classes(doc.get("equipment_classes", []), issues)
@@ -451,15 +551,22 @@ def _all_accepted(raw: Any, parsed: Sized) -> bool:
     return isinstance(raw, list) and len(parsed) == len(raw)
 
 
-def _check_keys(entry: Mapping[str, Any], allowed: set[str], where: str, issues: list[ModelIssue]) -> None:
-    """Report each key of ``entry`` outside ``allowed``."""
-    for key in entry:
-        if key not in allowed:
-            issues.append(ModelIssue(f"{where}.{key}", "unknown field"))
+def _object(
+    raw: Any, where: str, keys: Iterable[str], issues: list[ModelIssue], unknown: str = "unknown field"
+) -> Mapping[str, Any] | None:
+    """``raw`` if it is an object, each key outside ``keys`` reported as
+    ``unknown``; otherwise one issue and None."""
+    if not isinstance(raw, Mapping):
+        issues.append(ModelIssue(where, "must be an object"))
+        return None
+    for key in raw:
+        if key not in keys:
+            issues.append(ModelIssue(f"{where}.{key}", unknown))
+    return raw
 
 
 def _entries(
-    raw: Any, name: str, keys: set[str], issues: list[ModelIssue]
+    raw: Any, name: str, keys: Iterable[str], issues: list[ModelIssue]
 ) -> Iterator[tuple[str, Mapping[str, Any]]]:
     """``(path, entry)`` for each object entry of the array ``raw`` at ``name``.
 
@@ -469,55 +576,38 @@ def _entries(
     if not isinstance(raw, list):
         issues.append(ModelIssue(name, "must be an array"))
         return
+    keys = frozenset(keys)
     for i, entry in enumerate(raw):
         where = f"{name}[{i}]"
-        if not isinstance(entry, Mapping):
-            issues.append(ModelIssue(where, "must be an object"))
-            continue
-        _check_keys(entry, keys, where, issues)
-        yield where, entry
+        if _object(entry, where, keys, issues) is not None:
+            yield where, entry
 
 
-def _flag(raw: Mapping[str, Any], key: str, default: bool, where: str, issues: list[ModelIssue]) -> bool:
-    """The JSON boolean ``raw[key]``; ``default`` when absent or null, or after an issue."""
-    value = raw.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, bool):
-        issues.append(ModelIssue(f"{where}.{key}", "must be true or false"))
-        return default
-    return value
+def _ends_declared(fields: Mapping[str, Any], nodes: Mapping[str, Node] | None, where: str,
+                   message: str, issues: list[ModelIssue]) -> bool:
+    """Whether both ends of a link or an action are declared nodes; each
+    that is not is one issue. Always true while ``nodes`` is unchecked."""
+    declared = True
+    for end in ("source", "target"):
+        node_id = fields[end]
+        if nodes is not None and node_id.text not in nodes:
+            issues.append(ModelIssue(f"{where}.{end}", f"{message} {node_id.text}"))
+            declared = False
+    return declared
 
 
-def _text(raw: Mapping[str, Any], key: str, default: str | None, where: str,
-          issues: list[ModelIssue]) -> str | None:
-    """The JSON string ``raw[key]``; ``default`` when absent or null, or after an issue."""
-    value = raw.get(key)
-    if value is None:
-        return default
-    if not isinstance(value, str):
-        issues.append(ModelIssue(f"{where}.{key}", "must be a string"))
-        return default
-    return value
-
-
-def _parse_classes(
-    raw: Any, issues: list[ModelIssue]
-) -> dict[str, EquipmentClass]:
+def _parse_classes(raw: Any, issues: list[ModelIssue]) -> dict[str, EquipmentClass]:
     classes: dict[str, EquipmentClass] = {}
-    for where, entry in _entries(raw, "equipment_classes", _CLASS_KEYS, issues):
+    for where, entry in _entries(raw, "equipment_classes", EquipmentClass._fields, issues):
         tag = entry.get("tag")
         if not isinstance(tag, str) or not tag:
             issues.append(ModelIssue(where, "missing class tag"))
             continue
         if tag in classes:
-            issues.append(ModelIssue(where, f"duplicate equipment class {tag!r}"))
+            issues.append(ModelIssue(where, f"duplicate equipment class {_shown(tag)}"))
             continue
-        classes[tag] = EquipmentClass(
-            tag=tag,
-            prefix=_text(entry, "prefix", tag.upper(), where, issues),
-            display=_text(entry, "display", tag, where, issues),
-        )
+        fields = {"prefix": (_text, tag.upper()), "display": (_text, tag)}  # defaults from the tag
+        classes[tag] = EquipmentClass(tag, **_read(entry, fields, where, issues))
     return classes
 
 
@@ -525,54 +615,34 @@ def _parse_nodes(
     raw: Any, classes: Mapping[str, EquipmentClass], issues: list[ModelIssue]
 ) -> dict[str, Node]:
     nodes: dict[str, Node] = {}
-    for where, entry in _entries(raw, "nodes", _NODE_KEYS, issues):
-        try:
-            node_id = parse_node_id(entry.get("id", ""))
-        except NodeIdError as exc:
-            issues.append(ModelIssue(f"{where}.id", str(exc)))
+    for where, entry in _entries(raw, "nodes", Node._fields, issues):
+        fields = _read(entry, _NODE_FIELDS, where, issues)
+        if fields is None:
             continue
-        try:
-            kind = NodeKind(entry.get("kind", ""))
-        except ValueError:
-            issues.append(ModelIssue(f"{where}.kind", f"unknown kind {entry.get('kind')!r}"))
-            continue
-        implied = expected_kind(node_id)
-        if kind is not implied:
+        node = Node(**fields)
+        implied = expected_kind(node.id)
+        if node.kind is not implied:
             issues.append(
                 ModelIssue(
                     f"{where}.kind",
-                    f"kind {kind.value!r} inconsistent with id {node_id.text} "
-                    f"(id implies {implied.value!r})",
+                    f"kind {_shown(node.kind.value)} inconsistent with id {node.id.text} "
+                    f"(id implies {_shown(implied.value)})",
                 )
             )
-        tech_raw = entry.get("technology", "digital")
-        try:
-            technology = Technology(tech_raw)
-        except ValueError:
-            issues.append(ModelIssue(f"{where}.technology", f"unknown technology {tech_raw!r}"))
-            continue
-        eq_class = entry.get("equipment_class")
-        if kind is NodeKind.COMPONENT and eq_class is None:
+        # Whether a class is given at all; one that is not a string is already reported.
+        has_class = entry.get("equipment_class") is not None
+        if node.kind is NodeKind.COMPONENT and not has_class:
             issues.append(ModelIssue(f"{where}.equipment_class", "components require an equipment class"))
-        if kind in (NodeKind.DIVISION, NodeKind.UNIT) and eq_class is not None:
-            issues.append(
-                ModelIssue(f"{where}.equipment_class", f"{kind.value} nodes may not carry an equipment class")
-            )
-        if eq_class is not None and not isinstance(eq_class, str):
-            issues.append(ModelIssue(f"{where}.equipment_class", "must be a string"))
-        elif eq_class is not None and eq_class not in classes:
-            issues.append(ModelIssue(f"{where}.equipment_class", f"undeclared equipment class {eq_class!r}"))
-        if node_id.text in nodes:
-            issues.append(ModelIssue(f"{where}.id", f"duplicate node id {node_id.text}"))
+        if node.kind in (NodeKind.DIVISION, NodeKind.UNIT) and has_class:
+            message = f"{node.kind.value} nodes may not carry an equipment class"
+            issues.append(ModelIssue(f"{where}.equipment_class", message))
+        if node.equipment_class is not None and node.equipment_class not in classes:
+            message = f"undeclared equipment class {_shown(node.equipment_class)}"
+            issues.append(ModelIssue(f"{where}.equipment_class", message))
+        if node.id.text in nodes:
+            issues.append(ModelIssue(f"{where}.id", f"duplicate node id {node.id.text}"))
             continue
-        nodes[node_id.text] = Node(
-            id=node_id,
-            name=_text(entry, "name", node_id.text, where, issues),
-            kind=kind,
-            technology=technology,
-            role=_text(entry, "role", "", where, issues),
-            equipment_class=eq_class,
-        )
+        nodes[node.id.text] = node if node.name is not None else node._replace(name=node.id.text)
     return dict(sorted(nodes.items()))
 
 
@@ -580,9 +650,10 @@ def _nested(raw: list[Any], nodes: Mapping[str, Node], issues: list[ModelIssue])
     """Report each missing parent once, at the id of its first child; whether
     none is missing. Expects every entry of ``raw`` accepted into ``nodes``."""
     missing: dict[str, str] = {}  # parent text -> first child text
+    ids = {node.id for node in nodes.values()}  # no parent's text is rendered unless missing
     for node in nodes.values():
         parent = node.id.parent()
-        if parent is not None and parent.text not in nodes:
+        if parent is not None and parent not in ids:
             missing.setdefault(parent.text, node.id.text)
     if missing:
         index = {parse_node_id(entry["id"]).text: i for i, entry in enumerate(raw)}
@@ -592,55 +663,49 @@ def _nested(raw: list[Any], nodes: Mapping[str, Node], issues: list[ModelIssue])
     return not missing
 
 
+def _link_order(link: Link) -> tuple[str, NodeId, NodeId]:
+    return link.type.value, link.source, link.target
+
+
 def _parse_links(
     raw: Any, nodes: Mapping[str, Node] | None, issues: list[ModelIssue]
 ) -> tuple[Link, ...]:
     links: list[Link] = []
-    for where, entry in _entries(raw, "links", _LINK_KEYS, issues):
-        try:
-            source = parse_node_id(entry.get("source", ""))
-            target = parse_node_id(entry.get("target", ""))
-        except NodeIdError as exc:
-            issues.append(ModelIssue(where, str(exc)))
-            continue
-        try:
-            link_type = LinkType(entry.get("type", ""))
-        except ValueError:
-            issues.append(ModelIssue(f"{where}.type", f"unknown link type {entry.get('type')!r}"))
-            continue
-        ok = True
-        for end, node_id in (("source", source), ("target", target)):
-            if nodes is not None and node_id.text not in nodes:
-                issues.append(
-                    ModelIssue(f"{where}.{end}", f"dangling link: no node {node_id.text}")
-                )
-                ok = False
-        layer = entry.get("layer")
-        if layer is not None and (type(layer) is not int or layer < 1):
-            # Reported once; the link still counts for the actions declared on it.
-            issues.append(ModelIssue(f"{where}.layer", "layer must be an integer >= 1"))
-        if ok:
-            links.append(Link(source=source, target=target, type=link_type, layer=layer))
-    links.sort(key=lambda l: (l.type.value, l.source, l.target))
+    for where, entry in _entries(raw, "links", Link._fields, issues):
+        fields = _read(entry, _LINK_FIELDS, where, issues)
+        # A link whose layer is refused still counts for the actions declared on it.
+        if fields is not None and _ends_declared(fields, nodes, where, "dangling link: no node", issues):
+            links.append(Link(**fields))
+    links.sort(key=_link_order)
     return tuple(links)
 
 
-def _parse_losses(raw: Any, issues: list[ModelIssue]) -> tuple[Loss, ...]:
-    losses: list[Loss] = []
+def _numbered(
+    raw: Any, name: str, what: str, keys: Iterable[str], issues: list[ModelIssue]
+) -> Iterator[tuple[str, Mapping[str, Any], str]]:
+    """``(path, entry, id)`` for each entry of the losses or hazards ``raw``
+    whose id is well formed (``L1``, ``H1``, ...) and not seen before."""
+    letter = what[0].upper()
     seen: set[str] = set()
-    for where, entry in _entries(raw, "losses", _LOSS_KEYS, issues):
-        loss_id = entry.get("id", "")
-        if not re.fullmatch(r"L[1-9]\d*", str(loss_id)):
-            issues.append(ModelIssue(f"{where}.id", f"loss id must look like L1, got {loss_id!r}"))
-            continue
-        if loss_id in seen:
-            issues.append(ModelIssue(f"{where}.id", f"duplicate loss id {loss_id}"))
-            continue
-        seen.add(loss_id)
-        losses.append(Loss(id=loss_id, description=_text(entry, "description", "", where, issues)))
+    for where, entry in _entries(raw, name, keys, issues):
+        entry_id = entry.get("id", "")
+        if not isinstance(entry_id, str) or not re.fullmatch(rf"{letter}[1-9]\d*", entry_id):
+            message = f"{what} id must look like {letter}1, got {_shown(entry_id)}"
+            issues.append(ModelIssue(f"{where}.id", message))
+        elif entry_id in seen:
+            issues.append(ModelIssue(f"{where}.id", f"duplicate {what} id {entry_id}"))
+        else:
+            seen.add(entry_id)
+            yield where, entry, entry_id
+
+
+def _parse_losses(raw: Any, issues: list[ModelIssue]) -> tuple[Loss, ...]:
+    losses = [
+        Loss(loss_id, **_read(entry, _DESCRIPTION_FIELDS, where, issues))
+        for where, entry, loss_id in _numbered(raw, "losses", "loss", Loss._fields, issues)
+    ]
     losses.sort(key=lambda l: l.number)
-    expected = list(range(1, len(losses) + 1))
-    if [l.number for l in losses] != expected:
+    if [l.number for l in losses] != list(range(1, len(losses) + 1)):
         issues.append(ModelIssue("losses", "loss ids must be contiguous from L1"))
     return tuple(losses)
 
@@ -650,32 +715,23 @@ def _parse_hazards(
 ) -> tuple[Hazard, ...]:
     hazards: list[Hazard] = []
     loss_ids = {l.id for l in losses}
-    seen: set[str] = set()
-    for where, entry in _entries(raw, "hazards", _HAZARD_KEYS, issues):
-        hazard_id = entry.get("id", "")
-        if not re.fullmatch(r"H[1-9]\d*", str(hazard_id)):
-            issues.append(ModelIssue(f"{where}.id", f"hazard id must look like H1, got {hazard_id!r}"))
-            continue
-        if hazard_id in seen:
-            issues.append(ModelIssue(f"{where}.id", f"duplicate hazard id {hazard_id}"))
-            continue
-        seen.add(hazard_id)
+    for where, entry, hazard_id in _numbered(raw, "hazards", "hazard", Hazard._fields, issues):
         linked = entry.get("losses", [])
         if not isinstance(linked, list) or not linked:
             issues.append(ModelIssue(f"{where}.losses", "hazards must link at least one loss"))
             linked = []
         for loss_id in linked:
             if not isinstance(loss_id, str) or loss_id not in loss_ids:
-                issues.append(ModelIssue(f"{where}.losses", f"unknown loss {loss_id!r}"))
-        hazards.append(
-            Hazard(
-                id=hazard_id,
-                description=_text(entry, "description", "", where, issues),
-                losses=tuple(linked),
-            )
-        )
+                issues.append(ModelIssue(f"{where}.losses", f"unknown loss {_shown(loss_id)}"))
+        fields = _read(entry, _DESCRIPTION_FIELDS, where, issues)
+        hazards.append(Hazard(hazard_id, fields["description"], tuple(linked)))
     hazards.sort(key=lambda h: h.number)
     return tuple(hazards)
+
+
+def _categories(raw: Any, where: str, issues: list[ModelIssue]) -> Mapping[str, Any]:
+    """The object ``raw`` keyed by UCA category; each other key is reported."""
+    return _object(raw, where, UCA_CATEGORIES, issues, "unknown category") or {}
 
 
 def _parse_actions(
@@ -686,87 +742,38 @@ def _parse_actions(
     issues: list[ModelIssue],
 ) -> tuple[ActionSpec, ...]:
     actions: list[ActionSpec] = []
-    control_edges = {
-        (l.source.text, l.target.text) for l in links if l.type is LinkType.CONTROL
-    }
+    control_edges = {(l.source, l.target) for l in links if l.type is LinkType.CONTROL}
     hazard_ids = {h.id for h in hazards}
-    for where, entry in _entries(raw, "control_actions", _ACTION_KEYS, issues):
-        try:
-            source = parse_node_id(entry.get("source", ""))
-            target = parse_node_id(entry.get("target", ""))
-        except NodeIdError as exc:
-            issues.append(ModelIssue(where, str(exc)))
+    for where, entry in _entries(raw, "control_actions", ActionSpec._fields, issues):
+        fields = _read(entry, _ACTION_FIELDS, where, issues)
+        if fields is None:
             continue
-        ok = True
-        for end, node_id in (("source", source), ("target", target)):
-            if nodes is not None and node_id.text not in nodes:
-                issues.append(ModelIssue(f"{where}.{end}", f"no node {node_id.text}"))
-                ok = False
-        if ok and (source.text, target.text) not in control_edges:
-            issues.append(
-                ModelIssue(where, f"no control link {source.text} -> {target.text} declared")
-            )
-            ok = False
-        continuous = _flag(entry, "continuous", False, where, issues)
-        split = _flag(entry, "split", False, where, issues)
-        verb = _text(entry, "verb", "", where, issues)
-        source_label = _text(entry, "source_label", source.text, where, issues)
-        action_phrase = _text(entry, "action_phrase", "", where, issues)
-        layer = entry.get("layer")
-        if layer is not None and (type(layer) is not int or layer < 1):
-            issues.append(ModelIssue(f"{where}.layer", "layer must be an integer >= 1"))
-            ok = False
-        contexts_raw = entry.get("contexts", {})
-        if not isinstance(contexts_raw, Mapping):
-            issues.append(ModelIssue(f"{where}.contexts", "must be an object"))
-            contexts_raw = {}
-        _check_keys(contexts_raw, _CONTEXT_KEYS, f"{where}.contexts", issues)
-        contexts = {
-            k: _text(contexts_raw, k, None, f"{where}.contexts", issues) for k in sorted(_CONTEXT_KEYS)
-        }
-        hazards_raw = entry.get("hazards", {})
-        if not isinstance(hazards_raw, Mapping):
-            issues.append(ModelIssue(f"{where}.hazards", "must be an object"))
-            hazards_raw = {}
+        source, target = fields["source"], fields["target"]
+        if fields["source_label"] is None:
+            fields["source_label"] = source.text
+        if _ends_declared(fields, nodes, where, "no node", issues) and (source, target) not in control_edges:
+            issues.append(ModelIssue(where, f"no control link {source.text} -> {target.text} declared"))
+        given = _object(entry.get("contexts", {}), f"{where}.contexts", _CONTEXT_FIELDS, issues)
+        contexts = _read(given or {}, _CONTEXT_FIELDS, f"{where}.contexts", issues)
         hazard_map: dict[str, tuple[str, ...]] = {}
-        for cat, hlist in hazards_raw.items():
-            if cat not in UCA_CATEGORIES:
-                issues.append(ModelIssue(f"{where}.hazards.{cat}", "unknown category"))
+        for category, linked in _categories(entry.get("hazards", {}), f"{where}.hazards", issues).items():
+            if category not in UCA_CATEGORIES:
                 continue
-            if not isinstance(hlist, list):
-                issues.append(ModelIssue(f"{where}.hazards.{cat}", "must be an array"))
+            if not isinstance(linked, list):
+                issues.append(ModelIssue(f"{where}.hazards.{category}", "must be an array"))
                 continue
-            for h in hlist:
+            for h in linked:
                 if not isinstance(h, str) or h not in hazard_ids:
-                    issues.append(ModelIssue(f"{where}.hazards.{cat}", f"unknown hazard {h!r}"))
-            hazard_map[cat] = tuple(hlist)
-        na_raw = entry.get("not_applicable", {})
-        if not isinstance(na_raw, Mapping):
-            issues.append(ModelIssue(f"{where}.not_applicable", "must be an object"))
-            na_raw = {}
-        not_applicable: dict[str, str] = {}
-        for cat in na_raw:
-            if cat not in UCA_CATEGORIES:
-                issues.append(ModelIssue(f"{where}.not_applicable.{cat}", "unknown category"))
-                continue
-            justification = _text(na_raw, cat, None, f"{where}.not_applicable", issues)
-            if justification is not None:
-                not_applicable[cat] = justification
-        if not ok:
-            continue
+                    issues.append(ModelIssue(f"{where}.hazards.{category}", f"unknown hazard {_shown(h)}"))
+            hazard_map[category] = tuple(linked)
+        justified = _categories(entry.get("not_applicable", {}), f"{where}.not_applicable", issues)
+        texts = _read(justified, _CATEGORY_TEXTS, f"{where}.not_applicable", issues)
         actions.append(
             ActionSpec(
-                source=source,
-                target=target,
-                verb=verb,
-                source_label=source_label,
-                action_phrase=action_phrase,
-                continuous=continuous,
-                split=split,
-                layer=layer,
+                **fields,
                 contexts=contexts,
                 hazards=hazard_map,
-                not_applicable=not_applicable,
+                not_applicable={c: text for c, text in texts.items() if text is not None},
             )
         )
     return tuple(actions)
@@ -775,77 +782,57 @@ def _parse_actions(
 def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
     gates: list[GateSpec] = []
     seen: set[str] = set()
-    for where, entry in _entries(raw, "gates", _GATE_KEYS, issues):
+    for where, entry in _entries(raw, "gates", GateSpec._fields, issues):
         # An unknown key may be a misspelt known one, so the entry is not read further.
-        if not entry.keys() <= _GATE_KEYS:
+        if entry.keys() - GateSpec._fields:
             continue
         gate_id = entry.get("id")
         if not isinstance(gate_id, str) or not gate_id:
             issues.append(ModelIssue(f"{where}.id", "missing gate id"))
             continue
         if gate_id in seen:
-            issues.append(ModelIssue(f"{where}.id", f"duplicate gate id {gate_id!r}"))
+            issues.append(ModelIssue(f"{where}.id", f"duplicate gate id {_shown(gate_id)}"))
             continue
         seen.add(gate_id)
-        kind = entry.get("kind")
-        if kind not in ("and", "or", "vote"):
-            issues.append(ModelIssue(f"{where}.kind", f"unknown gate kind {kind!r}"))
+        fields = _read(entry, _GATE_FIELDS, where, issues)
+        if fields is None:
             continue
         k = entry.get("k")
-        if kind == "vote":
+        if fields["kind"] == "vote":
             if type(k) is not int or k < 1:
                 issues.append(ModelIssue(f"{where}.k", "vote gates need integer k >= 1"))
                 continue
         elif k is not None:
             issues.append(ModelIssue(f"{where}.k", "k only applies to vote gates"))
-        replicate = entry.get("replicate")
-        if replicate not in (None, "per-division", "per-unit"):
-            issues.append(ModelIssue(f"{where}.replicate", f"unknown macro {replicate!r}"))
-            continue
-        description = entry.get("description")
-        if description is not None and not isinstance(description, str):
-            issues.append(ModelIssue(f"{where}.description", "must be a string"))
-            continue
         children_raw = entry.get("children", [])
         if not isinstance(children_raw, list) or not children_raw:
             issues.append(ModelIssue(f"{where}.children", "gates need at least one child"))
             continue
         children: list[GateChildSpec] = []
-        for cwhere, child in _entries(children_raw, f"{where}.children", _GATE_CHILD_KEYS, issues):
-            if not child.keys() <= _GATE_CHILD_KEYS:
+        for cwhere, child in _entries(children_raw, f"{where}.children", GateChildSpec._fields, issues):
+            if child.keys() - GateChildSpec._fields:
                 continue
             malformed = [
-                key for key in ("gate", "fail", "ca_to")
+                key for key in GateChildSpec._fields
                 if child.get(key) is not None and not (isinstance(child[key], str) and child[key])
             ]
             for key in malformed:
                 issues.append(ModelIssue(f"{cwhere}.{key}", "must be a non-empty string"))
             if malformed:
                 continue
-            gate_ref = child.get("gate")
-            fail_ref = child.get("fail")
-            if (gate_ref is None) == (fail_ref is None):
+            spec = GateChildSpec(**child)
+            if (spec.gate is None) == (spec.fail is None):
                 issues.append(ModelIssue(cwhere, "child must reference exactly one of gate/fail"))
-                continue
-            if child.get("ca_to") is not None and fail_ref is None:
+            elif spec.ca_to is not None and spec.fail is None:
                 issues.append(ModelIssue(cwhere, "ca_to only applies to fail references"))
-                continue
-            children.append(GateChildSpec(gate=gate_ref, fail=fail_ref, ca_to=child.get("ca_to")))
+            else:
+                children.append(spec)
         if len(children) < len(children_raw):
             continue
-        if kind == "vote" and isinstance(k, int) and k > len(children):
+        if fields["kind"] == "vote" and k > len(children):
             issues.append(ModelIssue(f"{where}.k", f"k={k} exceeds {len(children)} children"))
             continue
-        gates.append(
-            GateSpec(
-                id=gate_id,
-                kind=kind,
-                children=tuple(children),
-                k=k,
-                replicate=replicate,
-                description=description,
-            )
-        )
+        gates.append(GateSpec(gate_id, children=tuple(children), k=k, **fields))
     return tuple(gates)
 
 
@@ -878,7 +865,8 @@ def _resolve_gates(
             if gate is None:
                 continue
             if gate.id in by_id:
-                issues.append(ModelIssue(f"gates[{i}].id", f"gate id {gate.id!r} expands more than once"))
+                message = f"gate id {_shown(gate.id)} expands more than once"
+                issues.append(ModelIssue(f"gates[{i}].id", message))
             else:
                 by_id[gate.id] = (i, gate)
 
@@ -914,7 +902,7 @@ def _resolve_gates(
     empty = [i for i in range(len(gates)) if i not in copied]
     stranded = {gates[i].id for i in empty}
     for i in [i for i in empty if all(c.gate not in stranded for c in gates[i].children)] or empty:
-        message = f"replicated gate {gates[i].id!r} instantiates for no division/unit"
+        message = f"replicated gate {_shown(gates[i].id)} instantiates for no division/unit"
         issues.append(ModelIssue(f"gates[{i}]", f"{message}: a node or gate it references is absent"))
     # Only a plain declaration can name an unknown gate (a copy that does is
     # not kept); its unknown names are one line, at the first of them.
@@ -924,7 +912,7 @@ def _resolve_gates(
             j for j, c in enumerate(gate.children) if c.gate is not None and c.gate not in resolved
         ]
         if unknown and not empty:
-            names = list(dict.fromkeys(repr(gate.children[j].gate) for j in unknown))
+            names = list(dict.fromkeys(_shown(gate.children[j].gate) for j in unknown))
             where = f"gates[{by_id[gate_id][0]}].children[{unknown[0]}].gate"
             message = f"unknown gate{'s' * (len(names) > 1)} {', '.join(names)}"
             issues.append(ModelIssue(where, message))
@@ -977,29 +965,15 @@ def _concrete_gate(
 
 
 def _parse_policy(raw: Any, issues: list[ModelIssue]) -> CcfPolicy:
-    if not isinstance(raw, Mapping):
-        issues.append(ModelIssue("ccf_policy", "must be an object"))
+    if _object(raw, "ccf_policy", CcfPolicy._fields, issues) is None:
         return CcfPolicy()
-    _check_keys(raw, _POLICY_KEYS, "ccf_policy", issues)
-    cats_raw = raw.get("software_categories", ["a", "c"])
-    if not isinstance(cats_raw, list) or any(c not in UCA_CATEGORIES for c in cats_raw):
+    categories = raw.get("software_categories", list(CcfPolicy._field_defaults["software_categories"]))
+    if not isinstance(categories, list) or any(c not in UCA_CATEGORIES for c in categories):
         issues.append(ModelIssue("ccf_policy.software_categories", "categories must be from a/b/c/d"))
-        cats_raw = ["a", "c"]
-    policy = CcfPolicy(
-        include_intra_division=_flag(raw, "include_intra_division", True, "ccf_policy", issues),
-        include_cross_all_divisions=_flag(
-            raw, "include_cross_all_divisions", True, "ccf_policy", issues
-        ),
-        include_partial_interdivision=_flag(
-            raw, "include_partial_interdivision", False, "ccf_policy", issues
-        ),
-        software_categories=tuple(cats_raw),
-    )
-    if not (
-        policy.include_intra_division
-        or policy.include_cross_all_divisions
-        or policy.include_partial_interdivision
-    ):
+        categories = CcfPolicy._field_defaults["software_categories"]
+    flags = _read(raw, _POLICY_FLAGS, "ccf_policy", issues)
+    policy = CcfPolicy(**flags, software_categories=tuple(categories))
+    if not any(getattr(policy, flag) for flag in _POLICY_FLAGS):
         issues.append(ModelIssue("ccf_policy", "at least one CCF scope must be enabled"))
     return policy
 
@@ -1008,88 +982,49 @@ def _parse_policy(raw: Any, issues: list[ModelIssue]) -> CcfPolicy:
 # Canonical serialization
 # ---------------------------------------------------------------------------
 
+# Fields written even at their record default. Every other field whose value
+# equals its record default is left out of the canonical document.
+_ALWAYS_WRITTEN = {
+    ActionSpec: ("continuous", "split", "contexts", "hazards"),
+    CcfPolicy: CcfPolicy._fields,
+}
+# Sort keys of the SystemModel arrays held as tuples. Losses and hazards are
+# held by number; nodes and classes are mappings, written by id.
+_ARRAY_ORDER = {
+    "links": _link_order,
+    "actions": lambda a: (a.layer or 0, a.source, a.target),
+    "gates": lambda g: g.id,
+}
 
-def _model_to_document(m: SystemModel) -> dict[str, Any]:
-    nodes = []
-    for key in sorted(m.nodes):
-        n = m.nodes[key]
-        entry: dict[str, Any] = {
-            "id": n.id.text,
-            "name": n.name,
-            "kind": n.kind.value,
-            "technology": n.technology.value,
-        }
-        if n.role:
-            entry["role"] = n.role
-        if n.equipment_class is not None:
-            entry["equipment_class"] = n.equipment_class
-        nodes.append(entry)
-    links = []
-    for l in sorted(m.links, key=lambda l: (l.type.value, l.source, l.target)):
-        entry = {"source": l.source.text, "target": l.target.text, "type": l.type.value}
-        if l.layer is not None:
-            entry["layer"] = l.layer
-        links.append(entry)
-    actions = []
-    for a in sorted(m.actions, key=lambda a: (a.layer or 0, a.source, a.target)):
-        entry = {
-            "source": a.source.text,
-            "target": a.target.text,
-            "verb": a.verb,
-            "source_label": a.source_label,
-            "action_phrase": a.action_phrase,
-            "continuous": a.continuous,
-            "split": a.split,
-        }
-        if a.layer is not None:
-            entry["layer"] = a.layer
-        entry["contexts"] = {k: v for k, v in sorted(a.contexts.items()) if v is not None}
-        entry["hazards"] = {k: list(v) for k, v in sorted(a.hazards.items())}
-        if a.not_applicable:
-            entry["not_applicable"] = dict(sorted(a.not_applicable.items()))
-        actions.append(entry)
-    gates = []
-    for g in sorted(m.gates, key=lambda g: g.id):
-        children = []
-        for c in g.children:
-            child: dict[str, Any] = {}
-            if c.gate is not None:
-                child["gate"] = c.gate
-            if c.fail is not None:
-                child["fail"] = c.fail
-            if c.ca_to is not None:
-                child["ca_to"] = c.ca_to
-            children.append(child)
-        entry = {"id": g.id, "kind": g.kind, "children": children}
-        if g.k is not None:
-            entry["k"] = g.k
-        if g.replicate is not None:
-            entry["replicate"] = g.replicate
-        if g.description is not None:
-            entry["description"] = g.description
-        gates.append(entry)
-    return {
-        "resha_model_version": m.version,
-        "equipment_classes": [
-            {"tag": c.tag, "prefix": c.prefix, "display": c.display}
-            for c in sorted(m.classes.values(), key=lambda c: c.tag)
-        ],
-        "nodes": nodes,
-        "links": links,
-        "losses": [{"id": l.id, "description": l.description} for l in m.losses],
-        "hazards": [
-            {"id": h.id, "description": h.description, "losses": list(h.losses)}
-            for h in m.hazards
-        ],
-        "control_actions": actions,
-        "gates": gates,
-        "ccf_policy": {
-            "include_intra_division": m.ccf_policy.include_intra_division,
-            "include_cross_all_divisions": m.ccf_policy.include_cross_all_divisions,
-            "include_partial_interdivision": m.ccf_policy.include_partial_interdivision,
-            "software_categories": list(m.ccf_policy.software_categories),
-        },
-    }
+
+_JSON_SCALARS = {str, int, float, bool, type(None)}
+
+
+@lru_cache(maxsize=None)
+def _omitted(record: type) -> dict[str, Any]:
+    """The fields of ``record`` left out of the canonical document at their default."""
+    always = _ALWAYS_WRITTEN.get(record, ())
+    return {key: default for key, default in record._field_defaults.items() if key not in always}
+
+
+def _document(value: Any) -> Any:
+    """The canonical JSON form of a value that a model record holds."""
+    if type(value) in _JSON_SCALARS:
+        return value
+    if isinstance(value, NodeId):
+        return value.text
+    if isinstance(value, Enum):
+        return value.value
+    if hasattr(value, "_fields"):  # a record
+        doc = dict(zip(value._fields, map(_document, value)))
+        for key, default in _omitted(type(value)).items():
+            if getattr(value, key) == default:
+                del doc[key]
+        return doc
+    if isinstance(value, (tuple, list)):
+        return list(map(_document, value))
+    # A mapping, by key; a context without text is left out.
+    return {key: _document(item) for key, item in sorted(value.items()) if item is not None}
 
 
 # ---------------------------------------------------------------------------
@@ -1117,34 +1052,27 @@ def derive_redundancy_groups(m: SystemModel) -> tuple[RedundancyGroup, ...]:
     groups: list[RedundancyGroup] = []
     for tag in sorted(by_class):
         members = sorted(by_class[tag], key=lambda n: n.id)
-        eq = m.classes[tag]
-        software = all(n.technology is Technology.DIGITAL for n in members)
         by_division: dict[str, list[Node]] = {}
         for node in members:
             by_division.setdefault(node.id.division, []).append(node)
-        for division in sorted(by_division):
-            local = by_division[division]
-            if len(local) >= 2:
-                groups.append(
-                    RedundancyGroup(
-                        class_tag=tag,
-                        prefix=eq.prefix,
-                        display=eq.display,
-                        scope=GroupScope.INTRA_DIVISION,
-                        division=division,
-                        members=tuple(n.id for n in local),
-                        software_capable=software,
-                    )
-                )
+        scopes = [
+            (GroupScope.INTRA_DIVISION, division, local)
+            for division, local in sorted(by_division.items())
+            if len(local) >= 2
+        ]
         if len(by_division) >= 2:
+            scopes.append((GroupScope.CROSS_DIVISION, None, members))
+        eq = m.classes[tag]
+        software = all(n.technology is Technology.DIGITAL for n in members)
+        for scope, division, group in scopes:
             groups.append(
                 RedundancyGroup(
                     class_tag=tag,
                     prefix=eq.prefix,
                     display=eq.display,
-                    scope=GroupScope.CROSS_DIVISION,
-                    division=None,
-                    members=tuple(n.id for n in members),
+                    scope=scope,
+                    division=division,
+                    members=tuple(n.id for n in group),
                     software_capable=software,
                 )
             )

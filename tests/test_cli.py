@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from resha import ccf as ccfmod
 from resha import cutset as cutsetmod
 from resha.cli import RunConfig, main, run_analysis, write_artifacts
 from resha.faulttree import FaultTreeError, from_exchange_json, to_exchange_json
@@ -887,3 +888,33 @@ def test_cutsets_mutated_exchange_document_exits_cleanly(auto_tree, data, tmp_pa
     tree.write_text(json.dumps(doc), encoding="utf-8")
     assert main(["cutsets", "--tree", str(tree), "--truncate", "2"]) in (0, 1, 2)
     assert "Traceback" not in capsys.readouterr().err
+
+
+def test_programming_error_in_a_stage_is_not_wrapped(model_path, monkeypatch):
+    """Only the errors a stage's callees raise become a one-line exit 1; a bug stays a bug."""
+    def broken(*args):
+        raise TypeError("broken injection")
+
+    monkeypatch.setattr(ccfmod, "inject_ccfs", broken)
+    with pytest.raises(TypeError, match="broken injection"):
+        run_analysis(RunConfig(model_path=model_path, truncate=1))
+
+
+def test_embedded_values_are_cut_short(tmp_path, capsys):
+    """A deeply nested or very long value in the input gives a short message line."""
+    deep = "[" * 500 + "]" * 500
+    doc = build_rts_document()
+    doc["nodes"][0]["id"] = "A" * 5000
+    text = json.dumps(doc).replace('"resha_model_version": 1', f'"resha_model_version": {deep}')
+    model = tmp_path / "model.json"
+    model.write_text(text, encoding="utf-8")
+    assert main(["validate", str(model)]) == 1
+    version, node = capsys.readouterr().err.splitlines()
+    assert version == "error: resha_model_version: expected 1, got [[[[[[[...]]]]]]]"
+    assert node.startswith("error: nodes[0].id: malformed node id 'AAAA") and "A...A" in node
+    assert len(node) < 400
+    tree = tmp_path / "tree.json"
+    tree.write_text(f'{{"top": {deep}, "gates": [], "events": []}}', encoding="utf-8")
+    assert main(["cutsets", "--tree", str(tree)]) == 1
+    assert capsys.readouterr().err == (
+        "error: exchange document 'top' must be a string, got [[[[[[[...]]]]]]]\n")

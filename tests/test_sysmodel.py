@@ -444,6 +444,7 @@ _ONE_FAULT_ISSUES = [
     (("equipment_classes", 0, "size"), 1, "equipment_classes[0].size: unknown field"),
     (("nodes", 3, "id"), "garbage", f"nodes[3].id: malformed node id 'garbage': {_MALFORMED}"),
     (("nodes", 3, "id"), 5, "nodes[3].id: node id must be a string, got int"),
+    (("nodes", 3, "id"), _DELETE, f"nodes[3].id: malformed node id '': {_MALFORMED}"),
     (("nodes", 0, "kind"), "gizmo", "nodes[0].kind: unknown kind 'gizmo'"),
     (("nodes", 3, "kind"), "module",
      "nodes[3].kind: kind 'module' inconsistent with id A00.00.01 (id implies 'component')"),

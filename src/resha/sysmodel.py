@@ -730,7 +730,7 @@ def _parse_hazards(
 
 
 def _categories(raw: Any, where: str, issues: list[ModelIssue]) -> Mapping[str, Any]:
-    """The object ``raw`` keyed by UCA category; each other key is reported."""
+    """``raw`` if it is an object, else empty; each key that is no UCA category is reported."""
     return _object(raw, where, UCA_CATEGORIES, issues, "unknown category") or {}
 
 

@@ -998,13 +998,14 @@ _ARRAY_ORDER = {
 
 
 _JSON_SCALARS = {str, int, float, bool, type(None)}
+_WRITTEN = object()  # the default of a field that is written whatever its value
 
 
 @lru_cache(maxsize=None)
-def _omitted(record: type) -> dict[str, Any]:
-    """The fields of ``record`` left out of the canonical document at their default."""
-    always = _ALWAYS_WRITTEN.get(record, ())
-    return {key: default for key, default in record._field_defaults.items() if key not in always}
+def _plan(record: type) -> tuple[tuple[str, Any], ...]:
+    """``(key, default)`` of each field of ``record``; a value equal to the default is left out."""
+    always, defaults = _ALWAYS_WRITTEN.get(record, ()), record._field_defaults
+    return tuple((key, _WRITTEN if key in always else defaults.get(key, _WRITTEN)) for key in record._fields)
 
 
 def _document(value: Any) -> Any:
@@ -1016,11 +1017,8 @@ def _document(value: Any) -> Any:
     if isinstance(value, Enum):
         return value.value
     if hasattr(value, "_fields"):  # a record
-        doc = dict(zip(value._fields, map(_document, value)))
-        for key, default in _omitted(type(value)).items():
-            if getattr(value, key) == default:
-                del doc[key]
-        return doc
+        fields = zip(_plan(type(value)), value)
+        return {key: _document(item) for (key, default), item in fields if item != default}
     if isinstance(value, (tuple, list)):
         return list(map(_document, value))
     # A mapping, by key; a context without text is left out.

@@ -7,8 +7,18 @@ import pytest
 
 from resha.ccf import _candidates, catalog_to_csv, enumerate_ccf_catalog, inject_ccfs
 from resha.cutset import evaluate_structure_function, solve_minimal_cut_sets
-from resha.faulttree import EventKind, build_hardware_fault_tree, to_exchange_json
-from resha.fixtures import TOP_RPS
+from resha.faulttree import (
+    CCF_KINDS,
+    EventKind,
+    build_hardware_fault_tree,
+    from_exchange_json,
+    hw_gate_id,
+    integrate_ucas,
+    sw_gate_id,
+    to_exchange_json,
+)
+from resha.fixtures import TOP_AUTOMATIC, TOP_FULL, TOP_RPS
+from resha.stpa import TopEventKind, select_ucas_for_top_event
 from resha.sysmodel import CcfPolicy, GroupScope
 
 CROSS_UV_PATH_HW = {
@@ -196,3 +206,46 @@ def test_integrated_tree_bytes_pinned(fixture, digest, request):
 def test_catalog_bytes_pinned(partial, digest, rts_groups, rts_model):
     policy = rts_model.ccf_policy._replace(include_partial_interdivision=partial)
     assert sha256(catalog_to_csv(enumerate_ccf_catalog(rts_groups, policy))) == digest
+
+
+@pytest.mark.parametrize(
+    "top, kind, partial",
+    [
+        (TOP_FULL, TopEventKind.FAILURE_TO_ACT, False),
+        (TOP_FULL, TopEventKind.SPURIOUS_ACTION, False),
+        (TOP_FULL, TopEventKind.FAILURE_TO_ACT, True),
+        (TOP_RPS, TopEventKind.FAILURE_TO_ACT, False),
+        (TOP_RPS, TopEventKind.SPURIOUS_ACTION, True),
+        (TOP_AUTOMATIC, TopEventKind.FAILURE_TO_ACT, True),
+        ("DOM1-A-SILENT", TopEventKind.FAILURE_TO_ACT, False),
+        ("DOM1-A-SILENT", TopEventKind.SPURIOUS_ACTION, True),
+    ],
+)
+def test_ccf_events_attach_where_the_naming_functions_point(
+    top, kind, partial, rts_model, rts_ucas, rts_groups
+):
+    """A hardware CCF sits under each subject's hardware gate and a software
+    CCF under each software gate of its subjects, where the tree holds one; a tree
+    read back from its exchange document injects byte for byte the same."""
+    tree = integrate_ucas(build_hardware_fault_tree(rts_model, top),
+                          select_ucas_for_top_event(rts_ucas, kind))
+    policy = rts_model.ccf_policy._replace(include_partial_interdivision=partial)
+    injected = inject_ccfs(tree, rts_groups, policy)
+    parents: dict[str, set[str]] = {}
+    for gate in injected.gates.values():
+        for child in gate.children:
+            parents.setdefault(child, set()).add(gate.id)
+    targets: dict[object, list] = {}
+    for action in rts_model.actions:
+        targets.setdefault(action.source, []).append(action.target)
+    ccfs = [e for e in injected.events.values() if e.kind in CCF_KINDS]
+    assert any(e.kind is EventKind.HW_CCF for e in ccfs)
+    assert any(e.kind is EventKind.SW_CCF for e in ccfs)
+    for event in ccfs:
+        if event.kind is EventKind.HW_CCF:
+            named = [hw_gate_id(s) for s in event.subjects]
+        else:
+            named = [sw_gate_id(s, t) for s in event.subjects for t in [None, *targets.get(s, ())]]
+        assert parents[event.id] == {g for g in named if g in injected.gates}, event.id
+    read_back = inject_ccfs(from_exchange_json(to_exchange_json(tree)), rts_groups, policy)
+    assert to_exchange_json(read_back) == to_exchange_json(injected)

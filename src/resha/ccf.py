@@ -15,13 +15,7 @@ import itertools
 import logging
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .faulttree import (
-    BasicEvent,
-    EventKind,
-    FaultTree,
-    attach_shared_event,
-    ccf_event_id,
-)
+from .faulttree import BasicEvent, EventKind, FaultTree, Gate, ccf_event_id, hw_gate_id
 from .sysmodel import CcfPolicy, GroupScope, NodeId, RedundancyGroup
 
 logger = logging.getLogger(__name__)
@@ -149,6 +143,12 @@ def inject_ccfs(
     several control actions). A group whose members have no software subtree
     is skipped with a warning. Members absent from this tree's scope are
     ignored; an event attaches only when at least two members are present.
+
+    A member's gates are found from the tree's structure, as the tree builder
+    and ``integrate_ucas`` make it: its hardware OR is ``hw_gate_id(member)``,
+    the parents of that gate are its failure ORs, and the other gates under
+    those are its software ORs. No gate id is parsed, so a tree read back
+    from its exchange document injects like the one that was written.
     """
     if policy.software_categories:
         for group in groups:
@@ -158,29 +158,45 @@ def inject_ccfs(
                     group.class_tag,
                     group.scope.value,
                 )
-    gates = dict(ft.gates)
+    parents: dict[str, list[str]] = {}
+    for gate in ft.gates.values():
+        for child in gate.children:
+            parents.setdefault(child, []).append(gate.id)
     events = dict(ft.events)
+    # Gate id -> the CCF events it gains, in candidate order.
+    attached: dict[str, dict[str, None]] = {}
 
     for candidate in sorted(_candidates(groups, policy), key=lambda e: e.name):
-        role = "HW" if candidate.kind is EventKind.HW_CCF else "SW"
         points: list[str] = []
         present = 0
         for member in candidate.members:
-            member_points = ft.node_gate_ids(member, role)
-            if role == "SW" and not member_points and ft.node_gate_ids(member, "FAIL"):
-                logger.warning(
-                    "skipping software CCF %s for %s: no software subtree",
-                    candidate.name,
-                    member.text,
-                )
+            hw_id = hw_gate_id(member)
+            if candidate.kind is EventKind.HW_CCF:
+                member_points = [hw_id] if hw_id in ft.gates else []
+            else:
+                fail_ids = parents.get(hw_id, ())
+                member_points = [c for f in fail_ids for c in ft.gates[f].children
+                                 if c != hw_id and c in ft.gates]
+                if fail_ids and not member_points:
+                    logger.warning(
+                        "skipping software CCF %s for %s: no software subtree",
+                        candidate.name,
+                        member.text,
+                    )
             points.extend(member_points)
             present += bool(member_points)
         if present < 2:
             continue
         if candidate.name not in events:
             events[candidate.name] = candidate.to_basic_event()
-        attach_shared_event(gates, candidate.name, sorted(points))
+        for gate_id in points:
+            attached.setdefault(gate_id, {})[candidate.name] = None
 
+    gates = dict(ft.gates)
+    for gate_id, names in attached.items():
+        gate = gates[gate_id]
+        added = tuple(name for name in names if name not in gate.children)
+        gates[gate_id] = Gate(*gate._replace(children=gate.children + added))
     return FaultTree(top=ft.top, gates=gates, events=events)
 
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 from enum import Enum
 from functools import cached_property
-from typing import Iterable, Iterator, Literal, Mapping, NamedTuple, Sequence
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .stpa import UcaRecord
 from .sysmodel import (
@@ -19,6 +19,7 @@ from .sysmodel import (
     SystemModel,
     Technology,
     _shown,
+    _shown_name,
     parse_node_id,
 )
 
@@ -49,9 +50,6 @@ HARDWARE_KINDS = frozenset({EventKind.HW_INDEP, EventKind.HW_CCF})
 SOFTWARE_KINDS = frozenset({EventKind.SW_UCA, EventKind.SW_CCF, EventKind.HUMAN_UCA})
 CCF_KINDS = frozenset({EventKind.HW_CCF, EventKind.SW_CCF})
 
-# Prefix of a node's canonical gate: hardware OR, failure OR, software OR.
-GateRole = Literal["HW", "FAIL", "SW"]
-
 
 class _BasicEventFields(NamedTuple):
     id: str
@@ -68,9 +66,9 @@ class BasicEvent(_BasicEventFields):
     def __new__(cls, *args, **kwargs) -> BasicEvent:
         self = super().__new__(cls, *args, **kwargs)
         if self.kind in CCF_KINDS and len(self.subjects) < 2:
-            raise FaultTreeError(f"CCF event {self.id} must reference >= 2 subjects")
+            raise FaultTreeError(f"CCF event {_shown_name(self.id)} must reference >= 2 subjects")
         if self.kind is EventKind.SW_UCA and self.uca_id is None:
-            raise FaultTreeError(f"software UCA event {self.id} must reference its UCA")
+            raise FaultTreeError(f"software UCA event {_shown_name(self.id)} must reference its UCA")
         return self
 
 
@@ -90,13 +88,13 @@ class Gate(_GateFields):
         if self.kind is GateKind.VOTE:
             if self.k is None or not 1 <= self.k <= len(self.children):
                 raise FaultTreeError(
-                    f"vote gate {self.id} needs 1 <= k <= {len(self.children)}, got {self.k}"
+                    f"vote gate {_shown_name(self.id)} needs 1 <= k <= {len(self.children)}, got {self.k}"
                 )
         elif self.k is not None:
-            raise FaultTreeError(f"gate {self.id}: k only applies to vote gates")
+            raise FaultTreeError(f"gate {_shown_name(self.id)}: k only applies to vote gates")
         # Empty OR is a never-fails placeholder; an empty AND has no sound reading.
         if self.kind is GateKind.AND and not self.children:
-            raise FaultTreeError(f"AND gate {self.id} must have children")
+            raise FaultTreeError(f"AND gate {_shown_name(self.id)} must have children")
         return self
 
 
@@ -135,43 +133,30 @@ class FaultTree(_FaultTreeFields):
             shapes[gate_id] = hash((gate.kind, gate.k, tuple([shapes[c] for c in gate.children])))
         return shapes
 
-    @cached_property
-    def _node_gates(self) -> dict[tuple[str, str], tuple[str, ...]]:
-        """(role, node text) -> that node's canonical gates, sorted; built on first use."""
-        index: dict[tuple[str, str], list[str]] = {}
-        for gate_id in sorted(self.gates):
-            owner = parse_node_gate_id(gate_id)
-            if owner is not None:
-                index.setdefault(owner, []).append(gate_id)
-        return {owner: tuple(ids) for owner, ids in index.items()}
-
-    def node_gate_ids(self, node: NodeId, role: GateRole) -> tuple[str, ...]:
-        """Canonical ``role`` gates belonging to a node, sorted."""
-        return self._node_gates.get((role, node.text), ())
-
 
 def validate_tree(ft: FaultTree) -> None:
     """Check reference integrity, vote arity, reachability, and acyclicity."""
     overlap = set(ft.gates) & set(ft.events)
     if overlap:
-        raise FaultTreeError(f"ids used as both gate and event: {sorted(overlap)[:3]}")
+        raise FaultTreeError(f"ids used as both gate and event: {_first_ids(overlap)}")
     if ft.top not in ft.gates and ft.top not in ft.events:
-        raise FaultTreeError(f"top reference {ft.top!r} does not exist")
+        raise FaultTreeError(f"top reference {_shown(ft.top)} does not exist")
     for gate in ft.gates.values():
         for child in gate.children:
             if child not in ft.gates and child not in ft.events:
-                raise FaultTreeError(f"gate {gate.id} references unknown child {child!r}")
+                raise FaultTreeError(f"gate {_shown_name(gate.id)} references unknown child {_shown(child)}")
     reached = set(ft.gate_order)
     unreachable = set(ft.gates) - reached
     if unreachable:
-        raise FaultTreeError(
-            f"gates unreachable from top: {sorted(unreachable)[:3]}"
-        )
+        raise FaultTreeError(f"gates unreachable from top: {_first_ids(unreachable)}")
     unreferenced = set(ft.events) - _events_under(ft.gates, reached) - {ft.top}
     if unreferenced:
-        raise FaultTreeError(
-            f"events unreachable from top: {sorted(unreferenced)[:3]}"
-        )
+        raise FaultTreeError(f"events unreachable from top: {_first_ids(unreferenced)}")
+
+
+def _first_ids(ids: Iterable[str]) -> str:
+    """The first three ``ids`` in sorted order as a list text, each id cut short."""
+    return "[" + ", ".join(_shown(i) for i in sorted(ids)[:3]) + "]"
 
 
 def children_first(gates: Mapping[str, Gate], root: str) -> tuple[str, ...]:
@@ -191,7 +176,7 @@ def children_first(gates: Mapping[str, Gate], root: str) -> tuple[str, ...]:
         gate_id, pending = stack[-1]
         for child in pending:
             if child in on_path:
-                raise FaultTreeError(f"cycle detected through gate {child!r}")
+                raise FaultTreeError(f"cycle detected through gate {_shown(child)}")
             if child in gates and child not in finished:
                 on_path.add(child)
                 stack.append((child, iter(gates[child].children)))
@@ -226,6 +211,9 @@ def failure_vote_threshold(k_success: int, n: int) -> int:
 # Canonical naming
 # ---------------------------------------------------------------------------
 
+# Ids are only built from these functions, never parsed back: which node a
+# gate belongs to is the tree's structure (see ``ccf.inject_ccfs``).
+
 
 def fail_gate_id(node: NodeId, ca_target: NodeId | None = None) -> str:
     if ca_target is None:
@@ -241,21 +229,6 @@ def sw_gate_id(node: NodeId, ca_target: NodeId | None = None) -> str:
     if ca_target is None:
         return f"SW::{node.text}"
     return f"SW::{node.text}::{ca_target.text}"
-
-
-def parse_node_gate_id(gate_id: str) -> tuple[str, str] | None:
-    """(role, node text) of a gate named by the three functions above, else None.
-
-    Per-action ``FAIL::`` and ``SW::`` gates belong to their source node; a
-    ``HW::`` gate is whole-node only.
-    """
-    role, sep, rest = gate_id.partition("::")
-    if not sep or role not in ("HW", "FAIL", "SW"):
-        return None
-    node, per_action, _ = rest.partition("::")
-    if role == "HW" and per_action:
-        return None
-    return role, node
 
 
 def independent_event_id(prefix: str, node: NodeId) -> str:
@@ -332,9 +305,9 @@ def build_hardware_fault_tree(m: SystemModel, top: str) -> FaultTree:
         try:
             node_id = parse_node_id(top)
         except NodeIdError:
-            raise FaultTreeError(f"unknown top event {top!r}") from None
+            raise FaultTreeError(f"unknown top event {_shown(top)}") from None
         if node_id.text not in m.nodes:
-            raise FaultTreeError(f"unknown top event {top!r}")
+            raise FaultTreeError(f"unknown top event {_shown(top)}")
         return FaultTree(top=fail_gate(node_id.text, None), gates=gates, events=events)
 
     # Children first and iterative, so declarations may nest deeper than
@@ -421,17 +394,6 @@ def integrate_ucas(ft: FaultTree, selected: Sequence[UcaRecord]) -> FaultTree:
     return FaultTree(top=ft.top, gates=gates, events=events)
 
 
-def attach_shared_event(
-    ft_gates: dict[str, Gate], event_id: str, gate_ids: Sequence[str]
-) -> None:
-    """Append one (shared) event id under each listed gate, in place."""
-    for gate_id in gate_ids:
-        gate = ft_gates[gate_id]
-        if event_id in gate.children:
-            continue
-        ft_gates[gate_id] = Gate(*gate._replace(children=gate.children + (event_id,)))
-
-
 # ---------------------------------------------------------------------------
 # Subtrees and filtering
 # ---------------------------------------------------------------------------
@@ -440,7 +402,7 @@ def attach_shared_event(
 def extract_subtree(ft: FaultTree, gate_id: str) -> FaultTree:
     """New tree rooted at an existing gate; reachable ids are preserved."""
     if gate_id not in ft.gates:
-        raise FaultTreeError(f"unknown gate {gate_id!r}")
+        raise FaultTreeError(f"unknown gate {_shown(gate_id)}")
     gate_ids = children_first(ft.gates, gate_id)
     return FaultTree(
         top=gate_id,

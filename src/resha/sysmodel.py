@@ -346,7 +346,7 @@ _DOCUMENT_NAMES = {
 }
 _TOP_LEVEL_KEYS = {_DOCUMENT_NAMES.get(f, f) for f in SystemModel._fields if f != "resolved_gates"}
 
-_SHOWN_LIMIT = 200
+_SHOWN_LIMIT = 100
 _REPR = reprlib.Repr()
 _REPR.maxstring = _REPR.maxother = _SHOWN_LIMIT
 
@@ -360,6 +360,12 @@ def _shown(value: Any) -> str:
     """
     text = _REPR.repr(value)
     return text if len(text) <= _SHOWN_LIMIT else text[: _SHOWN_LIMIT - 3] + "..."
+
+
+def _shown_name(name: Any) -> str:
+    """A key or an id as written, or through ``_shown`` when it is too long."""
+    text = str(name)
+    return text if len(text) <= _SHOWN_LIMIT else _shown(name)
 
 
 class _Invalid(Exception):
@@ -504,7 +510,7 @@ def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
 
     for key in doc:
         if key not in _TOP_LEVEL_KEYS:
-            issues.append(ModelIssue(key, "unknown field"))
+            issues.append(ModelIssue(_shown_name(key), "unknown field"))
     version = doc.get("resha_model_version")
     if version != MODEL_VERSION:
         issues.append(
@@ -561,7 +567,7 @@ def _object(
         return None
     for key in raw:
         if key not in keys:
-            issues.append(ModelIssue(f"{where}.{key}", unknown))
+            issues.append(ModelIssue(f"{where}.{_shown_name(key)}", unknown))
     return raw
 
 

@@ -900,6 +900,30 @@ def test_programming_error_in_a_stage_is_not_wrapped(model_path, monkeypatch):
         run_analysis(RunConfig(model_path=model_path, truncate=1))
 
 
+def test_long_keys_and_ids_are_cut_short(model_path, tmp_path, capsys):
+    """An unknown key, an exchange top or an analysis root of any length gives
+    a short message line; a short unknown key is written as it is."""
+    doc = build_rts_document()
+    for entry in (doc, doc["nodes"][0]):
+        entry["K" * 5000] = entry["extra"] = 1
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(model)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert "error: extra: unknown field" in lines
+    assert "error: nodes[0].extra: unknown field" in lines
+    cut = [line for line in lines if "K...K" in line]
+    assert len(cut) == 2 and all(len(line) < 200 for line in lines)
+    tree = tmp_path / "tree.json"
+    tree.write_text(json.dumps({"top": "T" * 5000, "gates": [], "events": []}), encoding="utf-8")
+    assert main(["cutsets", "--tree", str(tree)]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert line.startswith("error: top reference 'TTT") and "T...T" in line and len(line) < 200
+    assert main(["analyze", "--model", str(model_path), "--top", "T" * 5000]) == 1
+    (line,) = capsys.readouterr().err.splitlines()
+    assert "unknown top event 'TTT" in line and "T...T" in line and len(line) < 200
+
+
 def test_embedded_values_are_cut_short(tmp_path, capsys):
     """A deeply nested or very long value in the input gives a short message line."""
     deep = "[" * 500 + "]" * 500

@@ -75,15 +75,54 @@ _ONE = (NodeId("XA", 0, 0, 1),)
             lambda: FaultTree("G", {"G": Gate("G", GateKind.OR, ("E1", "X"))}, {"E1": event("E1")}),
             "gate G references unknown child 'X'",
         ),
+        (lambda: FaultTree("T", {}, {}), "top reference 'T' does not exist"),
+        (
+            lambda: FaultTree("E1", {"E1": Gate("E1", GateKind.OR, ())}, {"E1": event("E1")}),
+            "ids used as both gate and event: ['E1']",
+        ),
+        (
+            lambda: FaultTree("G", {"G": Gate("G", GateKind.OR, ()), "U": Gate("U", GateKind.OR, ())}, {}),
+            "gates unreachable from top: ['U']",
+        ),
+        (
+            lambda: FaultTree("G", {"G": Gate("G", GateKind.OR, ("E1",))}, {"E1": event("E1"), "E2": event("E2")}),
+            "events unreachable from top: ['E2']",
+        ),
         (lambda: CutSet(frozenset(), contains_ccf=False), "cut sets must be non-empty"),
     ],
     ids=["hw-ccf-one-subject", "sw-ccf-one-subject", "sw-uca-no-uca", "vote-k-above",
-         "vote-k-zero", "vote-no-k", "k-on-or", "empty-and", "unknown-child", "empty-cut-set"],
+         "vote-k-zero", "vote-no-k", "k-on-or", "empty-and", "unknown-child", "missing-top",
+         "gate-and-event", "unreachable-gate", "unreachable-event", "empty-cut-set"],
 )
 def test_validating_records_keep_their_messages(build, message):
     with pytest.raises((FaultTreeError, CutSetError)) as exc:
         build()
     assert str(exc.value) == message
+
+
+_LONG = "X" * 5000
+
+
+@pytest.mark.parametrize(
+    "build",
+    [
+        lambda: BasicEvent(_LONG, EventKind.HW_CCF, _ONE),
+        lambda: Gate(_LONG, GateKind.AND, ()),
+        lambda: FaultTree(_LONG, {}, {}),
+        lambda: FaultTree("G", {"G": Gate("G", GateKind.OR, (_LONG,))}, {}),
+        lambda: FaultTree(_LONG, {_LONG: Gate(_LONG, GateKind.OR, ())}, {_LONG: event(_LONG)}),
+        lambda: FaultTree("G", {"G": Gate("G", GateKind.OR, ()), _LONG: Gate(_LONG, GateKind.OR, ())}, {}),
+        lambda: FaultTree("G", {"G": Gate("G", GateKind.OR, ())}, {_LONG: event(_LONG)}),
+        lambda: FaultTree(_LONG, {_LONG: Gate(_LONG, GateKind.OR, (_LONG,))}, {}),
+        lambda: extract_subtree(FaultTree("G", {"G": Gate("G", GateKind.OR, ())}, {}), _LONG),
+    ],
+    ids=["ccf-event", "empty-and", "missing-top", "unknown-child", "gate-and-event",
+         "unreachable-gate", "unreachable-event", "cycle", "unknown-subtree-root"],
+)
+def test_long_ids_are_cut_short(build):
+    with pytest.raises(FaultTreeError) as exc:
+        build()
+    assert len(str(exc.value)) < 200 and "X...X" in str(exc.value)
 
 
 def test_cycle_detected():

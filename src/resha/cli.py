@@ -34,7 +34,6 @@ from .faulttree import (
     filter_events,
     from_exchange_json,
     integrate_ucas,
-    to_exchange_json,
 )
 from .sysmodel import (
     CcfPolicy,
@@ -232,7 +231,7 @@ def write_artifacts(config: RunConfig, artifacts: Analysis) -> Path:
         reportmod.spof_table_to_csv(artifacts.spofs, descriptions), encoding="utf-8"
     )
     (run_dir / "ccf_catalog.csv").write_text(ccfmod.catalog_to_csv(artifacts.catalog), encoding="utf-8")
-    (run_dir / "tree.json").write_text(to_exchange_json(tree), encoding="utf-8")
+    (run_dir / "tree.json").write_text(artifacts.collection.exchange, encoding="utf-8")
     return run_dir
 
 

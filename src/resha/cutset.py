@@ -148,11 +148,16 @@ class CutSet(_CutSetFields):
 
 
 class CutSetCollection(NamedTuple):
-    """Minimal cut sets with truncation provenance and per-order counts."""
+    """Minimal cut sets with truncation provenance and per-order counts.
+
+    ``exchange`` is the exchange document of the tree the sets were solved
+    from, and ``fingerprint`` is the SHA-256 of its UTF-8 bytes.
+    """
 
     cut_sets: tuple[CutSet, ...]
     truncation: int | None
     fingerprint: str
+    exchange: str
     per_order: Mapping[int, int] = MappingProxyType({})
 
     # len() counts cut sets, not fields, so ``_make`` and ``_replace`` do not apply.
@@ -205,19 +210,17 @@ def _collect(ft: FaultTree, masks: Iterable[int], index_to_id: Sequence[str],
         per_order[order] = per_order.get(order, 0) + 1
         rows.append((order, tuple(names), mask))
     rows.sort()
+    exchange = to_exchange_json(ft)
     return CutSetCollection(
         cut_sets=tuple(
             CutSet(events=frozenset(names), contains_ccf=bool(mask & ccf_mask))
             for _, names, mask in rows
         ),
         truncation=truncation,
-        fingerprint=tree_fingerprint(ft),
+        fingerprint=hashlib.sha256(exchange.encode()).hexdigest(),
+        exchange=exchange,
         per_order=dict(sorted(per_order.items())),
     )
-
-
-def tree_fingerprint(ft: FaultTree) -> str:
-    return hashlib.sha256(to_exchange_json(ft).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------

@@ -88,7 +88,7 @@ class Gate(_GateFields):
         if self.kind is GateKind.VOTE:
             if self.k is None or not 1 <= self.k <= len(self.children):
                 raise FaultTreeError(
-                    f"vote gate {_shown_name(self.id)} needs 1 <= k <= {len(self.children)}, got {self.k}"
+                    f"vote gate {_shown_name(self.id)} needs 1 <= k <= {len(self.children)}, got {_shown(self.k)}"
                 )
         elif self.k is not None:
             raise FaultTreeError(f"gate {_shown_name(self.id)}: k only applies to vote gates")

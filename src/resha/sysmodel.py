@@ -16,6 +16,7 @@ import reprlib
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sized
 from enum import Enum
 from functools import cached_property, lru_cache
+from operator import attrgetter
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, NamedTuple
@@ -836,7 +837,7 @@ def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
         if len(children) < len(children_raw):
             continue
         if fields["kind"] == "vote" and k > len(children):
-            issues.append(ModelIssue(f"{where}.k", f"k={k} exceeds {len(children)} children"))
+            issues.append(ModelIssue(f"{where}.k", f"k={_shown(k)} exceeds {len(children)} children"))
             continue
         gates.append(GateSpec(gate_id, children=tuple(children), k=k, **fields))
     return tuple(gates)
@@ -1003,32 +1004,69 @@ _ARRAY_ORDER = {
 }
 
 
-_JSON_SCALARS = {str, int, float, bool, type(None)}
 _WRITTEN = object()  # the default of a field that is written whatever its value
 
 
+def _texts_by_key(texts: Mapping[str, str | None]) -> dict[str, str]:
+    """Contexts and justifications by category; a context without text is left out."""
+    return {key: text for key, text in sorted(texts.items()) if text is not None}
+
+
+def _ids_by_key(ids: Mapping[str, tuple[str, ...]]) -> dict[str, list[str]]:
+    return {key: list(linked) for key, linked in sorted(ids.items())}
+
+
+def _gate_children(children: tuple[GateChildSpec, ...]) -> list[dict[str, str]]:
+    return list(map(_writer(GateChildSpec), children))
+
+
+# ``_value_`` is the member's value without the ``value`` property's descriptor call.
+_NODE_TEXT, _ENUM_VALUE = attrgetter("text"), attrgetter("_value_")
+# How each field that is not a JSON scalar is written; every other field is
+# written as it is held.
+_CONVERTERS = {
+    Node: {"id": _NODE_TEXT, "kind": _ENUM_VALUE, "technology": _ENUM_VALUE},
+    Link: {"source": _NODE_TEXT, "target": _NODE_TEXT, "type": _ENUM_VALUE},
+    Hazard: {"losses": list},
+    ActionSpec: {"source": _NODE_TEXT, "target": _NODE_TEXT, "contexts": _texts_by_key,
+                 "hazards": _ids_by_key, "not_applicable": _texts_by_key},
+    GateSpec: {"children": _gate_children},
+    CcfPolicy: {"software_categories": list},
+}
+
+
 @lru_cache(maxsize=None)
-def _plan(record: type) -> tuple[tuple[str, Any], ...]:
-    """``(key, default)`` of each field of ``record``; a value equal to the default is left out."""
+def _writer(record: type) -> Callable[[Any], dict[str, Any]]:
+    """The canonical writer of ``record``, planned once from ``_ALWAYS_WRITTEN``,
+    ``_CONVERTERS`` and the record's defaults.
+
+    Its fields are written in field order, each through its converter; a
+    value equal to the field's default is left out.
+    """
     always, defaults = _ALWAYS_WRITTEN.get(record, ()), record._field_defaults
-    return tuple((key, _WRITTEN if key in always else defaults.get(key, _WRITTEN)) for key in record._fields)
+    converters = _CONVERTERS.get(record, {})
+    plan = tuple(
+        (key, _WRITTEN if key in always else defaults.get(key, _WRITTEN), converters.get(key))
+        for key in record._fields
+    )
+
+    def write(value: Any) -> dict[str, Any]:
+        return {
+            key: item if convert is None else convert(item)
+            for (key, default, convert), item in zip(plan, value)
+            if default is _WRITTEN or item != default
+        }
+
+    return write
 
 
 def _document(value: Any) -> Any:
-    """The canonical JSON form of a value that a model record holds."""
-    if type(value) in _JSON_SCALARS:
+    """The canonical JSON form of a SystemModel field: the version, a record or records."""
+    if type(value) is int:
         return value
-    if isinstance(value, NodeId):
-        return value.text
-    if isinstance(value, Enum):
-        return value.value
-    if hasattr(value, "_fields"):  # a record
-        fields = zip(_plan(type(value)), value)
-        return {key: _document(item) for (key, default), item in fields if item != default}
-    if isinstance(value, (tuple, list)):
-        return list(map(_document, value))
-    # A mapping, by key; a context without text is left out.
-    return {key: _document(item) for key, item in sorted(value.items()) if item is not None}
+    if hasattr(value, "_fields"):
+        return _writer(type(value))(value)
+    return [_writer(type(record))(record) for record in value]
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from resha import ccf as ccfmod
 from resha import cutset as cutsetmod
 from resha.cli import RunConfig, main, run_analysis, write_artifacts
-from resha.faulttree import FaultTreeError, from_exchange_json, to_exchange_json
+from resha.faulttree import HARDWARE_KINDS, FaultTreeError, from_exchange_json, to_exchange_json
 from resha.fixtures import build_rts_document
 from resha.report import GuidanceBank
 from resha.sysmodel import (
@@ -136,6 +136,23 @@ def test_analyze_scope_output_bytes_pinned(args, digests, model_path, tmp_path, 
     assert _analyze_digests(model_path, tmp_path / "out", capsys, *args) == digests
 
 
+@pytest.mark.parametrize(
+    "config",
+    [
+        {"top": "RPS", "truncate": 1},
+        {"top": "RPS", "truncate": 1, "event_filter": HARDWARE_KINDS},
+        {"top": "AUTO", "truncate": 2},
+    ],
+    ids=["RPS-1", "RPS-1-hardware", "AUTO-2"],
+)
+def test_tree_json_is_the_document_the_cut_sets_were_solved_from(config, model_path, tmp_path):
+    config = RunConfig(model_path=model_path, out_dir=tmp_path, deterministic=True, **config)
+    analysis = run_analysis(config)
+    written = (write_artifacts(config, analysis) / "tree.json").read_bytes()
+    assert written == to_exchange_json(analysis.tree).encode()
+    assert analysis.collection.fingerprint == hashlib.sha256(written).hexdigest()
+
+
 def test_python_dash_m_resha_runs_the_cli():
     src = Path(__file__).resolve().parents[1] / "src"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
@@ -228,7 +245,7 @@ def test_oracle_check_reports_a_mismatch(monkeypatch, capsys):
         if dropped or not found.cut_sets:
             return found
         dropped.append(tree)
-        return cutsetmod.CutSetCollection(found.cut_sets[1:], None, found.fingerprint)
+        return cutsetmod.CutSetCollection(found.cut_sets[1:], None, found.fingerprint, found.exchange)
 
     monkeypatch.setattr(cutsetmod, "brute_force_cut_sets", drop_one_set_once)
     assert main(["oracle-check", "--trees", "3", "--seed", "7"]) == 1

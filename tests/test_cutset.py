@@ -20,7 +20,6 @@ from resha.cutset import (
     extract_spofs,
     random_coherent_tree,
     solve_minimal_cut_sets,
-    tree_fingerprint,
     witness_check,
     _bit_subsets,
     _collect,
@@ -31,7 +30,16 @@ from resha.cutset import (
     _rename,
     _supports_and_bounds,
 )
-from resha.faulttree import BasicEvent, EventKind, FaultTree, Gate, GateKind, extract_subtree
+from resha.faulttree import (
+    BasicEvent,
+    EventKind,
+    FaultTree,
+    Gate,
+    GateKind,
+    extract_subtree,
+    from_exchange_json,
+    to_exchange_json,
+)
 from resha.sysmodel import NodeId
 
 
@@ -103,10 +111,17 @@ def test_single_event_tree():
     assert {c.events for c in brute_force_cut_sets(ft).cut_sets} == {frozenset({"E"})}
 
 
+def _assert_fingerprints_its_exchange(collection, ft: FaultTree) -> None:
+    assert collection.exchange == to_exchange_json(ft)
+    assert collection.fingerprint == hashlib.sha256(collection.exchange.encode()).hexdigest()
+
+
 def test_event_as_top():
-    ft = FaultTree(top="E", gates={}, events={"E": ev("E")})
-    assert {c.events for c in solve_minimal_cut_sets(ft).cut_sets} == {frozenset({"E"})}
-    assert {c.events for c in brute_force_cut_sets(ft).cut_sets} == {frozenset({"E"})}
+    # Read from the exchange format; the solver returns before it combines any gate.
+    ft = from_exchange_json(to_exchange_json(FaultTree(top="E", gates={}, events={"E": ev("E")})))
+    for collection in (solve_minimal_cut_sets(ft), solve_minimal_cut_sets(ft, 1), brute_force_cut_sets(ft)):
+        assert {c.events for c in collection.cut_sets} == {frozenset({"E"})}
+        _assert_fingerprints_its_exchange(collection, ft)
 
 
 def test_brute_force_event_limit():
@@ -215,7 +230,9 @@ def test_solver_deterministic():
         serial = solve_minimal_cut_sets(ft)
         again = solve_minimal_cut_sets(ft)
         assert serial.to_csv() == again.to_csv()
-        assert serial.fingerprint == tree_fingerprint(ft)
+        for collection in (serial, solve_minimal_cut_sets(ft, 1), solve_minimal_cut_sets(ft, 2),
+                           brute_force_cut_sets(ft)):
+            _assert_fingerprints_its_exchange(collection, ft)
 
 
 def test_resource_budget_reports_progress():

@@ -69,6 +69,10 @@ _ONE = (NodeId("XA", 0, 0, 1),)
         (lambda: Gate("V", GateKind.VOTE, ("a", "b"), k=3), "vote gate V needs 1 <= k <= 2, got 3"),
         (lambda: Gate("V", GateKind.VOTE, ("a", "b"), k=0), "vote gate V needs 1 <= k <= 2, got 0"),
         (lambda: Gate("V", GateKind.VOTE, ("a", "b")), "vote gate V needs 1 <= k <= 2, got None"),
+        (
+            lambda: Gate("V", GateKind.VOTE, ("a", "b"), k=int("9" * 4000)),
+            "vote gate V needs 1 <= k <= 2, got " + "9" * 18 + "..." + "9" * 19,
+        ),
         (lambda: Gate("O", GateKind.OR, ("a",), k=1), "gate O: k only applies to vote gates"),
         (lambda: Gate("A", GateKind.AND, ()), "AND gate A must have children"),
         (
@@ -91,7 +95,7 @@ _ONE = (NodeId("XA", 0, 0, 1),)
         (lambda: CutSet(frozenset(), contains_ccf=False), "cut sets must be non-empty"),
     ],
     ids=["hw-ccf-one-subject", "sw-ccf-one-subject", "sw-uca-no-uca", "vote-k-above",
-         "vote-k-zero", "vote-no-k", "k-on-or", "empty-and", "unknown-child", "missing-top",
+         "vote-k-zero", "vote-no-k", "vote-long-k", "k-on-or", "empty-and", "unknown-child", "missing-top",
          "gate-and-event", "unreachable-gate", "unreachable-event", "empty-cut-set"],
 )
 def test_validating_records_keep_their_messages(build, message):

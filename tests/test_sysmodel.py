@@ -508,6 +508,7 @@ _ONE_FAULT_ISSUES = [
     (("gates", 0, "children", 1, "ca_to"), "A00.00.01",
      "gates[0].children[1]: ca_to only applies to fail references"),
     (("gates", 2, "k"), 3, "gates[2].k: k=3 exceeds 1 children"),
+    (("gates", 2, "k"), int("9" * 4000), f"gates[2].k: k={'9' * 18}...{'9' * 19} exceeds 1 children"),
     (("gates", 0, "id"), "G-B", "gates[1].id: gate id 'G-B' expands more than once"),
     (("gates", 0, "children", 1, "gate"), "TOP", "gates[0]: cycle detected in gate declarations: TOP -> TOP"),
     (("gates", 1, "children", 0, "fail"), "$D00.00.09",
@@ -622,6 +623,17 @@ def test_canonical_document_with_every_field_set():
         "ccf_policy": {"include_intra_division": False, "include_cross_all_divisions": False,
                        "include_partial_interdivision": True, "software_categories": ["d", "b"]},
     }
+
+
+def test_canonical_document_holds_only_json_types():
+    def types(value):
+        yield type(value)
+        if type(value) in (dict, list):
+            for item in value.values() if type(value) is dict else value:
+                yield from types(item)
+
+    found = set(types(parse_system_model(_EVERY_FIELD_SET).to_document()))
+    assert found == {dict, list, str, int, bool}
 
 
 def test_canonical_document_with_every_optional_field_absent():

@@ -340,6 +340,15 @@ def test_ucas_csv_stdout(model_path, capsys):
     assert "identified: 225" in captured.err
 
 
+def test_ucas_markdown_bytes_pinned(model_path, capsys):
+    assert main(["ucas", "--model", str(model_path), "--format", "markdown"]) == 0
+    captured = capsys.readouterr()
+    assert hashlib.sha256(captured.out.encode()).hexdigest() == (
+        "da49b85d55911e0c382a0deaa0f1572a39de55df5c1b0befeb49e39580e29b07"
+    )
+    assert captured.err == "potential UCAs: 308; identified: 225\n"
+
+
 def test_ccf_catalog(model_path, capsys):
     assert main(["ccf-catalog", "--model", str(model_path)]) == 0
     out = capsys.readouterr().out

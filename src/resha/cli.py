@@ -206,7 +206,7 @@ def run_analysis(config: RunConfig) -> Analysis:
 
     with _stage("report", reportmod.GuidanceBankError):
         spofs = cutsetmod.extract_spofs(collection)
-        worksheets = reportmod.generate_worksheets(model, spofs.spofs or spofs.fallback_sets, ucas, tree)
+        worksheets = reportmod.generate_worksheets(model, spofs.spofs or spofs.fallback_sets, tree)
         excluded = config.event_filter is not None and not config.event_filter & SOFTWARE_KINDS
         document = reportmod.render_analysis_report(
             model, cs, ucas, tree, root, collection, spofs, worksheets, catalog=catalog,
@@ -295,7 +295,7 @@ def cmd_ucas(args: argparse.Namespace) -> int:
     else:
         _emit(stpamod.uca_table_to_csv(ucas), args.out)
     print(
-        f"potential UCAs: {stpamod.potential_uca_count(ucas)}; "
+        f"potential UCAs: {len(ucas)}; "
         f"identified: {stpamod.identified_uca_count(ucas)}",
         file=sys.stderr,
     )

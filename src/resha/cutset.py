@@ -865,10 +865,6 @@ class SpofReport(NamedTuple):
     fallback_order: int | None
     fallback_sets: tuple[CutSet, ...]
 
-    @property
-    def has_spofs(self) -> bool:
-        return bool(self.spofs)
-
 
 def extract_spofs(css: CutSetCollection) -> SpofReport:
     """Single points of failure: all order-1 sets, CCF-only sets included."""

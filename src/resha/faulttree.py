@@ -377,7 +377,7 @@ def integrate_ucas(ft: FaultTree, selected: Sequence[UcaRecord]) -> FaultTree:
             kind=EventKind.HUMAN_UCA if human else EventKind.SW_UCA,
             subjects=(record.source,),
             description=record.text,
-            category=record.category.letter,
+            category=record.category.value,
             uca_id=record.uca_id,
         )
         if event.id in events:

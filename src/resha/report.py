@@ -23,7 +23,7 @@ from .faulttree import (
     FaultTree,
     HARDWARE_KINDS,
 )
-from .stpa import ControlStructure, UcaRecord, identified_uca_count, potential_uca_count
+from .stpa import ControlStructure, UcaRecord, identified_uca_count
 from .sysmodel import SystemModel
 
 GUIDANCE_BANK_VERSION = 1
@@ -61,6 +61,10 @@ class GuidanceEntry(NamedTuple):
     guidance: str = ""
 
 
+# Bank document key -> GuidanceEntry field; other keys are ignored.
+_ENTRY_FIELD = {"class" if field == "class_tag" else field: field for field in GuidanceEntry._fields}
+
+
 class GuidanceBank:
     """Editable prompt bank keyed by event kind, equipment class, and category."""
 
@@ -74,15 +78,10 @@ class GuidanceBank:
                 f"expected guidance_bank_version {GUIDANCE_BANK_VERSION}"
             )
         return cls(
-            GuidanceEntry(
-                event_kind=raw["event_kind"],
-                class_tag=raw.get("class"),
-                category=raw.get("category"),
-                category1=tuple(raw.get("category1", _DEFAULT_CATEGORY1)),
-                category2=tuple(raw.get("category2", _DEFAULT_CATEGORY2)),
-                scenario=raw.get("scenario", ""),
-                guidance=raw.get("guidance", ""),
-            )
+            GuidanceEntry(**{
+                _ENTRY_FIELD[key]: tuple(value) if key in ("category1", "category2") else value
+                for key, value in raw.items() if key in _ENTRY_FIELD
+            })
             for raw in doc.get("entries", [])
         )
 
@@ -122,13 +121,11 @@ class CausalFactorWorksheet(NamedTuple):
     scenario: str
     guidance: str
     historical_note: str | None
-    hazards: tuple[str, ...] = ()
 
 
 def generate_worksheets(
     model: SystemModel,
     cut_sets: Sequence[CutSet],
-    ucas: Sequence[UcaRecord],
     tree: FaultTree,
 ) -> tuple[CausalFactorWorksheet, ...]:
     """One worksheet per distinct basic event in the selected cut sets.
@@ -140,7 +137,6 @@ def generate_worksheets(
     categories.
     """
     bank = GuidanceBank.packaged()
-    uca_by_id = {u.uca_id: u for u in ucas}
 
     lowest: dict[str, int] = {}
     for cs in cut_sets:
@@ -153,9 +149,6 @@ def generate_worksheets(
         event = tree.events[eid]
         subject = model.node(event.subjects[0])
         entry = bank.lookup(event, model.class_prefix(subject.equipment_class))
-        linked = ()
-        if event.uca_id and event.uca_id in uca_by_id:
-            linked = uca_by_id[event.uca_id].hazards
         hardware = event.kind in HARDWARE_KINDS
         sheets.append(
             CausalFactorWorksheet(
@@ -168,7 +161,6 @@ def generate_worksheets(
                 scenario=entry.scenario,
                 guidance=entry.guidance,
                 historical_note=HARDWARE_HISTORICAL_NOTE if hardware else None,
-                hazards=linked,
             )
         )
     return tuple(sheets)
@@ -235,7 +227,7 @@ def render_analysis_report(
             f"{len(layer.controllers)} controllers"
         )
     out("")
-    out(f"- Potential UCA slots: {potential_uca_count(ucas)}")
+    out(f"- Potential UCA slots: {len(ucas)}")
     out(f"- Identified (applicable) UCAs: {identified_uca_count(ucas)}")
     out("")
 
@@ -310,7 +302,7 @@ def _describe_cut(cut, descriptions: Mapping[str, str]) -> str:
 
 def _spof_section(report: SpofReport, descriptions: Mapping[str, str]) -> list[str]:
     lines: list[str] = []
-    if report.has_spofs:
+    if report.spofs:
         lines.append(f"Single points of failure: {len(report.spofs)}")
         lines.append("")
         lines.append("| Number | Cut set | Description |")

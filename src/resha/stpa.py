@@ -35,10 +35,6 @@ class UcaCategory(str, Enum):
     WRONG_TIMING = "c"
     WRONG_DURATION = "d"
 
-    @property
-    def letter(self) -> str:
-        return self.value
-
 
 _CATEGORY_CONTEXT_KEY = {
     UcaCategory.NOT_PROVIDED: "needed",
@@ -68,7 +64,6 @@ class ControlAction(NamedTuple):
     spec: ActionSpec
     source_technology: Technology
     source_class_prefix: str
-    source_class_tag: str | None
 
     @property
     def ca_id(self) -> str:
@@ -83,21 +78,13 @@ class ControlAction(NamedTuple):
         return self.spec.target
 
 
-class FeedbackEdge(NamedTuple):
-    number: int
-    layer: int
-    source: NodeId
-    target: NodeId
-
-
 class Layer(NamedTuple):
-    """One redundancy level of the control structure."""
+    """One redundancy level: its numbered actions and the model's feedback links."""
 
     index: int
     controllers: tuple[NodeId, ...]
-    processes: tuple[NodeId, ...]
     actions: tuple[ControlAction, ...]
-    feedbacks: tuple[FeedbackEdge, ...]
+    feedbacks: tuple[Link, ...]
 
 
 class ControlStructure(NamedTuple):
@@ -106,10 +93,6 @@ class ControlStructure(NamedTuple):
     @property
     def actions(self) -> tuple[ControlAction, ...]:
         return tuple(a for layer in self.layers for a in layer.actions)
-
-    @property
-    def feedbacks(self) -> tuple[FeedbackEdge, ...]:
-        return tuple(f for layer in self.layers for f in layer.feedbacks)
 
 
 class UcaRecord(NamedTuple):
@@ -140,7 +123,7 @@ def build_layered_control_structure(m: SystemModel) -> ControlStructure:
     A control action's layer defaults to its source node's structural depth
     (division-level actors first) and may be overridden per declaration.
     Numbering is deterministic: by layer, then source ID, then target ID,
-    then declaration order. Feedback edges are layered and numbered the same
+    then declaration order. Feedback links are layered and ordered the same
     way.
     """
     if not any(l.type is LinkType.CONTROL for l in m.links):
@@ -171,35 +154,24 @@ def build_layered_control_structure(m: SystemModel) -> ControlStructure:
             spec=spec,
             source_technology=node.technology,
             source_class_prefix=m.class_prefix(node.equipment_class),
-            source_class_tag=node.equipment_class,
         )
         actions_by_layer.setdefault(ca.layer, []).append(ca)
 
-    feedback_by_layer: dict[int, list[FeedbackEdge]] = {}
-    for number, link in enumerate(ordered_feedback, start=1):
-        fb = FeedbackEdge(
-            number=number,
-            layer=layer(link),
-            source=link.source,
-            target=link.target,
-        )
-        feedback_by_layer.setdefault(fb.layer, []).append(fb)
+    feedback_by_layer: dict[int, list[Link]] = {}
+    for link in ordered_feedback:
+        feedback_by_layer.setdefault(layer(link), []).append(link)
 
     layers = []
     for idx in sorted(set(actions_by_layer) | set(feedback_by_layer)):
         acts = tuple(actions_by_layer.get(idx, ()))
-        fbs = tuple(feedback_by_layer.get(idx, ()))
         controllers = tuple(sorted({a.source for a in acts}))
-        processes = tuple(sorted({a.target for a in acts}))
-        layers.append(
-            Layer(index=idx, controllers=controllers, processes=processes, actions=acts, feedbacks=fbs)
-        )
+        layers.append(Layer(idx, controllers, acts, tuple(feedback_by_layer.get(idx, ()))))
     return ControlStructure(layers=tuple(layers))
 
 
 def _render(ca: ControlAction, category: UcaCategory, hazards: Sequence[str]) -> str:
     spec = ca.spec
-    context = spec.context(_CATEGORY_CONTEXT_KEY[category]) or ""
+    context = spec.contexts.get(_CATEGORY_CONTEXT_KEY[category]) or ""
     hazard_part = f" [{', '.join(hazards)}]" if hazards else ""
     if category is UcaCategory.NOT_PROVIDED:
         body = f"{spec.source_label} does not provide {spec.action_phrase} {context}"
@@ -221,7 +193,7 @@ def enumerate_ucas(cs: ControlStructure, hazards: Sequence[Hazard]) -> tuple[Uca
     for ca in cs.actions:
         spec = ca.spec
         for category in UcaCategory:
-            letter = category.letter
+            letter = category.value
             justification = spec.not_applicable.get(letter)
             applicable = justification is None
             if category is UcaCategory.WRONG_DURATION and not spec.continuous and applicable:
@@ -274,10 +246,6 @@ def select_ucas_for_top_event(
     return tuple(u for u in ucas if u.applicable and u.category in wanted)
 
 
-def potential_uca_count(records: Sequence[UcaRecord]) -> int:
-    return len(records)
-
-
 def identified_uca_count(records: Sequence[UcaRecord]) -> int:
     return sum(1 for r in records if r.applicable)
 
@@ -292,7 +260,7 @@ def uca_table_to_csv(records: Sequence[UcaRecord]) -> str:
             [
                 r.ca_id,
                 r.uca_id,
-                r.category.letter,
+                r.category.value,
                 "yes" if r.applicable else "no",
                 r.text,
                 " ".join(r.hazards),
@@ -306,7 +274,7 @@ def uca_table_to_markdown(cs: ControlStructure, records: Sequence[UcaRecord]) ->
     """Markdown table mirroring the four-category UCA layout."""
     by_ca: dict[str, dict[str, UcaRecord]] = {}
     for r in records:
-        by_ca.setdefault(r.ca_id, {})[r.category.letter] = r
+        by_ca.setdefault(r.ca_id, {})[r.category.value] = r
     lines = [
         "| Control Action (CA) | UCAa: CA is needed, but not given | "
         "UCAb: CA is given, but not needed | UCAc: CA is given too early, too late, wrong order | "

@@ -229,9 +229,6 @@ class ActionSpec(NamedTuple):
     hazards: Mapping[str, tuple[str, ...]] = MappingProxyType({})
     not_applicable: Mapping[str, str] = MappingProxyType({})
 
-    def context(self, key: str) -> str | None:
-        return self.contexts.get(key)
-
 
 class GateChildSpec(NamedTuple):
     """One child reference inside a gate declaration."""

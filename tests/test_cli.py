@@ -453,7 +453,7 @@ def test_records_are_read_only_tuples(model_path):
         config, artifacts, model, node, node.id, model.links[0], model.losses[0],
         model.hazards[0], model.actions[0], model.gates[0], model.gates[0].children[0],
         model.ccf_policy, next(iter(model.classes.values())), derive_redundancy_groups(model)[0],
-        ModelIssue("$", "unknown field"), cs, cs.layers[0], cs.actions[0], cs.feedbacks[0],
+        ModelIssue("$", "unknown field"), cs, cs.layers[0], cs.actions[0],
         artifacts.ucas[0], tree, next(iter(tree.gates.values())),
         next(iter(tree.events.values())), collection, collection.cut_sets[0],
         artifacts.spofs, artifacts.worksheets[0], artifacts.catalog[0],
@@ -820,7 +820,7 @@ def test_null_text_field_keeps_default(tmp_path, capsys):
     assert parsed.nodes[doc["nodes"][0]["id"]].name == doc["nodes"][0]["id"]
     action = parsed.actions[1]
     assert action.verb == "" and action.source_label == action.source.text
-    assert action.context("needed") is None and "d" not in action.not_applicable
+    assert action.contexts.get("needed") is None and "d" not in action.not_applicable
 
 
 def _value_paths(node, prefix=()):

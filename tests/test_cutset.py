@@ -336,7 +336,7 @@ def test_spofs_fall_back_to_next_lowest_order():
         ["A", "B", "C"],
     )
     report = extract_spofs(solve_minimal_cut_sets(ft))
-    assert not report.has_spofs
+    assert not report.spofs
     assert report.fallback_order == 2
     assert len(report.fallback_sets) == 3
 
@@ -344,7 +344,7 @@ def test_spofs_fall_back_to_next_lowest_order():
 def test_spofs_empty_collection():
     ft = tree("TOP", {"TOP": Gate(id="TOP", kind=GateKind.OR, children=())}, [])
     report = extract_spofs(solve_minimal_cut_sets(ft))
-    assert not report.has_spofs
+    assert not report.spofs
     assert report.fallback_order is None
 
 

@@ -19,19 +19,19 @@ def rps_spofs(rps_tree):
     return extract_spofs(solve_minimal_cut_sets(rps_tree, 1)).spofs
 
 
-def test_worksheet_per_distinct_event(rts_model, rps_spofs, rts_ucas, rps_tree):
-    sheets = generate_worksheets(rts_model, rps_spofs, rts_ucas, rps_tree)
+def test_worksheet_per_distinct_event(rts_model, rps_spofs, rps_tree):
+    sheets = generate_worksheets(rts_model, rps_spofs, rps_tree)
     assert len(sheets) == 13
     assert len({s.event_id for s in sheets}) == 13
     assert [s.event_id for s in sheets] == sorted(s.event_id for s in sheets)
 
 
-def test_empty_cut_sets_give_no_worksheets(rts_model, rts_ucas, rps_tree):
-    assert generate_worksheets(rts_model, (), rts_ucas, rps_tree) == ()
+def test_empty_cut_sets_give_no_worksheets(rts_model, rps_tree):
+    assert generate_worksheets(rts_model, (), rps_tree) == ()
 
 
-def test_bp_software_ccf_worksheet_prompts(rts_model, rps_spofs, rts_ucas, rps_tree):
-    sheets = generate_worksheets(rts_model, rps_spofs, rts_ucas, rps_tree)
+def test_bp_software_ccf_worksheet_prompts(rts_model, rps_spofs, rps_tree):
+    sheets = generate_worksheets(rts_model, rps_spofs, rps_tree)
     sheet = next(s for s in sheets if s.event_id == "LC-BP-SF-CCF-TC")
     joined = " ".join(sheet.category1_prompts) + " " + sheet.scenario
     assert "delay" in joined.lower()
@@ -41,31 +41,29 @@ def test_bp_software_ccf_worksheet_prompts(rts_model, rps_spofs, rts_ucas, rps_t
     assert sheet.historical_note is None
 
 
-def test_partial_ccf_worksheet_takes_its_class_guidance(
-    rts_model, rts_selected, rts_groups, rts_ucas
-):
+def test_partial_ccf_worksheet_takes_its_class_guidance(rts_model, rts_selected, rts_groups):
     tree = integrate_ucas(build_hardware_fault_tree(rts_model, TOP_RPS), rts_selected)
     policy = rts_model.ccf_policy._replace(include_partial_interdivision=True)
     tree = inject_ccfs(tree, rts_groups, policy)
     spofs = extract_spofs(solve_minimal_cut_sets(tree, 1)).spofs
-    sheets = {s.event_id: s for s in generate_worksheets(rts_model, spofs, rts_ucas, tree)}
+    sheets = {s.event_id: s for s in generate_worksheets(rts_model, spofs, tree)}
     whole, partial = sheets["LC-BP-SF-CCF-TC"], sheets["LC-BP-DIVABC-SF-CCF-TC"]
     assert partial.category1_prompts == whole.category1_prompts
     assert partial.category2_prompts == whole.category2_prompts
     assert (partial.scenario, partial.guidance) == (whole.scenario, whole.guidance)
 
 
-def test_hardware_ccf_worksheet_physical_only(rts_model, rps_spofs, rts_ucas, rps_tree):
-    sheets = generate_worksheets(rts_model, rps_spofs, rts_ucas, rps_tree)
+def test_hardware_ccf_worksheet_physical_only(rts_model, rps_spofs, rps_tree):
+    sheets = generate_worksheets(rts_model, rps_spofs, rps_tree)
     sheet = next(s for s in sheets if s.event_id == "RTB-UV-HD-CCF")
     assert sheet.category2_prompts is None
     assert sheet.historical_note is not None
     assert all("algorithm" not in p for p in sheet.category1_prompts)
 
 
-def test_worksheets_cover_all_selected_events(rts_model, rts_ucas, rps_tree):
+def test_worksheets_cover_all_selected_events(rts_model, rps_tree):
     css = solve_minimal_cut_sets(rps_tree, 2)
-    sheets = generate_worksheets(rts_model, css.cut_sets, rts_ucas, rps_tree)
+    sheets = generate_worksheets(rts_model, css.cut_sets, rps_tree)
     in_sets = {e for c in css.cut_sets for e in c.events}
     assert {s.event_id for s in sheets} == in_sets
 
@@ -80,7 +78,7 @@ def test_guidance_bank_fallback_for_unknown_class(rps_tree):
 def report_for(rts_model, rts_cs, rts_ucas, tree, label="RPS"):
     css = solve_minimal_cut_sets(tree, 1)
     spofs = extract_spofs(css)
-    sheets = generate_worksheets(rts_model, spofs.spofs, rts_ucas, tree)
+    sheets = generate_worksheets(rts_model, spofs.spofs, tree)
     catalog = enumerate_ccf_catalog((), rts_model.ccf_policy)
     return render_analysis_report(
         rts_model, rts_cs, rts_ucas, tree, label, css, spofs, sheets, catalog=catalog
@@ -105,7 +103,7 @@ def test_report_notes_hardware_filter(rts_model, rts_cs, rts_ucas, rps_tree):
     filtered = filter_events(rps_tree, HARDWARE_KINDS)
     css = solve_minimal_cut_sets(filtered, 1)
     spofs = extract_spofs(css)
-    sheets = generate_worksheets(rts_model, spofs.spofs, rts_ucas, filtered)
+    sheets = generate_worksheets(rts_model, spofs.spofs, filtered)
     text = render_analysis_report(
         rts_model, rts_cs, rts_ucas, filtered, "RPS", css, spofs, sheets,
         notes=["Software failures excluded by filter."],
@@ -126,7 +124,7 @@ def test_spof_csv_layout(rps_tree):
 def test_report_histogram_rows_are_cumulative(rts_model, rts_cs, rts_ucas, rps_tree):
     css = solve_minimal_cut_sets(rps_tree, 2)
     spofs = extract_spofs(css)
-    sheets = generate_worksheets(rts_model, spofs.spofs, rts_ucas, rps_tree)
+    sheets = generate_worksheets(rts_model, spofs.spofs, rps_tree)
     text = render_analysis_report(
         rts_model, rts_cs, rts_ucas, rps_tree, "RPS", css, spofs, sheets
     )

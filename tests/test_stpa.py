@@ -9,7 +9,6 @@ from resha.stpa import (
     build_layered_control_structure,
     enumerate_ucas,
     identified_uca_count,
-    potential_uca_count,
     select_ucas_for_top_event,
     uca_table_to_csv,
     uca_table_to_markdown,
@@ -233,7 +232,8 @@ def _destinations(model, action):
 
 def test_rts_split_simplification_arithmetic(rts_model, rts_cs):
     bp_actions = [
-        a for a in rts_cs.actions if a.source_class_tag == "lc-bistable-processor"
+        a for a in rts_cs.actions
+        if rts_model.node(a.source).equipment_class == "lc-bistable-processor"
     ]
     assert len(bp_actions) == 32
     split_slots = 4 * len(bp_actions)
@@ -243,11 +243,11 @@ def test_rts_split_simplification_arithmetic(rts_model, rts_cs):
 
 def test_rts_unsplit_total_includes_bp_expansion(rts_model, rts_cs):
     unsplit = sum(4 * _destinations(rts_model, a) for a in rts_cs.actions)
-    assert unsplit - potential_uca_count(
+    assert unsplit - len(
         enumerate_ucas(rts_cs, rts_model.hazards)
     ) == (512 - 128) + 3 * 4 * 3  # BP fan-out plus MCR/RSR/DPS three-way splits
 
 
 def test_rts_uca_counts(rts_ucas):
-    assert potential_uca_count(rts_ucas) == 308
+    assert len(rts_ucas) == 308
     assert identified_uca_count(rts_ucas) == 225

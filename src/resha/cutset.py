@@ -68,7 +68,6 @@ points), ``evaluate_structure_function`` (one assignment) and
 from __future__ import annotations
 
 import csv
-import hashlib
 import io
 import itertools
 import random
@@ -151,12 +150,11 @@ class CutSetCollection(NamedTuple):
     """Minimal cut sets with truncation provenance and per-order counts.
 
     ``exchange`` is the exchange document of the tree the sets were solved
-    from, and ``fingerprint`` is the SHA-256 of its UTF-8 bytes.
+    from.
     """
 
     cut_sets: tuple[CutSet, ...]
     truncation: int | None
-    fingerprint: str
     exchange: str
     per_order: Mapping[int, int] = MappingProxyType({})
 
@@ -210,15 +208,13 @@ def _collect(ft: FaultTree, masks: Iterable[int], index_to_id: Sequence[str],
         per_order[order] = per_order.get(order, 0) + 1
         rows.append((order, tuple(names), mask))
     rows.sort()
-    exchange = to_exchange_json(ft)
     return CutSetCollection(
         cut_sets=tuple(
             CutSet(events=frozenset(names), contains_ccf=bool(mask & ccf_mask))
             for _, names, mask in rows
         ),
         truncation=truncation,
-        fingerprint=hashlib.sha256(exchange.encode()).hexdigest(),
-        exchange=exchange,
+        exchange=to_exchange_json(ft),
         per_order=dict(sorted(per_order.items())),
     )
 

@@ -23,7 +23,7 @@ from .faulttree import (
     FaultTree,
     HARDWARE_KINDS,
 )
-from .stpa import ControlStructure, UcaRecord, identified_uca_count
+from .stpa import ControlStructure, UcaRecord, _table_row, identified_uca_count
 from .sysmodel import SystemModel
 
 GUIDANCE_BANK_VERSION = 1
@@ -210,12 +210,12 @@ def render_analysis_report(
     out("| Loss | Description |")
     out("| --- | --- |")
     for loss in model.losses:
-        out(f"| {loss.id} | {loss.description} |")
+        out(_table_row(loss.id, loss.description))
     out("")
     out("| Hazard | Description | Losses |")
     out("| --- | --- | --- |")
     for hazard in model.hazards:
-        out(f"| {hazard.id} | {hazard.description} | {', '.join(hazard.losses)} |")
+        out(_table_row(hazard.id, hazard.description, ", ".join(hazard.losses)))
     out("")
 
     out("## Stage 3: Layered control structure and unsafe control actions")
@@ -308,8 +308,7 @@ def _spof_section(report: SpofReport, descriptions: Mapping[str, str]) -> list[s
         lines.append("| Number | Cut set | Description |")
         lines.append("| --- | --- | --- |")
         for i, cut in enumerate(report.spofs, start=1):
-            name = ", ".join(cut.sorted_events())
-            lines.append(f"| {i} | {name} | {_describe_cut(cut, descriptions)} |")
+            lines.append(_table_row(str(i), ", ".join(cut.sorted_events()), _describe_cut(cut, descriptions)))
         lines.append("")
     elif report.fallback_order is not None:
         lines.append(

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import csv
 import io
+import re
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
@@ -270,6 +271,12 @@ def uca_table_to_csv(records: Sequence[UcaRecord]) -> str:
     return buf.getvalue()
 
 
+def _table_row(*cells: str) -> str:
+    """One markdown table row; each cell's pipes are escaped and its line breaks made spaces."""
+    escaped = (re.sub(r"\r\n?|\n", " ", c.replace("|", "\\|")) for c in cells)
+    return f"| {' | '.join(escaped)} |"
+
+
 def uca_table_to_markdown(cs: ControlStructure, records: Sequence[UcaRecord]) -> str:
     """Markdown table mirroring the four-category UCA layout."""
     by_ca: dict[str, dict[str, UcaRecord]] = {}
@@ -293,7 +300,5 @@ def uca_table_to_markdown(cs: ControlStructure, records: Sequence[UcaRecord]) ->
             return f"{record.uca_id}: {record.text}"
 
         header = f"{ca.ca_id}: {ca.spec.source_label} {ca.spec.verb}"
-        lines.append(
-            f"| {header} | {cell('a')} | {cell('b')} | {cell('c')} | {cell('d')} |"
-        )
+        lines.append(_table_row(header, cell("a"), cell("b"), cell("c"), cell("d")))
     return "\n".join(lines) + "\n"

@@ -348,6 +348,33 @@ def test_ucas_markdown_bytes_pinned(model_path, capsys):
     assert captured.err == "potential UCAs: 308; identified: 225\n"
 
 
+def test_markdown_table_cells_escape_pipes_and_line_breaks(tmp_path, capsys):
+    doc = build_rts_document()
+    doc["losses"][0]["description"] = "Injury | death"
+    doc["hazards"][0]["description"] = "Reactor temperature\ntoo high"
+    doc["equipment_classes"][0]["display"] = "Logic cabinet | bistable\r\nprocessor"
+    action = next(a for a in doc["control_actions"] if a["contexts"])
+    action["source_label"] = "MCR | operator"
+    action["contexts"]["needed"] = "during\rAOO"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["analyze", "--model", str(model), "--scope", "RPS", "--truncate", "1",
+                 "--out", str(tmp_path / "out"), "--deterministic"]) == 0
+    capsys.readouterr()
+    assert main(["ucas", "--model", str(model), "--format", "markdown"]) == 0
+    report = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+    ucas = capsys.readouterr().out
+    assert "| L1 | Injury \\| death |" in report.splitlines()
+    assert "| H1 | Reactor temperature too high | L1, L2, L3, L4, L5 |" in report.splitlines()
+    assert "| 1 | LC-BP-HD-CCF | Logic cabinet \\| bistable processor hardware CCF. |" in report.splitlines()
+    assert "MCR \\| operator does not provide manual reactor trip command during AOO [H1, H2, H3]." in ucas
+    # Every row of a table has as many cells as the table's header.
+    for text in (report, ucas):
+        for table in re.split(r"\n(?!\|)", text):
+            cells = [len(re.findall(r"(?<!\\)\|", row)) for row in table.splitlines() if row[:1] == "|"]
+            assert len(set(cells)) <= 1, table
+
+
 def test_ccf_catalog(model_path, capsys):
     assert main(["ccf-catalog", "--model", str(model_path)]) == 0
     out = capsys.readouterr().out

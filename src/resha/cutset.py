@@ -17,8 +17,9 @@ VOTE gate whose events appear under no sibling only needs the parent's
 budget minus the least order its co-failing siblings add. A gate whose lower
 bound exceeds its budget yields no rows at all.
 
-Replicated gates are solved once. Every gate has a shape, a hash of its
-subtree with event names erased (``FaultTree.gate_shapes``). A top-down plan
+Replicated gates are solved once. The solver computes every gate's shape, a
+hash of its subtree with event names erased, in the bottom-up pass that
+computes supports and bounds (``_supports_and_bounds``). A top-down plan
 (``_plan``) visits only the gates a solve needs; a gate that has an earlier
 representative of its shape with at least its budget, and whose subtree a
 parallel walk pairs node for node with the representative's (``_match``),
@@ -71,6 +72,7 @@ import csv
 import io
 import itertools
 import random
+from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -427,35 +429,22 @@ def solve_minimal_cut_sets(
     # No cut set has more events than the tree, so this limit truncates nothing.
     limit = len(event_ids) if max_order is None else max_order
     gate_ids = ft.gate_order
-    supp, shared, lo = _supports_and_bounds(ft, index_of)
-    caps: dict[str, list[tuple[int, int] | None]] = {}
-    budgets = _order_budgets(ft, supp, shared, lo, limit, caps)
-    plan = _plan(ft, budgets, index_of)
+    supp, shared, lo, shapes = _supports_and_bounds(ft, index_of)
+    budgets, caps = _order_budgets(ft, supp, shared, lo, limit)
+    plan = _plan(ft, budgets, shapes, index_of)
     results: dict[str, list[int]] = {}
     largest_gate: str | None = None
     largest_rows = 0
-
-    # What each planned gate reads: its child gates, or its representative.
     # Free a result once every reader has consumed it; only the top's sets
     # must survive to the end.
-    reads: dict[str, tuple[str, ...]] = {}
-    consumers: dict[str, int] = {}
-    for gate_id, source in plan.items():
-        if source is not None:
-            reads[gate_id] = (source.rep,)
-        elif budgets.get(gate_id, 0):
-            reads[gate_id] = tuple(c for c in gates[gate_id].children if c in gates)
-        else:
-            reads[gate_id] = ()
-        for child in reads[gate_id]:
-            consumers[child] = consumers.get(child, 0) + 1
+    consumers = Counter(read for _, reads in plan.values() for read in reads)
 
     for done, gate_id in enumerate(gate_ids):
         if gate_id not in plan:
             continue
         gate = gates[gate_id]
-        budget = budgets.get(gate_id, 0)
-        source = plan[gate_id]
+        budget = budgets[gate_id]
+        source, reads = plan[gate_id]
         if budget == 0:
             results[gate_id] = []
         elif source is not None:
@@ -484,7 +473,7 @@ def solve_minimal_cut_sets(
                 ) from None
         if len(results[gate_id]) > largest_rows:
             largest_gate, largest_rows = gate_id, len(results[gate_id])
-        for child in reads[gate_id]:
+        for child in reads:
             consumers[child] -= 1
             if consumers[child] == 0 and child != ft.top:
                 del results[child]
@@ -501,47 +490,53 @@ class _Copy(NamedTuple):
 
 
 def _plan(
-    ft: FaultTree, budgets: Mapping[str, int], index_of: Mapping[str, int]
-) -> dict[str, _Copy | None]:
-    """The gates a solve must build: None for a gate solved from its children,
-    a ``_Copy`` for one that takes a representative's rows.
+    ft: FaultTree, budgets: Mapping[str, int], shapes: Mapping[str, int],
+    index_of: Mapping[str, int],
+) -> dict[str, tuple[_Copy | None, tuple[str, ...]]]:
+    """The gates a solve must build, each with how it gets its rows and the
+    results it reads: (None, its child gates) for a gate solved from its
+    children, (a ``_Copy``, its representative) for one that takes a
+    representative's rows, and (None, ()) for a gate with budget 0.
 
     A depth-first walk from the top, in child order, visits only the gates
     some visited parent reads. A visited gate with a budget tries the
     representatives kept so far that share its shape, come earlier in
-    ``gate_order`` and have at least its budget. The first whose subtree
+    ``gate_order`` and have at least its budget. Hashes can collide, so an
+    equal shape only nominates a representative: the first whose subtree
     ``_match`` pairs with its own makes it a copy, and its children are not
     visited. Otherwise it is solved and becomes a representative itself.
     """
     gates = ft.gates
-    shapes = ft.gate_shapes
     position = {g: i for i, g in enumerate(ft.gate_order)}
-    plan: dict[str, _Copy | None] = {}
+    plan: dict[str, tuple[_Copy | None, tuple[str, ...]]] = {}
     kept: dict[int, list[str]] = {}
     stack = [ft.top]
     while stack:
         gate_id = stack.pop()
         if gate_id in plan:
             continue
-        plan[gate_id] = None
-        budget = budgets.get(gate_id, 0)
+        plan[gate_id] = (None, ())
+        budget = budgets[gate_id]
         if budget == 0:
             continue
         reps = kept.setdefault(shapes[gate_id], [])
         for rep in reps:
             if position[rep] < position[gate_id] and budgets[rep] >= budget:
-                pairs = _match(gates, gate_id, rep)
-                if pairs is not None:
-                    plan[gate_id] = _copy_of(rep, pairs, index_of)
+                copy = _match(gates, gate_id, rep, index_of)
+                if copy is not None:
+                    plan[gate_id] = (copy, (rep,))
                     break
         else:
             reps.append(gate_id)
-            stack.extend(c for c in reversed(gates[gate_id].children) if c in gates)
+            children = tuple(c for c in gates[gate_id].children if c in gates)
+            plan[gate_id] = (None, children)
+            stack.extend(reversed(children))
     return plan
 
 
-def _match(gates: Mapping[str, Gate], gate_id: str, rep: str) -> dict[str, str] | None:
-    """Each event of ``gate_id``'s subtree -> its partner in ``rep``'s, or None.
+def _match(gates: Mapping[str, Gate], gate_id: str, rep: str,
+           index_of: Mapping[str, int]) -> _Copy | None:
+    """How ``gate_id`` takes ``rep``'s rows, or None when their subtrees do not pair.
 
     Walks both subtrees in parallel. Paired gates must agree in kind, k and
     arity, and paired children must both be events or both be gates. The
@@ -567,13 +562,11 @@ def _match(gates: Mapping[str, Gate], gate_id: str, rep: str) -> dict[str, str] 
                     stack.append((x, y))
             elif paired != y:
                 return None
-    return {x: y for x, y in theirs_of.items() if x not in gates}
-
-
-def _copy_of(rep: str, pairs: Mapping[str, str], index_of: Mapping[str, int]) -> _Copy:
     fixed = 0
     moves = {}
-    for ours, theirs in pairs.items():
+    for ours, theirs in theirs_of.items():
+        if ours in gates:
+            continue
         if ours == theirs:
             fixed |= 1 << index_of[ours]
         else:
@@ -610,11 +603,16 @@ def _threshold(gate: Gate) -> int:
 
 def _supports_and_bounds(
     ft: FaultTree, index_of: Mapping[str, int]
-) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
+) -> tuple[dict[str, int], dict[str, int], dict[str, int], dict[str, int]]:
     """One children-first pass giving every node's event support, every
     gate's shared mask (the events under two or more of its children; 0 when
-    the children's supports are pairwise disjoint), and a lower bound on the
-    order of every cut set of each node.
+    the children's supports are pairwise disjoint), a lower bound on the
+    order of every cut set of each node, and every node's shape.
+
+    A shape is a hash of the node's subtree with event names erased: every
+    event has shape 0, and a gate's shape hashes its kind, its k and its
+    children's shapes in order, so gates whose subtrees differ only in event
+    names share a shape.
 
     An empty OR has support 0, which is disjoint from every sibling. A k-of-n
     gate (OR: k = 1, AND: k = n) needs k failed children: when the children's
@@ -627,6 +625,7 @@ def _supports_and_bounds(
     shared: dict[str, int] = {}
     never = len(ft.events) + 1
     lo = dict.fromkeys(ft.events, 1)
+    shapes = dict.fromkeys(ft.events, 0)
     gates = ft.gates
     for gate_id in ft.gate_order:
         gate = gates[gate_id]
@@ -636,6 +635,7 @@ def _supports_and_bounds(
             once |= supp[child]
         supp[gate_id] = once
         shared[gate_id] = twice
+        shapes[gate_id] = hash((gate.kind, gate.k, tuple([shapes[c] for c in gate.children])))
         k = _threshold(gate)
         if k > len(gate.children):
             lo[gate_id] = never
@@ -644,14 +644,15 @@ def _supports_and_bounds(
         else:
             los = sorted([lo[child] for child in gate.children])
             lo[gate_id] = los[k - 1] if twice else sum(los[:k])
-    return supp, shared, lo
+    return supp, shared, lo, shapes
 
 
 def _order_budgets(
     ft: FaultTree, supp: Mapping[str, int], shared: Mapping[str, int], lo: Mapping[str, int],
-    max_order: int, caps: dict[str, list[tuple[int, int] | None]] | None = None,
-) -> dict[str, int]:
-    """The largest cut-set order each gate must deliver for a solve truncated at ``max_order``.
+    max_order: int,
+) -> tuple[dict[str, int], dict[str, list[tuple[int, int] | None]]]:
+    """The largest cut-set order each gate must deliver for a solve truncated
+    at ``max_order``, and the private caps of the gates that have them.
 
     Why a child may get less than its parent's budget b: every minimal cut set
     M of a k-of-n gate with |M| <= b is the union of one minimal cut set from
@@ -666,18 +667,20 @@ def _order_budgets(
     exactly its minimal cut sets of order <= its budget. Budget 0 marks a
     gate with no cut set that small.
 
-    When ``caps`` is given, the same pass fills it for every AND or VOTE gate
-    whose children share events: one (private mask, cap) per child, or None
+    The caps come from the same pass, for every AND or VOTE gate whose
+    children share events: one (private mask, cap) per child, or None
     where the cap cannot bite. A child's private events are those under no
     sibling, and a row of that child with more than ``cap`` of them is
     in no minimal cut set of the gate within its budget (see the module
     docstring).
     """
     gates = ft.gates
-    budgets = {ft.top: max_order}
+    budgets = dict.fromkeys(ft.gate_order, 0)
+    budgets[ft.top] = max_order
+    caps: dict[str, list[tuple[int, int] | None]] = {}
     for gate_id in reversed(ft.gate_order):
         gate = gates[gate_id]
-        b = budgets.get(gate_id, 0)
+        b = budgets[gate_id]
         if lo[gate_id] > b:
             budgets[gate_id] = 0
             continue
@@ -687,14 +690,14 @@ def _order_budgets(
             # One failed child fails the gate; no sibling adds to its order.
             for child in children:
                 if child in gates:
-                    budgets[child] = max(budgets.get(child, 0), b)
+                    budgets[child] = max(budgets[child], b)
             continue
         # A child is alone when none of its events is under two or more children.
         common = shared[gate_id]
         los = sorted([lo[child] for child in children])
         least_k = sum(los[:k])
         apart = not common
-        gate_caps: list[tuple[int, int] | None] | None = None if apart or caps is None else []
+        gate_caps: list[tuple[int, int] | None] | None = None if apart else []
         for child in children:
             # (k - 1)-th smallest bound once the child is removed.
             others = los[k - 1] if lo[child] <= los[k - 2] else los[k - 2]
@@ -711,10 +714,10 @@ def _order_budgets(
                 taken = max(least_k - lo[child], least_k - los[k - 1])
             elif alone:
                 taken = others
-            budgets[child] = max(budgets.get(child, 0), b - taken)
+            budgets[child] = max(budgets[child], b - taken)
         if gate_caps is not None and any(gate_caps):
             caps[gate_id] = gate_caps
-    return budgets
+    return budgets, caps
 
 
 def _combine(gate: Gate, parts: list[list[int]], order: int, max_rows: int,

@@ -117,22 +117,6 @@ class FaultTree(_FaultTreeFields):
         """Gates reachable from the top, each after all its child gates; walked once."""
         return children_first(self.gates, self.top)
 
-    @cached_property
-    def gate_shapes(self) -> dict[str, int]:
-        """Node id -> a hash of its subtree with event names erased.
-
-        Every event has shape 0; a gate's shape hashes its kind, its k and its
-        children's shapes in order. Gates whose subtrees differ only in event
-        names share a shape, but hashes can collide, so equal shapes only
-        nominate a copy.
-        """
-        shapes = dict.fromkeys(self.events, 0)
-        gates = self.gates
-        for gate_id in self.gate_order:
-            gate = gates[gate_id]
-            shapes[gate_id] = hash((gate.kind, gate.k, tuple([shapes[c] for c in gate.children])))
-        return shapes
-
 
 def validate_tree(ft: FaultTree) -> None:
     """Check reference integrity, vote arity, reachability, and acyclicity."""

@@ -479,7 +479,7 @@ def test_order_bounds_and_budgets_sound_on_disjoint_support_trees():
     for _ in range(150):
         ft = disjoint_support_tree(rng)
         index_of = {eid: i for i, eid in enumerate(sorted(ft.events))}
-        supp, shared, lo = _supports_and_bounds(ft, index_of)
+        supp, shared, lo, _ = _supports_and_bounds(ft, index_of)
         for gate_id in ft.gate_order:
             orders = [c.order for c in brute_force_cut_sets(extract_subtree(ft, gate_id)).cut_sets]
             if orders:
@@ -488,7 +488,7 @@ def test_order_bounds_and_budgets_sound_on_disjoint_support_trees():
         for k in range(1, 6):
             got = {c.events for c in solve_minimal_cut_sets(ft, k).cut_sets}
             assert got == {s for s in oracle if len(s) <= k}
-            budgets = _order_budgets(ft, supp, shared, lo, k)
+            budgets, _ = _order_budgets(ft, supp, shared, lo, k)
             narrowed += any(0 < b < k for b in budgets.values())
     # The sibling rule must actually fire, or this test checks nothing new.
     assert narrowed > 100
@@ -500,7 +500,7 @@ def test_disjoint_support_skip_matches_oracle():
     skipped = 0
     for _ in range(120):
         ft = disjoint_support_tree(rng)
-        _, shared, _ = _supports_and_bounds(ft, {eid: i for i, eid in enumerate(sorted(ft.events))})
+        _, shared, _, _ = _supports_and_bounds(ft, {eid: i for i, eid in enumerate(sorted(ft.events))})
         skipped += sum(1 for g, s in shared.items() if not s and len(ft.gates[g].children) > 1)
         oracle = {c.events for c in brute_force_cut_sets(ft).cut_sets}
         assert {c.events for c in solve_minimal_cut_sets(ft).cut_sets} == oracle
@@ -590,9 +590,9 @@ def replicated_tree(rng: random.Random, max_events: int = 20) -> FaultTree:
 def _planned(ft: FaultTree, max_order: int):
     """(budgets, plan) of a solve truncated at ``max_order``."""
     index_of = {eid: i for i, eid in enumerate(sorted(ft.events))}
-    supp, shared, lo = _supports_and_bounds(ft, index_of)
-    budgets = _order_budgets(ft, supp, shared, lo, max_order)
-    return budgets, _plan(ft, budgets, index_of)
+    supp, shared, lo, shapes = _supports_and_bounds(ft, index_of)
+    budgets, _ = _order_budgets(ft, supp, shared, lo, max_order)
+    return budgets, _plan(ft, budgets, shapes, index_of)
 
 
 def check_replicated_tree(ft: FaultTree) -> int:
@@ -623,7 +623,7 @@ def check_replicated_tree(ft: FaultTree) -> int:
         got = {c.events for c in solve_minimal_cut_sets(ft, k).cut_sets}
         assert got == {s for s in oracle if len(s) <= k}
         budgets, plan = _planned(ft, k)
-        for gate_id, source in plan.items():
+        for gate_id, (source, _) in plan.items():
             if source is None:
                 continue
             mapped += 1
@@ -659,7 +659,19 @@ def test_reference_cut_set_csv_bytes(scope, order, digest, request):
 
 def test_full_model_order_4_maps_path_cd_from_path_ab(full_tree):
     _, plan = _planned(full_tree, 4)
-    assert plan["RTS-PATH-CD"].rep == "RTS-PATH-AB"
+    copy, reads = plan["RTS-PATH-CD"]
+    assert copy.rep == "RTS-PATH-AB"
+    assert reads == ("RTS-PATH-AB",)
+    bit = {eid: 1 << i for i, eid in enumerate(sorted(full_tree.events))}
+    ab = set(extract_subtree(full_tree, "RTS-PATH-AB").events)
+    cd = set(extract_subtree(full_tree, "RTS-PATH-CD").events)
+    # The events under both paths pair with themselves.
+    assert len(ab & cd) == 119
+    assert copy.fixed == sum(bit[e] for e in ab & cd)
+    # AB's private events pair one-to-one with CD's.
+    assert len(ab - cd) == len(cd - ab) == 86
+    assert set(copy.moves) == {bit[e] for e in ab - cd}
+    assert set(copy.moves.values()) == {bit[e] for e in cd - ab}
 
 
 def naive_antichain(masks: list[int]) -> list[int]:
@@ -762,7 +774,7 @@ def test_or_absorption_matches_minimize():
     for _ in range(300):
         ft, parts, budget = overlapping_or(rng)
         index_of = {eid: i for i, eid in enumerate(sorted(ft.events))}
-        _, shared, _ = _supports_and_bounds(ft, index_of)
+        _, shared, _, _ = _supports_and_bounds(ft, index_of)
         if not shared["TOP"]:
             continue  # the children's rows happen to share no event
         rows = [m for p in parts for m in p if m.bit_count() <= budget]

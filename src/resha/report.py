@@ -23,7 +23,7 @@ from .faulttree import (
     FaultTree,
     HARDWARE_KINDS,
 )
-from .stpa import ControlStructure, UcaRecord, _table_row, identified_uca_count
+from .stpa import ControlStructure, UcaRecord, _one_line, _table_row, identified_uca_count
 from .sysmodel import SystemModel
 
 GUIDANCE_BANK_VERSION = 1
@@ -183,7 +183,11 @@ def render_analysis_report(
     catalog: Sequence[CcfEvent] = (),
     notes: Sequence[str] = (),
 ) -> str:
-    """Single deterministic Markdown document covering every analysis stage."""
+    """Single deterministic Markdown document covering every analysis stage.
+
+    Model text goes into the document on one line (``_one_line``), so a line
+    break in a name, an id or a description cannot start a line of its own.
+    """
     event_descriptions = {e.id: e.description for e in tree.events.values()}
     lines: list[str] = []
     out = lines.append
@@ -193,14 +197,14 @@ def render_analysis_report(
     out(f"Model fingerprint: `{model.fingerprint()}`")
     out("")
     for note in notes:
-        out(f"> {note}")
+        out(f"> {_one_line(note)}")
     if notes:
         out("")
 
     out("## Stage 1: System representation")
     out("")
     divisions = model.division_tags()
-    out(f"- Nodes: {len(model.nodes)} across divisions {', '.join(divisions)}")
+    out(f"- Nodes: {len(model.nodes)} across divisions {_one_line(', '.join(divisions))}")
     out(f"- Links: {len(model.links)}")
     out(f"- Equipment classes: {len(model.classes)}")
     out("")
@@ -236,7 +240,7 @@ def render_analysis_report(
     kind_counts: dict[str, int] = {}
     for event in tree.events.values():
         kind_counts[event.kind.value] = kind_counts.get(event.kind.value, 0) + 1
-    out(f"- Top event: `{tree.top}`")
+    out(f"- Top event: `{_one_line(tree.top)}`")
     out(f"- Gates: {len(tree.gates)}; basic events: {len(tree.events)}")
     for kind in sorted(kind_counts):
         out(f"  - {kind}: {kind_counts[kind]}")
@@ -252,7 +256,7 @@ def render_analysis_report(
 
     out("## Stage 6: Minimal cut sets")
     out("")
-    out(f"### Scope: {root}")
+    out(f"### Scope: {_one_line(root)}")
     out("")
     trunc = collection.truncation if collection.truncation is not None else "none"
     out(f"- Truncation order: {trunc}")
@@ -271,24 +275,24 @@ def render_analysis_report(
         out("No worksheets: the selected cut sets contain no basic events.")
         out("")
     for sheet in worksheets:
-        out(f"### {sheet.event_id}")
+        out(f"### {_one_line(sheet.event_id)}")
         out("")
         out(f"- Kind: {sheet.event_kind.value}")
-        out(f"- Description: {sheet.description}")
+        out(f"- Description: {_one_line(sheet.description)}")
         out(f"- Lowest cut-set order: {sheet.lowest_order}")
         out("- Category 1 (unsafe controller behavior):")
         for prompt in sheet.category1_prompts:
-            out(f"  - {prompt}")
+            out(f"  - {_one_line(prompt)}")
         if sheet.category2_prompts is not None:
             out("- Category 2 (inadequate feedback or other inputs):")
             for prompt in sheet.category2_prompts:
-                out(f"  - {prompt}")
+                out(f"  - {_one_line(prompt)}")
         if sheet.historical_note:
             out(f"- {sheet.historical_note}")
         if sheet.scenario:
-            out(f"- Scenario: {sheet.scenario}")
+            out(f"- Scenario: {_one_line(sheet.scenario)}")
         if sheet.guidance:
-            out(f"- Guidance: {sheet.guidance}")
+            out(f"- Guidance: {_one_line(sheet.guidance)}")
         out("- Disposition: (analyst to complete)")
         out("")
 

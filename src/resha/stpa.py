@@ -271,9 +271,14 @@ def uca_table_to_csv(records: Sequence[UcaRecord]) -> str:
     return buf.getvalue()
 
 
+def _one_line(text: str) -> str:
+    """``text`` on one line: each CRLF, CR or LF becomes a space."""
+    return re.sub(r"\r\n?|\n", " ", text)
+
+
 def _table_row(*cells: str) -> str:
     """One markdown table row; each cell's pipes are escaped and its line breaks made spaces."""
-    escaped = (re.sub(r"\r\n?|\n", " ", c.replace("|", "\\|")) for c in cells)
+    escaped = (_one_line(c.replace("|", "\\|")) for c in cells)
     return f"| {' | '.join(escaped)} |"
 
 

@@ -375,6 +375,25 @@ def test_markdown_table_cells_escape_pipes_and_line_breaks(tmp_path, capsys):
             assert len(set(cells)) <= 1, table
 
 
+def test_report_writes_model_text_on_one_line(tmp_path):
+    doc = build_rts_document()
+    for action in doc["control_actions"]:
+        if "needed" in action["contexts"]:
+            action["contexts"]["needed"] += "\nsecond line"
+    doc["equipment_classes"][0]["prefix"] = "LC-BP\r\nX"
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["analyze", "--model", str(model), "--scope", "DOM1-A-SILENT", "--truncate", "2",
+                 "--out", str(tmp_path / "out"), "--deterministic"]) == 0
+    report = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+    stage7 = report[report.index("## Stage 7"):].splitlines()
+    assert "### LC-BP X-HD-CCF" in stage7
+    assert any(line.endswith(" second line [H1, H2, H3].") for line in stage7)
+    # Every line is a heading, a bullet, a sub-bullet or blank.
+    for line in stage7:
+        assert re.match(r"(#+ |- |  - |$)", line), line
+
+
 def test_ccf_catalog(model_path, capsys):
     assert main(["ccf-catalog", "--model", str(model_path)]) == 0
     out = capsys.readouterr().out

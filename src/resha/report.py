@@ -24,7 +24,7 @@ from .faulttree import (
     HARDWARE_KINDS,
 )
 from .stpa import ControlStructure, UcaRecord, _one_line, _table_row, identified_uca_count
-from .sysmodel import SystemModel
+from .sysmodel import SystemModel, _shown
 
 GUIDANCE_BANK_VERSION = 1
 
@@ -61,8 +61,33 @@ class GuidanceEntry(NamedTuple):
     guidance: str = ""
 
 
-# Bank document key -> GuidanceEntry field; other keys are ignored.
+# Bank document key -> GuidanceEntry field; any other key is an error.
 _ENTRY_FIELD = {"class" if field == "class_tag" else field: field for field in GuidanceEntry._fields}
+
+
+def _entry(i: int, raw: Any) -> GuidanceEntry:
+    """Bank entry ``i``: an object of known keys that names its ``event_kind``.
+
+    The prompt lists are lists of texts, ``class`` and ``category`` are a
+    text or null, and every other value is a text.
+    """
+    where = f"guidance bank entries[{i}]"
+    if not isinstance(raw, dict):
+        raise GuidanceBankError(f"{where} must be an object, got {_shown(raw)}")
+    fields = {}
+    for key, value in raw.items():
+        if key not in _ENTRY_FIELD:
+            raise GuidanceBankError(f"{where}: unknown key {_shown(key)}")
+        if key in ("category1", "category2"):
+            if not isinstance(value, list) or not all(isinstance(v, str) for v in value):
+                raise GuidanceBankError(f"{where}.{key} must be a list of texts, got {_shown(value)}")
+            value = tuple(value)
+        elif not isinstance(value, str) and not (value is None and key in ("class", "category")):
+            raise GuidanceBankError(f"{where}.{key} must be a text, got {_shown(value)}")
+        fields[_ENTRY_FIELD[key]] = value
+    if "event_kind" not in fields:
+        raise GuidanceBankError(f"{where}: missing key 'event_kind'")
+    return GuidanceEntry(**fields)
 
 
 class GuidanceBank:
@@ -77,13 +102,10 @@ class GuidanceBank:
             raise GuidanceBankError(
                 f"expected guidance_bank_version {GUIDANCE_BANK_VERSION}"
             )
-        return cls(
-            GuidanceEntry(**{
-                _ENTRY_FIELD[key]: tuple(value) if key in ("category1", "category2") else value
-                for key, value in raw.items() if key in _ENTRY_FIELD
-            })
-            for raw in doc.get("entries", [])
-        )
+        entries = doc.get("entries", [])
+        if not isinstance(entries, list):
+            raise GuidanceBankError(f"guidance bank entries must be a list, got {_shown(entries)}")
+        return cls([_entry(i, raw) for i, raw in enumerate(entries)])
 
     @classmethod
     def packaged(cls) -> "GuidanceBank":

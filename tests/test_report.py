@@ -8,6 +8,8 @@ from resha.faulttree import HARDWARE_KINDS, build_hardware_fault_tree, filter_ev
 from resha.fixtures import TOP_RPS
 from resha.report import (
     GuidanceBank,
+    GuidanceBankError,
+    GuidanceEntry,
     generate_worksheets,
     render_analysis_report,
     spof_table_to_csv,
@@ -73,6 +75,38 @@ def test_guidance_bank_fallback_for_unknown_class(rps_tree):
     event = rps_tree.events["SNS-A-HD-A00.00.01"]
     entry = bank.lookup(event, "SNS-A")
     assert entry.category1
+
+
+def bank_with(entry):
+    return {"guidance_bank_version": 1, "entries": [{"event_kind": "SW_UCA"}, entry]}
+
+
+def test_guidance_bank_entry_needs_event_kind():
+    with pytest.raises(GuidanceBankError, match=r"^guidance bank entries\[1\]: missing key 'event_kind'$"):
+        GuidanceBank.from_document(bank_with({"scenario": "x"}))
+
+
+def test_guidance_bank_entry_must_be_an_object():
+    with pytest.raises(GuidanceBankError, match=r"^guidance bank entries\[1\] must be an object, got \['SW_UCA'\]$"):
+        GuidanceBank.from_document(bank_with(["SW_UCA"]))
+
+
+def test_guidance_bank_entry_rejects_unknown_key():
+    with pytest.raises(GuidanceBankError, match=r"^guidance bank entries\[1\]: unknown key 'scenaro'$"):
+        GuidanceBank.from_document(bank_with({"event_kind": "SW_UCA", "scenaro": "x"}))
+
+
+def test_guidance_bank_prompts_must_be_a_list_of_texts():
+    with pytest.raises(GuidanceBankError,
+                       match=r"^guidance bank entries\[1\]\.category1 must be a list of texts, got 'abc'$"):
+        GuidanceBank.from_document(bank_with({"event_kind": "SW_UCA", "category1": "abc"}))
+
+
+def test_guidance_bank_reads_every_key_of_an_entry():
+    entry = {"event_kind": "SW_CCF", "class": "LC-BP", "category": None, "category1": ["p"],
+             "category2": [], "scenario": "s", "guidance": "g"}
+    bank = GuidanceBank.from_document(bank_with(entry))
+    assert bank.entries[1] == GuidanceEntry("SW_CCF", "LC-BP", None, ("p",), (), "s", "g")
 
 
 def report_for(rts_model, rts_cs, rts_ucas, tree, label="RPS"):

@@ -102,6 +102,16 @@ def test_guidance_bank_prompts_must_be_a_list_of_texts():
         GuidanceBank.from_document(bank_with({"event_kind": "SW_UCA", "category1": "abc"}))
 
 
+@pytest.mark.parametrize(("doc", "message"), [
+    ({"guidance_bank_version": 1, "entries": {"event_kind": "SW_UCA"}},
+     r"^guidance bank entries must be a list, got \{'event_kind': 'SW_UCA'\}$"),
+    (bank_with({"event_kind": 5}), r"^guidance bank entries\[1\]\.event_kind must be a text, got 5$"),
+], ids=["entries not a list", "event_kind not a text"])
+def test_guidance_bank_rejects_malformed_values(doc, message):
+    with pytest.raises(GuidanceBankError, match=message):
+        GuidanceBank.from_document(doc)
+
+
 def test_guidance_bank_reads_every_key_of_an_entry():
     entry = {"event_kind": "SW_CCF", "class": "LC-BP", "category": None, "category1": ["p"],
              "category2": [], "scenario": "s", "guidance": "g"}

@@ -72,7 +72,6 @@ import csv
 import io
 import itertools
 import random
-from collections import Counter
 from types import MappingProxyType
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -437,7 +436,10 @@ def solve_minimal_cut_sets(
     largest_rows = 0
     # Free a result once every reader has consumed it; only the top's sets
     # must survive to the end.
-    consumers = Counter(read for _, reads in plan.values() for read in reads)
+    consumers: dict[str, int] = {}
+    for _, reads in plan.values():
+        for read in reads:
+            consumers[read] = consumers.get(read, 0) + 1
 
     for done, gate_id in enumerate(gate_ids):
         if gate_id not in plan:

@@ -24,12 +24,10 @@ from .faulttree import (
     GateKind,
     build_hardware_fault_tree,
     extract_subtree,
-    failure_vote_threshold,
     filter_events,
     from_exchange_json,
     integrate_ucas,
     to_exchange_json,
-    to_open_psa_xml,
 )
 from .fixtures import build_rts_document, build_rts_reference_model
 from .report import (
@@ -92,7 +90,6 @@ __all__ = [
     "evaluate_structure_function",
     "extract_spofs",
     "extract_subtree",
-    "failure_vote_threshold",
     "filter_events",
     "format_node_id",
     "from_exchange_json",
@@ -106,6 +103,5 @@ __all__ = [
     "select_ucas_for_top_event",
     "solve_minimal_cut_sets",
     "to_exchange_json",
-    "to_open_psa_xml",
     "witness_check",
 ]

@@ -178,19 +178,6 @@ def _events_under(gates: Mapping[str, Gate], gate_ids: Iterable[str]) -> set[str
     return {c for g in gate_ids for c in gates[g].children if c not in gates}
 
 
-def failure_vote_threshold(k_success: int, n: int) -> int:
-    """Failure-side threshold complementing k-of-n success logic.
-
-    A function succeeding when at least ``k_success`` of ``n`` redundant
-    members work fails when at least ``n - k_success + 1`` of them fail;
-    declared failure gates should use this threshold (2-of-4 success logic
-    yields a VOTE(3, 4) failure gate).
-    """
-    if not 1 <= k_success <= n:
-        raise FaultTreeError(f"need 1 <= k_success <= n, got {k_success}-of-{n}")
-    return n - k_success + 1
-
-
 # ---------------------------------------------------------------------------
 # Canonical naming
 # ---------------------------------------------------------------------------
@@ -561,38 +548,3 @@ def from_exchange_json(data: str | bytes) -> FaultTree:
         )
     return FaultTree(top=doc["top"], gates=gates, events=events)
 
-
-def to_open_psa_xml(ft: FaultTree, name: str = "fault-tree") -> str:
-    """Emit an Open-PSA style model exchange document (emit only)."""
-    # Imported here: xml.sax pulls in urllib and the network stack, which no CLI command needs.
-    from xml.sax.saxutils import escape, quoteattr
-
-    lines = ['<?xml version="1.0" encoding="UTF-8"?>', "<opsa-mef>"]
-    lines.append(f"  <define-fault-tree name={quoteattr(name)}>")
-
-    def ref(child: str) -> str:
-        if child in ft.gates:
-            return f"<gate name={quoteattr(child)}/>"
-        return f"<basic-event name={quoteattr(child)}/>"
-
-    for _, gate in sorted(ft.gates.items()):
-        lines.append(f"    <define-gate name={quoteattr(gate.id)}>")
-        vote = gate.kind is GateKind.VOTE
-        tag, attrs = ("atleast", f' min="{gate.k}"') if vote else (gate.kind.value, "")
-        if gate.children:
-            lines.append(f"      <{tag}{attrs}>")
-            lines.extend(f"        {ref(child)}" for child in gate.children)
-            lines.append(f"      </{tag}>")
-        else:
-            lines.append(f"      <{tag}{attrs}/>")
-        lines.append("    </define-gate>")
-    lines.append("  </define-fault-tree>")
-    lines.append("  <model-data>")
-    for _, event in sorted(ft.events.items()):
-        lines.append(f"    <define-basic-event name={quoteattr(event.id)}>")
-        if event.description:
-            lines.append(f"      <label>{escape(event.description)}</label>")
-        lines.append("    </define-basic-event>")
-    lines.append("  </model-data>")
-    lines.append("</opsa-mef>")
-    return "\n".join(lines) + "\n"

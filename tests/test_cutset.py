@@ -416,7 +416,7 @@ def test_cli_import_does_not_load_numpy():
 
 
 def test_cli_does_not_load_network_stack(tmp_path):
-    # Only to_open_psa_xml needs xml.sax, whose import pulls in urllib, http, email and ssl.
+    # Nothing in resha imports xml; xml.sax alone would pull in urllib, http, email and ssl.
     # Records are named tuples, so neither dataclasses nor the inspect it imports is loaded.
     code = (
         "import sys\n"

@@ -2,7 +2,6 @@ from __future__ import annotations
 
 import itertools
 import random
-import xml.etree.ElementTree as ET
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,12 +24,10 @@ from resha.faulttree import (
     HARDWARE_KINDS,
     build_hardware_fault_tree,
     extract_subtree,
-    failure_vote_threshold,
     filter_events,
     from_exchange_json,
     integrate_ucas,
     to_exchange_json,
-    to_open_psa_xml,
 )
 from resha.fixtures import TOP_FULL, TOP_RPS
 from resha.stpa import TopEventKind, select_ucas_for_top_event
@@ -149,11 +146,9 @@ def test_unreachable_gate_rejected():
 
 def test_failure_side_vote_complements_two_of_four_success():
     # Trip succeeds when at least 2 of 4 divisions demand it, so the failure
-    # side is at least 3 of 4 division failures: checked over all 16 states.
-    k_fail = failure_vote_threshold(2, 4)
-    assert k_fail == 3
+    # side is at least 4 - 2 + 1 = 3 of 4 division failures: checked over all 16 states.
     gates = {
-        "TOP": Gate(id="TOP", kind=GateKind.VOTE, k=k_fail, children=("D1", "D2", "D3", "D4")),
+        "TOP": Gate(id="TOP", kind=GateKind.VOTE, k=3, children=("D1", "D2", "D3", "D4")),
     }
     events = {f"D{i}": event(f"D{i}") for i in range(1, 5)}
     ft = tree_of("TOP", gates, events)
@@ -162,16 +157,6 @@ def test_failure_side_vote_complements_two_of_four_success():
         divisions_ok = sum(1 for failed in states if not failed)
         success = divisions_ok >= 2
         assert evaluate_structure_function(ft, assignment) == (not success)
-
-
-def test_failure_vote_threshold_exhaustive():
-    for n in range(1, 6):
-        for k_success in range(1, n + 1):
-            k_fail = failure_vote_threshold(k_success, n)
-            for states in itertools.product([False, True], repeat=n):
-                working = sum(1 for failed in states if not failed)
-                failed = sum(1 for f in states if f)
-                assert (working >= k_success) == (failed < k_fail)
 
 
 def test_build_single_component_top(rts_model):
@@ -506,78 +491,3 @@ def test_exchange_round_trip_random_trees():
 def test_exchange_round_trip_property(seed, max_events, max_gates):
     ft = random_coherent_tree(random.Random(seed), max_events=max_events, max_gates=max_gates)
     assert from_exchange_json(to_exchange_json(ft)) == ft
-
-
-def test_open_psa_emit_parses(full_tree):
-    text = to_open_psa_xml(full_tree, name="rts")
-    root = ET.fromstring(text)
-    assert root.tag == "opsa-mef"
-    tree_el = root.find("define-fault-tree")
-    assert tree_el is not None and tree_el.get("name") == "rts"
-    gates = tree_el.findall("define-gate")
-    assert len(gates) == len(full_tree.gates)
-    data = root.find("model-data")
-    assert len(data.findall("define-basic-event")) == len(full_tree.events)
-    votes = [g for g in gates if g.find("atleast") is not None]
-    assert votes, "vote gates should emit atleast elements"
-
-
-def test_open_psa_escaping_bytes():
-    # quoteattr picks double quotes unless the value holds only double quotes,
-    # writes &quot; when it holds both kinds, and escapes tab and newline;
-    # a label escapes only &, < and >. Gate descriptions are not emitted.
-    gates = {
-        'top "A" & <B>': Gate('top "A" & <B>', GateKind.AND, ("it's", "e&1"), description="a & <b>"),
-        "it's": Gate("it's", GateKind.VOTE, ("e<2>", "e\"3'", "both \"q\" 'q'"), k=2),
-        "both \"q\" 'q'": Gate("both \"q\" 'q'", GateKind.OR, ("plain", "tab\tnl\n")),
-        "tab\tnl\n": Gate("tab\tnl\n", GateKind.OR, ()),
-    }
-    events = {
-        "e&1": BasicEvent("e&1", EventKind.HW_INDEP, event("x").subjects, description="a & b"),
-        "e<2>": BasicEvent("e<2>", EventKind.HW_INDEP, event("x").subjects, description="<x> \"y\" 'z'"),
-        "e\"3'": BasicEvent("e\"3'", EventKind.HW_INDEP, event("x").subjects, description="line1\nline2\tend"),
-        "plain": event("plain"),
-    }
-    ft = tree_of('top "A" & <B>', gates, events)
-    assert to_open_psa_xml(ft, name="rts \"x\" & 'y'") == (
-        '<?xml version="1.0" encoding="UTF-8"?>\n'
-        "<opsa-mef>\n"
-        "  <define-fault-tree name=\"rts &quot;x&quot; &amp; 'y'\">\n"
-        "    <define-gate name=\"both &quot;q&quot; 'q'\">\n"
-        "      <or>\n"
-        '        <basic-event name="plain"/>\n'
-        '        <gate name="tab&#9;nl&#10;"/>\n'
-        "      </or>\n"
-        "    </define-gate>\n"
-        "    <define-gate name=\"it's\">\n"
-        '      <atleast min="2">\n'
-        '        <basic-event name="e&lt;2&gt;"/>\n'
-        "        <basic-event name=\"e&quot;3'\"/>\n"
-        "        <gate name=\"both &quot;q&quot; 'q'\"/>\n"
-        "      </atleast>\n"
-        "    </define-gate>\n"
-        '    <define-gate name="tab&#9;nl&#10;">\n'
-        "      <or/>\n"
-        "    </define-gate>\n"
-        "    <define-gate name='top \"A\" &amp; &lt;B&gt;'>\n"
-        "      <and>\n"
-        "        <gate name=\"it's\"/>\n"
-        '        <basic-event name="e&amp;1"/>\n'
-        "      </and>\n"
-        "    </define-gate>\n"
-        "  </define-fault-tree>\n"
-        "  <model-data>\n"
-        "    <define-basic-event name=\"e&quot;3'\">\n"
-        "      <label>line1\nline2\tend</label>\n"
-        "    </define-basic-event>\n"
-        '    <define-basic-event name="e&amp;1">\n'
-        "      <label>a &amp; b</label>\n"
-        "    </define-basic-event>\n"
-        '    <define-basic-event name="e&lt;2&gt;">\n'
-        "      <label>&lt;x&gt; \"y\" 'z'</label>\n"
-        "    </define-basic-event>\n"
-        '    <define-basic-event name="plain">\n'
-        "    </define-basic-event>\n"
-        "  </model-data>\n"
-        "</opsa-mef>\n"
-    )

@@ -276,7 +276,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     run_dir = write_artifacts(config, artifacts)
 
     print(f"scope: {artifacts.root}")
-    for order, count, cumulative in artifacts.collection.rows():
+    for order, count, cumulative in artifacts.collection.rows(len(artifacts.tree.events)):
         print(f"order {order}: {count} cut sets ({cumulative} cumulative)")
     spofs = artifacts.spofs
     print(f"{len(spofs.spofs)} first-order cut sets")
@@ -313,7 +313,7 @@ def cmd_cutsets(args: argparse.Namespace) -> int:
     tree = from_exchange_json(_existing(args.tree, "tree").read_bytes())
     collection = cutsetmod.solve_minimal_cut_sets(tree, args.truncate)
     _emit(collection.to_csv(), args.out)
-    for order, count, cumulative in collection.rows():
+    for order, count, cumulative in collection.rows(len(tree.events)):
         print(f"order {order}: {count} cut sets ({cumulative} cumulative)", file=sys.stderr)
     return EXIT_OK
 

@@ -166,10 +166,12 @@ class CutSetCollection(NamedTuple):
     def cumulative_count(self, order: int) -> int:
         return sum(c for o, c in self.per_order.items() if o <= order)
 
-    def rows(self) -> tuple[tuple[int, int, int], ...]:
+    def rows(self, event_count: int) -> tuple[tuple[int, int, int], ...]:
         """(order, count at order, cumulative count) rows, ascending, up to the
-        truncation order (untruncated: up to the largest order found)."""
+        truncation order (untruncated: up to the largest order found), but not
+        past ``event_count``, the solved tree's event count: no cut set is larger."""
         top = self.truncation if self.truncation is not None else max(self.per_order, default=0)
+        top = min(top, event_count)
         return tuple((k, self.per_order.get(k, 0), self.cumulative_count(k)) for k in range(1, top + 1))
 
     def sets_of_order(self, order: int) -> tuple[CutSet, ...]:

@@ -286,7 +286,7 @@ def render_analysis_report(
     out("")
     out("| Truncation (order) | Cut sets (cumulative) |")
     out("| --- | --- |")
-    for order, _, cumulative in reversed(collection.rows()):
+    for order, _, cumulative in reversed(collection.rows(len(tree.events))):
         out(f"| {order} | {cumulative} |")
     out("")
     lines.extend(_spof_section(spofs, event_descriptions))

@@ -108,7 +108,7 @@ def test_criterion_3_truncation_soundness():
             truncated = solve_minimal_cut_sets(tree, k)
             got = {c.events for c in truncated.cut_sets}
             want = {s for s in full if len(s) <= k}
-            rows = [(o, c) for o, c, _ in truncated.rows()]
+            rows = [(o, c) for o, c, _ in truncated.rows(len(tree.events))]
             if got != want or rows[: len(previous_rows)] != previous_rows:
                 bad += 1
             previous_rows = rows

@@ -487,6 +487,23 @@ def test_truncate_below_one_is_a_usage_error(command, value, model_path, tmp_pat
     assert not (tmp_path / "out").exists()
 
 
+def test_truncation_far_above_the_event_count_prints_a_row_per_event(model_path, tmp_path, capsys):
+    # No cut set has more events than its tree, so a one-event tree gets one
+    # order row in stdout, stderr and the report, however high the truncation.
+    huge = "1000000000000"
+    assert main(["analyze", "--model", str(model_path), "--scope", "A00.00.02", "--truncate", huge,
+                 "--out", str(tmp_path / "out"), "--deterministic"]) == 0
+    out = capsys.readouterr().out
+    assert [line for line in out.splitlines() if line.startswith("order ")] == [
+        "order 1: 1 cut sets (1 cumulative)"
+    ]
+    report = (tmp_path / "out" / "report.md").read_text(encoding="utf-8")
+    assert f"- Truncation order: {huge}\n" in report
+    assert "| Truncation (order) | Cut sets (cumulative) |\n| --- | --- |\n| 1 | 1 |\n\n" in report
+    assert main(["cutsets", "--tree", str(tmp_path / "out" / "tree.json"), "--truncate", huge]) == 0
+    assert capsys.readouterr().err.splitlines() == ["order 1: 1 cut sets (1 cumulative)"]
+
+
 def test_records_are_read_only_tuples(model_path):
     config = RunConfig(model_path=model_path, top="RPS", truncate=1, deterministic=True)
     artifacts = run_analysis(config)

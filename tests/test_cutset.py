@@ -163,7 +163,7 @@ def test_truncation_soundness_randomized():
             got = {c.events for c in truncated.cut_sets}
             want = {s for s in full if len(s) <= k}
             assert got == want
-            rows = [(o, c) for o, c, _ in truncated.rows()]
+            rows = [(o, c) for o, c, _ in truncated.rows(len(ft.events))]
             assert rows[: len(previous)] == previous
             previous = rows
         assert untruncated.truncation is None
@@ -366,7 +366,9 @@ def test_histogram_cumulative_counts():
 def test_histogram_empty_collection_zeroes():
     ft = tree("TOP", {"TOP": Gate(id="TOP", kind=GateKind.OR, children=())}, [])
     css = solve_minimal_cut_sets(ft, 3)
-    assert css.rows() == ((1, 0, 0), (2, 0, 0), (3, 0, 0))
+    # Zero rows up to the truncation order, but none past the tree's event count.
+    assert css.rows(3) == ((1, 0, 0), (2, 0, 0), (3, 0, 0))
+    assert css.rows(len(ft.events)) == ()
 
 
 def test_collection_csv_format():
@@ -391,7 +393,7 @@ def test_untruncated_solve_keeps_cut_set_of_every_event():
     css = solve_minimal_cut_sets(ft)
     assert {c.events for c in css.cut_sets} == {frozenset({"A", "B", "C"})}
     assert css.truncation is None
-    assert css.rows() == ((1, 0, 0), (2, 0, 0), (3, 1, 1))
+    assert css.rows(len(ft.events)) == ((1, 0, 0), (2, 0, 0), (3, 1, 1))
 
 
 def test_max_order_argument_validated(full_tree):

@@ -146,6 +146,12 @@ def _positive_int(text: str) -> int:
     raise argparse.ArgumentTypeError(f"must be an integer >= 1, got {text!r}")
 
 
+def _output_path(text: str) -> str:
+    if text:
+        return text
+    raise argparse.ArgumentTypeError("must be a non-empty path")
+
+
 def _oracle_event_count(text: str) -> int:
     value = _positive_int(text)
     limit = cutsetmod.DEFAULT_BRUTE_FORCE_LIMIT
@@ -185,7 +191,7 @@ def run_analysis(config: RunConfig) -> Analysis:
     # Any declared gate can serve as an analysis root, so a scope is simply a
     # different root; extraction from a wider tree would yield the same result.
     with _stage("fault-tree", FaultTreeError):
-        root = config.top or _default_top(model)
+        root = config.top if config.top is not None else _default_top(model)
         tree = build_hardware_fault_tree(model, root)
 
     with _stage("integrate", FaultTreeError):
@@ -364,7 +370,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--no-truncate", dest="truncate", action="store_const", const=None)
     p_analyze.add_argument("--filter", type=_parse_filter, default=None,
                            help="keep only these event kinds (hardware/software/all or a list)")
-    p_analyze.add_argument("--out", help="output directory (default $RESHA_OUT or ./resha-out)")
+    p_analyze.add_argument("--out", type=_output_path,
+                           help="output directory (default $RESHA_OUT or ./resha-out)")
     p_analyze.add_argument("--deterministic", action="store_true",
                            help="pin output names and bytes for reproducible runs")
     # Each --ccf-* flag overrides the CcfPolicy field it is stored under.
@@ -382,18 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
     p_ucas = sub.add_parser("ucas", help="emit the UCA table")
     p_ucas.add_argument("--model", required=True)
     p_ucas.add_argument("--format", choices=["csv", "markdown"], default="csv")
-    p_ucas.add_argument("--out")
+    p_ucas.add_argument("--out", type=_output_path)
     p_ucas.set_defaults(func=cmd_ucas)
 
     p_catalog = sub.add_parser("ccf-catalog", help="emit the CCF catalog")
     p_catalog.add_argument("--model", required=True)
-    p_catalog.add_argument("--out")
+    p_catalog.add_argument("--out", type=_output_path)
     p_catalog.set_defaults(func=cmd_ccf_catalog)
 
     p_cutsets = sub.add_parser("cutsets", help="solve an exchange-format tree")
     p_cutsets.add_argument("--tree", required=True)
     p_cutsets.add_argument("--truncate", type=_positive_int, default=None)
-    p_cutsets.add_argument("--out")
+    p_cutsets.add_argument("--out", type=_output_path)
     p_cutsets.set_defaults(func=cmd_cutsets)
 
     p_oracle = sub.add_parser("oracle-check", help="randomized solver-vs-oracle equivalence")

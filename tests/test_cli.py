@@ -265,16 +265,18 @@ def test_analyze_without_deterministic_writes_one_stamped_run(model_path, tmp_pa
 
 
 def test_analyze_unknown_scope_exit_1(model_path, tmp_path, capsys):
-    rc = main(
-        [
-            "analyze",
-            "--model", str(model_path),
-            "--scope", "NOPE",
-            "--out", str(tmp_path / "out"),
-        ]
-    )
-    assert rc == 1
-    assert "[stage: fault-tree]" in capsys.readouterr().err
+    # An empty scope names no gate either; it does not fall back to the default root.
+    for scope in ("NOPE", ""):
+        rc = main(
+            [
+                "analyze",
+                "--model", str(model_path),
+                "--scope", scope,
+                "--out", str(tmp_path / "out"),
+            ]
+        )
+        assert rc == 1
+        assert f"[stage: fault-tree] unknown top event {scope!r}" in capsys.readouterr().err
 
 
 def test_default_root_skips_replicate_templates(tmp_path, capsys):
@@ -485,6 +487,19 @@ def test_truncate_below_one_is_a_usage_error(command, value, model_path, tmp_pat
         f"resha {command}: error: argument --truncate: must be an integer >= 1, got {value!r}"
     )
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["analyze", "ucas", "ccf-catalog", "cutsets"])
+def test_empty_out_is_a_usage_error(command, model_path, capsys):
+    # An empty --out would otherwise count as absent: analyze would write to
+    # ./resha-out and the table commands would print to stdout.
+    source = ["--tree", str(model_path)] if command == "cutsets" else ["--model", str(model_path)]
+    with pytest.raises(SystemExit) as exc:
+        main([command, *source, "--out", ""])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        f"resha {command}: error: argument --out: must be a non-empty path"
+    )
 
 
 def test_truncation_far_above_the_event_count_prints_a_row_per_event(model_path, tmp_path, capsys):

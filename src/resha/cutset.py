@@ -82,7 +82,7 @@ from .faulttree import (
     FaultTree,
     Gate,
     GateKind,
-    children_first,
+    _reachable_tree,
     to_exchange_json,
 )
 from .sysmodel import NodeId
@@ -595,16 +595,6 @@ def _rename(rows: list[int], order: int, copy: _Copy) -> list[int]:
     return out
 
 
-def _threshold(gate: Gate) -> int:
-    """How many children must fail for the gate to fail."""
-    if gate.kind is GateKind.OR:
-        return 1
-    if gate.kind is GateKind.AND:
-        return len(gate.children)
-    assert gate.k is not None
-    return gate.k
-
-
 def _supports_and_bounds(
     ft: FaultTree, index_of: Mapping[str, int]
 ) -> tuple[dict[str, int], dict[str, int], dict[str, int], dict[str, int]]:
@@ -640,7 +630,7 @@ def _supports_and_bounds(
         supp[gate_id] = once
         shared[gate_id] = twice
         shapes[gate_id] = hash((gate.kind, gate.k, tuple([shapes[c] for c in gate.children])))
-        k = _threshold(gate)
+        k = gate.threshold
         if k > len(gate.children):
             lo[gate_id] = never
         elif k == 1:
@@ -688,7 +678,7 @@ def _order_budgets(
         if lo[gate_id] > b:
             budgets[gate_id] = 0
             continue
-        k = _threshold(gate)
+        k = gate.threshold
         children = gate.children
         if k == 1:
             # One failed child fails the gate; no sibling adds to its order.
@@ -744,7 +734,7 @@ def _combine(gate: Gate, parts: list[list[int]], order: int, max_rows: int,
     rows inside ``shared`` (``_absorb_across``); a VOTE keeps ``_minimize``,
     because rows of two combinations can share children.
     """
-    k = _threshold(gate)
+    k = gate.threshold
     if k == len(parts):
         return _and_all(parts, order, max_rows, not shared)
     rows: list[int] = []
@@ -928,10 +918,4 @@ def random_coherent_tree(
         gates[gate_id] = Gate(id=gate_id, kind=kind, children=children, k=k)
 
     # Keep only what the top reaches; the constructor enforces the rest.
-    reachable = set(children_first(gates, "G1"))
-    reachable |= {c for g in reachable for c in gates[g].children}
-    return FaultTree(
-        top="G1",
-        gates={g: gates[g] for g in gates if g in reachable},
-        events={e: events[e] for e in events if e in reachable},
-    )
+    return _reachable_tree("G1", gates, events)

@@ -14,6 +14,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .stpa import UcaRecord
 from .sysmodel import (
+    GateKind,
     NodeId,
     NodeIdError,
     SystemModel,
@@ -30,12 +31,6 @@ class FaultTreeError(Exception):
 
 class IntegrationError(FaultTreeError):
     """Raised when a UCA cannot be attached to the tree."""
-
-
-class GateKind(str, Enum):
-    AND = "and"
-    OR = "or"
-    VOTE = "vote"
 
 
 class EventKind(str, Enum):
@@ -96,6 +91,15 @@ class Gate(_GateFields):
         if self.kind is GateKind.AND and not self.children:
             raise FaultTreeError(f"AND gate {_shown_name(self.id)} must have children")
         return self
+
+    @property
+    def threshold(self) -> int:
+        """How many children must fail for the gate to fail: 1 for OR, n for AND, k for VOTE."""
+        if self.kind is GateKind.OR:
+            return 1
+        if self.kind is GateKind.AND:
+            return len(self.children)
+        return self.k
 
 
 class _FaultTreeFields(NamedTuple):
@@ -176,6 +180,16 @@ def children_first(gates: Mapping[str, Gate], root: str) -> tuple[str, ...]:
 def _events_under(gates: Mapping[str, Gate], gate_ids: Iterable[str]) -> set[str]:
     """Children of the given gates that are not gates themselves."""
     return {c for g in gate_ids for c in gates[g].children if c not in gates}
+
+
+def _reachable_tree(top: str, gates: Mapping[str, Gate], events: Mapping[str, BasicEvent]) -> FaultTree:
+    """The tree rooted at the gate ``top``, keeping only the gates and events it reaches."""
+    gate_ids = children_first(gates, top)
+    return FaultTree(
+        top=top,
+        gates={g: gates[g] for g in gate_ids},
+        events={e: events[e] for e in sorted(_events_under(gates, gate_ids))},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -281,24 +295,21 @@ def build_hardware_fault_tree(m: SystemModel, top: str) -> FaultTree:
             raise FaultTreeError(f"unknown top event {_shown(top)}")
         return FaultTree(top=fail_gate(node_id.text, None), gates=gates, events=events)
 
-    # Children first and iterative, so declarations may nest deeper than
-    # Python's recursion limit; the model has no declaration cycles.
-    stack = [(declared[top], iter(declared[top].children))]
-    while stack:
-        spec, pending = stack[-1]
-        for child in pending:
-            if child.gate is not None and child.gate not in gates:
-                stack.append((declared[child.gate], iter(declared[child.gate].children)))
-                break
-        else:
-            stack.pop()
-            gates[spec.id] = Gate(
-                id=spec.id,
-                kind=GateKind(spec.kind),
-                children=tuple(c.gate or fail_gate(c.fail, c.ca_to) for c in spec.children),
-                k=spec.k,
-                description=spec.description,
-            )
+    # A worklist, so declarations may nest deeper than Python's recursion
+    # limit; ``FaultTree`` orders the gates itself.
+    pending = [top]
+    while pending:
+        spec = declared[pending.pop()]
+        if spec.id in gates:
+            continue
+        gates[spec.id] = Gate(
+            id=spec.id,
+            kind=spec.kind,
+            children=tuple(c.gate or fail_gate(c.fail, c.ca_to) for c in spec.children),
+            k=spec.k,
+            description=spec.description,
+        )
+        pending.extend(c.gate for c in spec.children if c.gate is not None)
     return FaultTree(top=top, gates=gates, events=events)
 
 
@@ -374,12 +385,7 @@ def extract_subtree(ft: FaultTree, gate_id: str) -> FaultTree:
     """New tree rooted at an existing gate; reachable ids are preserved."""
     if gate_id not in ft.gates:
         raise FaultTreeError(f"unknown gate {_shown(gate_id)}")
-    gate_ids = children_first(ft.gates, gate_id)
-    return FaultTree(
-        top=gate_id,
-        gates={g: ft.gates[g] for g in gate_ids},
-        events={e: ft.events[e] for e in sorted(_events_under(ft.gates, gate_ids))},
-    )
+    return _reachable_tree(gate_id, ft.gates, ft.events)
 
 
 def filter_events(ft: FaultTree, keep_kinds: Iterable[EventKind]) -> FaultTree:
@@ -399,13 +405,7 @@ def filter_events(ft: FaultTree, keep_kinds: Iterable[EventKind]) -> FaultTree:
     for gate_id in ft.gate_order:
         gate = ft.gates[gate_id]
         kept = tuple(c for c in gate.children if alive[c])
-        if gate.kind is GateKind.OR:
-            alive[gate_id] = bool(kept)
-        elif gate.kind is GateKind.AND:
-            alive[gate_id] = len(kept) == len(gate.children)
-        else:
-            assert gate.k is not None
-            alive[gate_id] = gate.k <= len(kept)
+        alive[gate_id] = len(kept) >= gate.threshold
         if alive[gate_id]:
             gates[gate_id] = Gate(*gate._replace(children=kept))
 
@@ -419,13 +419,7 @@ def filter_events(ft: FaultTree, keep_kinds: Iterable[EventKind]) -> FaultTree:
             events={},
         )
     # Drop gates and events no longer reachable (children of killed branches).
-    reachable = set(children_first(gates, ft.top))
-    pruned = {g: gates[g] for g in gates if g in reachable}
-    return FaultTree(
-        top=ft.top,
-        gates=pruned,
-        events={e: ft.events[e] for e in sorted(_events_under(pruned, pruned))},
-    )
+    return _reachable_tree(ft.top, gates, ft.events)
 
 
 # ---------------------------------------------------------------------------

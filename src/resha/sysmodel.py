@@ -230,6 +230,12 @@ class ActionSpec(NamedTuple):
     not_applicable: Mapping[str, str] = MappingProxyType({})
 
 
+class GateKind(str, Enum):
+    AND = "and"
+    OR = "or"
+    VOTE = "vote"
+
+
 class GateChildSpec(NamedTuple):
     """One child reference inside a gate declaration."""
 
@@ -247,7 +253,7 @@ class GateSpec(NamedTuple):
     """
 
     id: str
-    kind: str
+    kind: GateKind
     children: tuple[GateChildSpec, ...]
     k: int | None = None
     replicate: str | None = None
@@ -440,7 +446,7 @@ _ACTION_FIELDS = {
 _CONTEXT_FIELDS = {key: (_text, None) for key in ("duration", "needed", "timing", "unneeded")}
 _CATEGORY_TEXTS = {category: (_text, None) for category in UCA_CATEGORIES}
 _GATE_FIELDS = {
-    "kind": (_enum("gate kind", ("and", "or", "vote")), _REQUIRED),
+    "kind": (_enum("gate kind", GateKind), _REQUIRED),
     "replicate": (_enum("macro", ("per-division", "per-unit")), None),
     "description": (_text, None),
 }
@@ -802,7 +808,7 @@ def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
         if fields is None:
             continue
         k = entry.get("k")
-        if fields["kind"] == "vote":
+        if fields["kind"] is GateKind.VOTE:
             if type(k) is not int or k < 1:
                 issues.append(ModelIssue(f"{where}.k", "vote gates need integer k >= 1"))
                 continue
@@ -833,7 +839,7 @@ def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
                 children.append(spec)
         if len(children) < len(children_raw):
             continue
-        if fields["kind"] == "vote" and k > len(children):
+        if fields["kind"] is GateKind.VOTE and k > len(children):
             issues.append(ModelIssue(f"{where}.k", f"k={_shown(k)} exceeds {len(children)} children"))
             continue
         gates.append(GateSpec(gate_id, children=tuple(children), k=k, **fields))
@@ -1027,7 +1033,7 @@ _CONVERTERS = {
     Hazard: {"losses": list},
     ActionSpec: {"source": _NODE_TEXT, "target": _NODE_TEXT, "contexts": _texts_by_key,
                  "hazards": _ids_by_key, "not_applicable": _texts_by_key},
-    GateSpec: {"children": _gate_children},
+    GateSpec: {"kind": _ENUM_VALUE, "children": _gate_children},
     CcfPolicy: {"software_categories": list},
 }
 

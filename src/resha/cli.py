@@ -68,9 +68,9 @@ class StageError(Exception):
 class RunConfig(NamedTuple):
     """Options controlling one analyze run.
 
-    ``out_dir`` None means ``$RESHA_OUT`` or ``./resha-out``, read when the
-    artifacts are written. ``ccf`` overrides fields of the model's
-    ``CcfPolicy`` by name.
+    ``out_dir`` None means ``$RESHA_OUT``, or ``./resha-out`` when that is
+    unset or empty, read when the artifacts are written. ``ccf`` overrides
+    fields of the model's ``CcfPolicy`` by name.
     """
 
     model_path: Path
@@ -185,7 +185,7 @@ def run_analysis(config: RunConfig) -> Analysis:
 
     with _stage("stpa", stpamod.StpaError):
         cs = stpamod.build_layered_control_structure(model)
-        ucas = stpamod.enumerate_ucas(cs, model.hazards)
+        ucas = stpamod.enumerate_ucas(cs)
         selected = stpamod.select_ucas_for_top_event(ucas, config.kind)
 
     # Any declared gate can serve as an analysis root, so a scope is simply a
@@ -223,7 +223,7 @@ def run_analysis(config: RunConfig) -> Analysis:
 
 
 def write_artifacts(config: RunConfig, artifacts: Analysis) -> Path:
-    out_root = config.out_dir or Path(os.environ.get("RESHA_OUT", "resha-out"))
+    out_root = config.out_dir or Path(os.environ.get("RESHA_OUT") or "resha-out")
     run_dir = out_root if config.deterministic else out_root / time.strftime("run-%Y%m%d-%H%M%S")
     run_dir.mkdir(parents=True, exist_ok=True)
 
@@ -295,7 +295,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 def cmd_ucas(args: argparse.Namespace) -> int:
     model = _load_model(args.model)
     cs = stpamod.build_layered_control_structure(model)
-    ucas = stpamod.enumerate_ucas(cs, model.hazards)
+    ucas = stpamod.enumerate_ucas(cs)
     if args.format == "markdown":
         _emit(stpamod.uca_table_to_markdown(cs, ucas), args.out)
     else:

@@ -16,7 +16,6 @@ from typing import Iterable, NamedTuple, Sequence
 
 from .sysmodel import (
     ActionSpec,
-    Hazard,
     Link,
     LinkType,
     NodeId,
@@ -181,38 +180,25 @@ def _render(ca: ControlAction, category: UcaCategory, hazards: Sequence[str]) ->
     return f"{body.rstrip()}{hazard_part}."
 
 
-def enumerate_ucas(cs: ControlStructure, hazards: Sequence[Hazard]) -> tuple[UcaRecord, ...]:
+# The justification of category d for a discrete action that gives none.
+_NOT_CONTINUOUS = "Not a continuous control action; duration-based unsafe behavior does not arise."
+
+
+def enumerate_ucas(cs: ControlStructure) -> tuple[UcaRecord, ...]:
     """Produce exactly four UCA slots per control action.
 
-    Category d applies only to continuous actions. Each
-    applicable slot renders its text and must link at least one declared
-    hazard; each inapplicable slot carries a justification.
+    Which categories apply is ``ActionSpec.applies``. Each applicable slot
+    renders its text with its linked hazards, which the model parser has
+    checked; each inapplicable slot carries a justification.
     """
-    declared = {h.id for h in hazards}
-
     records: list[UcaRecord] = []
     for ca in cs.actions:
         spec = ca.spec
         for category in UcaCategory:
             letter = category.value
-            justification = spec.not_applicable.get(letter)
-            applicable = justification is None
-            if category is UcaCategory.WRONG_DURATION and not spec.continuous and applicable:
-                applicable = False
-                justification = (
-                    "Not a continuous control action; duration-based unsafe behavior does not arise."
-                )
+            applicable = spec.applies(letter)
+            justification = None if applicable else spec.not_applicable.get(letter, _NOT_CONTINUOUS)
             linked = tuple(spec.hazards.get(letter, ()))
-            if applicable:
-                unknown = [h for h in linked if h not in declared]
-                if unknown:
-                    raise StpaError(
-                        f"{ca.ca_id}{letter} links undeclared hazards {unknown}"
-                    )
-                if not linked:
-                    raise StpaError(
-                        f"{ca.ca_id}{letter} is applicable but links no hazards"
-                    )
             records.append(
                 UcaRecord(
                     uca_id=f"UCA{ca.number}{letter}",
@@ -221,7 +207,7 @@ def enumerate_ucas(cs: ControlStructure, hazards: Sequence[Hazard]) -> tuple[Uca
                     applicable=applicable,
                     text=_render(ca, category, linked) if applicable else "Not applicable.",
                     hazards=linked if applicable else (),
-                    justification=None if applicable else justification,
+                    justification=justification,
                     source=ca.source,
                     target=ca.target,
                     source_technology=ca.source_technology,

@@ -229,6 +229,11 @@ class ActionSpec(NamedTuple):
     hazards: Mapping[str, tuple[str, ...]] = MappingProxyType({})
     not_applicable: Mapping[str, str] = MappingProxyType({})
 
+    def applies(self, category: str) -> bool:
+        """Whether UCA ``category`` applies: it is not justified away in
+        ``not_applicable``, and ``d`` applies only to a continuous action."""
+        return category not in self.not_applicable and (category != "d" or self.continuous)
+
 
 class GateKind(str, Enum):
     AND = "and"
@@ -608,6 +613,7 @@ def _ends_declared(fields: Mapping[str, Any], nodes: Mapping[str, Node] | None, 
 
 def _parse_classes(raw: Any, issues: list[ModelIssue]) -> dict[str, EquipmentClass]:
     classes: dict[str, EquipmentClass] = {}
+    holders: dict[str, str] = {}  # prefix -> tag of the first class with it
     for where, entry in _entries(raw, "equipment_classes", EquipmentClass._fields, issues):
         tag = entry.get("tag")
         if not isinstance(tag, str) or not tag:
@@ -618,6 +624,11 @@ def _parse_classes(raw: Any, issues: list[ModelIssue]) -> dict[str, EquipmentCla
             continue
         fields = {"prefix": (_text, tag.upper()), "display": (_text, tag)}  # defaults from the tag
         classes[tag] = EquipmentClass(tag, **_read(entry, fields, where, issues))
+        # Event names are built from the prefix, so two classes sharing one would share events.
+        holder = holders.setdefault(classes[tag].prefix, tag)
+        if holder != tag:
+            message = f"prefix {_shown(classes[tag].prefix)} is already used by class {_shown(holder)}"
+            issues.append(ModelIssue(f"{where}.prefix", message))
     return classes
 
 
@@ -766,7 +777,9 @@ def _parse_actions(
         given = _object(entry.get("contexts", {}), f"{where}.contexts", _CONTEXT_FIELDS, issues)
         contexts = _read(given or {}, _CONTEXT_FIELDS, f"{where}.contexts", issues)
         hazard_map: dict[str, tuple[str, ...]] = {}
-        for category, linked in _categories(entry.get("hazards", {}), f"{where}.hazards", issues).items():
+        raw_hazards = entry.get("hazards", {})
+        by_category = _categories(raw_hazards, f"{where}.hazards", issues)
+        for category, linked in by_category.items():
             if category not in UCA_CATEGORIES:
                 continue
             if not isinstance(linked, list):
@@ -778,14 +791,19 @@ def _parse_actions(
             hazard_map[category] = tuple(linked)
         justified = _categories(entry.get("not_applicable", {}), f"{where}.not_applicable", issues)
         texts = _read(justified, _CATEGORY_TEXTS, f"{where}.not_applicable", issues)
-        actions.append(
-            ActionSpec(
-                **fields,
-                contexts=contexts,
-                hazards=hazard_map,
-                not_applicable={c: text for c, text in texts.items() if text is not None},
-            )
+        action = ActionSpec(
+            **fields,
+            contexts=contexts,
+            hazards=hazard_map,
+            not_applicable={c: text for c, text in texts.items() if text is not None},
         )
+        # A ``hazards`` that is not an object, or an entry that is not an array, is already reported.
+        if isinstance(raw_hazards, Mapping):
+            for category in UCA_CATEGORIES:
+                if action.applies(category) and by_category.get(category, []) == []:
+                    message = "category is applicable but links no hazards"
+                    issues.append(ModelIssue(f"{where}.hazards.{category}", message))
+        actions.append(action)
     return tuple(actions)
 
 

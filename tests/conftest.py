@@ -25,7 +25,7 @@ def rts_cs(rts_model):
 
 @pytest.fixture(scope="session")
 def rts_ucas(rts_model, rts_cs):
-    return enumerate_ucas(rts_cs, rts_model.hazards)
+    return enumerate_ucas(rts_cs)
 
 
 @pytest.fixture(scope="session")

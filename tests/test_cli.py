@@ -266,7 +266,8 @@ def test_analyze_without_deterministic_writes_one_stamped_run(model_path, tmp_pa
 
 def test_analyze_unknown_scope_exit_1(model_path, tmp_path, capsys):
     # An empty scope names no gate either; it does not fall back to the default root.
-    for scope in ("NOPE", ""):
+    # A well-formed node id names no node unless the model declares one.
+    for scope in ("NOPE", "", "Z09.00.00"):
         rc = main(
             [
                 "analyze",
@@ -553,6 +554,14 @@ def test_run_config_reads_resha_out_when_writing(model_path, tmp_path, monkeypat
     assert (tmp_path / "env" / "report.md").is_file()
 
 
+def test_empty_resha_out_counts_as_unset(model_path, tmp_path, monkeypatch):
+    config = RunConfig(model_path=model_path, top="RPS", truncate=1, deterministic=True)
+    monkeypatch.setenv("RESHA_OUT", "")
+    monkeypatch.chdir(tmp_path)
+    assert write_artifacts(config, run_analysis(config)) == Path("resha-out")
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["resha-out"]
+
+
 def test_deterministic_runs_are_byte_identical(model_path, tmp_path, capsys):
     for sub in ("one", "two"):
         rc = main(
@@ -818,8 +827,15 @@ def test_gate_reference_fault_exit_1(child, key, tmp_path, capsys):
         # child C00.00.01 moves up to nodes[54].
         (("nodes", 54), _DELETE,
          "nodes[54].id: missing parent node C00.00.00 (hierarchy must nest)"),
+        # Two classes with one prefix would share their CCF event names.
+        (("equipment_classes", 1, "prefix"), "LC-BP",
+         "equipment_classes[1].prefix: prefix 'LC-BP' is already used by class 'lc-bistable-processor'"),
+        # CA2a (the manual trip not provided) is applicable.
+        (("control_actions", 1, "hazards", "a"), _DELETE,
+         "control_actions[1].hazards.a: category is applicable but links no hazards"),
     ],
-    ids=["child-unknown-key", "gate-unknown-key", "renamed-template", "deleted-division"],
+    ids=["child-unknown-key", "gate-unknown-key", "renamed-template", "deleted-division",
+         "shared-class-prefix", "applicable-category-without-hazard"],
 )
 def test_one_model_fault_one_line(path, value, line, tmp_path, capsys):
     doc = build_rts_document()

@@ -10,6 +10,7 @@ import sys
 
 import pytest
 
+from resha import cutset as cutsetmod
 from resha.cutset import (
     CutSet,
     CutSetError,
@@ -935,3 +936,55 @@ def test_gate_order_is_children_first(rps_tree, auto_tree, full_tree):
                 if child in ft.gates:
                     assert position[child] < position[gate_id]
         assert list(order) == naive_post_order(ft)
+
+
+_SHARED = tuple(f"S{i}" for i in range(1, 10))  # nine events, wider than a probed row
+
+
+@pytest.mark.parametrize(("gates", "expected"), [
+    # The wide row's shared part holds the other child's row, which absorbs it.
+    ({"TOP": Gate("TOP", GateKind.OR, ("W", "N")), "W": Gate("W", GateKind.AND, _SHARED),
+      "N": Gate("N", GateKind.AND, _SHARED + ("P1",))},
+     [set(_SHARED)]),
+    # The row of N is absorbed by that of T, but T's row is no subset of W's shared part.
+    ({"TOP": Gate("TOP", GateKind.OR, ("W", "N", "T")),
+      "W": Gate("W", GateKind.AND, _SHARED + ("P1",)), "N": Gate("N", GateKind.AND, _SHARED + ("Q1",)),
+      "T": Gate("T", GateKind.AND, ("S1", "Q1"))},
+     [{"S1", "Q1"}, set(_SHARED) | {"P1"}]),
+], ids=["absorbed", "kept"])
+def test_or_absorbs_rows_whose_shared_part_is_wider_than_a_probe(gates, expected):
+    """An OR whose children share more than ``_PROBE_BITS`` events scans its absorbers."""
+    events = {c for g in gates.values() for c in g.children if c not in gates}
+    ft = tree("TOP", gates, sorted(events))
+    for order in (None, 2, 10):
+        solved = {c.events for c in solve_minimal_cut_sets(ft, order).cut_sets}
+        assert solved == {c.events for c in brute_force_cut_sets(ft).cut_sets if order is None or c.order <= order}
+    assert sorted(map(sorted, solved)) == sorted(map(sorted, expected))
+
+
+def test_copy_needs_a_representative_of_the_same_kind_k_and_arity(monkeypatch):
+    """With every gate given one shape, each gate nominates every earlier one;
+    the parallel walk must refuse those whose gates differ."""
+    supports_and_bounds, match = cutsetmod._supports_and_bounds, cutsetmod._match
+    refused = 0
+
+    def one_shape(ft, index_of):
+        supp, shared, lo, shapes = supports_and_bounds(ft, index_of)
+        return supp, shared, lo, dict.fromkeys(shapes, 0)
+
+    def counted_match(gates, gate_id, rep, index_of):
+        nonlocal refused
+        copy = match(gates, gate_id, rep, index_of)
+        refused += copy is None
+        return copy
+
+    monkeypatch.setattr(cutsetmod, "_supports_and_bounds", one_shape)
+    monkeypatch.setattr(cutsetmod, "_match", counted_match)
+    rng = random.Random(20260810)
+    for _ in range(300):
+        ft = random_coherent_tree(rng)
+        oracle = {c.events for c in brute_force_cut_sets(ft).cut_sets}
+        for order in (None, 2):
+            solved = {c.events for c in solve_minimal_cut_sets(ft, order).cut_sets}
+            assert solved == {s for s in oracle if order is None or len(s) <= order}
+    assert refused

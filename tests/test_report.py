@@ -106,7 +106,8 @@ def test_guidance_bank_prompts_must_be_a_list_of_texts():
     ({"guidance_bank_version": 1, "entries": {"event_kind": "SW_UCA"}},
      r"^guidance bank entries must be a list, got \{'event_kind': 'SW_UCA'\}$"),
     (bank_with({"event_kind": 5}), r"^guidance bank entries\[1\]\.event_kind must be a text, got 5$"),
-], ids=["entries not a list", "event_kind not a text"])
+    ({"guidance_bank_version": 2, "entries": []}, r"^expected guidance_bank_version 1$"),
+], ids=["entries not a list", "event_kind not a text", "another version"])
 def test_guidance_bank_rejects_malformed_values(doc, message):
     with pytest.raises(GuidanceBankError, match=message):
         GuidanceBank.from_document(doc)

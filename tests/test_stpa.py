@@ -119,10 +119,18 @@ def test_no_control_links_is_error():
         build_layered_control_structure(model)
 
 
+def test_control_links_without_control_actions_is_error():
+    doc = small_doc()
+    doc["control_actions"] = []
+    model = parse_system_model(doc)
+    with pytest.raises(StpaError, match="declares no control actions"):
+        build_layered_control_structure(model)
+
+
 def test_four_slots_per_action():
     model = parse_system_model(small_doc(divisions=("A", "B")))
     cs = build_layered_control_structure(model)
-    records = enumerate_ucas(cs, model.hazards)
+    records = enumerate_ucas(cs)
     assert len(records) == 4 * len(cs.actions)
     applicable = [r for r in records if r.applicable]
     not_applicable = [r for r in records if not r.applicable]
@@ -134,10 +142,21 @@ def test_four_slots_per_action():
 def test_discrete_action_case_d_not_applicable():
     model = parse_system_model(small_doc())
     cs = build_layered_control_structure(model)
-    records = enumerate_ucas(cs, model.hazards)
+    records = enumerate_ucas(cs)
     case_d = [r for r in records if r.category is UcaCategory.WRONG_DURATION]
     assert all(not r.applicable for r in case_d)
     assert all(r.text == "Not applicable." for r in case_d)
+
+
+def test_discrete_action_without_justification_gets_the_default_for_d():
+    doc = small_doc(units_per_division=0)
+    del doc["control_actions"][0]["not_applicable"]
+    records = enumerate_ucas(build_layered_control_structure(parse_system_model(doc)))
+    (case_d,) = [r for r in records if r.category is UcaCategory.WRONG_DURATION]
+    assert not case_d.applicable and case_d.hazards == ()
+    assert case_d.justification == (
+        "Not a continuous control action; duration-based unsafe behavior does not arise."
+    )
 
 
 def test_continuous_action_all_categories_applicable():
@@ -148,7 +167,7 @@ def test_continuous_action_all_categories_applicable():
     doc["control_actions"][0]["contexts"]["duration"] = "while the action is demanded"
     model = parse_system_model(doc)
     cs = build_layered_control_structure(model)
-    records = enumerate_ucas(cs, model.hazards)
+    records = enumerate_ucas(cs)
     by_cat = {r.category: r for r in records if r.ca_id == "CA1"}
     assert all(r.applicable for r in by_cat.values())
 
@@ -184,8 +203,8 @@ def test_rendering_injective(rts_ucas):
 def test_enumeration_deterministic(rts_model):
     cs1 = build_layered_control_structure(rts_model)
     cs2 = build_layered_control_structure(rts_model)
-    r1 = enumerate_ucas(cs1, rts_model.hazards)
-    r2 = enumerate_ucas(cs2, rts_model.hazards)
+    r1 = enumerate_ucas(cs1)
+    r2 = enumerate_ucas(cs2)
     assert [(r.uca_id, r.text) for r in r1] == [(r.uca_id, r.text) for r in r2]
 
 
@@ -244,7 +263,7 @@ def test_rts_split_simplification_arithmetic(rts_model, rts_cs):
 def test_rts_unsplit_total_includes_bp_expansion(rts_model, rts_cs):
     unsplit = sum(4 * _destinations(rts_model, a) for a in rts_cs.actions)
     assert unsplit - len(
-        enumerate_ucas(rts_cs, rts_model.hazards)
+        enumerate_ucas(rts_cs)
     ) == (512 - 128) + 3 * 4 * 3  # BP fan-out plus MCR/RSR/DPS three-way splits
 
 

@@ -417,7 +417,7 @@ _PIN_DOC = {
     "control_actions": [
         {"source": "A01.00.00", "target": "A00.00.01", "verb": "starts", "source_label": "U",
          "action_phrase": "start", "contexts": {"needed": "on demand"},
-         "hazards": {"a": ["H1"]}, "not_applicable": {"d": "not continuous"}},
+         "hazards": {"a": ["H1"], "b": ["H1"], "c": ["H1"]}, "not_applicable": {"d": "not continuous"}},
     ],
     "gates": [
         {"id": "TOP", "kind": "or", "children": [{"fail": "A00.00.01"}, {"gate": "G-A"}]},
@@ -442,6 +442,8 @@ _ONE_FAULT_ISSUES = [
     (("equipment_classes", 1, "tag"), "pump", "equipment_classes[1]: duplicate equipment class 'pump'"),
     (("equipment_classes", 0, "prefix"), [1], "equipment_classes[0].prefix: must be a string"),
     (("equipment_classes", 0, "size"), 1, "equipment_classes[0].size: unknown field"),
+    (("equipment_classes", 1, "prefix"), "PMP",
+     "equipment_classes[1].prefix: prefix 'PMP' is already used by class 'pump'"),
     (("nodes", 3, "id"), "garbage", f"nodes[3].id: malformed node id 'garbage': {_MALFORMED}"),
     (("nodes", 3, "id"), 5, "nodes[3].id: node id must be a string, got int"),
     (("nodes", 3, "id"), _DELETE, f"nodes[3].id: malformed node id '': {_MALFORMED}"),
@@ -487,6 +489,8 @@ _ONE_FAULT_ISSUES = [
     (("control_actions", 0, "hazards", "e"), [], "control_actions[0].hazards.e: unknown category"),
     (("control_actions", 0, "hazards", "a"), "H1", "control_actions[0].hazards.a: must be an array"),
     (("control_actions", 0, "hazards", "a"), ["H9"], "control_actions[0].hazards.a: unknown hazard 'H9'"),
+    (("control_actions", 0, "hazards", "a"), _DELETE,
+     "control_actions[0].hazards.a: category is applicable but links no hazards"),
     (("control_actions", 0, "not_applicable"), [], "control_actions[0].not_applicable: must be an object"),
     (("control_actions", 0, "not_applicable", "e"), "x",
      "control_actions[0].not_applicable.e: unknown category"),
@@ -532,6 +536,14 @@ _ONE_FAULT_ISSUES = [
 
 def test_pin_document_parses():
     assert list(parse_system_model(_PIN_DOC).resolved_gates) == ["TOP", "G-A", "G-B", "V"]
+
+
+def test_document_that_is_not_an_object(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("[]", encoding="utf-8")
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(path)
+    assert [str(i) for i in exc.value.issues] == ["$: document must be a JSON object"]
 
 
 @pytest.mark.parametrize(("path", "value", "issue"), _ONE_FAULT_ISSUES,
@@ -645,7 +657,8 @@ def test_canonical_document_with_every_optional_field_absent():
         "links": [{"source": "A01.00.00", "target": "A01.01.00", "type": "control"}],
         "losses": [{"id": "L1"}],
         "hazards": [{"id": "H1", "losses": ["L1"]}],
-        "control_actions": [{"source": "A01.00.00", "target": "A01.01.00"}],
+        "control_actions": [{"source": "A01.00.00", "target": "A01.01.00",
+                             "hazards": {"a": ["H1"], "b": ["H1"], "c": ["H1"]}}],
         "gates": [{"id": "TOP", "kind": "and", "children": [{"fail": "A01.01.00"}]}],
     }
     assert parse_system_model(doc).to_document() == {
@@ -661,7 +674,8 @@ def test_canonical_document_with_every_optional_field_absent():
         "hazards": [{"id": "H1", "description": "", "losses": ["L1"]}],
         "control_actions": [
             {"source": "A01.00.00", "target": "A01.01.00", "verb": "", "source_label": "A01.00.00",
-             "action_phrase": "", "continuous": False, "split": False, "contexts": {}, "hazards": {}},
+             "action_phrase": "", "continuous": False, "split": False, "contexts": {},
+             "hazards": {"a": ["H1"], "b": ["H1"], "c": ["H1"]}},
         ],
         "gates": [{"id": "TOP", "kind": "and", "children": [{"fail": "A01.01.00"}]}],
         "ccf_policy": {"include_intra_division": True, "include_cross_all_divisions": True,

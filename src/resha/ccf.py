@@ -9,18 +9,14 @@ one event per enabled category.
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import logging
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .faulttree import BasicEvent, EventKind, FaultTree, Gate, ccf_event_id, hw_gate_id
-from .sysmodel import CcfPolicy, GroupScope, NodeId, RedundancyGroup
+from .sysmodel import CcfPolicy, GroupScope, NodeId, RedundancyGroup, _csv_text
 
 logger = logging.getLogger(__name__)
-
-_CATEGORY_WORD = {"a": "type A", "b": "type B", "c": "type C", "d": "type D"}
 
 
 class CcfEvent(NamedTuple):
@@ -64,7 +60,7 @@ def _ccf_event(group: RedundancyGroup, subset: tuple[str, ...] | None = None,
     if category is None:
         kind, what = EventKind.HW_CCF, "hardware CCF"
     else:
-        kind, what = EventKind.SW_CCF, f"software CCF {_CATEGORY_WORD[category]}"
+        kind, what = EventKind.SW_CCF, f"software CCF type {category.upper()}"
     return CcfEvent(
         name=ccf_event_id(group.prefix, hardware=category is None, division=division,
                           division_subset=subset, category=category),
@@ -201,11 +197,9 @@ def inject_ccfs(
 
 
 def catalog_to_csv(catalog: Iterable[CcfEvent]) -> str:
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["name", "class", "scope", "kind", "category", "members"])
-    for event in catalog:
-        writer.writerow(
+    return _csv_text(
+        ["name", "class", "scope", "kind", "category", "members"],
+        (
             [
                 event.name,
                 event.class_tag,
@@ -214,5 +208,6 @@ def catalog_to_csv(catalog: Iterable[CcfEvent]) -> str:
                 event.category or "",
                 " ".join(m.text for m in event.members),
             ]
-        )
-    return buf.getvalue()
+            for event in catalog
+        ),
+    )

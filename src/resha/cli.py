@@ -130,7 +130,7 @@ def _parse_categories(text: str) -> tuple[str, ...]:
     for token in categories:
         if token not in UCA_CATEGORIES:
             raise argparse.ArgumentTypeError(
-                f"unknown UCA category {token!r}; use a comma-separated subset of a,b,c,d"
+                f"unknown UCA category {token!r}; use a comma-separated subset of {','.join(UCA_CATEGORIES)}"
             )
     return categories
 

@@ -68,8 +68,6 @@ points), ``evaluate_structure_function`` (one assignment) and
 
 from __future__ import annotations
 
-import csv
-import io
 import itertools
 import random
 from types import MappingProxyType
@@ -85,7 +83,7 @@ from .faulttree import (
     _reachable_tree,
     to_exchange_json,
 )
-from .sysmodel import NodeId
+from .sysmodel import NodeId, _csv_text
 
 DEFAULT_SET_BUDGET = 5_000_000
 DEFAULT_BRUTE_FORCE_LIMIT = 20
@@ -178,12 +176,9 @@ class CutSetCollection(NamedTuple):
         return tuple(c for c in self.cut_sets if c.order == order)
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(["order", "events", "contains_ccf"])
-        for cs in self.cut_sets:
-            writer.writerow([cs.order, " ".join(cs.sorted_events()), "yes" if cs.contains_ccf else "no"])
-        return buf.getvalue()
+        rows = ([cs.order, " ".join(cs.sorted_events()), "yes" if cs.contains_ccf else "no"]
+                for cs in self.cut_sets)
+        return _csv_text(["order", "events", "contains_ccf"], rows)
 
 
 def _collect(ft: FaultTree, masks: Iterable[int], index_to_id: Sequence[str],

@@ -9,8 +9,6 @@ identical inputs produce identical bytes.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from importlib import resources
 from typing import Any, Mapping, NamedTuple, Sequence
@@ -24,7 +22,7 @@ from .faulttree import (
     HARDWARE_KINDS,
 )
 from .stpa import ControlStructure, UcaRecord, _one_line, _table_row, identified_uca_count
-from .sysmodel import SystemModel, _shown
+from .sysmodel import SystemModel, _csv_text, _shown
 
 GUIDANCE_BANK_VERSION = 1
 
@@ -350,11 +348,8 @@ def _spof_section(report: SpofReport, descriptions: Mapping[str, str]) -> list[s
 
 def spof_table_to_csv(report: SpofReport, descriptions: Mapping[str, str]) -> str:
     """CSV of the SPOF table: number, cut set, description."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["number", "cut_set", "description"])
-    for i, cut in enumerate(report.spofs, start=1):
-        writer.writerow(
-            [i, " ".join(cut.sorted_events()), _describe_cut(cut, descriptions)]
-        )
-    return buf.getvalue()
+    return _csv_text(
+        ["number", "cut_set", "description"],
+        ([i, " ".join(cut.sorted_events()), _describe_cut(cut, descriptions)]
+         for i, cut in enumerate(report.spofs, start=1)),
+    )

@@ -8,8 +8,6 @@ wrong timing (c), and wrong duration (d, continuous actions only).
 
 from __future__ import annotations
 
-import csv
-import io
 import re
 from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
@@ -22,6 +20,7 @@ from .sysmodel import (
     SystemModel,
     Technology,
     UCA_CATEGORIES,
+    _csv_text,
 )
 
 
@@ -34,14 +33,6 @@ class UcaCategory(str, Enum):
     PROVIDED_UNNEEDED = "b"
     WRONG_TIMING = "c"
     WRONG_DURATION = "d"
-
-
-_CATEGORY_CONTEXT_KEY = {
-    UcaCategory.NOT_PROVIDED: "needed",
-    UcaCategory.PROVIDED_UNNEEDED: "unneeded",
-    UcaCategory.WRONG_TIMING: "timing",
-    UcaCategory.WRONG_DURATION: "duration",
-}
 
 
 class TopEventKind(str, Enum):
@@ -171,7 +162,7 @@ def build_layered_control_structure(m: SystemModel) -> ControlStructure:
 
 def _render(ca: ControlAction, category: UcaCategory, hazards: Sequence[str]) -> str:
     spec = ca.spec
-    context = spec.contexts.get(_CATEGORY_CONTEXT_KEY[category]) or ""
+    context = spec.contexts.get(UCA_CATEGORIES[category.value]) or ""
     hazard_part = f" [{', '.join(hazards)}]" if hazards else ""
     if category is UcaCategory.NOT_PROVIDED:
         body = f"{spec.source_label} does not provide {spec.action_phrase} {context}"
@@ -239,11 +230,9 @@ def identified_uca_count(records: Sequence[UcaRecord]) -> int:
 
 def uca_table_to_csv(records: Sequence[UcaRecord]) -> str:
     """CSV export with one row per UCA slot."""
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["ca_id", "uca_id", "category", "applicable", "text", "hazards", "justification"])
-    for r in records:
-        writer.writerow(
+    return _csv_text(
+        ["ca_id", "uca_id", "category", "applicable", "text", "hazards", "justification"],
+        (
             [
                 r.ca_id,
                 r.uca_id,
@@ -253,8 +242,9 @@ def uca_table_to_csv(records: Sequence[UcaRecord]) -> str:
                 " ".join(r.hazards),
                 r.justification or "",
             ]
-        )
-    return buf.getvalue()
+            for r in records
+        ),
+    )
 
 
 def _one_line(text: str) -> str:

@@ -9,7 +9,9 @@ component fields.
 
 from __future__ import annotations
 
+import csv
 import hashlib
+import io
 import json
 import re
 import reprlib
@@ -25,7 +27,8 @@ MODEL_VERSION = 1
 
 _NODE_ID_RE = re.compile(r"([A-Z][A-Z0-9]?)(\d{2})\.(\d{2})\.(\d{2})")
 
-UCA_CATEGORIES = ("a", "b", "c", "d")
+# Each UCA category letter, and the ``contexts`` key of the phrase that renders it.
+UCA_CATEGORIES = {"a": "needed", "b": "unneeded", "c": "timing", "d": "duration"}
 
 
 class ModelError(Exception):
@@ -377,6 +380,15 @@ def _shown_name(name: Any) -> str:
     return text if len(text) <= _SHOWN_LIMIT else _shown(name)
 
 
+def _csv_text(header: Iterable[Any], rows: Iterable[Iterable[Any]]) -> str:
+    """The CSV text of every artifact table: ``header``, then ``rows``, each ended by LF."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
 class _Invalid(Exception):
     """A value that a text, flag or layer reader refuses; the field keeps its default."""
 
@@ -448,7 +460,7 @@ _ACTION_FIELDS = {
     "split": (_flag, False),
     "layer": (_layer, None),
 }
-_CONTEXT_FIELDS = {key: (_text, None) for key in ("duration", "needed", "timing", "unneeded")}
+_CONTEXT_FIELDS = {key: (_text, None) for key in sorted(UCA_CATEGORIES.values())}
 _CATEGORY_TEXTS = {category: (_text, None) for category in UCA_CATEGORIES}
 _GATE_FIELDS = {
     "kind": (_enum("gate kind", GateKind), _REQUIRED),
@@ -996,8 +1008,11 @@ def _parse_policy(raw: Any, issues: list[ModelIssue]) -> CcfPolicy:
     if _object(raw, "ccf_policy", CcfPolicy._fields, issues) is None:
         return CcfPolicy()
     categories = raw.get("software_categories", list(CcfPolicy._field_defaults["software_categories"]))
-    if not isinstance(categories, list) or any(c not in UCA_CATEGORIES for c in categories):
-        issues.append(ModelIssue("ccf_policy.software_categories", "categories must be from a/b/c/d"))
+    # Only strings are looked up in the category table; a list or an object there would raise.
+    strings = isinstance(categories, list) and all(isinstance(c, str) for c in categories)
+    if not strings or any(c not in UCA_CATEGORIES for c in categories):
+        message = f"categories must be from {'/'.join(UCA_CATEGORIES)}"
+        issues.append(ModelIssue("ccf_policy.software_categories", message))
         categories = CcfPolicy._field_defaults["software_categories"]
     flags = _read(raw, _POLICY_FLAGS, "ccf_policy", issues)
     policy = CcfPolicy(**flags, software_categories=tuple(categories))

@@ -13,8 +13,8 @@ import itertools
 import logging
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .faulttree import BasicEvent, EventKind, FaultTree, Gate, ccf_event_id, hw_gate_id
-from .sysmodel import CcfPolicy, GroupScope, NodeId, RedundancyGroup, _csv_text
+from .faulttree import BasicEvent, EventKind, FaultTree, FaultTreeError, Gate, ccf_event_id, hw_gate_id
+from .sysmodel import CcfPolicy, GroupScope, NodeId, RedundancyGroup, _csv_text, _shown
 
 logger = logging.getLogger(__name__)
 
@@ -93,16 +93,25 @@ def _covers_own_span(group: RedundancyGroup, policy: CcfPolicy) -> bool:
 
 
 def _candidates(groups: Sequence[RedundancyGroup], policy: CcfPolicy) -> Iterator[CcfEvent]:
-    """Every CCF event the policy instantiates, group by group."""
+    """Every CCF event the policy instantiates, group by group.
+
+    Division tags are joined without a separator, so two spans can build one
+    name (the subsets A, BC and AB, C both give ``DIVABC``); that raises
+    ``FaultTreeError`` rather than merging two events into one.
+    """
+    names: set[str] = set()
     for group in groups:
         spans: list[tuple[str, ...] | None] = [None] if _covers_own_span(group, policy) else []
         if group.scope is GroupScope.CROSS_DIVISION and policy.include_partial_interdivision:
             spans += _partial_subsets(group)
+        categories = policy.software_categories if group.software_capable else ()
         for subset in spans:
-            yield _ccf_event(group, subset)
-            if group.software_capable:
-                for category in policy.software_categories:
-                    yield _ccf_event(group, subset, category)
+            for category in (None, *categories):
+                event = _ccf_event(group, subset, category)
+                if event.name in names:
+                    raise FaultTreeError(f"two CCF events are named {_shown(event.name)}")
+                names.add(event.name)
+                yield event
 
 
 def enumerate_ccf_catalog(

@@ -636,11 +636,18 @@ def _parse_classes(raw: Any, issues: list[ModelIssue]) -> dict[str, EquipmentCla
             continue
         fields = {"prefix": (_text, tag.upper()), "display": (_text, tag)}  # defaults from the tag
         classes[tag] = EquipmentClass(tag, **_read(entry, fields, where, issues))
-        # Event names are built from the prefix, so two classes sharing one would share events.
-        holder = holders.setdefault(classes[tag].prefix, tag)
+        prefix = classes[tag].prefix
+        # Every event name is ``<prefix>-<rest>``, where ``<rest>`` starts with HD-, SF-, HF- or
+        # DIV. So two classes build one name only when their prefixes are equal, or when one
+        # is the other followed by ``-DIV``: there the other puts its division tags.
+        holder = holders.setdefault(prefix, tag)
         if holder != tag:
-            message = f"prefix {_shown(classes[tag].prefix)} is already used by class {_shown(holder)}"
+            message = f"prefix {_shown(prefix)} is already used by class {_shown(holder)}"
             issues.append(ModelIssue(f"{where}.prefix", message))
+        for other, other_tag in holders.items():
+            if prefix.startswith(f"{other}-DIV") or other.startswith(f"{prefix}-DIV"):
+                message = f"prefix {_shown(prefix)} can build the CCF names of class {_shown(other_tag)}"
+                issues.append(ModelIssue(f"{where}.prefix", f"{message} (prefix {_shown(other)})"))
     return classes
 
 

@@ -10,6 +10,7 @@ from resha.cutset import evaluate_structure_function, solve_minimal_cut_sets
 from resha.faulttree import (
     CCF_KINDS,
     EventKind,
+    FaultTreeError,
     build_hardware_fault_tree,
     from_exchange_json,
     hw_gate_id,
@@ -19,7 +20,7 @@ from resha.faulttree import (
 )
 from resha.fixtures import TOP_AUTOMATIC, TOP_FULL, TOP_RPS
 from resha.stpa import TopEventKind, select_ucas_for_top_event
-from resha.sysmodel import CcfPolicy, GroupScope
+from resha.sysmodel import CcfPolicy, GroupScope, RedundancyGroup, parse_node_id
 
 CROSS_UV_PATH_HW = {
     "SP-HD-CCF",
@@ -135,6 +136,14 @@ def test_partial_interdivision_combinations_optional(rts_groups):
     # Pairs and triples of four divisions, never the full span.
     assert any("DIVAB-" in name for name in extra)
     assert not any("DIVABCD-" in name for name in extra)
+
+
+def test_partial_subsets_that_build_one_name_raise():
+    """Division tags join without a separator: the subsets A, BC and AB, C are both DIVABC."""
+    members = tuple(parse_node_id(f"{d}00.00.01") for d in ("A", "AB", "BC", "C"))
+    group = RedundancyGroup("pump", "PMP", "Pump", GroupScope.CROSS_DIVISION, members)
+    with pytest.raises(FaultTreeError, match="two CCF events are named 'PMP-DIVABC-HD-CCF'"):
+        enumerate_ccf_catalog([group], CcfPolicy(include_partial_interdivision=True))
 
 
 def test_analog_group_software_skipped_with_warning(rts_model, rts_groups, rps_tree, caplog):

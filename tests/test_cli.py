@@ -830,12 +830,17 @@ def test_gate_reference_fault_exit_1(child, key, tmp_path, capsys):
         # Two classes with one prefix would share their CCF event names.
         (("equipment_classes", 1, "prefix"), "LC-BP",
          "equipment_classes[1].prefix: prefix 'LC-BP' is already used by class 'lc-bistable-processor'"),
+        # LC-BP's division-A CCFs are named LC-BP-DIVA-HD-CCF and LC-BP-DIVA-SF-CCF-T*,
+        # the names of a class LC-BP-DIVA's cross-division CCFs.
+        (("equipment_classes", 1, "prefix"), "LC-BP-DIVA",
+         "equipment_classes[1].prefix: prefix 'LC-BP-DIVA' can build the CCF names of class "
+         "'lc-bistable-processor' (prefix 'LC-BP')"),
         # CA2a (the manual trip not provided) is applicable.
         (("control_actions", 1, "hazards", "a"), _DELETE,
          "control_actions[1].hazards.a: category is applicable but links no hazards"),
     ],
     ids=["child-unknown-key", "gate-unknown-key", "renamed-template", "deleted-division",
-         "shared-class-prefix", "applicable-category-without-hazard"],
+         "shared-class-prefix", "division-extended-class-prefix", "applicable-category-without-hazard"],
 )
 def test_one_model_fault_one_line(path, value, line, tmp_path, capsys):
     doc = build_rts_document()

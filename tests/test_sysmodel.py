@@ -444,6 +444,8 @@ _ONE_FAULT_ISSUES = [
     (("equipment_classes", 0, "size"), 1, "equipment_classes[0].size: unknown field"),
     (("equipment_classes", 1, "prefix"), "PMP",
      "equipment_classes[1].prefix: prefix 'PMP' is already used by class 'pump'"),
+    (("equipment_classes", 1, "prefix"), "PMP-DIVA",
+     "equipment_classes[1].prefix: prefix 'PMP-DIVA' can build the CCF names of class 'pump' (prefix 'PMP')"),
     (("nodes", 3, "id"), "garbage", f"nodes[3].id: malformed node id 'garbage': {_MALFORMED}"),
     (("nodes", 3, "id"), 5, "nodes[3].id: node id must be a string, got int"),
     (("nodes", 3, "id"), _DELETE, f"nodes[3].id: malformed node id '': {_MALFORMED}"),

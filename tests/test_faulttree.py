@@ -22,6 +22,7 @@ from resha.faulttree import (
     Gate,
     GateKind,
     HARDWARE_KINDS,
+    IntegrationError,
     build_hardware_fault_tree,
     extract_subtree,
     filter_events,
@@ -195,6 +196,18 @@ def test_integrate_adds_exactly_selected(rts_model, rts_selected):
 
 def test_integrate_empty_selection_is_identity(full_tree):
     assert integrate_ucas(full_tree, ()) is full_tree
+
+
+def test_integrate_rejects_an_inapplicable_uca(rts_model, rts_ucas):
+    record = next(u for u in rts_ucas if not u.applicable)
+    with pytest.raises(IntegrationError, match=f"^{record.uca_id} is not applicable; cannot integrate$"):
+        integrate_ucas(build_hardware_fault_tree(rts_model, TOP_FULL), [record])
+
+
+def test_integrate_rejects_one_uca_twice(rts_model, rts_selected):
+    record = next(u for u in rts_selected if u.uca_id == "UCA18a")
+    with pytest.raises(IntegrationError, match="^duplicate UCA event id LC-DOM-SF-UCA18A$"):
+        integrate_ucas(build_hardware_fault_tree(rts_model, TOP_FULL), [record, record])
 
 
 def test_dom1_gains_uca18_events(rts_model, rts_selected):

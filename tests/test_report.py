@@ -77,6 +77,15 @@ def test_guidance_bank_fallback_for_unknown_class(rps_tree):
     assert entry.category1
 
 
+def test_empty_guidance_bank_gives_the_default_entry(rps_tree):
+    event = rps_tree.events["SNS-A-HD-A00.00.01"]
+    entry = GuidanceBank([]).lookup(event, None)
+    assert entry == GuidanceEntry(event_kind="HW_INDEP")
+    assert entry.category1[0] == "Physical failure of the controller itself."
+    assert entry.category2[0] == "Required feedback or input is not received by the controller."
+    assert entry.scenario == entry.guidance == ""
+
+
 def bank_with(entry):
     return {"guidance_bank_version": 1, "entries": [{"event_kind": "SW_UCA"}, entry]}
 

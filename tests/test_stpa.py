@@ -221,6 +221,17 @@ def test_markdown_four_column_layout(rts_cs, rts_ucas):
     assert "UCA18a" in text
 
 
+def test_markdown_cell_of_a_missing_category_is_empty():
+    cs = build_layered_control_structure(parse_system_model(small_doc()))
+    records = [r for r in enumerate_ucas(cs) if r.category is not UcaCategory.PROVIDED_UNNEEDED]
+    row = uca_table_to_markdown(cs, records).splitlines()[2]
+    assert row == (
+        "| CA1: Division A acts on the plant | UCA1a: Division A does not provide plant command during AOO [H1]. |  "
+        "| UCA1c: Division A provides plant command after AOO has existed for some time [H1]. "
+        "| UCA1d: Not applicable. |"
+    )
+
+
 def test_rts_layer1_holds_four_trip_paths(rts_cs):
     layer1 = rts_cs.layers[0]
     labels = sorted(a.spec.source_label for a in layer1.actions)

@@ -431,6 +431,22 @@ def test_filter_rewrites_vote_over_remaining():
     assert sets == {frozenset({"E1", "E2"})}
 
 
+@pytest.mark.parametrize(("fixture", "order", "total", "kept"),
+                         [("rps_tree", 3, 829, 509), ("auto_tree", 4, 3542, 1244)],
+                         ids=["RPS@3", "AUTO@4"])
+def test_filter_keeps_the_cut_sets_of_kept_kinds(fixture, order, total, kept, request):
+    """The other events fixed FALSE, the solve keeps exactly the cut sets whose
+    events all have kept kinds, at the same truncation: a relation that holds
+    where no oracle reaches."""
+    tree = request.getfixturevalue(fixture)
+    kinds = {EventKind.HW_INDEP, EventKind.HW_CCF, EventKind.SW_CCF}
+    every = solve_minimal_cut_sets(tree, order).cut_sets
+    expected = {c.events for c in every if all(tree.events[e].kind in kinds for e in c.events)}
+    filtered = solve_minimal_cut_sets(filter_events(tree, kinds), order).cut_sets
+    assert (len(every), len(expected)) == (total, kept)
+    assert {c.events for c in filtered} == expected
+
+
 def test_filter_commutes_with_extract_small_scope_via_oracle(full_tree):
     # ST-A-FAILS is small enough for exhaustive enumeration.
     scope = "ST-A-FAILS"

@@ -568,6 +568,14 @@ def test_one_fault_issue_text(path, value, issue):
     assert [str(i) for i in exc.value.issues] == [issue]
 
 
+def test_software_category_that_is_not_a_string():
+    doc = json.loads(json.dumps(_PIN_DOC))
+    doc["ccf_policy"]["software_categories"] = ["a", ["b"], {"c": 1}]
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(doc)
+    assert [str(i) for i in exc.value.issues] == ["ccf_policy.software_categories: categories must be from a/b/c/d"]
+
+
 def test_reference_model_fingerprint(rts_model):
     assert rts_model.fingerprint() == (
         "89fa09b75b4ecc91a6291f7121ffe13b9ada25a6b237a1dec634edf0fcd732a3")

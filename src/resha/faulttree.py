@@ -14,14 +14,8 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .stpa import UcaRecord
 from .sysmodel import (
-    GateKind,
-    NodeId,
-    NodeIdError,
-    SystemModel,
-    Technology,
-    _shown,
-    _shown_name,
-    parse_node_id,
+    _REQUIRED, GateKind, ModelIssue, NodeId, NodeIdError, SystemModel, Technology, _entries, _enum,
+    _integer, _node_ids, _object, _read, _shown, _shown_name, _text, _texts, parse_node_id,
 )
 
 
@@ -455,55 +449,20 @@ def to_exchange_json(ft: FaultTree) -> str:
     return json.dumps(doc, indent=2, sort_keys=False) + "\n"
 
 
-def _exchange_entries(doc: dict, key: str) -> list[dict]:
-    """The ``gates`` or ``events`` list of an exchange document, shape-checked."""
-    entries = doc.get(key, [])
-    if not isinstance(entries, list):
-        raise FaultTreeError(f"{key!r} must be a list of objects, got {_shown(entries)}")
-    for pos, entry in enumerate(entries):
-        if not isinstance(entry, dict):
-            raise FaultTreeError(f"{key}[{pos}] must be an object, got {_shown(entry)}")
-        for required in ("id", "kind"):
-            if required not in entry:
-                name = f" ({_shown(entry['id'])})" if "id" in entry else ""
-                raise FaultTreeError(f"{key}[{pos}]{name} is missing {required!r}")
-        if not isinstance(entry["id"], str):
-            raise FaultTreeError(f"{key}[{pos}]: 'id' must be a string, got {_shown(entry['id'])}")
-    return entries
-
-
-def _exchange_subjects(event: dict) -> tuple[NodeId, ...]:
-    """The ``subjects`` of an exchange-document event as node ids, shape-checked."""
-    subjects = event.get("subjects", [])
-    if not isinstance(subjects, list):
-        raise FaultTreeError(f"event {_shown(event['id'])}: 'subjects' must be a list of node ids")
-    try:
-        return tuple(parse_node_id(s) for s in subjects)
-    except NodeIdError as exc:
-        raise FaultTreeError(f"event {_shown(event['id'])}: 'subjects': {exc}") from None
-
-
-def _exchange_kind(entry: dict, what: str, kinds: type[GateKind] | type[EventKind]):
-    """The ``kind`` of an exchange-document entry as a member of ``kinds``."""
-    try:
-        return kinds(entry["kind"])
-    except (TypeError, ValueError):
-        allowed = ", ".join(repr(k.value) for k in kinds)
-        raise FaultTreeError(
-            f"{what} {_shown(entry['id'])}: 'kind' must be one of {allowed}, got {_shown(entry['kind'])}"
-        ) from None
-
-
-def _exchange_text(entry: dict, what: str, key: str) -> str | None:
-    """An optional string value of an exchange-document entry."""
-    value = entry.get(key)
-    if value is not None and not isinstance(value, str):
-        raise FaultTreeError(f"{what} {_shown(entry['id'])}: {key!r} must be a string, got {_shown(value)}")
-    return value
+# How each key of an exchange-document gate or event is read, in the record's field order.
+_EXCHANGE_RECORDS = {
+    "gates": (Gate, {"id": (_text, _REQUIRED), "kind": (_enum("gate kind", GateKind), _REQUIRED),
+                     "children": (_texts, ()), "k": (_integer, None), "description": (_text, None)}),
+    "events": (BasicEvent, {"id": (_text, _REQUIRED),
+                            "kind": (_enum("event kind", EventKind), _REQUIRED),
+                            "subjects": (_node_ids, ()), "description": (_text, ""),
+                            "category": (_text, None), "uca": (_text, None)}),
+}
 
 
 def from_exchange_json(data: str | bytes) -> FaultTree:
-    """Decode an exchange document; ``bytes`` must be UTF-8."""
+    """Decode an exchange document; ``bytes`` must be UTF-8. It is read like a model
+    (``sysmodel._read``), and the first issue found is raised, located at its path."""
     try:
         doc = json.loads(data.decode("utf-8") if isinstance(data, bytes) else data)
     # Not UTF-8, not JSON, an integer too long to convert, or nesting too deep to decode.
@@ -511,34 +470,22 @@ def from_exchange_json(data: str | bytes) -> FaultTree:
         raise FaultTreeError(f"exchange document is not JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise FaultTreeError("exchange document must be a JSON object")
-    if "top" not in doc:
-        raise FaultTreeError("exchange document is missing 'top'")
-    if not isinstance(doc["top"], str):
-        raise FaultTreeError(f"exchange document 'top' must be a string, got {_shown(doc['top'])}")
-    gates = {}
-    for g in _exchange_entries(doc, "gates"):
-        children = g.get("children", [])
-        if not isinstance(children, list) or not all(isinstance(c, str) for c in children):
-            raise FaultTreeError(f"gate {_shown(g['id'])}: children must be a list of ids")
-        k = g.get("k")
-        if k is not None and type(k) is not int:
-            raise FaultTreeError(f"gate {_shown(g['id'])}: k must be an integer, got {_shown(k)}")
-        gates[g["id"]] = Gate(
-            id=g["id"],
-            kind=_exchange_kind(g, "gate", GateKind),
-            children=tuple(children),
-            k=k,
-            description=_exchange_text(g, "gate", "description"),
-        )
-    events = {}
-    for e in _exchange_entries(doc, "events"):
-        events[e["id"]] = BasicEvent(
-            id=e["id"],
-            kind=_exchange_kind(e, "event", EventKind),
-            subjects=_exchange_subjects(e),
-            description=_exchange_text(e, "event", "description") or "",
-            category=_exchange_text(e, "event", "category"),
-            uca_id=_exchange_text(e, "event", "uca"),
-        )
-    return FaultTree(top=doc["top"], gates=gates, events=events)
+    issues: list[ModelIssue] = []
+    _object(doc, "", ("top", *_EXCHANGE_RECORDS), issues)
+    top = _read(doc, {"top": (_text, _REQUIRED)}, "", issues)["top"]
+    declared: dict[str, str] = {}  # id -> path of the entry that declares it
+    records: dict[str, dict] = {}
+    for name, (record, fields) in _EXCHANGE_RECORDS.items():
+        records[name] = {}
+        for where, entry in _entries(doc.get(name, []), name, fields, issues):
+            values = _read(entry, fields, where, issues)
+            if values is not None and declared.setdefault(values["id"], where) != where:
+                message = f"id {_shown(values['id'])} is already declared at {declared[values['id']]}"
+                issues.append(ModelIssue(f"{where}.id", message))
+            if issues:
+                break
+            records[name][values["id"]] = record(*values.values())
+    if issues:
+        raise FaultTreeError(str(issues[0]))
+    return FaultTree(top=top, **records)
 

@@ -415,8 +415,26 @@ def _layer(value: Any) -> int:
     return value
 
 
+def _integer(value: Any) -> int:
+    if type(value) is not int:
+        raise _Invalid("must be an integer")
+    return value
+
+
+def _texts(value: Any) -> tuple[str, ...]:
+    if not isinstance(value, list) or not all(isinstance(item, str) for item in value):
+        raise _Invalid("must be an array of strings")
+    return tuple(value)
+
+
 def _node_id(value: Any) -> NodeId:
     return parse_node_id("" if value is None else value)  # an absent id is the empty text
+
+
+def _node_ids(value: Any) -> tuple[NodeId, ...]:
+    if not isinstance(value, list):
+        raise _Invalid("must be an array of node ids")
+    return tuple(map(parse_node_id, value))
 
 
 def _enum(label: str, choices: Iterable[Any]) -> Callable[[Any], Any]:
@@ -427,7 +445,8 @@ def _enum(label: str, choices: Iterable[Any]) -> Callable[[Any], Any]:
         try:
             return by_text[value]
         except (KeyError, TypeError):  # an array or an object is unhashable
-            raise _Unknown(f"unknown {label} {_shown(value)}") from None
+            message = f"missing {label}" if value is None else f"unknown {label} {_shown(value)}"
+            raise _Unknown(message) from None
 
     return read
 
@@ -497,12 +516,17 @@ def _read(
         try:
             values[key] = read(value)
         except _Invalid as exc:
-            issues.append(ModelIssue(f"{where}.{key}", str(exc)))
+            issues.append(ModelIssue(_at(where, key), str(exc)))
             values[key] = default
         except (_Unknown, NodeIdError) as exc:
-            issues.append(ModelIssue(where if key in _ENDS else f"{where}.{key}", str(exc)))
+            issues.append(ModelIssue(where if key in _ENDS else _at(where, key), str(exc)))
             return None
     return values
+
+
+def _at(where: str, key: str) -> str:
+    """The path of ``key`` in the object at ``where``; ``""`` is the document itself."""
+    return f"{where}.{key}" if where else key
 
 
 def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
@@ -525,13 +549,11 @@ def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
         except (ValueError, RecursionError) as exc:
             raise ModelValidationError([ModelIssue(str(path), f"cannot decode: {exc}")]) from None
 
-    issues: list[ModelIssue] = []
     if not isinstance(doc, Mapping):
         raise ModelValidationError([ModelIssue("$", "document must be a JSON object")])
 
-    for key in doc:
-        if key not in _TOP_LEVEL_KEYS:
-            issues.append(ModelIssue(_shown_name(key), "unknown field"))
+    issues: list[ModelIssue] = []
+    _object(doc, "", _TOP_LEVEL_KEYS, issues)
     version = doc.get("resha_model_version")
     if version != MODEL_VERSION:
         issues.append(
@@ -582,13 +604,14 @@ def _object(
     raw: Any, where: str, keys: Iterable[str], issues: list[ModelIssue], unknown: str = "unknown field"
 ) -> Mapping[str, Any] | None:
     """``raw`` if it is an object, each key outside ``keys`` reported as
-    ``unknown``; otherwise one issue and None."""
+    ``unknown``; otherwise one issue and None. ``where`` is ``""`` for the
+    document itself."""
     if not isinstance(raw, Mapping):
         issues.append(ModelIssue(where, "must be an object"))
         return None
     for key in raw:
         if key not in keys:
-            issues.append(ModelIssue(f"{where}.{_shown_name(key)}", unknown))
+            issues.append(ModelIssue(_at(where, _shown_name(key)), unknown))
     return raw
 
 

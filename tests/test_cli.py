@@ -656,51 +656,68 @@ def test_exchange_bytes_must_be_utf8(auto_tree):
     [
         ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": "AB"}],
           "events": [{"id": "A", "kind": "HW_INDEP"}, {"id": "B", "kind": "HW_INDEP"}]},
-         "children must be a list"),
+         "gates[0].children: must be an array of strings"),
         ([{"top": "A"}], "must be a JSON object"),
         ({"top": "G", "gates": [{"id": "G", "kind": "vote", "k": "2", "children": ["A", "B"]}],
           "events": [{"id": "A", "kind": "HW_INDEP"}, {"id": "B", "kind": "HW_INDEP"}]},
-         "k must be an integer"),
-        ({"top": "A", "gates": 5}, "'gates' must be a list"),
-        ({"top": "A", "events": 7}, "'events' must be a list"),
-        ({"top": "A", "gates": [5]}, "gates[0] must be an object"),
+         "gates[0].k: must be an integer"),
+        ({"top": "A", "gates": 5}, "gates: must be an array"),
+        ({"top": "A", "events": 7}, "events: must be an array"),
+        ({"top": "A", "gates": [5]}, "gates[0]: must be an object"),
         ({"top": "G", "gates": [{"id": "G", "children": ["A"]}],
-          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gates[0] ('G') is missing 'kind'"),
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gates[0].kind: missing gate kind"),
         ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
-          "events": [{"id": "A"}]}, "events[0] ('A') is missing 'kind'"),
-        ({"gates": []}, "missing 'top'"),
+          "events": [{"id": "A"}]}, "events[0].kind: missing event kind"),
+        ({"gates": []}, "top: must be a string"),
         ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
           "events": [{"id": "A", "kind": "HW_INDEP", "subjects": 5}]},
-         "event 'A': 'subjects' must be a list"),
+         "events[0].subjects: must be an array of node ids"),
         ({"top": "G", "gates": [{"id": ["G"], "kind": "or", "children": ["A"]}],
-          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gates[0]: 'id' must be a string"),
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gates[0].id: must be a string"),
         ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
           "events": [{"id": "A", "kind": "HW_INDEP", "subjects": ["bad"]}]},
-         "event 'A': 'subjects': malformed node id 'bad'"),
+         "events[0].subjects: malformed node id 'bad'"),
         ({"top": ["G"], "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
-          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "'top' must be a string"),
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "top: must be a string"),
         ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
           "events": [{"id": "A", "kind": "HW_INDEP", "description": 7}]},
-         "event 'A': 'description' must be a string"),
+         "events[0].description: must be a string"),
         ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"], "description": 7}],
-          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gate 'G': 'description' must be a string"),
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gates[0].description: must be a string"),
         ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
           "events": [{"id": "A", "kind": "HW_INDEP", "category": [1]}]},
-         "event 'A': 'category' must be a string"),
+         "events[0].category: must be a string"),
         ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
-          "events": [{"id": "A", "kind": "HW_INDEP", "uca": {}}]}, "event 'A': 'uca' must be a string"),
+          "events": [{"id": "A", "kind": "HW_INDEP", "uca": {}}]}, "events[0].uca: must be a string"),
         ({"top": "G", "gates": [{"id": "G", "kind": "xor", "children": ["A"]}],
-          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gate 'G': 'kind' must be one of"),
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gates[0].kind: unknown gate kind 'xor'"),
         ({"top": "G", "gates": [{"id": "G", "kind": ["or"], "children": ["A"]}],
-          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gate 'G': 'kind' must be one of"),
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gates[0].kind: unknown gate kind ['or']"),
         ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
-          "events": [{"id": "A", "kind": "HW_X"}]}, "event 'A': 'kind' must be one of"),
+          "events": [{"id": "A", "kind": "HW_X"}]}, "events[0].kind: unknown event kind 'HW_X'"),
+        # A gate declared twice was read as its last declaration, OR(A, B): cut sets {A}, {B}.
+        ({"top": "G", "gates": [{"id": "G", "kind": "and", "children": ["A", "B"]},
+                                {"id": "G", "kind": "or", "children": ["A", "B"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP"}, {"id": "B", "kind": "HW_INDEP"}]},
+         "gates[1].id: id 'G' is already declared at gates[0]"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP"}, {"id": "A", "kind": "SW_UCA", "uca": "U"}]},
+         "events[1].id: id 'A' is already declared at events[0]"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "HW_INDEP"}, {"id": "G", "kind": "HW_INDEP"}]},
+         "events[1].id: id 'G' is already declared at gates[0]"),
+        # Misspelt keys were dropped without a word.
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"], "descripton": "x"}],
+          "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gates[0].descripton: unknown field"),
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "SW_UCA", "uca_id": "U"}]}, "events[0].uca_id: unknown field"),
     ],
     ids=["children-string", "array-document", "k-string", "gates-int", "events-int",
          "gate-not-object", "gate-without-kind", "event-without-kind", "no-top",
          "subjects-int", "gate-id-list", "subject-malformed", "top-list",
          "event-description-int", "gate-description-int", "category-list", "uca-object",
-         "gate-kind-xor", "gate-kind-list", "event-kind-unknown"],
+         "gate-kind-xor", "gate-kind-list", "event-kind-unknown", "gate-id-twice",
+         "event-id-twice", "gate-and-event-id", "gate-key-misspelt", "event-key-misspelt"],
 )
 def test_cutsets_malformed_exchange_document_exit_1(document, named, tmp_path, capsys):
     with pytest.raises(FaultTreeError):
@@ -1064,5 +1081,4 @@ def test_embedded_values_are_cut_short(tmp_path, capsys):
     tree = tmp_path / "tree.json"
     tree.write_text(f'{{"top": {deep}, "gates": [], "events": []}}', encoding="utf-8")
     assert main(["cutsets", "--tree", str(tree)]) == 1
-    assert capsys.readouterr().err == (
-        "error: exchange document 'top' must be a string, got [[[[[[[...]]]]]]]\n")
+    assert capsys.readouterr().err == "error: top: must be a string\n"

@@ -127,11 +127,13 @@ def _parse_filter(text: str) -> frozenset[EventKind]:
 
 def _parse_categories(text: str) -> tuple[str, ...]:
     categories = tuple(token.strip() for token in text.split(","))
-    for token in categories:
+    for i, token in enumerate(categories):
         if token not in UCA_CATEGORIES:
             raise argparse.ArgumentTypeError(
                 f"unknown UCA category {token!r}; use a comma-separated subset of {','.join(UCA_CATEGORIES)}"
             )
+        if token in categories[:i]:
+            raise argparse.ArgumentTypeError(f"UCA category {token!r} is given twice")
     return categories
 
 

@@ -678,6 +678,7 @@ def _parse_nodes(
     raw: Any, classes: Mapping[str, EquipmentClass], issues: list[ModelIssue]
 ) -> dict[str, Node]:
     nodes: dict[str, Node] = {}
+    members: dict[str, dict[str, str]] = {}  # class -> division tag -> path of its first member
     for where, entry in _entries(raw, "nodes", Node._fields, issues):
         fields = _read(entry, _NODE_FIELDS, where, issues)
         if fields is None:
@@ -706,6 +707,18 @@ def _parse_nodes(
             issues.append(ModelIssue(f"{where}.id", f"duplicate node id {node.id.text}"))
             continue
         nodes[node.id.text] = node if node.name is not None else node._replace(name=node.id.text)
+        if node.equipment_class is not None:
+            members.setdefault(node.equipment_class, {}).setdefault(node.id.division, where)
+    # Partial CCF names join a class's division tags without a separator, so they decode
+    # one way only while no tag starts another: with A, AB, BC and C, {A, BC} and {AB, C}
+    # are both DIVABC. The rule is per class, as each class builds its own names.
+    for tag, divisions in members.items():
+        for division, where in divisions.items():
+            for other in divisions:
+                if other != division and division.startswith(other):
+                    message = (f"division {division} starts with division {other}, which also "
+                               f"holds class {_shown(tag)}: their CCF names can collide")
+                    issues.append(ModelIssue(f"{where}.equipment_class", message))
     return dict(sorted(nodes.items()))
 
 
@@ -1044,6 +1057,8 @@ def _parse_policy(raw: Any, issues: list[ModelIssue]) -> CcfPolicy:
         message = f"categories must be from {'/'.join(UCA_CATEGORIES)}"
         issues.append(ModelIssue("ccf_policy.software_categories", message))
         categories = CcfPolicy._field_defaults["software_categories"]
+    elif len(set(categories)) < len(categories):  # each would name its CCF events twice
+        issues.append(ModelIssue("ccf_policy.software_categories", "categories must not repeat"))
     flags = _read(raw, _POLICY_FLAGS, "ccf_policy", issues)
     policy = CcfPolicy(**flags, software_categories=tuple(categories))
     if not any(getattr(policy, flag) for flag in _POLICY_FLAGS):

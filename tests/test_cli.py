@@ -446,6 +446,17 @@ def test_analyze_unknown_ccf_category_is_a_usage_error(value, token, model_path,
     assert not (tmp_path / "out").exists()
 
 
+def test_analyze_repeated_ccf_category_is_a_usage_error(model_path, tmp_path, capsys):
+    """A category given twice would name its software CCF events twice."""
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--model", str(model_path), "--ccf-categories", "a, c,a",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "resha analyze: error: argument --ccf-categories: UCA category 'a' is given twice")
+    assert not (tmp_path / "out").exists()
+
+
 def test_analyze_ccf_categories_choose_the_software_ccfs(model_path, tmp_path, capsys):
     assert main(["analyze", "--model", str(model_path), "--scope", "RPS", "--truncate", "1",
                  "--ccf-categories", "b, d", "--out", str(tmp_path), "--deterministic"]) == 0

@@ -530,6 +530,8 @@ _ONE_FAULT_ISSUES = [
     (("ccf_policy", "colour"), 1, "ccf_policy.colour: unknown field"),
     (("ccf_policy", "software_categories"), ["e"],
      "ccf_policy.software_categories: categories must be from a/b/c/d"),
+    (("ccf_policy", "software_categories"), ["a", "a"],
+     "ccf_policy.software_categories: categories must not repeat"),
     (("ccf_policy", "include_intra_division"), "yes", "ccf_policy.include_intra_division: must be true or false"),
     (("ccf_policy",), {"include_intra_division": False, "include_cross_all_divisions": False},
      "ccf_policy: at least one CCF scope must be enabled"),
@@ -574,6 +576,28 @@ def test_software_category_that_is_not_a_string():
     with pytest.raises(ModelValidationError) as exc:
         parse_system_model(doc)
     assert [str(i) for i in exc.value.issues] == ["ccf_policy.software_categories: categories must be from a/b/c/d"]
+
+
+def _with_division_ab(pump_class: str) -> dict:
+    """``_PIN_DOC`` with a division AB and a component of ``pump_class`` in it."""
+    doc = json.loads(json.dumps(_PIN_DOC))
+    doc["nodes"] += [
+        {"id": "AB00.00.00", "name": "Division AB", "kind": "division"},
+        {"id": "AB00.00.01", "name": "Pump", "kind": "component", "equipment_class": pump_class},
+    ]
+    return doc
+
+
+def test_division_tag_that_starts_another_in_one_class():
+    """Partial CCF names join division tags: with A, AB, BC and C the spans
+    {A, BC} and {AB, C} of one class would both be DIVABC."""
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(_with_division_ab("pump"))
+    assert [str(i) for i in exc.value.issues] == [
+        "nodes[7].equipment_class: division AB starts with division A, which also holds "
+        "class 'pump': their CCF names can collide"]
+    # The rule is per class: division A holds no valve.
+    parse_system_model(_with_division_ab("valve"))
 
 
 def test_reference_model_fingerprint(rts_model):

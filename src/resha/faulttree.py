@@ -482,9 +482,8 @@ def from_exchange_json(data: str | bytes) -> FaultTree:
             if values is not None and declared.setdefault(values["id"], where) != where:
                 message = f"id {_shown(values['id'])} is already declared at {declared[values['id']]}"
                 issues.append(ModelIssue(f"{where}.id", message))
-            if issues:
-                break
-            records[name][values["id"]] = record(*values.values())
+            if not issues:
+                records[name][values["id"]] = record(*values.values())
     if issues:
         raise FaultTreeError(str(issues[0]))
     return FaultTree(top=top, **records)

@@ -390,7 +390,7 @@ def _csv_text(header: Iterable[Any], rows: Iterable[Iterable[Any]]) -> str:
 
 
 class _Invalid(Exception):
-    """A value that a text, flag or layer reader refuses; the field keeps its default."""
+    """A value of the wrong type or range for its field, which keeps its default."""
 
 
 class _Unknown(Exception):
@@ -501,11 +501,11 @@ def _read(
 ) -> dict[str, Any] | None:
     """Each of ``fields`` read from ``entry``, or None when the entry is rejected.
 
-    A text, flag or layer that its reader refuses is one issue, and the field
-    takes its default. The first choice or node id that its reader refuses is
-    one issue and rejects the entry, which is not read further. The two ends
-    of a link or an action name one edge, so their issue is located at the
-    entry.
+    A value of the wrong type or range (``_Invalid``) is one issue, and the
+    field takes its default. The first choice or node id that its reader
+    refuses is one issue and rejects the entry, which is not read further.
+    The two ends of a link or an action name one edge, so their issue is
+    located at the entry.
     """
     values: dict[str, Any] = {}
     for key, (read, default) in fields.items():
@@ -711,14 +711,14 @@ def _parse_nodes(
             members.setdefault(node.equipment_class, {}).setdefault(node.id.division, where)
     # Partial CCF names join a class's division tags without a separator, so they decode
     # one way only while no tag starts another: with A, AB, BC and C, {A, BC} and {AB, C}
-    # are both DIVABC. The rule is per class, as each class builds its own names.
+    # are both DIVABC. The rule is per class, as each class builds its own names. A tag
+    # has one or two characters, so the one tag that can start ``division`` is its first.
     for tag, divisions in members.items():
         for division, where in divisions.items():
-            for other in divisions:
-                if other != division and division.startswith(other):
-                    message = (f"division {division} starts with division {other}, which also "
-                               f"holds class {_shown(tag)}: their CCF names can collide")
-                    issues.append(ModelIssue(f"{where}.equipment_class", message))
+            if division[:-1] in divisions:
+                message = (f"division {division} starts with division {division[:-1]}, which "
+                           f"also holds class {_shown(tag)}: their CCF names can collide")
+                issues.append(ModelIssue(f"{where}.equipment_class", message))
     return dict(sorted(nodes.items()))
 
 

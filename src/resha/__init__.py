@@ -39,7 +39,6 @@ from .report import (
 from .stpa import (
     ControlAction,
     ControlStructure,
-    TopEventKind,
     UcaCategory,
     UcaRecord,
     build_layered_control_structure,
@@ -76,7 +75,6 @@ __all__ = [
     "NodeId",
     "RedundancyGroup",
     "SystemModel",
-    "TopEventKind",
     "UcaCategory",
     "UcaRecord",
     "brute_force_cut_sets",

@@ -75,7 +75,6 @@ class RunConfig(NamedTuple):
 
     model_path: Path
     top: str | None = None
-    kind: stpamod.TopEventKind = stpamod.TopEventKind.FAILURE_TO_ACT
     truncate: int | None = 4
     event_filter: frozenset[EventKind] | None = None
     out_dir: Path | None = None
@@ -188,7 +187,7 @@ def run_analysis(config: RunConfig) -> Analysis:
     with _stage("stpa", stpamod.StpaError):
         cs = stpamod.build_layered_control_structure(model)
         ucas = stpamod.enumerate_ucas(cs)
-        selected = stpamod.select_ucas_for_top_event(ucas, config.kind)
+        selected = stpamod.select_ucas_for_top_event(ucas)
 
     # Any declared gate can serve as an analysis root, so a scope is simply a
     # different root; extraction from a wider tree would yield the same result.
@@ -273,7 +272,6 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     config = RunConfig(
         model_path=Path(args.model),
         top=args.top,
-        kind=stpamod.TopEventKind(args.kind),
         truncate=args.truncate,
         event_filter=args.filter,
         out_dir=Path(args.out) if args.out else None,
@@ -363,11 +361,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--top", "--scope", dest="top",
                            help="root gate or node of the fault tree "
                                 "(default: first declared gate that is not a replicate template)")
-    p_analyze.add_argument(
-        "--kind",
-        choices=[k.value for k in stpamod.TopEventKind],
-        default=stpamod.TopEventKind.FAILURE_TO_ACT.value,
-    )
     p_analyze.add_argument("--truncate", type=_positive_int, default=4, help="maximum cut-set order (default 4)")
     p_analyze.add_argument("--no-truncate", dest="truncate", action="store_const", const=None)
     p_analyze.add_argument("--filter", type=_parse_filter, default=None,

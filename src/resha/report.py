@@ -22,7 +22,10 @@ from .faulttree import (
     HARDWARE_KINDS,
 )
 from .stpa import ControlStructure, UcaRecord, _one_line, _table_row, identified_uca_count
-from .sysmodel import _REQUIRED, ModelIssue, SystemModel, _csv_text, _entries, _read, _text, _texts
+from .sysmodel import (
+    _REQUIRED, UCA_CATEGORIES, ModelIssue, SystemModel, _csv_text, _entries, _enum, _object, _read, _text,
+    _texts,
+)
 
 GUIDANCE_BANK_VERSION = 1
 
@@ -50,7 +53,7 @@ class GuidanceBankError(Exception):
 class GuidanceEntry(NamedTuple):
     """Prompts and scenario template for one (kind, class, category) key."""
 
-    event_kind: str
+    event_kind: EventKind
     class_tag: str | None = None
     category: str | None = None
     category1: tuple[str, ...] = _DEFAULT_CATEGORY1
@@ -61,9 +64,9 @@ class GuidanceEntry(NamedTuple):
 
 # How each key of a bank entry is read, in GuidanceEntry field order: ``class`` is ``class_tag``.
 _BANK_FIELDS = {
-    "event_kind": (_text, _REQUIRED),
+    "event_kind": (_enum("event kind", EventKind), _REQUIRED),
     "class": (_text, None),
-    "category": (_text, None),
+    "category": (_enum("UCA category", UCA_CATEGORIES), None),
     "category1": (_texts, _DEFAULT_CATEGORY1),
     "category2": (_texts, _DEFAULT_CATEGORY2),
     "scenario": (_text, ""),
@@ -84,13 +87,14 @@ class GuidanceBank:
                 f"expected guidance_bank_version {GUIDANCE_BANK_VERSION}"
             )
         issues: list[ModelIssue] = []
-        entries = [
-            GuidanceEntry(*_read(entry, _BANK_FIELDS, where, issues).values())
+        _object(doc, "", ("guidance_bank_version", "entries"), issues)
+        rows = [
+            _read(entry, _BANK_FIELDS, where, issues)
             for where, entry in _entries(doc.get("entries", []), "entries", _BANK_FIELDS, issues)
         ]
-        if issues:
+        if issues:  # a rejected entry, read as None, is always an issue
             raise GuidanceBankError(f"guidance bank {issues[0]}")
-        return cls(entries)
+        return cls([GuidanceEntry(*row.values()) for row in rows])
 
     @classmethod
     def packaged(cls) -> "GuidanceBank":
@@ -102,7 +106,7 @@ class GuidanceBank:
         best: GuidanceEntry | None = None
         best_rank = -1
         for entry in self.entries:
-            if entry.event_kind != event.kind.value:
+            if entry.event_kind is not event.kind:
                 continue
             if entry.class_tag is not None and entry.class_tag != class_prefix:
                 continue
@@ -112,7 +116,7 @@ class GuidanceBank:
             if rank > best_rank:
                 best, best_rank = entry, rank
         if best is None:
-            return GuidanceEntry(event_kind=event.kind.value)
+            return GuidanceEntry(event_kind=event.kind)
         return best
 
 

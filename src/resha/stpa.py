@@ -35,18 +35,6 @@ class UcaCategory(str, Enum):
     WRONG_DURATION = "d"
 
 
-class TopEventKind(str, Enum):
-    FAILURE_TO_ACT = "failure-to-act"
-    SPURIOUS_ACTION = "spurious-action"
-
-
-# Which UCA categories feed a fault tree for each top-event kind.
-CATEGORIES_FOR_TOP_EVENT = {
-    TopEventKind.FAILURE_TO_ACT: (UcaCategory.NOT_PROVIDED, UcaCategory.WRONG_TIMING),
-    TopEventKind.SPURIOUS_ACTION: (UcaCategory.PROVIDED_UNNEEDED,),
-}
-
-
 class ControlAction(NamedTuple):
     """A numbered control action within the layered structure."""
 
@@ -208,19 +196,9 @@ def enumerate_ucas(cs: ControlStructure) -> tuple[UcaRecord, ...]:
     return tuple(records)
 
 
-def select_ucas_for_top_event(
-    ucas: Iterable[UcaRecord], kind: TopEventKind | str
-) -> tuple[UcaRecord, ...]:
-    """Applicable UCAs feeding a fault tree of the given top-event kind.
-
-    Failure-to-act top events take categories a and c; spurious-action top
-    events take category b.
-    """
-    try:
-        kind = TopEventKind(kind)
-    except ValueError:
-        raise StpaError(f"unknown top event kind {kind!r}") from None
-    wanted = set(CATEGORIES_FOR_TOP_EVENT[kind])
+def select_ucas_for_top_event(ucas: Iterable[UcaRecord]) -> tuple[UcaRecord, ...]:
+    """Applicable UCAs feeding the failure-to-act fault tree: categories a and c."""
+    wanted = (UcaCategory.NOT_PROVIDED, UcaCategory.WRONG_TIMING)
     return tuple(u for u in ucas if u.applicable and u.category in wanted)
 
 

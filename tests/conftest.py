@@ -4,13 +4,15 @@ import pytest
 
 from resha.ccf import inject_ccfs
 from resha.faulttree import FaultTree, build_hardware_fault_tree, integrate_ucas
-from resha.fixtures import TOP_AUTOMATIC, TOP_FULL, TOP_RPS, build_rts_reference_model
+from resha.fixtures import build_rts_reference_model
 from resha.stpa import (
     build_layered_control_structure,
     enumerate_ucas,
     select_ucas_for_top_event,
 )
 from resha.sysmodel import SystemModel, derive_redundancy_groups
+
+from golden import TOP_AUTOMATIC, TOP_FULL, TOP_RPS
 
 
 @pytest.fixture(scope="session")
@@ -30,7 +32,7 @@ def rts_ucas(rts_model, rts_cs):
 
 @pytest.fixture(scope="session")
 def rts_selected(rts_ucas):
-    return select_ucas_for_top_event(rts_ucas, "failure-to-act")
+    return select_ucas_for_top_event(rts_ucas)
 
 
 @pytest.fixture(scope="session")

@@ -20,13 +20,9 @@ from resha.cutset import (
     witness_check,
 )
 from resha.faulttree import HARDWARE_KINDS, SOFTWARE_KINDS, filter_events
-from resha.fixtures import (
-    EXPECTED_HARDWARE_SPOFS,
-    EXPECTED_RPS_SPOFS,
-    EXPECTED_UCA_TEXTS,
-    PUBLISHED_COUNTS,
-    build_rts_document,
-)
+from resha.fixtures import build_rts_document
+
+from golden import EXPECTED_HARDWARE_SPOFS, EXPECTED_RPS_SPOFS, EXPECTED_UCA_TEXTS, PUBLISHED_COUNTS
 
 ORACLE_TREES = 500
 ORACLE_SEED = 20260810

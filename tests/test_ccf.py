@@ -18,9 +18,9 @@ from resha.faulttree import (
     sw_gate_id,
     to_exchange_json,
 )
-from resha.fixtures import TOP_AUTOMATIC, TOP_FULL, TOP_RPS
-from resha.stpa import TopEventKind, select_ucas_for_top_event
 from resha.sysmodel import CcfPolicy, GroupScope, RedundancyGroup, parse_node_id
+
+from golden import TOP_AUTOMATIC, TOP_FULL, TOP_RPS
 
 CROSS_UV_PATH_HW = {
     "SP-HD-CCF",
@@ -218,26 +218,24 @@ def test_catalog_bytes_pinned(partial, digest, rts_groups, rts_model):
 
 
 @pytest.mark.parametrize(
-    "top, kind, partial",
+    "top, partial",
     [
-        (TOP_FULL, TopEventKind.FAILURE_TO_ACT, False),
-        (TOP_FULL, TopEventKind.SPURIOUS_ACTION, False),
-        (TOP_FULL, TopEventKind.FAILURE_TO_ACT, True),
-        (TOP_RPS, TopEventKind.FAILURE_TO_ACT, False),
-        (TOP_RPS, TopEventKind.SPURIOUS_ACTION, True),
-        (TOP_AUTOMATIC, TopEventKind.FAILURE_TO_ACT, True),
-        ("DOM1-A-SILENT", TopEventKind.FAILURE_TO_ACT, False),
-        ("DOM1-A-SILENT", TopEventKind.SPURIOUS_ACTION, True),
+        (TOP_FULL, False),
+        (TOP_FULL, True),
+        (TOP_RPS, False),
+        (TOP_RPS, True),
+        (TOP_AUTOMATIC, True),
+        ("DOM1-A-SILENT", False),
+        ("DOM1-A-SILENT", True),
     ],
 )
 def test_ccf_events_attach_where_the_naming_functions_point(
-    top, kind, partial, rts_model, rts_ucas, rts_groups
+    top, partial, rts_model, rts_selected, rts_groups
 ):
     """A hardware CCF sits under each subject's hardware gate and a software
     CCF under each software gate of its subjects, where the tree holds one; a tree
     read back from its exchange document injects byte for byte the same."""
-    tree = integrate_ucas(build_hardware_fault_tree(rts_model, top),
-                          select_ucas_for_top_event(rts_ucas, kind))
+    tree = integrate_ucas(build_hardware_fault_tree(rts_model, top), rts_selected)
     policy = rts_model.ccf_policy._replace(include_partial_interdivision=partial)
     injected = inject_ccfs(tree, rts_groups, policy)
     parents: dict[str, set[str]] = {}

@@ -199,6 +199,18 @@ def test_filter_unknown_kind_is_a_usage_error(model_path, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+def test_kind_is_not_an_option(model_path, tmp_path, capsys):
+    # The trees are built for one top event, failure to act, so no flag picks it.
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--model", str(model_path), "--kind", "failure-to-act",
+              "--out", str(tmp_path / "out")])
+    assert exc.value.code == 2
+    assert capsys.readouterr().err.splitlines()[-1] == (
+        "resha: error: unrecognized arguments: --kind failure-to-act"
+    )
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize(
     ("args", "notes"),
     [

@@ -30,11 +30,10 @@ from resha.faulttree import (
     integrate_ucas,
     to_exchange_json,
 )
-from resha.fixtures import TOP_FULL, TOP_RPS
-from resha.stpa import TopEventKind, select_ucas_for_top_event
 from resha.sysmodel import ModelValidationError, NodeId, parse_system_model
 
 from conftest import integrated_tree
+from golden import TOP_FULL, TOP_RPS
 
 
 def event(eid: str, kind=EventKind.HW_INDEP) -> BasicEvent:
@@ -235,13 +234,11 @@ def test_ucas_without_a_failure_gate_are_skipped(rts_model, rts_selected):
     assert integrate_ucas(rps_only, mcr_ucas).events == rps_only.events
 
 
-@pytest.mark.parametrize("kind", list(TopEventKind))
-def test_every_reference_root_analyses_at_order_1(kind, rts_model, rts_ucas, rts_groups):
+def test_every_reference_root_analyses_at_order_1(rts_model, rts_selected, rts_groups):
     # Per-action scopes such as BP-SIG-1-A-LOST hold FAIL::source::target
     # gates only; the UCAs of the source's other actions stay outside them.
-    selected = select_ucas_for_top_event(rts_ucas, kind)
     for root in [*rts_model.resolved_gates, *rts_model.nodes]:
-        solve_minimal_cut_sets(integrated_tree(rts_model, selected, rts_groups, root), 1)
+        solve_minimal_cut_sets(integrated_tree(rts_model, rts_selected, rts_groups, root), 1)
 
 
 def test_extract_subtree_identity(full_tree):

@@ -3,15 +3,10 @@ from __future__ import annotations
 import hashlib
 from importlib import resources
 
-from resha.fixtures import (
-    EXPECTED_RPS_SPOFS,
-    EXPECTED_UCA_TEXTS,
-    LOSSES,
-    HAZARDS,
-    build_rts_document,
-    build_rts_reference_model,
-)
+from resha.fixtures import build_rts_document, build_rts_reference_model
 from resha.sysmodel import parse_system_model
+
+from golden import EXPECTED_RPS_SPOFS, EXPECTED_UCA_TEXTS, HAZARDS, LOSSES
 
 
 # The packaged model is the one source of the reference system, edited by

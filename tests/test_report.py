@@ -5,7 +5,6 @@ import pytest
 from resha.ccf import enumerate_ccf_catalog, inject_ccfs
 from resha.cutset import extract_spofs, solve_minimal_cut_sets
 from resha.faulttree import HARDWARE_KINDS, build_hardware_fault_tree, filter_events, integrate_ucas
-from resha.fixtures import TOP_RPS
 from resha.report import (
     GuidanceBank,
     GuidanceBankError,
@@ -14,6 +13,8 @@ from resha.report import (
     render_analysis_report,
     spof_table_to_csv,
 )
+
+from golden import TOP_RPS
 
 
 @pytest.fixture(scope="module")
@@ -91,7 +92,7 @@ def bank_with(entry):
 
 
 def test_guidance_bank_entry_needs_event_kind():
-    with pytest.raises(GuidanceBankError, match=r"^guidance bank entries\[1\]\.event_kind: must be a string$"):
+    with pytest.raises(GuidanceBankError, match=r"^guidance bank entries\[1\]\.event_kind: missing event kind$"):
         GuidanceBank.from_document(bank_with({"scenario": "x"}))
 
 
@@ -114,9 +115,16 @@ def test_guidance_bank_prompts_must_be_a_list_of_texts():
 @pytest.mark.parametrize(("doc", "message"), [
     ({"guidance_bank_version": 1, "entries": {"event_kind": "SW_UCA"}},
      r"^guidance bank entries: must be an array$"),
-    (bank_with({"event_kind": 5}), r"^guidance bank entries\[1\]\.event_kind: must be a string$"),
+    (bank_with({"event_kind": 5}), r"^guidance bank entries\[1\]\.event_kind: unknown event kind 5$"),
     ({"guidance_bank_version": 2, "entries": []}, r"^expected guidance_bank_version 1$"),
-], ids=["entries not a list", "event_kind not a text", "another version"])
+    ({"guidance_bank_version": 1, "entrys": [{"event_kind": "SW_UCA"}]},
+     r"^guidance bank entrys: unknown field$"),
+    (bank_with({"event_kind": "SW-UCA"}),
+     r"^guidance bank entries\[1\]\.event_kind: unknown event kind 'SW-UCA'$"),
+    (bank_with({"event_kind": "SW_CCF", "category": "e"}),
+     r"^guidance bank entries\[1\]\.category: unknown UCA category 'e'$"),
+], ids=["entries not a list", "event_kind not a text", "another version", "misspelt entries key",
+        "event_kind not a kind", "category not a category"])
 def test_guidance_bank_rejects_malformed_values(doc, message):
     with pytest.raises(GuidanceBankError, match=message):
         GuidanceBank.from_document(doc)

@@ -4,7 +4,6 @@ import pytest
 
 from resha.stpa import (
     StpaError,
-    TopEventKind,
     UcaCategory,
     build_layered_control_structure,
     enumerate_ucas,
@@ -173,7 +172,7 @@ def test_continuous_action_all_categories_applicable():
 
 
 def test_selection_failure_to_act_takes_a_and_c(rts_ucas):
-    selected = select_ucas_for_top_event(rts_ucas, TopEventKind.FAILURE_TO_ACT)
+    selected = select_ucas_for_top_event(rts_ucas)
     assert {r.category for r in selected} == {
         UcaCategory.NOT_PROVIDED,
         UcaCategory.WRONG_TIMING,
@@ -181,18 +180,8 @@ def test_selection_failure_to_act_takes_a_and_c(rts_ucas):
     assert all(r.applicable for r in selected)
 
 
-def test_selection_spurious_takes_b(rts_ucas):
-    selected = select_ucas_for_top_event(rts_ucas, "spurious-action")
-    assert {r.category for r in selected} == {UcaCategory.PROVIDED_UNNEEDED}
-
-
 def test_selection_empty_table():
-    assert select_ucas_for_top_event((), TopEventKind.FAILURE_TO_ACT) == ()
-
-
-def test_selection_unknown_kind():
-    with pytest.raises(StpaError):
-        select_ucas_for_top_event((), "sideways")
+    assert select_ucas_for_top_event(()) == ()
 
 
 def test_rendering_injective(rts_ucas):

@@ -5,20 +5,21 @@ inspectable: ``validate``, ``analyze`` (full run), ``ucas``, ``ccf-catalog``,
 ``cutsets`` (solver only, exchange-format trees), and ``oracle-check``
 (randomized solver-vs-brute-force equivalence).
 
-Exit codes, decided in ``main`` alone: 0 success, 1 validation or analysis
-failure, 2 I/O failure.
+Exit codes and error lines are decided in ``main`` alone: 0 success; 1 a
+validation or analysis failure, with one ``error:`` line for each model issue
+or for the library's error; 2 an I/O failure, with the operating system's
+message.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import os
 import random
 import sys
 import time
 from pathlib import Path
-from typing import Any, Iterator, Mapping, NamedTuple
+from typing import Any, Mapping, NamedTuple
 
 from . import ccf as ccfmod
 from . import cutset as cutsetmod
@@ -56,15 +57,6 @@ _FILTER_ALIASES = {
 }
 
 
-class StageError(Exception):
-    """Wraps a failure with the pipeline stage it occurred in."""
-
-    def __init__(self, stage: str, cause: Exception):
-        super().__init__(f"[stage: {stage}] {cause}")
-        self.stage = stage
-        self.cause = cause
-
-
 class RunConfig(NamedTuple):
     """Options controlling one analyze run.
 
@@ -95,18 +87,6 @@ class Analysis(NamedTuple):
     catalog: tuple[ccfmod.CcfEvent, ...]
     report: str
     root: str
-
-
-def _existing(path: str | Path, what: str) -> Path:
-    """``path`` as a Path; a missing file raises with a one-line message."""
-    path = Path(path)
-    if not path.exists():
-        raise FileNotFoundError(f"{what} file not found: {path}")
-    return path
-
-
-def _load_model(path: str | Path) -> SystemModel:
-    return parse_system_model(_existing(path, "model"))
 
 
 def _parse_filter(text: str) -> frozenset[EventKind]:
@@ -170,55 +150,38 @@ def _default_top(model: SystemModel) -> str:
     raise FaultTreeError("model declares no gate outside a replicate template; specify --top")
 
 
-@contextlib.contextmanager
-def _stage(name: str, errors: type[Exception]) -> Iterator[None]:
-    """Re-raise ``errors`` from the block as a ``StageError`` naming stage ``name``."""
-    try:
-        yield
-    except errors as exc:
-        raise StageError(name, exc) from exc
-
-
 def run_analysis(config: RunConfig) -> Analysis:
-    """Execute the full pipeline and return the artifacts in memory."""
-    with _stage("parse", ModelError):
-        model = _load_model(config.model_path)
+    """Execute the full pipeline and return the artifacts in memory.
 
-    with _stage("stpa", stpamod.StpaError):
-        cs = stpamod.build_layered_control_structure(model)
-        ucas = stpamod.enumerate_ucas(cs)
-        selected = stpamod.select_ucas_for_top_event(ucas)
+    Each stage's own error propagates as it was raised: ``OSError``,
+    ``ModelValidationError``, ``StpaError``, ``FaultTreeError``,
+    ``CutSetError`` or ``GuidanceBankError``.
+    """
+    model = parse_system_model(config.model_path)
+    cs = stpamod.build_layered_control_structure(model)
+    ucas = stpamod.enumerate_ucas(cs)
+    selected = stpamod.select_ucas_for_top_event(ucas)
 
     # Any declared gate can serve as an analysis root, so a scope is simply a
     # different root; extraction from a wider tree would yield the same result.
-    with _stage("fault-tree", FaultTreeError):
-        root = config.top if config.top is not None else _default_top(model)
-        tree = build_hardware_fault_tree(model, root)
+    root = config.top if config.top is not None else _default_top(model)
+    tree = integrate_ucas(build_hardware_fault_tree(model, root), selected)
 
-    with _stage("integrate", FaultTreeError):
-        tree = integrate_ucas(tree, selected)
-
-    with _stage("ccf", FaultTreeError):
-        groups = derive_redundancy_groups(model)
-        policy = model.ccf_policy._replace(**config.ccf)
-        tree = ccfmod.inject_ccfs(tree, groups, policy)
-        catalog = ccfmod.enumerate_ccf_catalog(groups, policy)
-
+    groups = derive_redundancy_groups(model)
+    policy = model.ccf_policy._replace(**config.ccf)
+    tree = ccfmod.inject_ccfs(tree, groups, policy)
+    catalog = ccfmod.enumerate_ccf_catalog(groups, policy)
     if config.event_filter is not None:
-        with _stage("filter", FaultTreeError):
-            tree = filter_events(tree, config.event_filter)
+        tree = filter_events(tree, config.event_filter)
 
-    with _stage("solve", cutsetmod.CutSetError):
-        collection = cutsetmod.solve_minimal_cut_sets(tree, config.truncate)
-
-    with _stage("report", reportmod.GuidanceBankError):
-        spofs = cutsetmod.extract_spofs(collection)
-        worksheets = reportmod.generate_worksheets(model, spofs.spofs or spofs.fallback_sets, tree)
-        excluded = config.event_filter is not None and not config.event_filter & SOFTWARE_KINDS
-        document = reportmod.render_analysis_report(
-            model, cs, ucas, tree, root, collection, spofs, worksheets, catalog=catalog,
-            notes=["Software failures excluded by filter."] if excluded else [],
-        )
+    collection = cutsetmod.solve_minimal_cut_sets(tree, config.truncate)
+    spofs = cutsetmod.extract_spofs(collection)
+    worksheets = reportmod.generate_worksheets(model, spofs.spofs or spofs.fallback_sets, tree)
+    excluded = config.event_filter is not None and not config.event_filter & SOFTWARE_KINDS
+    document = reportmod.render_analysis_report(
+        model, cs, ucas, tree, root, collection, spofs, worksheets, catalog=catalog,
+        notes=["Software failures excluded by filter."] if excluded else [],
+    )
 
     return Analysis(model, cs, ucas, tree, collection, spofs, worksheets, catalog, document, root)
 
@@ -257,14 +220,8 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def cmd_validate(args: argparse.Namespace) -> int:
-    path = Path(args.model)
-    try:
-        _load_model(path)
-    except ModelValidationError as exc:
-        for issue in exc.issues:
-            print(f"error: {issue}", file=sys.stderr)
-        return EXIT_FAILURE
-    print(f"{path}: valid")
+    parse_system_model(args.model)
+    print(f"{Path(args.model)}: valid")
     return EXIT_OK
 
 
@@ -293,7 +250,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 
 
 def cmd_ucas(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
+    model = parse_system_model(args.model)
     cs = stpamod.build_layered_control_structure(model)
     ucas = stpamod.enumerate_ucas(cs)
     if args.format == "markdown":
@@ -309,14 +266,14 @@ def cmd_ucas(args: argparse.Namespace) -> int:
 
 
 def cmd_ccf_catalog(args: argparse.Namespace) -> int:
-    model = _load_model(args.model)
+    model = parse_system_model(args.model)
     groups = derive_redundancy_groups(model)
     _emit(ccfmod.catalog_to_csv(ccfmod.enumerate_ccf_catalog(groups, model.ccf_policy)), args.out)
     return EXIT_OK
 
 
 def cmd_cutsets(args: argparse.Namespace) -> int:
-    tree = from_exchange_json(_existing(args.tree, "tree").read_bytes())
+    tree = from_exchange_json(Path(args.tree).read_bytes())
     collection = cutsetmod.solve_minimal_cut_sets(tree, args.truncate)
     _emit(collection.to_csv(), args.out)
     for order, count, cumulative in collection.rows(len(tree.events)):
@@ -414,8 +371,12 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except ModelValidationError as exc:
+        for issue in exc.issues:
+            print(f"error: {issue}", file=sys.stderr)
+        return EXIT_FAILURE
     except (ModelError, stpamod.StpaError, FaultTreeError, cutsetmod.CutSetError,
-            reportmod.GuidanceBankError, StageError) as exc:
+            reportmod.GuidanceBankError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FAILURE
     except OSError as exc:

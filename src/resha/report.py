@@ -81,11 +81,12 @@ class GuidanceBank:
         self.entries = tuple(entries)
 
     @classmethod
-    def from_document(cls, doc: Mapping[str, Any]) -> "GuidanceBank":
-        if doc.get("guidance_bank_version") != GUIDANCE_BANK_VERSION:
-            raise GuidanceBankError(
-                f"expected guidance_bank_version {GUIDANCE_BANK_VERSION}"
-            )
+    def from_document(cls, doc: Any) -> "GuidanceBank":
+        if not isinstance(doc, Mapping):
+            raise GuidanceBankError("guidance bank document must be a JSON object")
+        version = doc.get("guidance_bank_version")
+        if type(version) is not int or version != GUIDANCE_BANK_VERSION:  # JSON true and 1.0 are not 1
+            raise GuidanceBankError(f"expected guidance_bank_version {GUIDANCE_BANK_VERSION}")
         issues: list[ModelIssue] = []
         _object(doc, "", ("guidance_bank_version", "entries"), issues)
         rows = [

@@ -555,7 +555,7 @@ def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
     issues: list[ModelIssue] = []
     _object(doc, "", _TOP_LEVEL_KEYS, issues)
     version = doc.get("resha_model_version")
-    if version != MODEL_VERSION:
+    if type(version) is not int or version != MODEL_VERSION:  # JSON true and 1.0 are not 1
         issues.append(
             ModelIssue("resha_model_version", f"expected {MODEL_VERSION}, got {_shown(version)}")
         )

@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -289,7 +290,7 @@ def test_analyze_unknown_scope_exit_1(model_path, tmp_path, capsys):
             ]
         )
         assert rc == 1
-        assert f"[stage: fault-tree] unknown top event {scope!r}" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"error: unknown top event {scope!r}\n"
 
 
 def test_default_root_skips_replicate_templates(tmp_path, capsys):
@@ -311,7 +312,7 @@ def test_default_root_without_a_plain_gate_asks_for_top(tmp_path, capsys):
     rc = main(["analyze", "--model", str(path), "--truncate", "1", "--out", str(tmp_path / "out")])
     err = capsys.readouterr().err
     assert rc == 1
-    assert err.endswith("error: [stage: fault-tree] model declares no gate outside a "
+    assert err.endswith("error: model declares no gate outside a "
                         "replicate template; specify --top\n")
 
 
@@ -345,6 +346,8 @@ def test_analog_source_fails_only_scopes_that_hold_it(scope, rc, tmp_path, capsy
 def test_analyze_missing_model_exit_2(tmp_path, capsys):
     rc = main(["analyze", "--model", str(tmp_path / "none.json"), "--out", str(tmp_path)])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and str(tmp_path / "none.json") in err and err.count("\n") == 1
 
 
 def test_ucas_csv_stdout(model_path, capsys):
@@ -475,6 +478,21 @@ def test_analyze_ccf_categories_choose_the_software_ccfs(model_path, tmp_path, c
     capsys.readouterr()
     tree = json.loads((tmp_path / "tree.json").read_text(encoding="utf-8"))
     assert {e["category"] for e in tree["events"] if e["kind"] == "SW_CCF"} == {"b", "d"}
+
+
+# Cut sets per order of RPS at order 2 under each CCF scope flag.
+@pytest.mark.parametrize(("flags", "counts"), [
+    ([], {1: 13, 2: 200}),
+    (["--no-ccf-intra"], {1: 13, 2: 2}),
+    (["--no-ccf-cross"], {2: 200}),
+    (["--ccf-partial"], {1: 85, 2: 1879}),
+], ids=["default", "no-intra", "no-cross", "partial"])
+def test_analyze_ccf_scope_flags(flags, counts, model_path, tmp_path, capsys):
+    assert main(["analyze", "--model", str(model_path), "--scope", "RPS", "--truncate", "2",
+                 *flags, "--out", str(tmp_path), "--deterministic"]) == 0
+    capsys.readouterr()
+    rows = (tmp_path / "cutsets.csv").read_text(encoding="utf-8").splitlines()[1:]
+    assert Counter(int(row.split(",", 1)[0]) for row in rows) == counts
 
 
 @pytest.mark.parametrize("flag", ["--trees", "--max-events", "--max-gates"])
@@ -824,8 +842,7 @@ def test_malformed_model_value_exit_1(path, value, tmp_path, capsys):
     assert "Traceback" not in err
     assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
     assert main(["analyze", "--model", str(model), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and named in err and err.count("\n") == 1
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize(
@@ -849,8 +866,7 @@ def test_gate_reference_fault_exit_1(child, key, tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith(f"error: {named}: ") and err.count("\n") == 1
     assert main(["analyze", "--model", str(model), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert "Traceback" not in err and named in err and err.count("\n") == 1
+    assert capsys.readouterr().err == err
 
 
 @pytest.mark.parametrize(
@@ -890,8 +906,50 @@ def test_one_model_fault_one_line(path, value, line, tmp_path, capsys):
     assert main(["validate", str(model)]) == 1
     assert capsys.readouterr().err == f"error: {line}\n"
     assert main(["analyze", "--model", str(model), "--out", str(tmp_path / "out")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error: ") and line in err and err.count("\n") == 1
+    assert capsys.readouterr().err == f"error: {line}\n"
+
+
+def _three_fault_model(tmp_path) -> Path:
+    doc = build_rts_document()
+    doc["equipment_classes"][1]["prefix"] = "LC-BP"
+    doc["nodes"][0]["kind"] = "unit"
+    doc["links"][0]["layer"] = True
+    path = tmp_path / "model.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["validate", "{file}"],
+        ["ucas", "--model", "{file}"],
+        ["ccf-catalog", "--model", "{file}"],
+        ["analyze", "--model", "{file}", "--out", "{dir}/out"],
+    ],
+    ids=["validate", "ucas", "ccf-catalog", "analyze"],
+)
+def test_every_command_prints_each_model_issue_on_its_own_line(argv, tmp_path, capsys):
+    model = _three_fault_model(tmp_path)
+    assert main([arg.format(file=model, dir=tmp_path) for arg in argv]) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.splitlines() == [
+        "error: equipment_classes[1].prefix: prefix 'LC-BP' is already used by class "
+        "'lc-bistable-processor'",
+        "error: nodes[0].kind: kind 'unit' inconsistent with id RX00.00.00 (id implies 'division')",
+        "error: links[0].layer: layer must be an integer >= 1",
+    ]
+    assert all(len(line) < 200 for line in err.splitlines())
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_analysis_raises_the_library_errors(model_path, tmp_path):
+    with pytest.raises(ModelValidationError) as info:
+        run_analysis(RunConfig(model_path=_three_fault_model(tmp_path)))
+    assert len(info.value.issues) == 3
+    with pytest.raises(FaultTreeError, match=r"^unknown top event 'NOPE'$"):
+        run_analysis(RunConfig(model_path=model_path, top="NOPE"))
 
 
 def _named(path: tuple) -> str:
@@ -1055,7 +1113,7 @@ def test_cutsets_mutated_exchange_document_exits_cleanly(auto_tree, data, tmp_pa
 
 
 def test_programming_error_in_a_stage_is_not_wrapped(model_path, monkeypatch):
-    """Only the errors a stage's callees raise become a one-line exit 1; a bug stays a bug."""
+    """Only the library's own errors become an exit 1 in ``main``; a bug stays a bug."""
     def broken(*args):
         raise TypeError("broken injection")
 

@@ -123,8 +123,12 @@ def test_guidance_bank_prompts_must_be_a_list_of_texts():
      r"^guidance bank entries\[1\]\.event_kind: unknown event kind 'SW-UCA'$"),
     (bank_with({"event_kind": "SW_CCF", "category": "e"}),
      r"^guidance bank entries\[1\]\.category: unknown UCA category 'e'$"),
+    ([], r"^guidance bank document must be a JSON object$"),
+    ({"guidance_bank_version": True, "entries": []}, r"^expected guidance_bank_version 1$"),
+    ({"guidance_bank_version": 1.0, "entries": []}, r"^expected guidance_bank_version 1$"),
 ], ids=["entries not a list", "event_kind not a text", "another version", "misspelt entries key",
-        "event_kind not a kind", "category not a category"])
+        "event_kind not a kind", "category not a category", "document not an object",
+        "version true", "version float"])
 def test_guidance_bank_rejects_malformed_values(doc, message):
     with pytest.raises(GuidanceBankError, match=message):
         GuidanceBank.from_document(doc)

@@ -436,6 +436,9 @@ _MALFORMED = ("expected a leading 1-2 character division tag (uppercase letter f
 _ONE_FAULT_ISSUES = [
     (("colour",), "red", "colour: unknown field"),
     (("resha_model_version",), 2, "resha_model_version: expected 1, got 2"),
+    # JSON true and 1.0 compare equal to 1 in Python; neither is the integer 1.
+    (("resha_model_version",), True, "resha_model_version: expected 1, got True"),
+    (("resha_model_version",), 1.0, "resha_model_version: expected 1, got 1.0"),
     (("nodes",), {}, "nodes: must be an array"),
     (("nodes", 0), 5, "nodes[0]: must be an object"),
     (("equipment_classes", 1, "tag"), 5, "equipment_classes[1]: missing class tag"),

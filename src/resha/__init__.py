@@ -39,7 +39,6 @@ from .report import (
 from .stpa import (
     ControlAction,
     ControlStructure,
-    UcaCategory,
     UcaRecord,
     build_layered_control_structure,
     enumerate_ucas,
@@ -75,7 +74,6 @@ __all__ = [
     "NodeId",
     "RedundancyGroup",
     "SystemModel",
-    "UcaCategory",
     "UcaRecord",
     "brute_force_cut_sets",
     "build_hardware_fault_tree",

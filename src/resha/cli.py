@@ -19,6 +19,7 @@ import random
 import sys
 import time
 from pathlib import Path
+from types import MappingProxyType
 from typing import Any, Mapping, NamedTuple
 
 from . import ccf as ccfmod
@@ -41,7 +42,6 @@ from .sysmodel import (
     ModelError,
     ModelValidationError,
     SystemModel,
-    UCA_CATEGORIES,
     derive_redundancy_groups,
     parse_system_model,
 )
@@ -61,8 +61,9 @@ class RunConfig(NamedTuple):
     """Options controlling one analyze run.
 
     ``out_dir`` None means ``$RESHA_OUT``, or ``./resha-out`` when that is
-    unset or empty, read when the artifacts are written. ``ccf`` overrides
-    fields of the model's ``CcfPolicy`` by name.
+    unset or empty, read when the artifacts are written. ``ccf`` sets fields
+    of the model's ``ccf_policy`` by name, read by its rules
+    (``CcfPolicy.changed``).
     """
 
     model_path: Path
@@ -71,7 +72,7 @@ class RunConfig(NamedTuple):
     event_filter: frozenset[EventKind] | None = None
     out_dir: Path | None = None
     deterministic: bool = False
-    ccf: Mapping[str, Any] = {}
+    ccf: Mapping[str, Any] = MappingProxyType({})
 
 
 class Analysis(NamedTuple):
@@ -102,18 +103,6 @@ def _parse_filter(text: str) -> frozenset[EventKind]:
                 f"unknown event kind {token!r}; use hardware/software/all or kind names"
             ) from None
     return frozenset(kinds)
-
-
-def _parse_categories(text: str) -> tuple[str, ...]:
-    categories = tuple(token.strip() for token in text.split(","))
-    for i, token in enumerate(categories):
-        if token not in UCA_CATEGORIES:
-            raise argparse.ArgumentTypeError(
-                f"unknown UCA category {token!r}; use a comma-separated subset of {','.join(UCA_CATEGORIES)}"
-            )
-        if token in categories[:i]:
-            raise argparse.ArgumentTypeError(f"UCA category {token!r} is given twice")
-    return categories
 
 
 def _positive_int(text: str) -> int:
@@ -158,6 +147,7 @@ def run_analysis(config: RunConfig) -> Analysis:
     ``CutSetError`` or ``GuidanceBankError``.
     """
     model = parse_system_model(config.model_path)
+    policy = model.ccf_policy.changed(config.ccf)
     cs = stpamod.build_layered_control_structure(model)
     ucas = stpamod.enumerate_ucas(cs)
     selected = stpamod.select_ucas_for_top_event(ucas)
@@ -168,7 +158,6 @@ def run_analysis(config: RunConfig) -> Analysis:
     tree = integrate_ucas(build_hardware_fault_tree(model, root), selected)
 
     groups = derive_redundancy_groups(model)
-    policy = model.ccf_policy._replace(**config.ccf)
     tree = ccfmod.inject_ccfs(tree, groups, policy)
     catalog = ccfmod.enumerate_ccf_catalog(groups, policy)
     if config.event_filter is not None:
@@ -189,7 +178,8 @@ def run_analysis(config: RunConfig) -> Analysis:
 def write_artifacts(config: RunConfig, artifacts: Analysis) -> Path:
     out_root = config.out_dir or Path(os.environ.get("RESHA_OUT") or "resha-out")
     run_dir = out_root if config.deterministic else out_root / time.strftime("run-%Y%m%d-%H%M%S")
-    run_dir.mkdir(parents=True, exist_ok=True)
+    # Two unstamped runs in one second would share a directory; the second fails instead.
+    run_dir.mkdir(parents=True, exist_ok=config.deterministic)
 
     tree = artifacts.tree
     descriptions = {e.id: e.description for e in tree.events.values()}
@@ -326,7 +316,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="output directory (default $RESHA_OUT or ./resha-out)")
     p_analyze.add_argument("--deterministic", action="store_true",
                            help="pin output names and bytes for reproducible runs")
-    # Each --ccf-* flag overrides the CcfPolicy field it is stored under.
+    # Each --ccf-* flag sets the CcfPolicy field it is stored under; run_analysis
+    # reads the result by the rules of a model's ccf_policy.
     p_analyze.add_argument("--ccf-intra", dest="include_intra_division",
                            action=argparse.BooleanOptionalAction)
     p_analyze.add_argument("--ccf-cross", dest="include_cross_all_divisions",
@@ -334,7 +325,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--ccf-partial", dest="include_partial_interdivision",
                            action=argparse.BooleanOptionalAction)
     p_analyze.add_argument("--ccf-categories", dest="software_categories",
-                           metavar="CCF_CATEGORIES", type=_parse_categories,
+                           metavar="CCF_CATEGORIES",
+                           type=lambda text: tuple(token.strip() for token in text.split(",")),
                            help="comma-separated UCA categories (a-d) for software CCFs")
     p_analyze.set_defaults(func=cmd_analyze)
 

@@ -14,8 +14,9 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .stpa import UcaRecord
 from .sysmodel import (
-    _REQUIRED, GateKind, ModelIssue, NodeId, NodeIdError, SystemModel, Technology, _entries, _enum,
-    _integer, _node_ids, _object, _read, _shown, _shown_name, _text, _texts, parse_node_id,
+    _REQUIRED, UCA_CATEGORIES, GateKind, ModelIssue, NodeId, NodeIdError, SystemModel, Technology,
+    _entries, _enum, _integer, _node_ids, _object, _read, _shown, _shown_name, _text, _texts,
+    parse_node_id,
 )
 
 
@@ -353,7 +354,7 @@ def integrate_ucas(ft: FaultTree, selected: Sequence[UcaRecord]) -> FaultTree:
             kind=EventKind.HUMAN_UCA if human else EventKind.SW_UCA,
             subjects=(record.source,),
             description=record.text,
-            category=record.category.value,
+            category=record.category,
             uca_id=record.uca_id,
         )
         if event.id in events:
@@ -456,7 +457,8 @@ _EXCHANGE_RECORDS = {
     "events": (BasicEvent, {"id": (_text, _REQUIRED),
                             "kind": (_enum("event kind", EventKind), _REQUIRED),
                             "subjects": (_node_ids, ()), "description": (_text, ""),
-                            "category": (_text, None), "uca": (_text, None)}),
+                            "category": (_enum("UCA category", UCA_CATEGORIES), None),
+                            "uca": (_text, None)}),
 }
 
 

@@ -9,7 +9,6 @@ wrong timing (c), and wrong duration (d, continuous actions only).
 from __future__ import annotations
 
 import re
-from enum import Enum
 from typing import Iterable, NamedTuple, Sequence
 
 from .sysmodel import (
@@ -26,13 +25,6 @@ from .sysmodel import (
 
 class StpaError(Exception):
     """Raised for control-structure or UCA enumeration failures."""
-
-
-class UcaCategory(str, Enum):
-    NOT_PROVIDED = "a"
-    PROVIDED_UNNEEDED = "b"
-    WRONG_TIMING = "c"
-    WRONG_DURATION = "d"
 
 
 class ControlAction(NamedTuple):
@@ -85,7 +77,7 @@ class UcaRecord(NamedTuple):
 
     uca_id: str
     ca_id: str
-    category: UcaCategory
+    category: str  # a letter of UCA_CATEGORIES
     applicable: bool
     text: str
     hazards: tuple[str, ...]
@@ -148,11 +140,11 @@ def build_layered_control_structure(m: SystemModel) -> ControlStructure:
     return ControlStructure(layers=tuple(layers))
 
 
-def _render(ca: ControlAction, category: UcaCategory, hazards: Sequence[str]) -> str:
+def _render(ca: ControlAction, category: str, hazards: Sequence[str]) -> str:
     spec = ca.spec
-    context = spec.contexts.get(UCA_CATEGORIES[category.value]) or ""
+    context = spec.contexts.get(UCA_CATEGORIES[category]) or ""
     hazard_part = f" [{', '.join(hazards)}]" if hazards else ""
-    if category is UcaCategory.NOT_PROVIDED:
+    if category == "a":  # not provided
         body = f"{spec.source_label} does not provide {spec.action_phrase} {context}"
     else:
         body = f"{spec.source_label} provides {spec.action_phrase} {context}"
@@ -173,14 +165,13 @@ def enumerate_ucas(cs: ControlStructure) -> tuple[UcaRecord, ...]:
     records: list[UcaRecord] = []
     for ca in cs.actions:
         spec = ca.spec
-        for category in UcaCategory:
-            letter = category.value
-            applicable = spec.applies(letter)
-            justification = None if applicable else spec.not_applicable.get(letter, _NOT_CONTINUOUS)
-            linked = tuple(spec.hazards.get(letter, ()))
+        for category in UCA_CATEGORIES:
+            applicable = spec.applies(category)
+            justification = None if applicable else spec.not_applicable.get(category, _NOT_CONTINUOUS)
+            linked = tuple(spec.hazards.get(category, ()))
             records.append(
                 UcaRecord(
-                    uca_id=f"UCA{ca.number}{letter}",
+                    uca_id=f"UCA{ca.number}{category}",
                     ca_id=ca.ca_id,
                     category=category,
                     applicable=applicable,
@@ -198,8 +189,7 @@ def enumerate_ucas(cs: ControlStructure) -> tuple[UcaRecord, ...]:
 
 def select_ucas_for_top_event(ucas: Iterable[UcaRecord]) -> tuple[UcaRecord, ...]:
     """Applicable UCAs feeding the failure-to-act fault tree: categories a and c."""
-    wanted = (UcaCategory.NOT_PROVIDED, UcaCategory.WRONG_TIMING)
-    return tuple(u for u in ucas if u.applicable and u.category in wanted)
+    return tuple(u for u in ucas if u.applicable and u.category in ("a", "c"))
 
 
 def identified_uca_count(records: Sequence[UcaRecord]) -> int:
@@ -214,7 +204,7 @@ def uca_table_to_csv(records: Sequence[UcaRecord]) -> str:
             [
                 r.ca_id,
                 r.uca_id,
-                r.category.value,
+                r.category,
                 "yes" if r.applicable else "no",
                 r.text,
                 " ".join(r.hazards),
@@ -240,7 +230,7 @@ def uca_table_to_markdown(cs: ControlStructure, records: Sequence[UcaRecord]) ->
     """Markdown table mirroring the four-category UCA layout."""
     by_ca: dict[str, dict[str, UcaRecord]] = {}
     for r in records:
-        by_ca.setdefault(r.ca_id, {})[r.category.value] = r
+        by_ca.setdefault(r.ca_id, {})[r.category] = r
     lines = [
         "| Control Action (CA) | UCAa: CA is needed, but not given | "
         "UCAb: CA is given, but not needed | UCAc: CA is given too early, too late, wrong order | "

@@ -276,6 +276,15 @@ class CcfPolicy(NamedTuple):
     include_partial_interdivision: bool = False
     software_categories: tuple[str, ...] = ("a", "c")
 
+    def changed(self, changes: Mapping[str, Any]) -> CcfPolicy:
+        """This policy with the fields ``changes`` names set, read by the
+        rules of a model's ``ccf_policy``; ``ModelValidationError`` on any issue."""
+        issues: list[ModelIssue] = []
+        policy = _parse_policy({**self._asdict(), **changes}, issues)
+        if issues:
+            raise ModelValidationError(issues)
+        return policy
+
 
 class GroupScope(str, Enum):
     INTRA_DIVISION = "intra-division"
@@ -1052,7 +1061,8 @@ def _parse_policy(raw: Any, issues: list[ModelIssue]) -> CcfPolicy:
         return CcfPolicy()
     categories = raw.get("software_categories", list(CcfPolicy._field_defaults["software_categories"]))
     # Only strings are looked up in the category table; a list or an object there would raise.
-    strings = isinstance(categories, list) and all(isinstance(c, str) for c in categories)
+    # A tuple comes only from a library caller; JSON gives lists.
+    strings = isinstance(categories, (list, tuple)) and all(isinstance(c, str) for c in categories)
     if not strings or any(c not in UCA_CATEGORIES for c in categories):
         message = f"categories must be from {'/'.join(UCA_CATEGORIES)}"
         issues.append(ModelIssue("ccf_policy.software_categories", message))

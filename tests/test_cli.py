@@ -6,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from collections import Counter
 from pathlib import Path
 
@@ -277,6 +278,22 @@ def test_analyze_without_deterministic_writes_one_stamped_run(model_path, tmp_pa
     assert capsys.readouterr().out.endswith(f"artifacts written to {run_dir}\n")
 
 
+def test_analyze_stamped_run_never_overwrites_an_earlier_run(model_path, tmp_path, monkeypatch,
+                                                             capsys):
+    """Two runs in the same second shared one directory: the second replaced the first's files."""
+    monkeypatch.setattr(time, "strftime", lambda fmt: "run-20260101-000000")
+    assert main(["analyze", "--model", str(model_path), "--scope", "RPS", "--truncate", "1",
+                 "--out", str(tmp_path)]) == 0
+    capsys.readouterr()
+    assert main(["analyze", "--model", str(model_path), "--scope", "AUTO", "--truncate", "1",
+                 "--out", str(tmp_path)]) == 2
+    out, err = capsys.readouterr()
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "run-20260101-000000" in err
+    report = (tmp_path / "run-20260101-000000" / "report.md").read_text(encoding="utf-8")
+    assert "### Scope: RPS" in report
+
+
 def test_analyze_unknown_scope_exit_1(model_path, tmp_path, capsys):
     # An empty scope names no gate either; it does not fall back to the default root.
     # A well-formed node id names no node unless the model declares one.
@@ -448,28 +465,61 @@ def test_oracle_check_subcommand(capsys):
     assert "passed" in capsys.readouterr().out
 
 
-@pytest.mark.parametrize(("value", "token"), [("z", "z"), ("a,,c", ""), ("b,e", "e"), ("", "")])
-def test_analyze_unknown_ccf_category_is_a_usage_error(value, token, model_path, tmp_path, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--model", str(model_path), "--ccf-categories", value,
-              "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "resha analyze: error: argument --ccf-categories: unknown UCA category "
-        f"{token!r}; use a comma-separated subset of a,b,c,d"
-    )
+@pytest.mark.parametrize("value", ["z", "a,,c", "b,e", ""])
+def test_analyze_unknown_ccf_category_exit_1(value, model_path, tmp_path, capsys):
+    """The flag's categories are read by the rules of a model's ccf_policy."""
+    assert main(["analyze", "--model", str(model_path), "--ccf-categories", value,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: ccf_policy.software_categories: categories must be from a/b/c/d\n")
     assert not (tmp_path / "out").exists()
 
 
-def test_analyze_repeated_ccf_category_is_a_usage_error(model_path, tmp_path, capsys):
+def test_analyze_repeated_ccf_category_exit_1(model_path, tmp_path, capsys):
     """A category given twice would name its software CCF events twice."""
-    with pytest.raises(SystemExit) as exc:
-        main(["analyze", "--model", str(model_path), "--ccf-categories", "a, c,a",
-              "--out", str(tmp_path / "out")])
-    assert exc.value.code == 2
-    assert capsys.readouterr().err.splitlines()[-1] == (
-        "resha analyze: error: argument --ccf-categories: UCA category 'a' is given twice")
+    assert main(["analyze", "--model", str(model_path), "--ccf-categories", "a, c,a",
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        "error: ccf_policy.software_categories: categories must not repeat\n")
     assert not (tmp_path / "out").exists()
+
+
+def test_analyze_ccf_flags_print_what_validate_prints(model_path, tmp_path, capsys):
+    """Flags that disable every CCF scope were applied unchecked: no CCF was injected."""
+    doc = build_rts_document()
+    doc["ccf_policy"].update(include_intra_division=False, include_cross_all_divisions=False)
+    model = tmp_path / "model.json"
+    model.write_text(json.dumps(doc), encoding="utf-8")
+    assert main(["validate", str(model)]) == 1
+    validate_err = capsys.readouterr().err
+    assert main(["analyze", "--model", str(model_path), "--scope", "RPS", "--truncate", "2",
+                 "--no-ccf-intra", "--no-ccf-cross", "--out", str(tmp_path / "out")]) == 1
+    out, err = capsys.readouterr()
+    assert (out, err) == ("", validate_err)
+    assert err == "error: ccf_policy: at least one CCF scope must be enabled\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    ("ccf", "issue"),
+    [
+        # Category 'z' was injected as LC-BP-SF-CCF-TZ-style events: 9 RPS@1 SPOFs, not 13.
+        ({"software_categories": ("z",)},
+         "ccf_policy.software_categories: categories must be from a/b/c/d"),
+        ({"bogus": True}, "ccf_policy.bogus: unknown field"),
+    ],
+    ids=["category-z", "unknown-field"],
+)
+def test_run_analysis_reads_ccf_by_the_policy_rules(ccf, issue, model_path):
+    config = RunConfig(model_path=model_path, top="RPS", truncate=1, deterministic=True, ccf=ccf)
+    with pytest.raises(ModelValidationError) as info:
+        run_analysis(config)
+    assert [str(i) for i in info.value.issues] == [issue]
+
+
+def test_run_config_ccf_default_is_read_only():
+    with pytest.raises(TypeError):
+        RunConfig(model_path=Path("m.json")).ccf["software_categories"] = ("a",)
 
 
 def test_analyze_ccf_categories_choose_the_software_ccfs(model_path, tmp_path, capsys):
@@ -727,7 +777,11 @@ def test_exchange_bytes_must_be_utf8(auto_tree):
           "events": [{"id": "A", "kind": "HW_INDEP"}]}, "gates[0].description: must be a string"),
         ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
           "events": [{"id": "A", "kind": "HW_INDEP", "category": [1]}]},
-         "events[0].category: must be a string"),
+         "events[0].category: unknown UCA category [1]"),
+        # Any text was taken as a category, so a software CCF could carry category 'z'.
+        ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
+          "events": [{"id": "A", "kind": "SW_CCF", "category": "z"}]},
+         "events[0].category: unknown UCA category 'z'"),
         ({"top": "G", "gates": [{"id": "G", "kind": "or", "children": ["A"]}],
           "events": [{"id": "A", "kind": "HW_INDEP", "uca": {}}]}, "events[0].uca: must be a string"),
         ({"top": "G", "gates": [{"id": "G", "kind": "xor", "children": ["A"]}],
@@ -756,7 +810,7 @@ def test_exchange_bytes_must_be_utf8(auto_tree):
     ids=["children-string", "array-document", "k-string", "gates-int", "events-int",
          "gate-not-object", "gate-without-kind", "event-without-kind", "no-top",
          "subjects-int", "gate-id-list", "subject-malformed", "top-list",
-         "event-description-int", "gate-description-int", "category-list", "uca-object",
+         "event-description-int", "gate-description-int", "category-list", "category-z", "uca-object",
          "gate-kind-xor", "gate-kind-list", "event-kind-unknown", "gate-id-twice",
          "event-id-twice", "gate-and-event-id", "gate-key-misspelt", "event-key-misspelt"],
 )

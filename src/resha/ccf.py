@@ -20,14 +20,16 @@ logger = logging.getLogger(__name__)
 
 
 class CcfEvent(NamedTuple):
-    """A catalog entry; ``injected`` candidates become shared basic events."""
+    """A catalog entry; ``injected`` candidates become shared basic events.
+
+    ``members`` are the ``group`` members in ``division_subset``, or all of
+    them when it is None.
+    """
 
     name: str
     kind: EventKind
-    class_tag: str
-    scope: GroupScope
+    group: RedundancyGroup
     members: tuple[NodeId, ...]
-    division: str | None = None
     division_subset: tuple[str, ...] | None = None
     category: str | None = None
     description: str = ""
@@ -49,29 +51,24 @@ def _ccf_event(group: RedundancyGroup, subset: tuple[str, ...] | None = None,
     A software CCF when ``category`` is given, else a hardware one.
     """
     if subset is None:
-        scope, members = group.scope, group.members
-        division = group.division if group.scope is GroupScope.INTRA_DIVISION else None
-        where = f" within division {division}" if division is not None else ""
+        members = group.members
+        where = f" within division {group.division}" if group.division is not None else ""
     else:
-        scope = GroupScope.CROSS_DIVISION
         members = tuple(m for m in group.members if m.division in subset)
-        division = None
         where = f" across divisions {'-'.join(subset)}"
     if category is None:
         kind, what = EventKind.HW_CCF, "hardware CCF"
     else:
         kind, what = EventKind.SW_CCF, f"software CCF type {category.upper()}"
     return CcfEvent(
-        name=ccf_event_id(group.prefix, hardware=category is None, division=division,
+        name=ccf_event_id(group.equipment.prefix, hardware=category is None, division=group.division,
                           division_subset=subset, category=category),
         kind=kind,
-        class_tag=group.class_tag,
-        scope=scope,
+        group=group,
         members=members,
-        division=division,
         division_subset=subset,
         category=category,
-        description=f"{group.display} {what}{where}.",
+        description=f"{group.equipment.display} {what}{where}.",
     )
 
 
@@ -133,7 +130,7 @@ def enumerate_ccf_catalog(
     return tuple(
         sorted(
             _candidates(groups, widened),
-            key=lambda e: (e.class_tag, e.scope.value, e.division or "", e.name),
+            key=lambda e: (e.group.equipment.tag, e.group.scope.value, e.group.division or "", e.name),
         )
     )
 
@@ -160,7 +157,7 @@ def inject_ccfs(
             if not group.software_capable and _covers_own_span(group, policy):
                 logger.warning(
                     "skipping software CCFs for %s (%s): members have no software subtree",
-                    group.class_tag,
+                    group.equipment.tag,
                     group.scope.value,
                 )
     parents: dict[str, list[str]] = {}
@@ -211,8 +208,8 @@ def catalog_to_csv(catalog: Iterable[CcfEvent]) -> str:
         (
             [
                 event.name,
-                event.class_tag,
-                event.scope.value if event.division_subset is None else "partial-interdivision",
+                event.group.equipment.tag,
+                event.group.scope.value if event.division_subset is None else "partial-interdivision",
                 event.kind.value,
                 event.category or "",
                 " ".join(m.text for m in event.members),

@@ -157,10 +157,6 @@ class CutSetCollection(NamedTuple):
     exchange: str
     per_order: Mapping[int, int] = MappingProxyType({})
 
-    # len() counts cut sets, not fields, so ``_make`` and ``_replace`` do not apply.
-    def __len__(self) -> int:
-        return len(self.cut_sets)
-
     def cumulative_count(self, order: int) -> int:
         return sum(c for o, c in self.per_order.items() if o <= order)
 

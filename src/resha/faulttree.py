@@ -334,25 +334,26 @@ def integrate_ucas(ft: FaultTree, selected: Sequence[UcaRecord]) -> FaultTree:
     for record in selected:
         if not record.applicable:
             raise IntegrationError(f"{record.uca_id} is not applicable; cannot integrate")
-        exact = fail_gate_id(record.source, record.target)
-        whole = fail_gate_id(record.source)
+        ca = record.action
+        exact = fail_gate_id(ca.source, ca.target)
+        whole = fail_gate_id(ca.source)
         if exact in gates:
             fail_id = exact
-            sw_id = sw_gate_id(record.source, record.target)
+            sw_id = sw_gate_id(ca.source, ca.target)
         elif whole in gates:
             fail_id = whole
-            sw_id = sw_gate_id(record.source)
+            sw_id = sw_gate_id(ca.source)
         else:
             continue
-        if record.source_technology is Technology.ANALOG:
+        if ca.source_technology is Technology.ANALOG:
             raise IntegrationError(
-                f"{record.uca_id}: source {record.source.text} is analog and carries no software"
+                f"{record.uca_id}: source {ca.source.text} is analog and carries no software"
             )
-        human = record.source_technology is Technology.HUMAN
+        human = ca.source_technology is Technology.HUMAN
         event = BasicEvent(
-            id=uca_event_id(record.source_class_prefix, record.uca_id, human),
+            id=uca_event_id(ca.source_class_prefix, record.uca_id, human),
             kind=EventKind.HUMAN_UCA if human else EventKind.SW_UCA,
-            subjects=(record.source,),
+            subjects=(ca.source,),
             description=record.text,
             category=record.category,
             uca_id=record.uca_id,

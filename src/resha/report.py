@@ -124,9 +124,7 @@ class GuidanceBank:
 class CausalFactorWorksheet(NamedTuple):
     """Analyst worksheet for one basic event found in the selected cut sets."""
 
-    event_id: str
-    event_kind: EventKind
-    description: str
+    event: BasicEvent
     lowest_order: int
     category1_prompts: tuple[str, ...]
     category2_prompts: tuple[str, ...] | None
@@ -164,9 +162,7 @@ def generate_worksheets(
         hardware = event.kind in HARDWARE_KINDS
         sheets.append(
             CausalFactorWorksheet(
-                event_id=eid,
-                event_kind=event.kind,
-                description=event.description,
+                event=event,
                 lowest_order=lowest[eid],
                 category1_prompts=entry.category1,
                 category2_prompts=None if hardware else entry.category2,
@@ -272,7 +268,7 @@ def render_analysis_report(
     out("")
     trunc = collection.truncation if collection.truncation is not None else "none"
     out(f"- Truncation order: {trunc}")
-    out(f"- Cut sets: {len(collection)}")
+    out(f"- Cut sets: {len(collection.cut_sets)}")
     out("")
     out("| Truncation (order) | Cut sets (cumulative) |")
     out("| --- | --- |")
@@ -287,10 +283,10 @@ def render_analysis_report(
         out("No worksheets: the selected cut sets contain no basic events.")
         out("")
     for sheet in worksheets:
-        out(f"### {_one_line(sheet.event_id)}")
+        out(f"### {_one_line(sheet.event.id)}")
         out("")
-        out(f"- Kind: {sheet.event_kind.value}")
-        out(f"- Description: {_one_line(sheet.description)}")
+        out(f"- Kind: {sheet.event.kind.value}")
+        out(f"- Description: {_one_line(sheet.event.description)}")
         out(f"- Lowest cut-set order: {sheet.lowest_order}")
         out("- Category 1 (unsafe controller behavior):")
         for prompt in sheet.category1_prompts:

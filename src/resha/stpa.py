@@ -70,22 +70,18 @@ class UcaRecord(NamedTuple):
     """One slot of the UCA table: a control action crossed with a category.
 
     Applicable records carry rendered text and hazard links; inapplicable
-    records carry a justification. The record keeps enough of the action's
-    identity (source node, technology, class prefix) to be attached to a
-    fault tree without further lookups.
+    records carry a justification. ``action`` holds the source node, its
+    technology and class prefix, so the record attaches to a fault tree
+    without further lookups.
     """
 
     uca_id: str
-    ca_id: str
+    action: ControlAction
     category: str  # a letter of UCA_CATEGORIES
     applicable: bool
     text: str
     hazards: tuple[str, ...]
     justification: str | None
-    source: NodeId
-    target: NodeId
-    source_technology: Technology
-    source_class_prefix: str
 
 
 def build_layered_control_structure(m: SystemModel) -> ControlStructure:
@@ -172,16 +168,12 @@ def enumerate_ucas(cs: ControlStructure) -> tuple[UcaRecord, ...]:
             records.append(
                 UcaRecord(
                     uca_id=f"UCA{ca.number}{category}",
-                    ca_id=ca.ca_id,
+                    action=ca,
                     category=category,
                     applicable=applicable,
                     text=_render(ca, category, linked) if applicable else "Not applicable.",
                     hazards=linked if applicable else (),
                     justification=justification,
-                    source=ca.source,
-                    target=ca.target,
-                    source_technology=ca.source_technology,
-                    source_class_prefix=ca.source_class_prefix,
                 )
             )
     return tuple(records)
@@ -202,7 +194,7 @@ def uca_table_to_csv(records: Sequence[UcaRecord]) -> str:
         ["ca_id", "uca_id", "category", "applicable", "text", "hazards", "justification"],
         (
             [
-                r.ca_id,
+                r.action.ca_id,
                 r.uca_id,
                 r.category,
                 "yes" if r.applicable else "no",
@@ -230,7 +222,7 @@ def uca_table_to_markdown(cs: ControlStructure, records: Sequence[UcaRecord]) ->
     """Markdown table mirroring the four-category UCA layout."""
     by_ca: dict[str, dict[str, UcaRecord]] = {}
     for r in records:
-        by_ca.setdefault(r.ca_id, {})[r.category] = r
+        by_ca.setdefault(r.action.ca_id, {})[r.category] = r
     lines = [
         "| Control Action (CA) | UCAa: CA is needed, but not given | "
         "UCAb: CA is given, but not needed | UCAc: CA is given too early, too late, wrong order | "

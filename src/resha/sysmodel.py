@@ -294,9 +294,7 @@ class GroupScope(str, Enum):
 class RedundancyGroup(NamedTuple):
     """A set of functionally identical nodes sharing an equipment class."""
 
-    class_tag: str
-    prefix: str
-    display: str
+    equipment: EquipmentClass
     scope: GroupScope
     members: tuple[NodeId, ...]
     division: str | None = None
@@ -1195,19 +1193,16 @@ def derive_redundancy_groups(m: SystemModel) -> tuple[RedundancyGroup, ...]:
         ]
         if len(by_division) >= 2:
             scopes.append((GroupScope.CROSS_DIVISION, None, members))
-        eq = m.classes[tag]
         software = all(n.technology is Technology.DIGITAL for n in members)
         for scope, division, group in scopes:
             groups.append(
                 RedundancyGroup(
-                    class_tag=tag,
-                    prefix=eq.prefix,
-                    display=eq.display,
+                    equipment=m.classes[tag],
                     scope=scope,
                     division=division,
                     members=tuple(n.id for n in group),
                     software_capable=software,
                 )
             )
-    groups.sort(key=lambda g: (g.class_tag, g.scope.value, g.division or ""))
+    groups.sort(key=lambda g: (g.equipment.tag, g.scope.value, g.division or ""))
     return tuple(groups)

@@ -18,7 +18,7 @@ from resha.faulttree import (
     sw_gate_id,
     to_exchange_json,
 )
-from resha.sysmodel import CcfPolicy, GroupScope, RedundancyGroup, parse_node_id
+from resha.sysmodel import CcfPolicy, EquipmentClass, GroupScope, RedundancyGroup, parse_node_id
 
 from golden import TOP_AUTOMATIC, TOP_FULL, TOP_RPS
 
@@ -42,7 +42,7 @@ CROSS_UV_PATH_SW = {
 
 
 def sp_groups(rts_groups):
-    return [g for g in rts_groups if g.class_tag == "selective-processor"]
+    return [g for g in rts_groups if g.equipment.tag == "selective-processor"]
 
 
 def test_bp_cross_category_c_shared_under_all_divisions(rps_tree):
@@ -84,8 +84,8 @@ def test_fully_diverse_model_unchanged(rts_model, rts_selected):
 def test_sp_catalog_intra_plus_cross(rts_groups, rts_model):
     catalog = enumerate_ccf_catalog(sp_groups(rts_groups), rts_model.ccf_policy)
     hw = [e for e in catalog if e.kind is EventKind.HW_CCF]
-    intra = [e for e in hw if e.scope is GroupScope.INTRA_DIVISION]
-    cross = [e for e in hw if e.scope is GroupScope.CROSS_DIVISION]
+    intra = [e for e in hw if e.group.scope is GroupScope.INTRA_DIVISION]
+    cross = [e for e in hw if e.group.scope is GroupScope.CROSS_DIVISION]
     assert len(intra) == 4
     assert len(cross) == 1
     sw = [e for e in catalog if e.kind is EventKind.SW_CCF]
@@ -141,13 +141,13 @@ def test_partial_interdivision_combinations_optional(rts_groups):
 def test_partial_subsets_that_build_one_name_raise():
     """Division tags join without a separator: the subsets A, BC and AB, C are both DIVABC."""
     members = tuple(parse_node_id(f"{d}00.00.01") for d in ("A", "AB", "BC", "C"))
-    group = RedundancyGroup("pump", "PMP", "Pump", GroupScope.CROSS_DIVISION, members)
+    group = RedundancyGroup(EquipmentClass("pump", "PMP", "Pump"), GroupScope.CROSS_DIVISION, members)
     with pytest.raises(FaultTreeError, match="two CCF events are named 'PMP-DIVABC-HD-CCF'"):
         enumerate_ccf_catalog([group], CcfPolicy(include_partial_interdivision=True))
 
 
 def test_analog_group_software_skipped_with_warning(rts_model, rts_groups, rps_tree, caplog):
-    uv_groups = [g for g in rts_groups if g.class_tag == "rtb-undervoltage"]
+    uv_groups = [g for g in rts_groups if g.equipment.tag == "rtb-undervoltage"]
     policy = CcfPolicy(software_categories=("a", "c"))
     base = build_hardware_fault_tree(rts_model, TOP_RPS)
     with caplog.at_level(logging.WARNING, logger="resha.ccf"):
@@ -176,6 +176,22 @@ def test_catalog_csv_columns(rts_groups, rts_model):
     lines = text.splitlines()
     assert lines[0] == "name,class,scope,kind,category,members"
     assert len(lines) > 20
+
+
+def test_widening_the_ccf_policy_keeps_a_cut_set_inside_each(rts_model, rts_selected, rts_groups, rps_tree):
+    """Partial CCFs only add OR inputs, so each default-policy cut set contains
+    a cut set of the widened policy, of no higher order, at the same truncation."""
+    tree = integrate_ucas(build_hardware_fault_tree(rts_model, TOP_RPS), rts_selected)
+    wide = inject_ccfs(tree, rts_groups, rts_model.ccf_policy._replace(include_partial_interdivision=True))
+    narrow_sets = solve_minimal_cut_sets(rps_tree, 3).cut_sets
+    wide_sets = solve_minimal_cut_sets(wide, 3).cut_sets
+    assert (len(narrow_sets), len(wide_sets)) == (829, 3300)
+    # A cut set inside ``cut`` has its least event in ``cut``.
+    by_least: dict[str, list[frozenset[str]]] = {}
+    for w in wide_sets:
+        by_least.setdefault(min(w.events), []).append(w.events)
+    for cut in narrow_sets:
+        assert any(w <= cut.events for e in cut.events for w in by_least.get(e, ())), cut.sorted_events()
 
 
 def test_members_absent_from_scope_are_ignored(rts_model, rts_groups):

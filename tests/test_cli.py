@@ -632,10 +632,19 @@ def test_records_are_read_only_tuples(model_path):
         assert record == tuple(record), type(record).__name__
         with pytest.raises(AttributeError):
             setattr(record, record._fields[0], None)
-    # Derived values are computed once, and a collection's length counts its cut sets.
+        assert record._replace() == record, type(record).__name__
+    # Derived values are computed once.
     assert node.id.text is node.id.text
     assert tree.gate_order is tree.gate_order
-    assert len(collection) == len(collection.cut_sets) == 13
+
+
+def test_derived_records_hold_the_record_they_derive_from(model_path):
+    artifacts = run_analysis(RunConfig(model_path=model_path, top="RPS", truncate=1, deterministic=True))
+    uca, ccf, sheet = artifacts.ucas[0], artifacts.catalog[0], artifacts.worksheets[0]
+    assert uca.action is artifacts.control_structure.actions[0]
+    assert ccf.group.equipment is artifacts.model.classes[ccf.group.equipment.tag]
+    assert set(ccf.members) <= set(ccf.group.members)
+    assert sheet.event is artifacts.tree.events[sheet.event.id]
 
 
 def test_run_config_reads_resha_out_when_writing(model_path, tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import random
+import re
 import subprocess
 import sys
 
@@ -41,7 +42,11 @@ from resha.faulttree import (
     from_exchange_json,
     to_exchange_json,
 )
-from resha.sysmodel import NodeId
+from resha.fixtures import build_rts_document
+from resha.stpa import build_layered_control_structure, enumerate_ucas, select_ucas_for_top_event
+from resha.sysmodel import NodeId, derive_redundancy_groups, parse_system_model
+
+from conftest import integrated_tree
 
 
 def ev(eid: str, kind=EventKind.HW_INDEP) -> BasicEvent:
@@ -183,7 +188,7 @@ def test_oracle_vote_over_independent_events_gives_every_k_subset(n, k):
     ids = [f"E{i:02d}" for i in range(n)]
     ft = tree("TOP", {"TOP": Gate(id="TOP", kind=GateKind.VOTE, k=k, children=tuple(ids))}, ids)
     css = brute_force_cut_sets(ft)
-    assert len(css) == math.comb(n, k)
+    assert len(css.cut_sets) == math.comb(n, k)
     assert {c.events for c in css.cut_sets} == {frozenset(c) for c in itertools.combinations(ids, k)}
 
 
@@ -906,6 +911,39 @@ def test_automatic_trip_order_4_reference_counts(auto_tree):
     css = solve_minimal_cut_sets(auto_tree, 4)
     assert dict(css.per_order) == {2: 52, 3: 826, 4: 2664}
     assert css.cumulative_count(4) == 3542
+
+
+def relabelled_model(one: str, other: str):
+    """The reference model with division tags ``one`` and ``other`` swapped in
+    every node id; the ``$D`` placeholders of replicate templates stay."""
+    swap = {one: other, other: one}
+
+    def rename(value):
+        if isinstance(value, dict):
+            return {key: rename(item) for key, item in value.items()}
+        if isinstance(value, list):
+            return [rename(item) for item in value]
+        if isinstance(value, str) and (match := re.fullmatch(r"([A-Z][A-Z0-9]?)(\d\d\.\d\d\.\d\d)", value)):
+            return swap.get(match[1], match[1]) + match[2]
+        return value
+
+    return parse_system_model(rename(build_rts_document()))
+
+
+@pytest.mark.parametrize("swap", [("A", "B"), ("A", "C")], ids=["A-B", "A-C"])
+@pytest.mark.parametrize(("fixture", "counts"), [("rps_tree", {1: 13, 2: 200, 3: 616}),
+                                                 ("auto_tree", {2: 52, 3: 826})], ids=["RPS@3", "AUTO@3"])
+def test_relabelling_divisions_keeps_the_counts(swap, fixture, counts, request):
+    """Gate and event ids hold node ids, so renaming divisions changes the sort
+    orders, the bit indices and the order in which the solver meets
+    representatives, but not the per-order counts: a relation that holds where
+    no oracle reaches."""
+    model = relabelled_model(*swap)
+    selected = select_ucas_for_top_event(enumerate_ucas(build_layered_control_structure(model)))
+    original = request.getfixturevalue(fixture)
+    relabelled = integrated_tree(model, selected, derive_redundancy_groups(model), original.top)
+    assert to_exchange_json(relabelled) != to_exchange_json(original)
+    assert dict(solve_minimal_cut_sets(relabelled, 3).per_order) == counts
 
 
 def naive_post_order(ft: FaultTree) -> list[str]:

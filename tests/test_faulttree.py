@@ -229,7 +229,7 @@ def test_mcr_operator_events_are_human_kind(full_tree):
 
 def test_ucas_without_a_failure_gate_are_skipped(rts_model, rts_selected):
     rps_only = build_hardware_fault_tree(rts_model, TOP_RPS)
-    mcr_ucas = [u for u in rts_selected if u.source.division == "MC"]
+    mcr_ucas = [u for u in rts_selected if u.action.source.division == "MC"]
     assert mcr_ucas
     assert integrate_ucas(rps_only, mcr_ucas).events == rps_only.events
 

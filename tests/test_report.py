@@ -25,8 +25,8 @@ def rps_spofs(rps_tree):
 def test_worksheet_per_distinct_event(rts_model, rps_spofs, rps_tree):
     sheets = generate_worksheets(rts_model, rps_spofs, rps_tree)
     assert len(sheets) == 13
-    assert len({s.event_id for s in sheets}) == 13
-    assert [s.event_id for s in sheets] == sorted(s.event_id for s in sheets)
+    assert len({s.event.id for s in sheets}) == 13
+    assert [s.event.id for s in sheets] == sorted(s.event.id for s in sheets)
 
 
 def test_empty_cut_sets_give_no_worksheets(rts_model, rps_tree):
@@ -35,7 +35,7 @@ def test_empty_cut_sets_give_no_worksheets(rts_model, rps_tree):
 
 def test_bp_software_ccf_worksheet_prompts(rts_model, rps_spofs, rps_tree):
     sheets = generate_worksheets(rts_model, rps_spofs, rps_tree)
-    sheet = next(s for s in sheets if s.event_id == "LC-BP-SF-CCF-TC")
+    sheet = next(s for s in sheets if s.event.id == "LC-BP-SF-CCF-TC")
     joined = " ".join(sheet.category1_prompts) + " " + sheet.scenario
     assert "delay" in joined.lower()
     assert sheet.category2_prompts is not None
@@ -49,7 +49,7 @@ def test_partial_ccf_worksheet_takes_its_class_guidance(rts_model, rts_selected,
     policy = rts_model.ccf_policy._replace(include_partial_interdivision=True)
     tree = inject_ccfs(tree, rts_groups, policy)
     spofs = extract_spofs(solve_minimal_cut_sets(tree, 1)).spofs
-    sheets = {s.event_id: s for s in generate_worksheets(rts_model, spofs, tree)}
+    sheets = {s.event.id: s for s in generate_worksheets(rts_model, spofs, tree)}
     whole, partial = sheets["LC-BP-SF-CCF-TC"], sheets["LC-BP-DIVABC-SF-CCF-TC"]
     assert partial.category1_prompts == whole.category1_prompts
     assert partial.category2_prompts == whole.category2_prompts
@@ -58,7 +58,7 @@ def test_partial_ccf_worksheet_takes_its_class_guidance(rts_model, rts_selected,
 
 def test_hardware_ccf_worksheet_physical_only(rts_model, rps_spofs, rps_tree):
     sheets = generate_worksheets(rts_model, rps_spofs, rps_tree)
-    sheet = next(s for s in sheets if s.event_id == "RTB-UV-HD-CCF")
+    sheet = next(s for s in sheets if s.event.id == "RTB-UV-HD-CCF")
     assert sheet.category2_prompts is None
     assert sheet.historical_note is not None
     assert all("algorithm" not in p for p in sheet.category1_prompts)
@@ -68,7 +68,7 @@ def test_worksheets_cover_all_selected_events(rts_model, rps_tree):
     css = solve_minimal_cut_sets(rps_tree, 2)
     sheets = generate_worksheets(rts_model, css.cut_sets, rps_tree)
     in_sets = {e for c in css.cut_sets for e in c.events}
-    assert {s.event_id for s in sheets} == in_sets
+    assert {s.event.id for s in sheets} == in_sets
 
 
 def test_guidance_bank_fallback_for_unknown_class(rps_tree):

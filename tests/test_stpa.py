@@ -166,7 +166,7 @@ def test_continuous_action_all_categories_applicable():
     model = parse_system_model(doc)
     cs = build_layered_control_structure(model)
     records = enumerate_ucas(cs)
-    by_cat = {r.category: r for r in records if r.ca_id == "CA1"}
+    by_cat = {r.category: r for r in records if r.action.ca_id == "CA1"}
     assert all(r.applicable for r in by_cat.values())
 
 

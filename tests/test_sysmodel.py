@@ -321,7 +321,7 @@ def test_rts_selective_processor_cross_group(rts_model):
     cross = [
         g
         for g in groups
-        if g.class_tag == "selective-processor" and g.scope is GroupScope.CROSS_DIVISION
+        if g.equipment.tag == "selective-processor" and g.scope is GroupScope.CROSS_DIVISION
     ]
     assert len(cross) == 1
     assert len(cross[0].members) == 8

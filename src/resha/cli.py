@@ -315,7 +315,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_analyze.add_argument("--out", type=_output_path,
                            help="output directory (default $RESHA_OUT or ./resha-out)")
     p_analyze.add_argument("--deterministic", action="store_true",
-                           help="pin output names and bytes for reproducible runs")
+                           help="write into --out itself, not a run-stamped subdirectory "
+                                "(artifact bytes never depend on it)")
     # Each --ccf-* flag sets the CcfPolicy field it is stored under; run_analysis
     # reads the result by the rules of a model's ccf_policy.
     p_analyze.add_argument("--ccf-intra", dest="include_intra_division",

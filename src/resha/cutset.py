@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from types import MappingProxyType
+from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .faulttree import (
@@ -146,7 +146,7 @@ class CutSet(_CutSetFields):
 
 
 class CutSetCollection(NamedTuple):
-    """Minimal cut sets with truncation provenance and per-order counts.
+    """Minimal cut sets with truncation provenance.
 
     ``exchange`` is the exchange document of the tree the sets were solved
     from.
@@ -155,18 +155,21 @@ class CutSetCollection(NamedTuple):
     cut_sets: tuple[CutSet, ...]
     truncation: int | None
     exchange: str
-    per_order: Mapping[int, int] = MappingProxyType({})
 
-    def cumulative_count(self, order: int) -> int:
-        return sum(c for o, c in self.per_order.items() if o <= order)
+    @property
+    def per_order(self) -> dict[int, int]:
+        """How many sets each populated order holds, in ascending order."""
+        return dict(sorted(Counter(cs.order for cs in self.cut_sets).items()))
 
     def rows(self, event_count: int) -> tuple[tuple[int, int, int], ...]:
         """(order, count at order, cumulative count) rows, ascending, up to the
         truncation order (untruncated: up to the largest order found), but not
         past ``event_count``, the solved tree's event count: no cut set is larger."""
-        top = self.truncation if self.truncation is not None else max(self.per_order, default=0)
-        top = min(top, event_count)
-        return tuple((k, self.per_order.get(k, 0), self.cumulative_count(k)) for k in range(1, top + 1))
+        per_order = self.per_order
+        top = self.truncation if self.truncation is not None else max(per_order, default=0)
+        orders = range(1, min(top, event_count) + 1)
+        counts = [per_order.get(k, 0) for k in orders]
+        return tuple(zip(orders, counts, itertools.accumulate(counts)))
 
     def sets_of_order(self, order: int) -> tuple[CutSet, ...]:
         return tuple(c for c in self.cut_sets if c.order == order)
@@ -190,7 +193,6 @@ def _collect(ft: FaultTree, masks: Iterable[int], index_to_id: Sequence[str],
         if events[eid].kind in CCF_KINDS:
             ccf_mask |= 1 << i
     rows = []
-    per_order: dict[int, int] = {}
     for mask in masks:
         names = []
         remaining = mask
@@ -198,9 +200,7 @@ def _collect(ft: FaultTree, masks: Iterable[int], index_to_id: Sequence[str],
             low = remaining & -remaining
             names.append(index_to_id[low.bit_length() - 1])
             remaining ^= low
-        order = len(names)
-        per_order[order] = per_order.get(order, 0) + 1
-        rows.append((order, tuple(names), mask))
+        rows.append((len(names), tuple(names), mask))
     rows.sort()
     return CutSetCollection(
         cut_sets=tuple(
@@ -209,7 +209,6 @@ def _collect(ft: FaultTree, masks: Iterable[int], index_to_id: Sequence[str],
         ),
         truncation=truncation,
         exchange=to_exchange_json(ft),
-        per_order=dict(sorted(per_order.items())),
     )
 
 
@@ -846,24 +845,22 @@ class SpofReport(NamedTuple):
     """First-order cut sets; falls back to the lowest populated order when none exist."""
 
     spofs: tuple[CutSet, ...]
-    fallback_order: int | None
     fallback_sets: tuple[CutSet, ...]
+
+    @property
+    def fallback_order(self) -> int | None:
+        return self.fallback_sets[0].order if self.fallback_sets else None
 
 
 def extract_spofs(css: CutSetCollection) -> SpofReport:
-    """Single points of failure: all order-1 sets, CCF-only sets included."""
+    """Single points of failure: all order-1 sets, CCF-only sets included.
+
+    ``css.cut_sets`` is sorted by order, so its first set has the lowest.
+    """
     spofs = css.sets_of_order(1)
-    if spofs:
-        return SpofReport(spofs=spofs, fallback_order=None, fallback_sets=())
-    populated = sorted(css.per_order)
-    if not populated:
-        return SpofReport(spofs=(), fallback_order=None, fallback_sets=())
-    lowest = populated[0]
-    return SpofReport(
-        spofs=(),
-        fallback_order=lowest,
-        fallback_sets=css.sets_of_order(lowest),
-    )
+    if spofs or not css.cut_sets:
+        return SpofReport(spofs=spofs, fallback_sets=())
+    return SpofReport(spofs=(), fallback_sets=css.sets_of_order(css.cut_sets[0].order))
 
 
 # ---------------------------------------------------------------------------

@@ -75,10 +75,17 @@ _BANK_FIELDS = {
 
 
 class GuidanceBank:
-    """Editable prompt bank keyed by event kind, equipment class, and category."""
+    """Editable prompt bank: one entry per (event kind, class prefix, category) key."""
 
     def __init__(self, entries: Sequence[GuidanceEntry]):
         self.entries = tuple(entries)
+        self._by_key: dict[tuple[Any, ...], GuidanceEntry] = {}
+        for i, entry in enumerate(self.entries):
+            if entry[:3] in self._by_key:
+                first = self.entries.index(self._by_key[entry[:3]])
+                raise GuidanceBankError(f"guidance bank entries[{i}]: same event_kind, class and category "
+                                        f"as entries[{first}]")
+            self._by_key[entry[:3]] = entry
 
     @classmethod
     def from_document(cls, doc: Any) -> "GuidanceBank":
@@ -103,22 +110,14 @@ class GuidanceBank:
         return cls.from_document(json.loads(text))
 
     def lookup(self, event: BasicEvent, class_prefix: str | None) -> GuidanceEntry:
-        """Most specific entry wins: (kind, class, category) > (kind, class) > (kind)."""
-        best: GuidanceEntry | None = None
-        best_rank = -1
-        for entry in self.entries:
-            if entry.event_kind is not event.kind:
-                continue
-            if entry.class_tag is not None and entry.class_tag != class_prefix:
-                continue
-            if entry.category is not None and entry.category != event.category:
-                continue
-            rank = (entry.class_tag is not None) * 2 + (entry.category is not None)
-            if rank > best_rank:
-                best, best_rank = entry, rank
-        if best is None:
-            return GuidanceEntry(event_kind=event.kind)
-        return best
+        """Most specific entry wins: (kind, class, category) > (kind, class) >
+        (kind, category) > (kind); with none, the defaults."""
+        kind, category = event.kind, event.category
+        for key in ((kind, class_prefix, category), (kind, class_prefix, None),
+                    (kind, None, category), (kind, None, None)):
+            if key in self._by_key:
+                return self._by_key[key]
+        return GuidanceEntry(event_kind=kind)
 
 
 class CausalFactorWorksheet(NamedTuple):

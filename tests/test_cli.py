@@ -647,6 +647,34 @@ def test_derived_records_hold_the_record_they_derive_from(model_path):
     assert sheet.event is artifacts.tree.events[sheet.event.id]
 
 
+@pytest.fixture(scope="module")
+def rps2(model_path):
+    return run_analysis(RunConfig(model_path=model_path, top="RPS", truncate=2, deterministic=True))
+
+
+def test_a_replaced_collection_counts_its_own_sets(rps2):
+    collection = rps2.collection
+    assert collection.per_order == {1: 13, 2: 200}
+    second = collection._replace(cut_sets=collection.sets_of_order(2))
+    assert second.per_order == {2: 200}
+    report = cutsetmod.extract_spofs(second)
+    assert report.spofs == ()
+    assert report.fallback_order == 2
+    assert report.fallback_sets == collection.sets_of_order(2)
+    assert len(report.fallback_sets) == 200
+    # The counts and the fallback order are read off the sets, not stored beside them.
+    assert cutsetmod.CutSetCollection._fields == ("cut_sets", "truncation", "exchange")
+    assert cutsetmod.SpofReport._fields == ("spofs", "fallback_sets")
+
+
+def test_a_collection_rebuilt_from_its_sets_reports_the_same(rps2):
+    collection, events = rps2.collection, len(rps2.tree.events)
+    rebuilt = cutsetmod.CutSetCollection(collection.cut_sets, 2, collection.exchange)
+    assert rebuilt.rows(events) == collection.rows(events) == ((1, 13, 13), (2, 200, 213))
+    assert cutsetmod.extract_spofs(rebuilt) == cutsetmod.extract_spofs(collection) == rps2.spofs
+    assert len(rps2.spofs.spofs) == 13 and rps2.spofs.fallback_order is None
+
+
 def test_run_config_reads_resha_out_when_writing(model_path, tmp_path, monkeypatch):
     config = RunConfig(model_path=model_path, top="RPS", truncate=1, deterministic=True)
     monkeypatch.setenv("RESHA_OUT", str(tmp_path / "env"))

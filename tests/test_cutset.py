@@ -365,8 +365,7 @@ def test_histogram_cumulative_counts():
     css = solve_minimal_cut_sets(ft)
     assert css.per_order.get(1, 0) == 1
     assert css.per_order.get(2, 0) == 1
-    assert css.cumulative_count(1) == 1
-    assert css.cumulative_count(2) == 2
+    assert css.rows(3) == ((1, 1, 1), (2, 1, 2))
 
 
 def test_histogram_empty_collection_zeroes():
@@ -899,7 +898,7 @@ def test_whole_mask_equality_join_by_hand():
 def test_full_model_order_5_reference_counts(full_tree):
     css = solve_minimal_cut_sets(full_tree, 5)
     assert dict(css.per_order) == {4: 468, 5: 8058}
-    assert css.cumulative_count(5) == 8526
+    assert css.rows(len(full_tree.events))[-1] == (5, 8058, 8526)
 
 
 def test_rps_order_3_reference_counts(rps_tree):
@@ -910,7 +909,7 @@ def test_rps_order_3_reference_counts(rps_tree):
 def test_automatic_trip_order_4_reference_counts(auto_tree):
     css = solve_minimal_cut_sets(auto_tree, 4)
     assert dict(css.per_order) == {2: 52, 3: 826, 4: 2664}
-    assert css.cumulative_count(4) == 3542
+    assert css.rows(len(auto_tree.events))[-1] == (4, 2664, 3542)
 
 
 def relabelled_model(one: str, other: str):

@@ -4,7 +4,7 @@ import pytest
 
 from resha.ccf import enumerate_ccf_catalog, inject_ccfs
 from resha.cutset import extract_spofs, solve_minimal_cut_sets
-from resha.faulttree import HARDWARE_KINDS, build_hardware_fault_tree, filter_events, integrate_ucas
+from resha.faulttree import HARDWARE_KINDS, EventKind, build_hardware_fault_tree, filter_events, integrate_ucas
 from resha.report import (
     GuidanceBank,
     GuidanceBankError,
@@ -139,6 +139,29 @@ def test_guidance_bank_reads_every_key_of_an_entry():
              "category2": [], "scenario": "s", "guidance": "g"}
     bank = GuidanceBank.from_document(bank_with(entry))
     assert bank.entries[1] == GuidanceEntry("SW_CCF", "LC-BP", None, ("p",), (), "s", "g")
+
+
+def test_guidance_bank_rejects_a_repeated_key():
+    # The second entry of a key was never looked up.
+    entries = [{"event_kind": "SW_CCF", "class": "LC-BP", "category": "c", "scenario": "first"},
+               {"event_kind": "SW_UCA"},
+               {"event_kind": "SW_CCF", "class": "LC-BP", "category": "c", "scenario": "second"}]
+    with pytest.raises(GuidanceBankError, match=r"^guidance bank entries\[2\]: "
+                                                r"same event_kind, class and category as entries\[0\]$"):
+        GuidanceBank.from_document({"guidance_bank_version": 1, "entries": entries})
+
+
+def test_guidance_lookup_takes_the_most_specific_entry(rps_tree):
+    event = next(e for e in rps_tree.events.values() if e.kind is EventKind.SW_CCF and e.category)
+    keys = [("LC-BP", event.category), ("LC-BP", None), (None, event.category), (None, None)]
+    entries = [GuidanceEntry(EventKind.SW_CCF, tag, category, scenario=f"{tag} {category}")
+               for tag, category in keys]
+    for n in range(len(entries)):
+        # Reversed: the order of the entries in the bank does not matter.
+        assert GuidanceBank(entries[n:][::-1]).lookup(event, "LC-BP") == entries[n]
+    assert GuidanceBank(entries).lookup(event, "SNS-A") == entries[2]
+    assert GuidanceBank(entries).lookup(event._replace(kind=EventKind.HW_CCF), "LC-BP") == \
+        GuidanceEntry(EventKind.HW_CCF)
 
 
 def report_for(rts_model, rts_cs, rts_ucas, tree, label="RPS"):

@@ -1,61 +1,43 @@
 """Minimal cut set solving for coherent fault trees.
 
-The solver performs top-down gate expansion (OR branches rows, AND merges
-rows, VOTE(k, n) branches over its k-combinations) evaluated gate-wise with
-memoization so shared subtrees expand once. Rows are bitmasks over interned
-event indices. Absorption minimization runs at each gate whose children
-share events; a gate whose children's event supports are pairwise disjoint
-skips it, because its rows are already minimal (see ``_combine``). Order
-truncation prunes rows as soon as they exceed the budget, which is sound
-because expansion of a coherent tree never shrinks a row. An untruncated
-solve is truncated at the tree's event count, which no cut set exceeds, so
-every solve runs the same code.
+The solver builds each gate's minimal cut sets bottom-up as a zero-suppressed
+decision diagram (ZBDD; Minato, DAC 1993), truncated at the gate's order
+budget as in the bottom-up ZBDD of Jung, Han and Ha (RESS 83(3), 2004). A
+family of event sets is a node; nodes are hash-consed, so shared subtrees
+and repeated sub-families are stored once. Four memoized operations work on
+antichains and return antichains, so absorption happens inside them and no
+result is filtered afterwards: ``union`` (the hi part is taken ``without``
+the lo part), ``product`` truncated at k (every hi branch at k - 1),
+``without`` (the sets of f containing no set of g) and ``trunc``. An OR
+folds ``union`` over its children and an AND folds ``product``; a k-of-n
+VOTE uses the suffix recurrence V(j, i) = union(product(c_i, V(j - 1, i +
+1)), V(j, i + 1)). Folding runs from the last child to the first.
+
+Variables are numbered by first appearance in a depth-first walk from the
+top that numbers each gate's own events, in child order, before it descends
+into the gate's child gates. Events met together get near numbers, which
+keeps the diagrams small, and a gate's events sit above those of the gates
+under it, so folding a gate's children from the last one meets the
+accumulated family below the child it adds and recurses only a few levels:
+a chain of 5,000 gates, each over one event and the next gate, solves at
+the default recursion limit whichever of the two is listed first. A tree that defeats this order can still
+recurse past the limit; the solve then stops with ``ResourceLimitError``.
 
 Each gate gets its own order budget, not the global one: a lower bound on
 every gate's cut-set order is computed bottom-up, and a child of an AND or
 VOTE gate whose events appear under no sibling only needs the parent's
 budget minus the least order its co-failing siblings add. A gate whose lower
-bound exceeds its budget yields no rows at all.
+bound exceeds its budget yields nothing. A child family built at a larger
+budget than its parent's is truncated when the parent reads it. A gate of
+budget 1 holds only one-event cut sets, so it is solved as an event mask:
+an event fails it alone when it fails k of its children alone. An
+untruncated solve is truncated at the tree's event count, which no cut set
+exceeds, so every solve runs the same code.
 
-Replicated gates are solved once. The solver computes every gate's shape, a
-hash of its subtree with event names erased, in the bottom-up pass that
-computes supports and bounds (``_supports_and_bounds``). A top-down plan
-(``_plan``) visits only the gates a solve needs; a gate that has an earlier
-representative of its shape with at least its budget, and whose subtree a
-parallel walk pairs node for node with the representative's (``_match``),
-takes the representative's rows of at most its own budget with every bit
-renamed, and nothing under it is visited. Why this is sound: a gate's rows
-are exactly its minimal cut sets of order <= its budget, which depend only
-on its subtree and its budget. The walk's bijection turns the
-representative's structure function into the copy's, and a bijection
-preserves popcount and containment, so the renamed rows within the copy's
-budget are exactly the copy's rows.
-
-At an AND or VOTE gate whose children share events, each child's rows are
-also capped on their private events, those under no sibling: with gate
-budget b, a row of child c with more than b - t_c private events is dropped,
-where t_c is the (k - 1)-th smallest lower bound among the other children.
-Why this is sound: a minimal cut set M of order <= b is the union of a row x
-of c and rows of k - 1 other children. The union Y of those rows has order
-at least t_c, and x's private events are under none of those children, so
-they miss Y and |M| >= |private part of x| + t_c. So each row that M is
-built from passes its own cap and M is still built; a union of kept rows
-that is not minimal contains such an M, which absorbs it.
-
-Absorption looks only where a subset of a row can exist. First, only a
-strictly smaller row can absorb a row, so ``_minimize`` keeps the rows of
-the input's lowest popcount unchecked, and returns an input whose rows all
-have one popcount deduplicated. Second, at an OR whose children share events
-(``_absorb_across``) each child's rows are an antichain, so a row y of child
-j is absorbed only by a row x of another child i, and x lies in supp(i) &
-supp(j), inside the gate's shared mask: the events under two or more
-children. If x is itself absorbed, its absorber is smaller still, lies
-inside the shared mask too and absorbs y. So the rows inside the shared
-mask, minimized among themselves, are the only absorbers needed. A row with
-an event outside the shared mask contains an absorber exactly when its
-shared part does, and it equals none of them. A VOTE gate with 1 < k < n
-keeps ``_minimize``, because rows of two of its combinations can come from
-the same child.
+``max_nodes`` bounds the whole diagram store: unique nodes and operation
+cache entries together. Past it the solve stops with ``ResourceLimitError``,
+which names the gate it stopped at, the progress made and the finished gate
+with the most sets.
 
 One bit-parallel evaluator, ``_top_truth``, independent of the solver,
 computes the structure function over many assignments in one pass: each
@@ -70,6 +52,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import sys
 from collections import Counter
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
@@ -85,7 +68,7 @@ from .faulttree import (
 )
 from .sysmodel import NodeId, _csv_text
 
-DEFAULT_SET_BUDGET = 5_000_000
+DEFAULT_NODE_BUDGET = 2_000_000
 DEFAULT_BRUTE_FORCE_LIMIT = 20
 
 
@@ -94,27 +77,23 @@ class CutSetError(Exception):
 
 
 class ResourceLimitError(CutSetError):
-    """Raised when expansion exceeds the configured row budget.
+    """Raised when a solve exceeds its node budget or the recursion limit.
 
-    Carries the progress made and the finished gate that kept the most rows
-    (``largest_gate`` is None when no gate finished).
+    Carries the progress made and the finished gate whose family holds the
+    most sets (``largest_gate`` is None when no finished gate holds one).
     """
 
-    def __init__(self, message: str, gates_done: int, gates_total: int, live_sets: int,
-                 largest_gate: str | None, largest_rows: int):
+    def __init__(self, message: str, gates_done: int, gates_total: int,
+                 largest_gate: str | None, largest_sets: int):
         largest = (
-            f"largest gate {largest_gate!r} kept {largest_rows} rows"
+            f"largest gate {largest_gate!r} holds {largest_sets} sets"
             if largest_gate is not None else "no gate finished"
         )
-        super().__init__(
-            f"{message} (progress: {gates_done}/{gates_total} gates, {live_sets} live sets; "
-            f"{largest})"
-        )
+        super().__init__(f"{message} (progress: {gates_done}/{gates_total} gates; {largest})")
         self.gates_done = gates_done
         self.gates_total = gates_total
-        self.live_sets = live_sets
         self.largest_gate = largest_gate
-        self.largest_rows = largest_rows
+        self.largest_sets = largest_sets
 
 
 class EvaluationError(CutSetError):
@@ -213,183 +192,150 @@ def _collect(ft: FaultTree, masks: Iterable[int], index_to_id: Sequence[str],
 
 
 # ---------------------------------------------------------------------------
-# Antichain minimization over bitmasks
+# Zero-suppressed decision diagrams of antichains
 # ---------------------------------------------------------------------------
 
 
-# Masks with at most this many bits are checked for absorption by probing
-# each proper submask (at most 2**8 - 2) in a hash set of kept masks; wider
-# ones scan the kept masks that share their lowest bits.
-_PROBE_BITS = 8
+# The variable of the two terminals: larger than any event's.
+_LEAF = sys.maxsize
 
 
-def _minimize(masks: Iterable[int]) -> list[int]:
-    """Keep only inclusion-minimal masks (absorption law).
+class _Full(Exception):
+    """The diagram store holds as many entries as its budget allows."""
 
-    Masks are processed in ascending popcount order, so every minimal subset
-    of a mask is kept before the mask comes up. Only a strictly smaller mask
-    can absorb one, so the masks of the lowest popcount are kept unchecked,
-    and masks that all have one popcount come back deduplicated. Singleton
-    masks absorb anything containing their bit (the common case once shared
-    common-cause events appear), handled by one OR-accumulated filter. A
-    mask of at most ``_PROBE_BITS`` bits is absorbed exactly when one of its
-    proper submasks is kept; wider masks use lowest-bit buckets to narrow
-    subset candidates. The result is in ascending popcount, then value.
+
+def _diagram(max_entries: int) -> tuple:
+    """A new node store and the memoized operations on it: (nodes, node,
+    union, product, trunc).
+
+    A family of event sets is a node id. 0 is the empty family and 1 is
+    {∅}; any other id indexes ``nodes``, whose entry (var, lo, hi, least,
+    most) holds the sets without the event numbered ``var`` (lo), the sets
+    with it, each without it (hi), and the smallest and largest set size.
+    Every variable under a node is larger than its own, and no node has hi 0.
+
+    Every family an operation takes and returns is an antichain: no set
+    contains another. The store raises ``_Full`` once its unique table and
+    operation caches together would hold more than ``max_entries`` entries.
     """
-    unique = sorted(set(masks), key=lambda m: (m.bit_count(), m))
-    if not unique:
-        return unique
-    least = unique[0].bit_count()
-    if unique[-1].bit_count() == least:
-        return unique
-    kept: list[int] = []
-    kept_set: set[int] = set()
-    single_union = 0
-    by_lowbit: dict[int, list[int]] = {}
-    for mask in unique:
-        size = mask.bit_count()
-        if size == least:
-            pass  # nothing smaller is kept
-        elif mask & single_union:
-            continue
-        elif size <= _PROBE_BITS:
-            sub = (mask - 1) & mask
-            while sub and sub not in kept_set:
-                sub = (sub - 1) & mask
-            if sub:
-                continue
-        else:
-            absorbed = False
-            remaining = mask
-            while remaining:
-                low = remaining & -remaining
-                for small in by_lowbit.get(low, ()):
-                    if small & mask == small:
-                        absorbed = True
-                        break
-                if absorbed:
-                    break
-                remaining ^= low
-            if absorbed:
-                continue
-        kept.append(mask)
-        if size == 1:
-            single_union |= mask
-        else:
-            kept_set.add(mask)
-            by_lowbit.setdefault(mask & -mask, []).append(mask)
-    return kept
+    nodes = [(_LEAF, 0, 0, _LEAF, 0), (_LEAF, 0, 0, 0, 0)]
+    unique: dict[tuple[int, int, int], int] = {}
+    unions: dict[tuple[int, int], int] = {}
+    withouts: dict[tuple[int, int], int] = {}
+    products: dict[tuple[int, int, int], int] = {}
+    truncs: dict[tuple[int, int], int] = {}
+    entries = 0
 
+    def store(table: dict, key: tuple, value: int) -> int:
+        nonlocal entries
+        entries += 1
+        if entries > max_entries:
+            raise _Full
+        table[key] = value
+        return value
 
-def _absorb_across(rows: list[int], shared: int) -> list[int]:
-    """``_minimize(rows)`` for the rows of an OR whose children's rows are antichains.
+    def node(var: int, lo: int, hi: int) -> int:
+        if hi == 0:
+            return lo
+        key = (var, lo, hi)
+        f = unique.get(key)
+        if f is None:
+            _, _, _, lo_least, lo_most = nodes[lo]
+            _, _, _, hi_least, hi_most = nodes[hi]
+            f = store(unique, key, len(nodes))
+            nodes.append((var, lo, hi, lo_least if lo_least <= hi_least else hi_least + 1,
+                          lo_most if lo_most > hi_most else hi_most + 1))
+        return f
 
-    ``shared`` holds the events under two or more children. Only a row that
-    lies inside ``shared`` can absorb a row of another child (see the module
-    docstring), so those rows are minimized among themselves, and a row with
-    an event outside ``shared`` is kept unless one of them is a subset of its
-    shared part. Rows with the same shared part get the same verdict. The
-    result is the list ``_minimize(rows)`` returns, in the same order.
-    """
-    absorbers = _minimize([m for m in rows if m & shared == m])
-    kept = list(absorbers)
-    absorber_set = set(absorbers)
-    verdicts: dict[int, bool] = {}
-    for mask in rows:
-        key = mask & shared
-        if key == mask:
-            continue
-        absorbed = verdicts.get(key)
-        if absorbed is None:
-            if key.bit_count() <= _PROBE_BITS:
-                sub = key
-                while sub and sub not in absorber_set:
-                    sub = (sub - 1) & key
-                absorbed = sub != 0
+    def union(f: int, g: int) -> int:
+        """The minimal sets of f and g together."""
+        if f == g or g == 0:
+            return f
+        if f == 0:
+            return g
+        if f == 1 or g == 1:
+            return 1
+        if f > g:
+            f, g = g, f
+        r = unions.get((f, g))
+        if r is None:
+            fv, f0, f1, _, _ = nodes[f]
+            gv, g0, g1, _, _ = nodes[g]
+            # A set with the top variable is absorbed only by a set without it.
+            if fv < gv:
+                r = node(fv, union(f0, g), without(f1, g))
+            elif gv < fv:
+                r = node(gv, union(f, g0), without(g1, f))
             else:
-                absorbed = any(a & key == a for a in absorbers)
-            verdicts[key] = absorbed
-        if not absorbed:
-            kept.append(mask)
-    kept.sort(key=lambda m: (m.bit_count(), m))
-    return kept
+                lo = union(f0, g0)
+                r = node(fv, lo, without(union(f1, g1), lo))
+            store(unions, (f, g), r)
+        return r
 
+    def without(f: int, g: int) -> int:
+        """The sets of f that contain no set of g."""
+        if f == 0 or g == 0:
+            return f
+        if g == 1 or f == g:
+            return 0
+        if f == 1:
+            return 1
+        fv, f0, f1, _, f_most = nodes[f]
+        gv, g0, g1, g_least, _ = nodes[g]
+        if g_least > f_most:
+            return f
+        r = withouts.get((f, g))
+        if r is None:
+            if fv < gv:
+                r = node(fv, without(f0, g), without(f1, g))
+            elif gv < fv:
+                # No set of f holds gv, so no set of g with it is a subset.
+                r = without(f, g0)
+            else:
+                r = node(fv, without(f0, g0), without(without(f1, g0), g1))
+            store(withouts, (f, g), r)
+        return r
 
-def _bit_subsets(mask: int, k: int) -> Iterable[int]:
-    """All k-bit submasks of ``mask``; a mask of exactly k bits is its own only one."""
-    if k == mask.bit_count():
-        return (mask,)
-    bits = []
-    remaining = mask
-    while remaining:
-        low = remaining & -remaining
-        bits.append(low)
-        remaining ^= low
-    # Distinct powers of two: their sum is their union.
-    return map(sum, itertools.combinations(bits, k))
+    def product(f: int, g: int, k: int) -> int:
+        """The minimal sets of at most k events that join a set of f and one of g."""
+        if f == 0 or g == 0:
+            return 0
+        if f == 1:
+            return trunc(g, k)
+        if g == 1 or f == g:
+            return trunc(f, k)
+        if f > g:
+            f, g = g, f
+        fv, f0, f1, f_least, _ = nodes[f]
+        gv, g0, g1, g_least, _ = nodes[g]
+        if f_least > k or g_least > k:
+            return 0
+        r = products.get((f, g, k))
+        if r is None:
+            if fv < gv:
+                var, lo, hi = fv, product(f0, g, k), product(f1, g, k - 1)
+            elif gv < fv:
+                var, lo, hi = gv, product(f, g0, k), product(f, g1, k - 1)
+            else:
+                var, lo = fv, product(f0, g0, k)
+                hi = union(product(f1, g1, k - 1),
+                           union(product(f1, g0, k - 1), product(f0, g1, k - 1)))
+            r = store(products, (f, g, k), node(var, lo, without(hi, lo)))
+        return r
 
+    def trunc(f: int, k: int) -> int:
+        """The sets of f with at most k events."""
+        var, f0, f1, least, most = nodes[f]
+        if most <= k:
+            return f
+        if least > k:
+            return 0
+        r = truncs.get((f, k))
+        if r is None:
+            r = store(truncs, (f, k), node(var, trunc(f0, k), trunc(f1, k - 1)))
+        return r
 
-def _and_combine(a: list[int], b: list[int], order: int, max_rows: int,
-                 disjoint: bool) -> list[int]:
-    """Minimized pairwise unions, skipping pairs that cannot fit the order budget.
-
-    A pair (x, y) survives only when |x| + |y| - |shared| stays within
-    ``order``; pairs short on popcount are taken whole, and the rest are
-    found by joining on shared ``need``-bit submasks, so pairs with too
-    little overlap are never enumerated. A row of exactly ``need`` bits is
-    its own only key, so when both rows are that size the join is an
-    equality join on whole masks and no submask is enumerated. When ``a``
-    and ``b`` draw on disjoint events no pair shares a bit, so only pairs
-    short on popcount fit, and their unions are already minimal.
-    """
-    if not a or not b:
-        return []
-    out: list[int] = []
-    buckets_a: dict[int, list[int]] = {}
-    buckets_b: dict[int, list[int]] = {}
-    for x in a:
-        buckets_a.setdefault(x.bit_count(), []).append(x)
-    for y in b:
-        buckets_b.setdefault(y.bit_count(), []).append(y)
-
-    for pa, xs in buckets_a.items():
-        for pb, ys in buckets_b.items():
-            need = pa + pb - order
-            if need <= 0:
-                if len(out) + len(xs) * len(ys) > max_rows:
-                    raise _BudgetExceeded()
-                out.extend(x | y for x in xs for y in ys)
-                continue
-            if disjoint or need > min(pa, pb):
-                continue
-            index: dict[int, list[int]] = {}
-            for y in ys:
-                for key in _bit_subsets(y, need):
-                    index.setdefault(key, []).append(y)
-            for x in xs:
-                for key in _bit_subsets(x, need):
-                    for y in index.get(key, ()):
-                        merged = x | y
-                        if merged.bit_count() <= order:
-                            out.append(merged)
-                if len(out) > max_rows:
-                    raise _BudgetExceeded()
-    return out if disjoint else _minimize(out)
-
-
-def _and_all(parts: Sequence[list[int]], order: int, max_rows: int, disjoint: bool) -> list[int]:
-    """Minimal masks of order <= ``order`` in which every part has a row."""
-    # A part is an antichain; dropping its rows over the order keeps it one.
-    acc = [m for m in parts[0] if m.bit_count() <= order]
-    for p in parts[1:]:
-        if not acc:
-            break
-        acc = _and_combine(acc, p, order, max_rows, disjoint)
-    return acc
-
-
-class _BudgetExceeded(Exception):
-    pass
+    return nodes, node, union, product, trunc
 
 
 # ---------------------------------------------------------------------------
@@ -401,12 +347,13 @@ def solve_minimal_cut_sets(
     ft: FaultTree,
     max_order: int | None = None,
     *,
-    max_sets: int = DEFAULT_SET_BUDGET,
+    max_nodes: int = DEFAULT_NODE_BUDGET,
 ) -> CutSetCollection:
     """Exact minimal cut sets of a coherent tree, optionally order-truncated.
 
     With truncation the result equals the subset of the untruncated minimal
-    cut sets whose order does not exceed ``max_order``.
+    cut sets whose order does not exceed ``max_order``. ``max_nodes`` bounds
+    the entries of the diagram store: unique nodes and cached operations.
     """
     if max_order is not None and max_order < 1:
         raise CutSetError("max_order must be >= 1 when given")
@@ -420,183 +367,157 @@ def solve_minimal_cut_sets(
     # No cut set has more events than the tree, so this limit truncates nothing.
     limit = len(event_ids) if max_order is None else max_order
     gate_ids = ft.gate_order
-    supp, shared, lo, shapes = _supports_and_bounds(ft, index_of)
-    budgets, caps = _order_budgets(ft, supp, shared, lo, limit)
-    plan = _plan(ft, budgets, shapes, index_of)
-    results: dict[str, list[int]] = {}
-    largest_gate: str | None = None
-    largest_rows = 0
-    # Free a result once every reader has consumed it; only the top's sets
-    # must survive to the end.
-    consumers: dict[str, int] = {}
-    for _, reads in plan.values():
-        for read in reads:
-            consumers[read] = consumers.get(read, 0) + 1
+    supp, shared, lo = _supports_and_bounds(ft, index_of)
+    var_of = _variables(ft)
+    budgets = _order_budgets(ft, supp, shared, lo, limit)
+    nodes, node, union, product, trunc = _diagram(max_nodes)
+    # A gate of budget 1 holds the mask of its one-event cut sets; any other
+    # gate with a budget holds its diagram. Gates of budget 0 hold nothing.
+    families: dict[str, int] = {}
 
-    for done, gate_id in enumerate(gate_ids):
-        if gate_id not in plan:
-            continue
-        gate = gates[gate_id]
-        budget = budgets[gate_id]
-        source, reads = plan[gate_id]
-        if budget == 0:
-            results[gate_id] = []
-        elif source is not None:
-            results[gate_id] = _rename(results[source.rep], budget, source)
-        else:
-            parts = [
-                [1 << index_of[child]] if child in events else results[child]
-                for child in gate.children
-            ]
-            if gate_id in caps:
-                parts = [
-                    p if cap is None else [m for m in p if (m & cap[0]).bit_count() <= cap[1]]
-                    for p, cap in zip(parts, caps[gate_id])
-                ]
-            try:
-                results[gate_id] = _combine(gate, parts, budget, max_sets, shared[gate_id])
-            except _BudgetExceeded:
-                live = sum(len(r) for r in results.values())
-                raise ResourceLimitError(
-                    f"cut set expansion exceeded budget of {max_sets} rows at gate {gate_id!r}",
-                    gates_done=done,
-                    gates_total=len(gate_ids),
-                    live_sets=live,
-                    largest_gate=largest_gate,
-                    largest_rows=largest_rows,
-                ) from None
-        if len(results[gate_id]) > largest_rows:
-            largest_gate, largest_rows = gate_id, len(results[gate_id])
-        for child in reads:
-            consumers[child] -= 1
-            if consumers[child] == 0 and child != ft.top:
-                del results[child]
+    def singletons(f: int) -> int:
+        mask = 0
+        while f > 1:
+            var, f, hi, _, _ = nodes[f]
+            if hi == 1:
+                mask |= 1 << var
+        return mask
 
-    return _collect(ft, results[ft.top], event_ids, max_order)
+    def read_mask(child: str) -> int:
+        if child in events:
+            return 1 << var_of[child]
+        f = families.get(child, 0)
+        return f if budgets[child] == 1 else singletons(f)
+
+    def read_diagram(child: str, budget: int) -> int:
+        if child in events:
+            return node(var_of[child], 0, 1)
+        f = families.get(child, 0)
+        if budgets[child] != 1:
+            return trunc(f, budget) if budgets[child] > budget else f
+        out = 0
+        for var in reversed(_bits(f)):
+            out = node(var, out, 1)
+        return out
+
+    try:
+        for done, gate_id in enumerate(gate_ids):
+            budget = budgets[gate_id]
+            if budget == 0:
+                continue
+            gate = gates[gate_id]
+            k = gate.threshold
+            if budget == 1:
+                # An event fails the gate alone when it fails k children alone.
+                failed = [0] * k
+                for child in gate.children:
+                    mask = read_mask(child)
+                    for j in range(k - 1, 0, -1):
+                        failed[j] |= failed[j - 1] & mask
+                    failed[0] |= mask
+                families[gate_id] = failed[-1]
+                continue
+            # Folding from the last child keeps the accumulated family below
+            # the child it adds when the children are numbered in order.
+            kids = [read_diagram(child, budget) for child in reversed(gate.children)]
+            if k == 1:
+                family = 0
+                for f in kids:
+                    family = union(f, family)
+            elif k == len(kids):
+                family = 1
+                for f in kids:
+                    family = product(f, family, budget)
+            else:
+                # votes[j]: the sets that fail j of the children folded so far.
+                votes = [1] + [0] * k
+                for f in kids:
+                    for j in range(k, 0, -1):
+                        votes[j] = union(product(f, votes[j - 1], budget), votes[j])
+                family = votes[k]
+            families[gate_id] = family
+        top = read_diagram(ft.top, limit)
+    except (_Full, RecursionError) as exc:
+        # A tree whose events the walk numbers below much of the family they
+        # join (an event one gate under a long chain, listed after it) makes
+        # the operations recurse that deep.
+        exceeded = f"budget of {max_nodes} nodes" if isinstance(exc, _Full) else "the recursion limit"
+        largest_gate, largest_sets = _largest(families, budgets, nodes)
+        raise ResourceLimitError(
+            f"cut set expansion exceeded {exceeded} at gate {gate_id!r}",
+            gates_done=done,
+            gates_total=len(gate_ids),
+            largest_gate=largest_gate,
+            largest_sets=largest_sets,
+        ) from None
+
+    index_bit = [0] * len(var_of)
+    for eid, var in var_of.items():
+        index_bit[var] = 1 << index_of[eid]
+    masks = []
+    stack = [(top, 0)]
+    while stack:
+        f, mask = stack.pop()
+        while f > 1:
+            var, f, hi, _, _ = nodes[f]
+            stack.append((hi, mask | index_bit[var]))
+        if f == 1:
+            masks.append(mask)
+    return _collect(ft, masks, event_ids, max_order)
 
 
-class _Copy(NamedTuple):
-    """How a mapped gate gets its rows: its representative's, renamed."""
+def _bits(mask: int) -> list[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
-    rep: str
-    fixed: int  # the events that pair with themselves
-    moves: dict[int, int]  # every other representative bit -> the copy's bit
+
+def _largest(families: Mapping[str, int], budgets: Mapping[str, int],
+             nodes: Sequence[tuple[int, int, int, int, int]]) -> tuple[str | None, int]:
+    """The first finished gate whose family holds the most sets, and how many;
+    (None, 0) when no finished gate holds a set."""
+    counts = [0, 1]
+    for _, lo, hi, _, _ in itertools.islice(nodes, 2, None):
+        counts.append(counts[lo] + counts[hi])
+    largest: tuple[str | None, int] = (None, 0)
+    for gate_id, f in families.items():
+        size = f.bit_count() if budgets[gate_id] == 1 else counts[f]
+        if size > largest[1]:
+            largest = (gate_id, size)
+    return largest
 
 
-def _plan(
-    ft: FaultTree, budgets: Mapping[str, int], shapes: Mapping[str, int],
-    index_of: Mapping[str, int],
-) -> dict[str, tuple[_Copy | None, tuple[str, ...]]]:
-    """The gates a solve must build, each with how it gets its rows and the
-    results it reads: (None, its child gates) for a gate solved from its
-    children, (a ``_Copy``, its representative) for one that takes a
-    representative's rows, and (None, ()) for a gate with budget 0.
-
-    A depth-first walk from the top, in child order, visits only the gates
-    some visited parent reads. A visited gate with a budget tries the
-    representatives kept so far that share its shape, come earlier in
-    ``gate_order`` and have at least its budget. Hashes can collide, so an
-    equal shape only nominates a representative: the first whose subtree
-    ``_match`` pairs with its own makes it a copy, and its children are not
-    visited. Otherwise it is solved and becomes a representative itself.
-    """
-    gates = ft.gates
-    position = {g: i for i, g in enumerate(ft.gate_order)}
-    plan: dict[str, tuple[_Copy | None, tuple[str, ...]]] = {}
-    kept: dict[int, list[str]] = {}
+def _variables(ft: FaultTree) -> dict[str, int]:
+    """Each event's variable: its rank of first appearance in a depth-first
+    walk from the top that numbers each gate's events, in child order,
+    before it descends into the gate's child gates, also in child order."""
+    var_of: dict[str, int] = {}
+    expanded: set[str] = set()
     stack = [ft.top]
     while stack:
         gate_id = stack.pop()
-        if gate_id in plan:
+        if gate_id in expanded:
             continue
-        plan[gate_id] = (None, ())
-        budget = budgets[gate_id]
-        if budget == 0:
-            continue
-        reps = kept.setdefault(shapes[gate_id], [])
-        for rep in reps:
-            if position[rep] < position[gate_id] and budgets[rep] >= budget:
-                copy = _match(gates, gate_id, rep, index_of)
-                if copy is not None:
-                    plan[gate_id] = (copy, (rep,))
-                    break
-        else:
-            reps.append(gate_id)
-            children = tuple(c for c in gates[gate_id].children if c in gates)
-            plan[gate_id] = (None, children)
-            stack.extend(reversed(children))
-    return plan
-
-
-def _match(gates: Mapping[str, Gate], gate_id: str, rep: str,
-           index_of: Mapping[str, int]) -> _Copy | None:
-    """How ``gate_id`` takes ``rep``'s rows, or None when their subtrees do not pair.
-
-    Walks both subtrees in parallel. Paired gates must agree in kind, k and
-    arity, and paired children must both be events or both be gates. The
-    pairing must stay a bijection: a node met again must pair with the same
-    node, and no two nodes may pair with one.
-    """
-    ours_of = {rep: gate_id}
-    theirs_of = {gate_id: rep}
-    stack = [(gate_id, rep)]
-    while stack:
-        ours, theirs = stack.pop()
-        a, b = gates[ours], gates[theirs]
-        if a.kind is not b.kind or a.k != b.k or len(a.children) != len(b.children):
-            return None
-        for x, y in zip(a.children, b.children):
-            paired = theirs_of.get(x)
-            if paired is None:
-                if y in ours_of or (x in gates) is not (y in gates):
-                    return None
-                theirs_of[x] = y
-                ours_of[y] = x
-                if x in gates:
-                    stack.append((x, y))
-            elif paired != y:
-                return None
-    fixed = 0
-    moves = {}
-    for ours, theirs in theirs_of.items():
-        if ours in gates:
-            continue
-        if ours == theirs:
-            fixed |= 1 << index_of[ours]
-        else:
-            moves[1 << index_of[theirs]] = 1 << index_of[ours]
-    return _Copy(rep, fixed, moves)
-
-
-def _rename(rows: list[int], order: int, copy: _Copy) -> list[int]:
-    """The representative's rows of at most ``order`` bits, renamed for the copy."""
-    fixed, moves = copy.fixed, copy.moves
-    out = []
-    for row in rows:
-        if row.bit_count() > order:
-            continue
-        renamed = row & fixed
-        row ^= renamed
-        while row:
-            low = row & -row
-            renamed |= moves[low]
-            row ^= low
-        out.append(renamed)
-    return out
+        expanded.add(gate_id)
+        children = ft.gates[gate_id].children
+        for child in children:
+            if child in ft.events and child not in var_of:
+                var_of[child] = len(var_of)
+        stack.extend(reversed([child for child in children if child in ft.gates]))
+    return var_of
 
 
 def _supports_and_bounds(
     ft: FaultTree, index_of: Mapping[str, int]
-) -> tuple[dict[str, int], dict[str, int], dict[str, int], dict[str, int]]:
+) -> tuple[dict[str, int], dict[str, int], dict[str, int]]:
     """One children-first pass giving every node's event support, every
     gate's shared mask (the events under two or more of its children; 0 when
-    the children's supports are pairwise disjoint), a lower bound on the
-    order of every cut set of each node, and every node's shape.
-
-    A shape is a hash of the node's subtree with event names erased: every
-    event has shape 0, and a gate's shape hashes its kind, its k and its
-    children's shapes in order, so gates whose subtrees differ only in event
-    names share a shape.
+    the children's supports are pairwise disjoint) and a lower bound on the
+    order of every cut set of each node.
 
     An empty OR has support 0, which is disjoint from every sibling. A k-of-n
     gate (OR: k = 1, AND: k = n) needs k failed children: when the children's
@@ -609,7 +530,6 @@ def _supports_and_bounds(
     shared: dict[str, int] = {}
     never = len(ft.events) + 1
     lo = dict.fromkeys(ft.events, 1)
-    shapes = dict.fromkeys(ft.events, 0)
     gates = ft.gates
     for gate_id in ft.gate_order:
         gate = gates[gate_id]
@@ -619,7 +539,6 @@ def _supports_and_bounds(
             once |= supp[child]
         supp[gate_id] = once
         shared[gate_id] = twice
-        shapes[gate_id] = hash((gate.kind, gate.k, tuple([shapes[c] for c in gate.children])))
         k = gate.threshold
         if k > len(gate.children):
             lo[gate_id] = never
@@ -628,40 +547,33 @@ def _supports_and_bounds(
         else:
             los = sorted([lo[child] for child in gate.children])
             lo[gate_id] = los[k - 1] if twice else sum(los[:k])
-    return supp, shared, lo, shapes
+    return supp, shared, lo
 
 
 def _order_budgets(
     ft: FaultTree, supp: Mapping[str, int], shared: Mapping[str, int], lo: Mapping[str, int],
     max_order: int,
-) -> tuple[dict[str, int], dict[str, list[tuple[int, int] | None]]]:
+) -> dict[str, int]:
     """The largest cut-set order each gate must deliver for a solve truncated
-    at ``max_order``, and the private caps of the gates that have them.
+    at ``max_order``.
 
     Why a child may get less than its parent's budget b: every minimal cut set
     M of a k-of-n gate with |M| <= b is the union of one minimal cut set from
-    each of k failed children. When child c's support is disjoint from all
-    its siblings' supports, its part is disjoint from the rest of M, which is
-    a cut set of the other k - 1 children and so has order at least their
-    (k - 1)-of-(n - 1) lower bound; hence c's part has order <= b minus that
-    bound. Every other child keeps b, and a gate shared by several parents
-    takes the largest budget any of them asks for. A gate keeps only rows
-    within its budget; a non-minimal row within budget is absorbed by a
-    minimal row that is also within budget, so each gate still yields
-    exactly its minimal cut sets of order <= its budget. Budget 0 marks a
-    gate with no cut set that small.
-
-    The caps come from the same pass, for every AND or VOTE gate whose
-    children share events: one (private mask, cap) per child, or None
-    where the cap cannot bite. A child's private events are those under no
-    sibling, and a row of that child with more than ``cap`` of them is
-    in no minimal cut set of the gate within its budget (see the module
-    docstring).
+    each of k failed children. When none of child c's events is under a
+    sibling, its part is disjoint from the rest of M, which is a cut set of
+    the other k - 1 children; hence c's part has order <= b minus their least
+    order: the sum of the k - 1 smallest bounds among them when all the
+    children's supports are disjoint, and otherwise the (k - 1)-th smallest.
+    Every other child keeps b, and a gate shared by several parents takes
+    the largest budget any of them asks for. A gate keeps only sets within
+    its budget; a non-minimal set within budget is absorbed by a minimal set
+    that is also within budget, so each gate still yields exactly its
+    minimal cut sets of order <= its budget. Budget 0 marks a gate with no
+    cut set that small.
     """
     gates = ft.gates
     budgets = dict.fromkeys(ft.gate_order, 0)
     budgets[ft.top] = max_order
-    caps: dict[str, list[tuple[int, int] | None]] = {}
     for gate_id in reversed(ft.gate_order):
         gate = gates[gate_id]
         b = budgets[gate_id]
@@ -676,65 +588,21 @@ def _order_budgets(
                 if child in gates:
                     budgets[child] = max(budgets[child], b)
             continue
-        # A child is alone when none of its events is under two or more children.
         common = shared[gate_id]
         los = sorted([lo[child] for child in children])
         least_k = sum(los[:k])
-        apart = not common
-        gate_caps: list[tuple[int, int] | None] | None = None if apart else []
         for child in children:
-            # (k - 1)-th smallest bound once the child is removed.
-            others = los[k - 1] if lo[child] <= los[k - 2] else los[k - 2]
-            if gate_caps is not None:
-                private = supp[child] & ~common
-                cap = b - others
-                gate_caps.append((private, cap) if private.bit_count() > cap else None)
             if child not in gates:
                 continue
-            alone = not supp[child] & common
             taken = 0
-            if alone and apart:
+            if not common:
                 # Sum of the k - 1 smallest bounds once the child is removed.
                 taken = max(least_k - lo[child], least_k - los[k - 1])
-            elif alone:
-                taken = others
+            elif not supp[child] & common:
+                # (k - 1)-th smallest bound once the child is removed.
+                taken = los[k - 1] if lo[child] <= los[k - 2] else los[k - 2]
             budgets[child] = max(budgets[child], b - taken)
-        if gate_caps is not None and any(gate_caps):
-            caps[gate_id] = gate_caps
-    return budgets, caps
-
-
-def _combine(gate: Gate, parts: list[list[int]], order: int, max_rows: int,
-             shared: int) -> list[int]:
-    """Minimal masks of one gate of order <= ``order`` from its children's masks.
-
-    Every gate is a k-of-n vote (OR: k = 1, AND: k = n): its rows are the
-    minimized unions of one row from each child of some k-combination. With
-    k = n there is a single combination, which ``_and_all`` already minimizes.
-    ``shared`` holds the events under two or more children. When it is 0 the
-    children's supports are pairwise disjoint and the rows need no
-    absorption. Each child result is an antichain of nonempty masks within
-    its child's support. Unions of antichains over disjoint supports (OR) are
-    an antichain without duplicates, and so are the pairwise unions of two of
-    them (AND): x | y contains x' | y' only when x contains x' and y contains
-    y'. Rows from two different VOTE combinations cannot contain one another,
-    because each row meets exactly the supports of its own combination's
-    children. Dropping rows over the order budget keeps an antichain an
-    antichain. An OR whose children share events absorbs only through the
-    rows inside ``shared`` (``_absorb_across``); a VOTE keeps ``_minimize``,
-    because rows of two combinations can share children.
-    """
-    k = gate.threshold
-    if k == len(parts):
-        return _and_all(parts, order, max_rows, not shared)
-    rows: list[int] = []
-    for combo in itertools.combinations(parts, k):
-        rows.extend(_and_all(combo, order, max_rows, not shared))
-        if len(rows) > max_rows:
-            raise _BudgetExceeded()
-    if not shared:
-        return rows
-    return _absorb_across(rows, shared) if k == 1 else _minimize(rows)
+    return budgets
 
 
 # ---------------------------------------------------------------------------

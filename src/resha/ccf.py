@@ -11,7 +11,8 @@ from __future__ import annotations
 
 import itertools
 import logging
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from operator import attrgetter
+from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 
 from .faulttree import BasicEvent, EventKind, FaultTree, FaultTreeError, Gate, ccf_event_id, hw_gate_id
 from .sysmodel import CcfPolicy, GroupScope, NodeId, RedundancyGroup, _csv_text, _shown
@@ -160,31 +161,36 @@ def inject_ccfs(
                     group.equipment.tag,
                     group.scope.value,
                 )
+    # A member's failure ORs are the parents of its hardware OR.
+    hw_ids = {member: hw_gate_id(member) for group in groups for member in group.members}
+    wanted = set(hw_ids.values())
     parents: dict[str, list[str]] = {}
     for gate in ft.gates.values():
         for child in gate.children:
-            parents.setdefault(child, []).append(gate.id)
+            if child in wanted:
+                parents.setdefault(child, []).append(gate.id)
+    # Member -> (its hardware ORs, its failure ORs, its software ORs), found
+    # once for all its candidates.
+    points_of: dict[NodeId, tuple[list[str], list[str], list[str]]] = {}
     events = dict(ft.events)
     # Gate id -> the CCF events it gains, in candidate order.
     attached: dict[str, dict[str, None]] = {}
 
-    for candidate in sorted(_candidates(groups, policy), key=lambda e: e.name):
+    for candidate in sorted(_candidates(groups, policy), key=attrgetter("name")):
+        hardware = candidate.kind is EventKind.HW_CCF
         points: list[str] = []
         present = 0
         for member in candidate.members:
-            hw_id = hw_gate_id(member)
-            if candidate.kind is EventKind.HW_CCF:
-                member_points = [hw_id] if hw_id in ft.gates else []
-            else:
-                fail_ids = parents.get(hw_id, ())
-                member_points = [c for f in fail_ids for c in ft.gates[f].children
-                                 if c != hw_id and c in ft.gates]
-                if fail_ids and not member_points:
-                    logger.warning(
-                        "skipping software CCF %s for %s: no software subtree",
-                        candidate.name,
-                        member.text,
-                    )
+            if member not in points_of:
+                points_of[member] = _attachment_points(ft, hw_ids[member], parents)
+            hw_points, fail_ids, sw_points = points_of[member]
+            member_points = hw_points if hardware else sw_points
+            if not hardware and fail_ids and not sw_points:
+                logger.warning(
+                    "skipping software CCF %s for %s: no software subtree",
+                    candidate.name,
+                    member.text,
+                )
             points.extend(member_points)
             present += bool(member_points)
         if present < 2:
@@ -197,9 +203,20 @@ def inject_ccfs(
     gates = dict(ft.gates)
     for gate_id, names in attached.items():
         gate = gates[gate_id]
-        added = tuple(name for name in names if name not in gate.children)
-        gates[gate_id] = Gate(*gate._replace(children=gate.children + added))
+        added = [name for name in names if name not in gate.children]
+        gates[gate_id] = Gate(gate.id, gate.kind, (*gate.children, *added), gate.k, gate.description)
     return FaultTree(top=ft.top, gates=gates, events=events)
+
+
+def _attachment_points(
+    ft: FaultTree, hw_id: str, parents: Mapping[str, list[str]]
+) -> tuple[list[str], list[str], list[str]]:
+    """Where a member's CCFs attach: its hardware OR ``hw_id`` when the tree
+    has it; the failure ORs over that, and under those every other gate,
+    the member's software ORs."""
+    fail_ids = parents.get(hw_id, [])
+    software = [c for f in fail_ids for c in ft.gates[f].children if c != hw_id and c in ft.gates]
+    return [hw_id] if hw_id in ft.gates else [], fail_ids, software
 
 
 def catalog_to_csv(catalog: Iterable[CcfEvent]) -> str:

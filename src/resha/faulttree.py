@@ -15,7 +15,7 @@ from typing import Iterable, Iterator, Mapping, NamedTuple, Sequence
 from .stpa import UcaRecord
 from .sysmodel import (
     _REQUIRED, UCA_CATEGORIES, GateKind, ModelIssue, NodeId, NodeIdError, SystemModel, Technology,
-    _entries, _enum, _integer, _node_ids, _object, _read, _shown, _shown_name, _text, _texts,
+    _entries, _enum, _integer, _node_ids, _object, _path, _read, _shown, _shown_name, _text, _texts,
     parse_node_id,
 )
 
@@ -254,30 +254,31 @@ def build_hardware_fault_tree(m: SystemModel, top: str) -> FaultTree:
     """
     gates: dict[str, Gate] = {}
     events: dict[str, BasicEvent] = {}
+    fail_ids: dict[tuple[str, str | None], str] = {}  # (node, action target) -> its failure gate
 
     def fail_gate(node_text: str, ca_to: str | None) -> str:
+        fid = fail_ids.get((node_text, ca_to))
+        if fid is not None:
+            return fid
         node = m.nodes[node_text]
         hw_id = hw_gate_id(node.id)
         if hw_id not in gates:
             children: tuple[str, ...] = ()
             if node.technology is not Technology.HUMAN:
                 event = BasicEvent(
-                    id=independent_event_id(m.class_prefix(node.equipment_class), node.id),
-                    kind=EventKind.HW_INDEP,
-                    subjects=(node.id,),
-                    description=f"{node.name} hardware failure.",
+                    independent_event_id(m.class_prefix(node.equipment_class), node.id),
+                    EventKind.HW_INDEP,
+                    (node.id,),
+                    f"{node.name} hardware failure.",
                 )
                 events[event.id] = event
                 children = (event.id,)
-            gates[hw_id] = Gate(id=hw_id, kind=GateKind.OR, children=children)
+            gates[hw_id] = Gate(hw_id, GateKind.OR, children)
         fid = fail_gate_id(node.id, m.nodes[ca_to].id if ca_to is not None else None)
+        fail_ids[node_text, ca_to] = fid
         if fid not in gates:
-            gates[fid] = Gate(
-                id=fid,
-                kind=GateKind.OR,
-                children=(hw_id,),
-                description=f"{node.name} fails" + (f" (action toward {ca_to})" if ca_to else ""),
-            )
+            description = f"{node.name} fails" + (f" (action toward {ca_to})" if ca_to else "")
+            gates[fid] = Gate(fid, GateKind.OR, (hw_id,), None, description)
         return fid
 
     declared = m.resolved_gates
@@ -297,14 +298,14 @@ def build_hardware_fault_tree(m: SystemModel, top: str) -> FaultTree:
         spec = declared[pending.pop()]
         if spec.id in gates:
             continue
-        gates[spec.id] = Gate(
-            id=spec.id,
-            kind=spec.kind,
-            children=tuple(c.gate or fail_gate(c.fail, c.ca_to) for c in spec.children),
-            k=spec.k,
-            description=spec.description,
-        )
-        pending.extend(c.gate for c in spec.children if c.gate is not None)
+        children = []
+        for child in spec.children:
+            if child.gate is None:
+                children.append(fail_gate(child.fail, child.ca_to))
+            else:
+                children.append(child.gate)
+                pending.append(child.gate)
+        gates[spec.id] = Gate(spec.id, spec.kind, tuple(children), spec.k, spec.description)
     return FaultTree(top=top, gates=gates, events=events)
 
 
@@ -328,47 +329,54 @@ def integrate_ucas(ft: FaultTree, selected: Sequence[UcaRecord]) -> FaultTree:
     """
     if not selected:
         return ft
-    gates = dict(ft.gates)
     events = dict(ft.events)
+    # Software OR id -> the failure gate it goes under and the UCA events it
+    # gains, so that each gate is built once, with its final children.
+    software: dict[str, tuple[str, list[str]]] = {}
 
     for record in selected:
         if not record.applicable:
             raise IntegrationError(f"{record.uca_id} is not applicable; cannot integrate")
         ca = record.action
-        exact = fail_gate_id(ca.source, ca.target)
-        whole = fail_gate_id(ca.source)
-        if exact in gates:
+        source, target = ca.spec.source, ca.spec.target
+        exact = fail_gate_id(source, target)
+        whole = fail_gate_id(source)
+        if exact in ft.gates:
             fail_id = exact
-            sw_id = sw_gate_id(ca.source, ca.target)
-        elif whole in gates:
+            sw_id = sw_gate_id(source, target)
+        elif whole in ft.gates:
             fail_id = whole
-            sw_id = sw_gate_id(ca.source)
+            sw_id = sw_gate_id(source)
         else:
             continue
         if ca.source_technology is Technology.ANALOG:
             raise IntegrationError(
-                f"{record.uca_id}: source {ca.source.text} is analog and carries no software"
+                f"{record.uca_id}: source {source.text} is analog and carries no software"
             )
         human = ca.source_technology is Technology.HUMAN
         event = BasicEvent(
-            id=uca_event_id(ca.source_class_prefix, record.uca_id, human),
-            kind=EventKind.HUMAN_UCA if human else EventKind.SW_UCA,
-            subjects=(ca.source,),
-            description=record.text,
-            category=record.category,
-            uca_id=record.uca_id,
+            uca_event_id(ca.source_class_prefix, record.uca_id, human),
+            EventKind.HUMAN_UCA if human else EventKind.SW_UCA,
+            (source,),
+            record.text,
+            record.category,
+            record.uca_id,
         )
         if event.id in events:
             raise IntegrationError(f"duplicate UCA event id {event.id}")
         events[event.id] = event
+        software.setdefault(sw_id, (fail_id, []))[1].append(event.id)
+
+    gates = dict(ft.gates)
+    for sw_id, (fail_id, added) in software.items():
         sw_gate = gates.get(sw_id)
         if sw_gate is None:
-            gates[sw_id] = Gate(id=sw_id, kind=GateKind.OR, children=(event.id,))
+            gates[sw_id] = Gate(sw_id, GateKind.OR, tuple(added))
             parent = gates[fail_id]
-            gates[fail_id] = Gate(*parent._replace(children=parent.children + (sw_id,)))
+            children = (*parent.children, sw_id)
+            gates[fail_id] = Gate(parent.id, parent.kind, children, parent.k, parent.description)
         else:
-            gates[sw_id] = Gate(id=sw_id, kind=GateKind.OR, children=sw_gate.children + (event.id,))
-
+            gates[sw_id] = Gate(sw_id, GateKind.OR, (*sw_gate.children, *added))
     return FaultTree(top=ft.top, gates=gates, events=events)
 
 
@@ -474,19 +482,19 @@ def from_exchange_json(data: str | bytes) -> FaultTree:
     if not isinstance(doc, dict):
         raise FaultTreeError("exchange document must be a JSON object")
     issues: list[ModelIssue] = []
-    _object(doc, "", ("top", *_EXCHANGE_RECORDS), issues)
-    top = _read(doc, {"top": (_text, _REQUIRED)}, "", issues)["top"]
-    declared: dict[str, str] = {}  # id -> path of the entry that declares it
+    _object(doc, (), frozenset(("top", *_EXCHANGE_RECORDS)), issues)
+    (top,) = _read(doc, {"top": (_text, _REQUIRED)}, (), issues)
+    declared: dict[str, tuple] = {}  # id -> place of the entry that declares it
     records: dict[str, dict] = {}
     for name, (record, fields) in _EXCHANGE_RECORDS.items():
         records[name] = {}
-        for where, entry in _entries(doc.get(name, []), name, fields, issues):
+        for where, entry in _entries(doc.get(name, []), (name,), fields, issues):
             values = _read(entry, fields, where, issues)
-            if values is not None and declared.setdefault(values["id"], where) != where:
-                message = f"id {_shown(values['id'])} is already declared at {declared[values['id']]}"
-                issues.append(ModelIssue(f"{where}.id", message))
+            if values is not None and declared.setdefault(values[0], where) != where:
+                message = f"id {_shown(values[0])} is already declared at {_path(declared[values[0]])}"
+                issues.append(ModelIssue(_path(where, "id"), message))
             if not issues:
-                records[name][values["id"]] = record(*values.values())
+                records[name][values[0]] = record(*values)
     if issues:
         raise FaultTreeError(str(issues[0]))
     return FaultTree(top=top, **records)

@@ -95,14 +95,14 @@ class GuidanceBank:
         if type(version) is not int or version != GUIDANCE_BANK_VERSION:  # JSON true and 1.0 are not 1
             raise GuidanceBankError(f"expected guidance_bank_version {GUIDANCE_BANK_VERSION}")
         issues: list[ModelIssue] = []
-        _object(doc, "", ("guidance_bank_version", "entries"), issues)
+        _object(doc, (), frozenset(("guidance_bank_version", "entries")), issues)
         rows = [
             _read(entry, _BANK_FIELDS, where, issues)
-            for where, entry in _entries(doc.get("entries", []), "entries", _BANK_FIELDS, issues)
+            for where, entry in _entries(doc.get("entries", []), ("entries",), _BANK_FIELDS, issues)
         ]
         if issues:  # a rejected entry, read as None, is always an issue
             raise GuidanceBankError(f"guidance bank {issues[0]}")
-        return cls([GuidanceEntry(*row.values()) for row in rows])
+        return cls([GuidanceEntry._make(row) for row in rows])
 
     @classmethod
     def packaged(cls) -> "GuidanceBank":

@@ -17,8 +17,9 @@ import re
 import reprlib
 from collections.abc import Callable, Iterable, Iterator, Mapping, Sized
 from enum import Enum
-from functools import cached_property, lru_cache
-from operator import attrgetter
+from functools import cached_property, lru_cache, partial
+from json.encoder import encode_basestring_ascii
+from operator import attrgetter, methodcaller
 from pathlib import Path
 from types import MappingProxyType
 from typing import Any, NamedTuple
@@ -335,21 +336,12 @@ class SystemModel(NamedTuple):
         return tuple(l for l in self.links if l.type is LinkType.FEEDBACK)
 
     def to_document(self) -> dict[str, Any]:
-        """Canonical document form: arrays sorted by ID, stable key order."""
-        doc = {}
-        for name, value in zip(self._fields, self):
-            if name == "resolved_gates":
-                continue
-            if isinstance(value, Mapping):  # nodes and classes, by id
-                value = [value[key] for key in sorted(value)]
-            elif name in _ARRAY_ORDER:
-                value = sorted(value, key=_ARRAY_ORDER[name])
-            doc[_DOCUMENT_NAMES.get(name, name)] = _document(value)
-        return doc
+        """Canonical document form: arrays sorted by ID, keys sorted."""
+        return json.loads(_canonical_text(self))
 
     def fingerprint(self) -> str:
-        payload = json.dumps(self.to_document(), sort_keys=True).encode()
-        return hashlib.sha256(payload).hexdigest()
+        """SHA-256 of the canonical document's JSON text."""
+        return hashlib.sha256(_canonical_text(self).encode()).hexdigest()
 
 
 # ---------------------------------------------------------------------------
@@ -363,7 +355,7 @@ _DOCUMENT_NAMES = {
     "actions": "control_actions",
     "classes": "equipment_classes",
 }
-_TOP_LEVEL_KEYS = {_DOCUMENT_NAMES.get(f, f) for f in SystemModel._fields if f != "resolved_gates"}
+_TOP_LEVEL_KEYS = frozenset(_DOCUMENT_NAMES.get(f, f) for f in SystemModel._fields if f != "resolved_gates")
 
 _SHOWN_LIMIT = 100
 _REPR = reprlib.Repr()
@@ -435,6 +427,8 @@ def _texts(value: Any) -> tuple[str, ...]:
 
 
 def _node_id(value: Any) -> NodeId:
+    if type(value) is str:
+        return _parse_node_text(value)
     return parse_node_id("" if value is None else value)  # an absent id is the empty text
 
 
@@ -458,9 +452,9 @@ def _enum(label: str, choices: Iterable[Any]) -> Callable[[Any], Any]:
     return read
 
 
-# How each field of a record is read: its reader and the value an absent or
-# null field takes. A _REQUIRED field goes to its reader as None. Fields not
-# listed are read by the record's own rules below.
+# How each field of a record is read, in the record's field order: its reader
+# and the value an absent or null field takes. A _REQUIRED field goes to its
+# reader as None. Fields not listed are read by the record's own rules below.
 _REQUIRED = object()
 _NODE_FIELDS = {
     "id": (_node_id, _REQUIRED),
@@ -498,15 +492,39 @@ _POLICY_FLAGS = {
     for name, default in CcfPolicy._field_defaults.items()
     if name != "software_categories"
 }
+# The keys each object may hold.
+_CLASS_KEYS, _NODE_KEYS, _LINK_KEYS, _LOSS_KEYS, _HAZARD_KEYS, _ACTION_KEYS, _GATE_KEYS, _CHILD_KEYS = (
+    frozenset(record._fields)
+    for record in (EquipmentClass, Node, Link, Loss, Hazard, ActionSpec, GateSpec, GateChildSpec)
+)
+_POLICY_KEYS = frozenset(CcfPolicy._fields)
+_CONTEXT_KEYS, _CATEGORY_KEYS = frozenset(_CONTEXT_FIELDS), frozenset(UCA_CATEGORIES)
+
+# A place in a document: the keys and array indexes that lead to it, ``()``
+# for the document itself. Its text, such as ``nodes[3].id``, is rendered
+# only for an issue.
+_Path = tuple[str | int, ...]
+
+
+def _path(where: _Path, *keys: str | int) -> str:
+    """The text of the place ``keys`` below ``where``."""
+    text = ""
+    for step in (*where, *keys):
+        if type(step) is int:
+            text += f"[{step}]"
+        else:
+            text += f".{step}" if text else step
+    return text
 
 
 def _read(
     entry: Mapping[str, Any],
     fields: Mapping[str, tuple[Callable[[Any], Any], Any]],
-    where: str,
+    where: _Path,
     issues: list[ModelIssue],
-) -> dict[str, Any] | None:
-    """Each of ``fields`` read from ``entry``, or None when the entry is rejected.
+) -> list[Any] | None:
+    """The value of each of ``fields`` in ``entry``, in field order, or None
+    when the entry is rejected.
 
     A value of the wrong type or range (``_Invalid``) is one issue, and the
     field takes its default. The first choice or node id that its reader
@@ -514,26 +532,25 @@ def _read(
     The two ends of a link or an action name one edge, so their issue is
     located at the entry.
     """
-    values: dict[str, Any] = {}
+    values = []
     for key, (read, default) in fields.items():
         value = entry.get(key)
-        if value is None and default is not _REQUIRED:
-            values[key] = default
+        if value is None:
+            if default is not _REQUIRED:
+                values.append(default)
+                continue
+        elif read is _text and type(value) is str:  # the commonest field, read without a call
+            values.append(value)
             continue
         try:
-            values[key] = read(value)
+            values.append(read(value))
         except _Invalid as exc:
-            issues.append(ModelIssue(_at(where, key), str(exc)))
-            values[key] = default
+            issues.append(ModelIssue(_path(where, key), str(exc)))
+            values.append(default)
         except (_Unknown, NodeIdError) as exc:
-            issues.append(ModelIssue(where if key in _ENDS else _at(where, key), str(exc)))
+            issues.append(ModelIssue(_path(where) if key in _ENDS else _path(where, key), str(exc)))
             return None
     return values
-
-
-def _at(where: str, key: str) -> str:
-    """The path of ``key`` in the object at ``where``; ``""`` is the document itself."""
-    return f"{where}.{key}" if where else key
 
 
 def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
@@ -560,7 +577,7 @@ def parse_system_model(source: str | Path | Mapping[str, Any]) -> SystemModel:
         raise ModelValidationError([ModelIssue("$", "document must be a JSON object")])
 
     issues: list[ModelIssue] = []
-    _object(doc, "", _TOP_LEVEL_KEYS, issues)
+    _object(doc, (), _TOP_LEVEL_KEYS, issues)
     version = doc.get("resha_model_version")
     if type(version) is not int or version != MODEL_VERSION:  # JSON true and 1.0 are not 1
         issues.append(
@@ -608,64 +625,65 @@ def _all_accepted(raw: Any, parsed: Sized) -> bool:
 
 
 def _object(
-    raw: Any, where: str, keys: Iterable[str], issues: list[ModelIssue], unknown: str = "unknown field"
+    raw: Any, where: _Path, keys: frozenset[str], issues: list[ModelIssue], unknown: str = "unknown field"
 ) -> Mapping[str, Any] | None:
     """``raw`` if it is an object, each key outside ``keys`` reported as
-    ``unknown``; otherwise one issue and None. ``where`` is ``""`` for the
-    document itself."""
-    if not isinstance(raw, Mapping):
-        issues.append(ModelIssue(where, "must be an object"))
+    ``unknown``; otherwise one issue and None."""
+    if type(raw) is not dict and not isinstance(raw, Mapping):
+        issues.append(ModelIssue(_path(where), "must be an object"))
         return None
-    for key in raw:
-        if key not in keys:
-            issues.append(ModelIssue(_at(where, _shown_name(key)), unknown))
+    if not keys.issuperset(raw):
+        for key in raw:
+            if key not in keys:
+                issues.append(ModelIssue(_path(where, _shown_name(key)), unknown))
     return raw
 
 
 def _entries(
-    raw: Any, name: str, keys: Iterable[str], issues: list[ModelIssue]
-) -> Iterator[tuple[str, Mapping[str, Any]]]:
-    """``(path, entry)`` for each object entry of the array ``raw`` at ``name``.
+    raw: Any, where: _Path, keys: Iterable[str], issues: list[ModelIssue]
+) -> Iterator[tuple[_Path, Mapping[str, Any]]]:
+    """``(place, entry)`` for each object entry of the array ``raw`` at ``where``.
 
     A non-array is one issue and yields nothing; an entry that is not an
     object is one issue and is skipped; unknown keys are reported.
     """
     if not isinstance(raw, list):
-        issues.append(ModelIssue(name, "must be an array"))
+        issues.append(ModelIssue(_path(where), "must be an array"))
         return
     keys = frozenset(keys)
     for i, entry in enumerate(raw):
-        where = f"{name}[{i}]"
-        if _object(entry, where, keys, issues) is not None:
-            yield where, entry
+        place = where + (i,)
+        if type(entry) is dict and keys.issuperset(entry):
+            yield place, entry
+        elif _object(entry, place, keys, issues) is not None:
+            yield place, entry
 
 
-def _ends_declared(fields: Mapping[str, Any], nodes: Mapping[str, Node] | None, where: str,
+def _ends_declared(source: NodeId, target: NodeId, nodes: Mapping[str, Node] | None, where: _Path,
                    message: str, issues: list[ModelIssue]) -> bool:
     """Whether both ends of a link or an action are declared nodes; each
     that is not is one issue. Always true while ``nodes`` is unchecked."""
-    declared = True
-    for end in ("source", "target"):
-        node_id = fields[end]
-        if nodes is not None and node_id.text not in nodes:
-            issues.append(ModelIssue(f"{where}.{end}", f"{message} {node_id.text}"))
-            declared = False
-    return declared
+    if nodes is None or (source.text in nodes and target.text in nodes):
+        return True
+    for end, node_id in (("source", source), ("target", target)):
+        if node_id.text not in nodes:
+            issues.append(ModelIssue(_path(where, end), f"{message} {node_id.text}"))
+    return False
 
 
 def _parse_classes(raw: Any, issues: list[ModelIssue]) -> dict[str, EquipmentClass]:
     classes: dict[str, EquipmentClass] = {}
     holders: dict[str, str] = {}  # prefix -> tag of the first class with it
-    for where, entry in _entries(raw, "equipment_classes", EquipmentClass._fields, issues):
+    for where, entry in _entries(raw, ("equipment_classes",), _CLASS_KEYS, issues):
         tag = entry.get("tag")
         if not isinstance(tag, str) or not tag:
-            issues.append(ModelIssue(where, "missing class tag"))
+            issues.append(ModelIssue(_path(where), "missing class tag"))
             continue
         if tag in classes:
-            issues.append(ModelIssue(where, f"duplicate equipment class {_shown(tag)}"))
+            issues.append(ModelIssue(_path(where), f"duplicate equipment class {_shown(tag)}"))
             continue
         fields = {"prefix": (_text, tag.upper()), "display": (_text, tag)}  # defaults from the tag
-        classes[tag] = EquipmentClass(tag, **_read(entry, fields, where, issues))
+        classes[tag] = EquipmentClass(tag, *_read(entry, fields, where, issues))
         prefix = classes[tag].prefix
         # Every event name is ``<prefix>-<rest>``, where ``<rest>`` starts with HD-, SF-, HF- or
         # DIV. So two classes build one name only when their prefixes are equal, or when one
@@ -673,11 +691,11 @@ def _parse_classes(raw: Any, issues: list[ModelIssue]) -> dict[str, EquipmentCla
         holder = holders.setdefault(prefix, tag)
         if holder != tag:
             message = f"prefix {_shown(prefix)} is already used by class {_shown(holder)}"
-            issues.append(ModelIssue(f"{where}.prefix", message))
+            issues.append(ModelIssue(_path(where, "prefix"), message))
         for other, other_tag in holders.items():
             if prefix.startswith(f"{other}-DIV") or other.startswith(f"{prefix}-DIV"):
                 message = f"prefix {_shown(prefix)} can build the CCF names of class {_shown(other_tag)}"
-                issues.append(ModelIssue(f"{where}.prefix", f"{message} (prefix {_shown(other)})"))
+                issues.append(ModelIssue(_path(where, "prefix"), f"{message} (prefix {_shown(other)})"))
     return classes
 
 
@@ -685,17 +703,19 @@ def _parse_nodes(
     raw: Any, classes: Mapping[str, EquipmentClass], issues: list[ModelIssue]
 ) -> dict[str, Node]:
     nodes: dict[str, Node] = {}
-    members: dict[str, dict[str, str]] = {}  # class -> division tag -> path of its first member
-    for where, entry in _entries(raw, "nodes", Node._fields, issues):
-        fields = _read(entry, _NODE_FIELDS, where, issues)
-        if fields is None:
+    members: dict[str, dict[str, _Path]] = {}  # class -> division tag -> place of its first member
+    for where, entry in _entries(raw, ("nodes",), _NODE_KEYS, issues):
+        values = _read(entry, _NODE_FIELDS, where, issues)
+        if values is None:
             continue
-        node = Node(**fields)
+        if values[1] is None:  # the name: the node id
+            values[1] = values[0].text
+        node = Node._make(values)
         implied = expected_kind(node.id)
         if node.kind is not implied:
             issues.append(
                 ModelIssue(
-                    f"{where}.kind",
+                    _path(where, "kind"),
                     f"kind {_shown(node.kind.value)} inconsistent with id {node.id.text} "
                     f"(id implies {_shown(implied.value)})",
                 )
@@ -703,17 +723,18 @@ def _parse_nodes(
         # Whether a class is given at all; one that is not a string is already reported.
         has_class = entry.get("equipment_class") is not None
         if node.kind is NodeKind.COMPONENT and not has_class:
-            issues.append(ModelIssue(f"{where}.equipment_class", "components require an equipment class"))
+            message = "components require an equipment class"
+            issues.append(ModelIssue(_path(where, "equipment_class"), message))
         if node.kind in (NodeKind.DIVISION, NodeKind.UNIT) and has_class:
             message = f"{node.kind.value} nodes may not carry an equipment class"
-            issues.append(ModelIssue(f"{where}.equipment_class", message))
+            issues.append(ModelIssue(_path(where, "equipment_class"), message))
         if node.equipment_class is not None and node.equipment_class not in classes:
             message = f"undeclared equipment class {_shown(node.equipment_class)}"
-            issues.append(ModelIssue(f"{where}.equipment_class", message))
+            issues.append(ModelIssue(_path(where, "equipment_class"), message))
         if node.id.text in nodes:
-            issues.append(ModelIssue(f"{where}.id", f"duplicate node id {node.id.text}"))
+            issues.append(ModelIssue(_path(where, "id"), f"duplicate node id {node.id.text}"))
             continue
-        nodes[node.id.text] = node if node.name is not None else node._replace(name=node.id.text)
+        nodes[node.id.text] = node
         if node.equipment_class is not None:
             members.setdefault(node.equipment_class, {}).setdefault(node.id.division, where)
     # Partial CCF names join a class's division tags without a separator, so they decode
@@ -725,7 +746,7 @@ def _parse_nodes(
             if division[:-1] in divisions:
                 message = (f"division {division} starts with division {division[:-1]}, which "
                            f"also holds class {_shown(tag)}: their CCF names can collide")
-                issues.append(ModelIssue(f"{where}.equipment_class", message))
+                issues.append(ModelIssue(_path(where, "equipment_class"), message))
     return dict(sorted(nodes.items()))
 
 
@@ -746,37 +767,39 @@ def _nested(raw: list[Any], nodes: Mapping[str, Node], issues: list[ModelIssue])
     return not missing
 
 
-def _link_order(link: Link) -> tuple[str, NodeId, NodeId]:
-    return link.type.value, link.source, link.target
+# Links sort by type, then ends. A link type is a ``str`` enum, so it sorts by its text.
+_link_order = attrgetter("type", "source", "target")
 
 
 def _parse_links(
     raw: Any, nodes: Mapping[str, Node] | None, issues: list[ModelIssue]
 ) -> tuple[Link, ...]:
     links: list[Link] = []
-    for where, entry in _entries(raw, "links", Link._fields, issues):
-        fields = _read(entry, _LINK_FIELDS, where, issues)
+    for where, entry in _entries(raw, ("links",), _LINK_KEYS, issues):
+        values = _read(entry, _LINK_FIELDS, where, issues)
         # A link whose layer is refused still counts for the actions declared on it.
-        if fields is not None and _ends_declared(fields, nodes, where, "dangling link: no node", issues):
-            links.append(Link(**fields))
+        if values is None:
+            continue
+        if _ends_declared(values[0], values[1], nodes, where, "dangling link: no node", issues):
+            links.append(Link._make(values))
     links.sort(key=_link_order)
     return tuple(links)
 
 
 def _numbered(
-    raw: Any, name: str, what: str, keys: Iterable[str], issues: list[ModelIssue]
-) -> Iterator[tuple[str, Mapping[str, Any], str]]:
-    """``(path, entry, id)`` for each entry of the losses or hazards ``raw``
+    raw: Any, name: str, what: str, keys: frozenset[str], issues: list[ModelIssue]
+) -> Iterator[tuple[_Path, Mapping[str, Any], str]]:
+    """``(place, entry, id)`` for each entry of the losses or hazards ``raw``
     whose id is well formed (``L1``, ``H1``, ...) and not seen before."""
     letter = what[0].upper()
     seen: set[str] = set()
-    for where, entry in _entries(raw, name, keys, issues):
+    for where, entry in _entries(raw, (name,), keys, issues):
         entry_id = entry.get("id", "")
         if not isinstance(entry_id, str) or not re.fullmatch(rf"{letter}[1-9]\d*", entry_id):
             message = f"{what} id must look like {letter}1, got {_shown(entry_id)}"
-            issues.append(ModelIssue(f"{where}.id", message))
+            issues.append(ModelIssue(_path(where, "id"), message))
         elif entry_id in seen:
-            issues.append(ModelIssue(f"{where}.id", f"duplicate {what} id {entry_id}"))
+            issues.append(ModelIssue(_path(where, "id"), f"duplicate {what} id {entry_id}"))
         else:
             seen.add(entry_id)
             yield where, entry, entry_id
@@ -784,8 +807,8 @@ def _numbered(
 
 def _parse_losses(raw: Any, issues: list[ModelIssue]) -> tuple[Loss, ...]:
     losses = [
-        Loss(loss_id, **_read(entry, _DESCRIPTION_FIELDS, where, issues))
-        for where, entry, loss_id in _numbered(raw, "losses", "loss", Loss._fields, issues)
+        Loss(loss_id, *_read(entry, _DESCRIPTION_FIELDS, where, issues))
+        for where, entry, loss_id in _numbered(raw, "losses", "loss", _LOSS_KEYS, issues)
     ]
     losses.sort(key=lambda l: l.number)
     if [l.number for l in losses] != list(range(1, len(losses) + 1)):
@@ -798,23 +821,23 @@ def _parse_hazards(
 ) -> tuple[Hazard, ...]:
     hazards: list[Hazard] = []
     loss_ids = {l.id for l in losses}
-    for where, entry, hazard_id in _numbered(raw, "hazards", "hazard", Hazard._fields, issues):
+    for where, entry, hazard_id in _numbered(raw, "hazards", "hazard", _HAZARD_KEYS, issues):
         linked = entry.get("losses", [])
         if not isinstance(linked, list) or not linked:
-            issues.append(ModelIssue(f"{where}.losses", "hazards must link at least one loss"))
+            issues.append(ModelIssue(_path(where, "losses"), "hazards must link at least one loss"))
             linked = []
         for loss_id in linked:
             if not isinstance(loss_id, str) or loss_id not in loss_ids:
-                issues.append(ModelIssue(f"{where}.losses", f"unknown loss {_shown(loss_id)}"))
-        fields = _read(entry, _DESCRIPTION_FIELDS, where, issues)
-        hazards.append(Hazard(hazard_id, fields["description"], tuple(linked)))
+                issues.append(ModelIssue(_path(where, "losses"), f"unknown loss {_shown(loss_id)}"))
+        (description,) = _read(entry, _DESCRIPTION_FIELDS, where, issues)
+        hazards.append(Hazard(hazard_id, description, tuple(linked)))
     hazards.sort(key=lambda h: h.number)
     return tuple(hazards)
 
 
-def _categories(raw: Any, where: str, issues: list[ModelIssue]) -> Mapping[str, Any]:
+def _categories(raw: Any, where: _Path, issues: list[ModelIssue]) -> Mapping[str, Any]:
     """``raw`` if it is an object, else empty; each key that is no UCA category is reported."""
-    return _object(raw, where, UCA_CATEGORIES, issues, "unknown category") or {}
+    return _object(raw, where, _CATEGORY_KEYS, issues, "unknown category") or {}
 
 
 def _parse_actions(
@@ -827,44 +850,45 @@ def _parse_actions(
     actions: list[ActionSpec] = []
     control_edges = {(l.source, l.target) for l in links if l.type is LinkType.CONTROL}
     hazard_ids = {h.id for h in hazards}
-    for where, entry in _entries(raw, "control_actions", ActionSpec._fields, issues):
-        fields = _read(entry, _ACTION_FIELDS, where, issues)
-        if fields is None:
+    for where, entry in _entries(raw, ("control_actions",), _ACTION_KEYS, issues):
+        values = _read(entry, _ACTION_FIELDS, where, issues)
+        if values is None:
             continue
-        source, target = fields["source"], fields["target"]
-        if fields["source_label"] is None:
-            fields["source_label"] = source.text
-        if _ends_declared(fields, nodes, where, "no node", issues) and (source, target) not in control_edges:
-            issues.append(ModelIssue(where, f"no control link {source.text} -> {target.text} declared"))
-        given = _object(entry.get("contexts", {}), f"{where}.contexts", _CONTEXT_FIELDS, issues)
-        contexts = _read(given or {}, _CONTEXT_FIELDS, f"{where}.contexts", issues)
+        source, target = values[0], values[1]
+        if values[3] is None:  # the source label: the source node id
+            values[3] = source.text
+        if _ends_declared(source, target, nodes, where, "no node", issues) and (
+            (source, target) not in control_edges
+        ):
+            message = f"no control link {source.text} -> {target.text} declared"
+            issues.append(ModelIssue(_path(where), message))
+        at = where + ("contexts",)
+        given = _object(entry.get("contexts", {}), at, _CONTEXT_KEYS, issues)
+        contexts = dict(zip(_CONTEXT_FIELDS, _read(given or {}, _CONTEXT_FIELDS, at, issues)))
         hazard_map: dict[str, tuple[str, ...]] = {}
         raw_hazards = entry.get("hazards", {})
-        by_category = _categories(raw_hazards, f"{where}.hazards", issues)
+        at = where + ("hazards",)
+        by_category = _categories(raw_hazards, at, issues)
         for category, linked in by_category.items():
             if category not in UCA_CATEGORIES:
                 continue
             if not isinstance(linked, list):
-                issues.append(ModelIssue(f"{where}.hazards.{category}", "must be an array"))
+                issues.append(ModelIssue(_path(at, category), "must be an array"))
                 continue
             for h in linked:
                 if not isinstance(h, str) or h not in hazard_ids:
-                    issues.append(ModelIssue(f"{where}.hazards.{category}", f"unknown hazard {_shown(h)}"))
+                    issues.append(ModelIssue(_path(at, category), f"unknown hazard {_shown(h)}"))
             hazard_map[category] = tuple(linked)
-        justified = _categories(entry.get("not_applicable", {}), f"{where}.not_applicable", issues)
-        texts = _read(justified, _CATEGORY_TEXTS, f"{where}.not_applicable", issues)
-        action = ActionSpec(
-            **fields,
-            contexts=contexts,
-            hazards=hazard_map,
-            not_applicable={c: text for c, text in texts.items() if text is not None},
-        )
+        at = where + ("not_applicable",)
+        texts = _read(_categories(entry.get("not_applicable", {}), at, issues), _CATEGORY_TEXTS, at, issues)
+        justified = {c: text for c, text in zip(_CATEGORY_TEXTS, texts) if text is not None}
+        action = ActionSpec._make((*values, contexts, hazard_map, justified))
         # A ``hazards`` that is not an object, or an entry that is not an array, is already reported.
-        if isinstance(raw_hazards, Mapping):
+        if type(raw_hazards) is dict or isinstance(raw_hazards, Mapping):
             for category in UCA_CATEGORIES:
-                if action.applies(category) and by_category.get(category, []) == []:
+                if by_category.get(category, []) == [] and action.applies(category):
                     message = "category is applicable but links no hazards"
-                    issues.append(ModelIssue(f"{where}.hazards.{category}", message))
+                    issues.append(ModelIssue(_path(where, "hazards", category), message))
         actions.append(action)
     return tuple(actions)
 
@@ -872,57 +896,58 @@ def _parse_actions(
 def _parse_gates(raw: Any, issues: list[ModelIssue]) -> tuple[GateSpec, ...]:
     gates: list[GateSpec] = []
     seen: set[str] = set()
-    for where, entry in _entries(raw, "gates", GateSpec._fields, issues):
+    for where, entry in _entries(raw, ("gates",), _GATE_KEYS, issues):
         # An unknown key may be a misspelt known one, so the entry is not read further.
-        if entry.keys() - GateSpec._fields:
+        if not _GATE_KEYS.issuperset(entry):
             continue
         gate_id = entry.get("id")
         if not isinstance(gate_id, str) or not gate_id:
-            issues.append(ModelIssue(f"{where}.id", "missing gate id"))
+            issues.append(ModelIssue(_path(where, "id"), "missing gate id"))
             continue
         if gate_id in seen:
-            issues.append(ModelIssue(f"{where}.id", f"duplicate gate id {_shown(gate_id)}"))
+            issues.append(ModelIssue(_path(where, "id"), f"duplicate gate id {_shown(gate_id)}"))
             continue
         seen.add(gate_id)
         fields = _read(entry, _GATE_FIELDS, where, issues)
         if fields is None:
             continue
+        kind, replicate, description = fields
         k = entry.get("k")
-        if fields["kind"] is GateKind.VOTE:
+        if kind is GateKind.VOTE:
             if type(k) is not int or k < 1:
-                issues.append(ModelIssue(f"{where}.k", "vote gates need integer k >= 1"))
+                issues.append(ModelIssue(_path(where, "k"), "vote gates need integer k >= 1"))
                 continue
         elif k is not None:
-            issues.append(ModelIssue(f"{where}.k", "k only applies to vote gates"))
+            issues.append(ModelIssue(_path(where, "k"), "k only applies to vote gates"))
         children_raw = entry.get("children", [])
         if not isinstance(children_raw, list) or not children_raw:
-            issues.append(ModelIssue(f"{where}.children", "gates need at least one child"))
+            issues.append(ModelIssue(_path(where, "children"), "gates need at least one child"))
             continue
         children: list[GateChildSpec] = []
-        for cwhere, child in _entries(children_raw, f"{where}.children", GateChildSpec._fields, issues):
-            if child.keys() - GateChildSpec._fields:
+        for cwhere, child in _entries(children_raw, where + ("children",), _CHILD_KEYS, issues):
+            if not _CHILD_KEYS.issuperset(child):
                 continue
+            refs = GateChildSpec._make(map(child.get, GateChildSpec._fields))
             malformed = [
-                key for key in GateChildSpec._fields
-                if child.get(key) is not None and not (isinstance(child[key], str) and child[key])
+                key for key, ref in zip(GateChildSpec._fields, refs)
+                if ref is not None and not (isinstance(ref, str) and ref)
             ]
             for key in malformed:
-                issues.append(ModelIssue(f"{cwhere}.{key}", "must be a non-empty string"))
+                issues.append(ModelIssue(_path(cwhere, key), "must be a non-empty string"))
             if malformed:
                 continue
-            spec = GateChildSpec(**child)
-            if (spec.gate is None) == (spec.fail is None):
-                issues.append(ModelIssue(cwhere, "child must reference exactly one of gate/fail"))
-            elif spec.ca_to is not None and spec.fail is None:
-                issues.append(ModelIssue(cwhere, "ca_to only applies to fail references"))
+            if (refs.gate is None) == (refs.fail is None):
+                issues.append(ModelIssue(_path(cwhere), "child must reference exactly one of gate/fail"))
+            elif refs.ca_to is not None and refs.fail is None:
+                issues.append(ModelIssue(_path(cwhere), "ca_to only applies to fail references"))
             else:
-                children.append(spec)
+                children.append(refs)
         if len(children) < len(children_raw):
             continue
-        if fields["kind"] is GateKind.VOTE and k > len(children):
-            issues.append(ModelIssue(f"{where}.k", f"k={_shown(k)} exceeds {len(children)} children"))
+        if kind is GateKind.VOTE and k > len(children):
+            issues.append(ModelIssue(_path(where, "k"), f"k={_shown(k)} exceeds {len(children)} children"))
             continue
-        gates.append(GateSpec(gate_id, children=tuple(children), k=k, **fields))
+        gates.append(GateSpec(gate_id, kind, tuple(children), k, replicate, description))
     return tuple(gates)
 
 
@@ -937,23 +962,23 @@ def _resolve_gates(
     A bad reference in a plain declaration, a template without copies, an id
     declared twice and a declaration cycle are each reported once.
     """
-    # A plain declaration is its own single copy, with nothing to substitute.
-    contexts: dict[str | None, list[dict[str, str]]] = {
-        None: [{}], "per-division": [], "per-unit": []
-    }
-    for node in nodes.values():  # in text order
+    # Each copy of a template is one substitution of its tokens, in the text
+    # order of the division or unit nodes.
+    substitutions: dict[str, list[Callable[[str], str]]] = {"per-division": [], "per-unit": []}
+    for node in nodes.values():
         if node.kind is NodeKind.DIVISION:
-            contexts["per-division"].append({"$D": node.id.division})
+            substitutions["per-division"].append(methodcaller("replace", "$D", node.id.division))
         elif node.kind is NodeKind.UNIT:
-            contexts["per-unit"].append({"$D": node.id.division, "$U": f"{node.id.unit:02d}"})
+            unit = partial(_unit_tokens, node.id.division, f"{node.id.unit:02d}")
+            substitutions["per-unit"].append(unit)
 
     by_id: dict[str, tuple[int, GateSpec]] = {}  # id -> (declaration index, declaration)
     for i, spec in enumerate(gates):
-        where = f"gates[{i}]" if spec.replicate is None else None
-        for context in contexts[spec.replicate]:
-            gate = _concrete_gate(spec, context, nodes, where, issues)
-            if gate is None:
-                continue
+        if spec.replicate is None:
+            found: Iterable[GateSpec] = (_plain_gate(spec, nodes, ("gates", i), issues),)
+        else:
+            found = _template_copies(spec, substitutions[spec.replicate], nodes)
+        for gate in found:
             if gate.id in by_id:
                 message = f"gate id {_shown(gate.id)} expands more than once"
                 issues.append(ModelIssue(f"gates[{i}].id", message))
@@ -969,21 +994,24 @@ def _resolve_gates(
         path, on_path, stack = [root], {root}, [iter(by_id[root][1].children)]
         while stack:
             for child in stack[-1]:
-                if child.gate in on_path:
-                    cycle = " -> ".join(path[path.index(child.gate):] + [child.gate])
+                name = child.gate
+                if name in kept or name not in by_id:  # decided, a node, or unknown
+                    continue
+                if name in on_path:
+                    cycle = " -> ".join(path[path.index(name):] + [name])
                     message = f"cycle detected in gate declarations: {cycle}"
-                    issues.append(ModelIssue(f"gates[{by_id[child.gate][0]}]", message))
-                elif child.gate in by_id and child.gate not in kept:
-                    path.append(child.gate)
-                    on_path.add(child.gate)
-                    stack.append(iter(by_id[child.gate][1].children))
+                    issues.append(ModelIssue(f"gates[{by_id[name][0]}]", message))
+                else:
+                    path.append(name)
+                    on_path.add(name)
+                    stack.append(iter(by_id[name][1].children))
                     break
             else:
                 stack.pop()
                 on_path.discard(path[-1])
                 i, gate = by_id[path.pop()]
                 kept[gate.id] = gates[i].replicate is None or all(
-                    c.gate is None or kept.get(c.gate, False) for c in gate.children
+                    kept.get(c.gate, False) for c in gate.children if c.gate is not None
                 )
 
     # A template left without copies strands every gate that names them, so
@@ -997,65 +1025,90 @@ def _resolve_gates(
     # Only a plain declaration can name an unknown gate (a copy that does is
     # not kept); its unknown names are one line, at the first of them.
     resolved = {gate_id: gate for gate_id, (_, gate) in by_id.items() if kept[gate_id]}
-    for gate_id, gate in resolved.items():
+    for i, gate in by_id.values():
+        if gates[i].replicate is not None:
+            continue
         unknown = [
             j for j, c in enumerate(gate.children) if c.gate is not None and c.gate not in resolved
         ]
         if unknown and not empty:
             names = list(dict.fromkeys(_shown(gate.children[j].gate) for j in unknown))
-            where = f"gates[{by_id[gate_id][0]}].children[{unknown[0]}].gate"
+            where = f"gates[{i}].children[{unknown[0]}].gate"
             message = f"unknown gate{'s' * (len(names) > 1)} {', '.join(names)}"
             issues.append(ModelIssue(where, message))
     return resolved
 
 
-def _concrete_gate(
-    spec: GateSpec,
-    context: Mapping[str, str],
-    nodes: Mapping[str, Node],
-    where: str | None,
-    issues: list[ModelIssue],
-) -> GateSpec | None:
-    """``spec`` with the tokens of ``context`` substituted and node references
-    in canonical text. A template copy (no ``where``) that references no node
-    is None; a plain declaration reports each such reference and is kept."""
+def _unit_tokens(division: str, unit: str, text: str) -> str:
+    """``text`` with the tokens of one unit substituted: ``$D`` first, then ``$U``."""
+    return text.replace("$D", division).replace("$U", unit)
 
-    def sub(text: str) -> str:
-        for token, value in context.items():
-            text = text.replace(token, value)
-        return text
 
-    children: list[GateChildSpec] = []
+def _declared(text: str, nodes: Mapping[str, Node]) -> str | None:
+    """The canonical text of the node reference ``text``, which is not itself
+    a declared text, or None when it names no declared node."""
+    try:
+        text = parse_node_id(text).text
+    except NodeIdError:
+        return None
+    return text if text in nodes else None
+
+
+def _plain_gate(
+    spec: GateSpec, nodes: Mapping[str, Node], where: _Path, issues: list[ModelIssue]
+) -> GateSpec:
+    """The plain declaration ``spec`` with its node references in canonical
+    text; each reference to no declared node is one issue."""
+    children = list(spec.children)
     for j, child in enumerate(spec.children):
-        refs: dict[str, str] = {}
         for key in ("fail", "ca_to"):
             ref = getattr(child, key)
-            if ref is None:
+            if ref is None or ref in nodes:  # most references are a declared text
                 continue
             try:
-                node_id = parse_node_id(sub(ref))
+                text = parse_node_id(ref).text
             except NodeIdError as exc:
                 message = str(exc)
             else:
-                if node_id.text in nodes:
-                    refs[key] = node_id.text
+                if text in nodes:
+                    children[j] = children[j]._replace(**{key: text})
                     continue
-                message = f"no node {node_id.text}"
-            if where is None:
-                return None
-            issues.append(ModelIssue(f"{where}.children[{j}].{key}", message))
-        children.append(GateChildSpec(gate=child.gate and sub(child.gate), **refs))
-    return GateSpec(
-        id=sub(spec.id),
-        kind=spec.kind,
-        children=tuple(children),
-        k=spec.k,
-        description=spec.description and sub(spec.description),
-    )
+                message = f"no node {text}"
+            issues.append(ModelIssue(_path(where, "children", j, key), message))
+    return spec._replace(children=tuple(children))
+
+
+def _template_copies(
+    spec: GateSpec, substitutions: Iterable[Callable[[str], str]], nodes: Mapping[str, Node]
+) -> Iterator[GateSpec]:
+    """The copy of the template ``spec`` under each of ``substitutions`` whose
+    node references all name declared nodes, with them in canonical text."""
+    for sub in substitutions:
+        children = []
+        for gate, fail, ca_to in spec.children:
+            if fail is None:
+                children.append(GateChildSpec(sub(gate)))
+                continue
+            # Most references are a declared text already, which is canonical.
+            fail = sub(fail)
+            if fail not in nodes:
+                fail = _declared(fail, nodes)
+                if fail is None:
+                    break
+            if ca_to is not None:
+                ca_to = sub(ca_to)
+                if ca_to not in nodes:
+                    ca_to = _declared(ca_to, nodes)
+                    if ca_to is None:
+                        break
+            children.append(GateChildSpec(None, fail, ca_to))
+        else:
+            description = spec.description and sub(spec.description)
+            yield GateSpec(sub(spec.id), spec.kind, tuple(children), spec.k, None, description)
 
 
 def _parse_policy(raw: Any, issues: list[ModelIssue]) -> CcfPolicy:
-    if _object(raw, "ccf_policy", CcfPolicy._fields, issues) is None:
+    if _object(raw, ("ccf_policy",), _POLICY_KEYS, issues) is None:
         return CcfPolicy()
     categories = raw.get("software_categories", list(CcfPolicy._field_defaults["software_categories"]))
     # Only strings are looked up in the category table; a list or an object there would raise.
@@ -1067,8 +1120,8 @@ def _parse_policy(raw: Any, issues: list[ModelIssue]) -> CcfPolicy:
         categories = CcfPolicy._field_defaults["software_categories"]
     elif len(set(categories)) < len(categories):  # each would name its CCF events twice
         issues.append(ModelIssue("ccf_policy.software_categories", "categories must not repeat"))
-    flags = _read(raw, _POLICY_FLAGS, "ccf_policy", issues)
-    policy = CcfPolicy(**flags, software_categories=tuple(categories))
+    flags = _read(raw, _POLICY_FLAGS, ("ccf_policy",), issues)
+    policy = CcfPolicy(*flags, tuple(categories))
     if not any(getattr(policy, flag) for flag in _POLICY_FLAGS):
         issues.append(ModelIssue("ccf_policy", "at least one CCF scope must be enabled"))
     return policy
@@ -1078,84 +1131,105 @@ def _parse_policy(raw: Any, issues: list[ModelIssue]) -> CcfPolicy:
 # Canonical serialization
 # ---------------------------------------------------------------------------
 
-# Fields written even at their record default. Every other field whose value
-# equals its record default is left out of the canonical document.
-_ALWAYS_WRITTEN = {
-    ActionSpec: ("continuous", "split", "contexts", "hazards"),
-    CcfPolicy: CcfPolicy._fields,
-}
-# Sort keys of the SystemModel arrays held as tuples. Losses and hazards are
-# held by number; nodes and classes are mappings, written by id.
-_ARRAY_ORDER = {
-    "links": _link_order,
-    "actions": lambda a: (a.layer or 0, a.source, a.target),
-    "gates": lambda g: g.id,
-}
+# The canonical document is written as text, one writer per record, with the
+# bytes ``json.dumps(document, sort_keys=True)`` gives: keys in sorted order,
+# ", " and ": " between items, strings ASCII-escaped. A field at its record
+# default is left out, except the action's continuous, split, contexts and
+# hazards and every policy field. Node ids and enum values are ASCII without
+# quotes or backslashes, so they are written without escaping.
+_quoted = encode_basestring_ascii  # a JSON string, as json.dumps writes it
 
 
-_WRITTEN = object()  # the default of a field that is written whatever its value
+def _json_bool(flag: bool) -> str:
+    return "true" if flag else "false"
 
 
-def _texts_by_key(texts: Mapping[str, str | None]) -> dict[str, str]:
+def _json_array(items: Iterable[str]) -> str:
+    return f"[{', '.join(items)}]"
+
+
+def _json_object(members: Iterable[str]) -> str:
+    """The object of ``members``, each a ``"key": value`` text, given in key order."""
+    return f"{{{', '.join(members)}}}"
+
+
+def _texts_by_key(texts: Mapping[str, str | None]) -> str:
     """Contexts and justifications by category; a context without text is left out."""
-    return {key: text for key, text in sorted(texts.items()) if text is not None}
+    return _json_object(f"{_quoted(k)}: {_quoted(t)}" for k, t in sorted(texts.items()) if t is not None)
 
 
-def _ids_by_key(ids: Mapping[str, tuple[str, ...]]) -> dict[str, list[str]]:
-    return {key: list(linked) for key, linked in sorted(ids.items())}
+def _ids_by_key(ids: Mapping[str, tuple[str, ...]]) -> str:
+    return _json_object(f"{_quoted(k)}: {_json_array(map(_quoted, v))}" for k, v in sorted(ids.items()))
 
 
-def _gate_children(children: tuple[GateChildSpec, ...]) -> list[dict[str, str]]:
-    return list(map(_writer(GateChildSpec), children))
+def _class_json(c: EquipmentClass) -> str:
+    return f'{{"display": {_quoted(c.display)}, "prefix": {_quoted(c.prefix)}, "tag": {_quoted(c.tag)}}}'
 
 
-# ``_value_`` is the member's value without the ``value`` property's descriptor call.
-_NODE_TEXT, _ENUM_VALUE = attrgetter("text"), attrgetter("_value_")
-# How each field that is not a JSON scalar is written; every other field is
-# written as it is held.
-_CONVERTERS = {
-    Node: {"id": _NODE_TEXT, "kind": _ENUM_VALUE, "technology": _ENUM_VALUE},
-    Link: {"source": _NODE_TEXT, "target": _NODE_TEXT, "type": _ENUM_VALUE},
-    Hazard: {"losses": list},
-    ActionSpec: {"source": _NODE_TEXT, "target": _NODE_TEXT, "contexts": _texts_by_key,
-                 "hazards": _ids_by_key, "not_applicable": _texts_by_key},
-    GateSpec: {"kind": _ENUM_VALUE, "children": _gate_children},
-    CcfPolicy: {"software_categories": list},
-}
+def _node_json(n: Node) -> str:
+    equipment = "" if n.equipment_class is None else f'"equipment_class": {_quoted(n.equipment_class)}, '
+    role = f'"role": {_quoted(n.role)}, ' if n.role else ""
+    return (f'{{{equipment}"id": "{n.id.text}", "kind": "{n.kind._value_}", "name": {_quoted(n.name)}, '
+            f'{role}"technology": "{n.technology._value_}"}}')
 
 
-@lru_cache(maxsize=None)
-def _writer(record: type) -> Callable[[Any], dict[str, Any]]:
-    """The canonical writer of ``record``, planned once from ``_ALWAYS_WRITTEN``,
-    ``_CONVERTERS`` and the record's defaults.
+def _link_json(l: Link) -> str:
+    layer = "" if l.layer is None else f'"layer": {l.layer}, '
+    return f'{{{layer}"source": "{l.source.text}", "target": "{l.target.text}", "type": "{l.type._value_}"}}'
 
-    Its fields are written in field order, each through its converter; a
-    value equal to the field's default is left out.
-    """
-    always, defaults = _ALWAYS_WRITTEN.get(record, ()), record._field_defaults
-    converters = _CONVERTERS.get(record, {})
-    plan = tuple(
-        (key, _WRITTEN if key in always else defaults.get(key, _WRITTEN), converters.get(key))
-        for key in record._fields
+
+def _loss_json(l: Loss) -> str:
+    return f'{{"description": {_quoted(l.description)}, "id": {_quoted(l.id)}}}'
+
+
+def _hazard_json(h: Hazard) -> str:
+    losses = _json_array(map(_quoted, h.losses))
+    return f'{{"description": {_quoted(h.description)}, "id": {_quoted(h.id)}, "losses": {losses}}}'
+
+
+def _action_json(a: ActionSpec) -> str:
+    layer = "" if a.layer is None else f'"layer": {a.layer}, '
+    justified = f'"not_applicable": {_texts_by_key(a.not_applicable)}, ' if a.not_applicable else ""
+    return (f'{{"action_phrase": {_quoted(a.action_phrase)}, "contexts": {_texts_by_key(a.contexts)}, '
+            f'"continuous": {_json_bool(a.continuous)}, "hazards": {_ids_by_key(a.hazards)}, '
+            f'{layer}{justified}"source": "{a.source.text}", "source_label": {_quoted(a.source_label)}, '
+            f'"split": {_json_bool(a.split)}, "target": "{a.target.text}", "verb": {_quoted(a.verb)}}}')
+
+
+def _child_json(c: GateChildSpec) -> str:
+    refs = (("ca_to", c.ca_to), ("fail", c.fail), ("gate", c.gate))
+    return _json_object(f'"{key}": {_quoted(ref)}' for key, ref in refs if ref is not None)
+
+
+def _gate_json(g: GateSpec) -> str:
+    description = "" if g.description is None else f'"description": {_quoted(g.description)}, '
+    k = "" if g.k is None else f'"k": {g.k}, '
+    replicate = "" if g.replicate is None else f', "replicate": {_quoted(g.replicate)}'
+    return (f'{{"children": {_json_array(map(_child_json, g.children))}, {description}"id": {_quoted(g.id)}, '
+            f'{k}"kind": "{g.kind._value_}"{replicate}}}')
+
+
+def _policy_json(p: CcfPolicy) -> str:
+    return (f'{{"include_cross_all_divisions": {_json_bool(p.include_cross_all_divisions)}, '
+            f'"include_intra_division": {_json_bool(p.include_intra_division)}, '
+            f'"include_partial_interdivision": {_json_bool(p.include_partial_interdivision)}, '
+            f'"software_categories": {_json_array(map(_quoted, p.software_categories))}}}')
+
+
+def _canonical_text(m: SystemModel) -> str:
+    """The canonical document of ``m`` as JSON text: arrays sorted by id, keys sorted."""
+    actions = sorted(m.actions, key=lambda a: (a.layer or 0, a.source, a.target))
+    return (
+        f'{{"ccf_policy": {_policy_json(m.ccf_policy)}, '
+        f'"control_actions": {_json_array(map(_action_json, actions))}, '
+        f'"equipment_classes": {_json_array(_class_json(m.classes[tag]) for tag in sorted(m.classes))}, '
+        f'"gates": {_json_array(map(_gate_json, sorted(m.gates, key=attrgetter("id"))))}, '
+        f'"hazards": {_json_array(map(_hazard_json, m.hazards))}, '
+        f'"links": {_json_array(map(_link_json, sorted(m.links, key=_link_order)))}, '
+        f'"losses": {_json_array(map(_loss_json, m.losses))}, '
+        f'"nodes": {_json_array(_node_json(m.nodes[key]) for key in sorted(m.nodes))}, '
+        f'"resha_model_version": {m.version}}}'
     )
-
-    def write(value: Any) -> dict[str, Any]:
-        return {
-            key: item if convert is None else convert(item)
-            for (key, default, convert), item in zip(plan, value)
-            if default is _WRITTEN or item != default
-        }
-
-    return write
-
-
-def _document(value: Any) -> Any:
-    """The canonical JSON form of a SystemModel field: the version, a record or records."""
-    if type(value) is int:
-        return value
-    if hasattr(value, "_fields"):
-        return _writer(type(value))(value)
-    return [_writer(type(record))(record) for record in value]
 
 
 # ---------------------------------------------------------------------------

@@ -573,6 +573,90 @@ def test_one_fault_issue_text(path, value, issue):
     assert [str(i) for i in exc.value.issues] == [issue]
 
 
+def test_one_fault_in_every_section_reported_in_document_order():
+    """Each fault alone leaves every other section checked, so one document
+    pins the order of the issues across sections."""
+    doc = json.loads(json.dumps(_PIN_DOC))
+    doc["equipment_classes"][0]["display"] = 5
+    doc["nodes"][1]["role"] = 5
+    doc["links"][1]["layer"] = 0
+    doc["losses"][1]["description"] = 5
+    doc["hazards"][1]["losses"] = ["L9"]
+    action = doc["control_actions"][0]
+    action["verb"] = 3
+    action["contexts"]["needed"] = 1
+    action["hazards"]["a"] = ["H9"]
+    action["not_applicable"]["d"] = 5
+    doc["gates"][2]["children"][0]["ca_to"] = "garbage"  # V, a plain declaration
+    doc["gates"][1]["children"][0]["fail"] = "$D00.00.09"  # G-$D, a template
+    doc["ccf_policy"]["include_intra_division"] = "yes"
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(doc)
+    assert [str(i) for i in exc.value.issues] == [
+        "equipment_classes[0].display: must be a string",
+        "nodes[1].role: must be a string",
+        "links[1].layer: layer must be an integer >= 1",
+        "losses[1].description: must be a string",
+        "hazards[1].losses: unknown loss 'L9'",
+        "control_actions[0].verb: must be a string",
+        "control_actions[0].contexts.needed: must be a string",
+        "control_actions[0].hazards.a: unknown hazard 'H9'",
+        "control_actions[0].not_applicable.d: must be a string",
+        f"gates[2].children[0].ca_to: malformed node id 'garbage': {_MALFORMED}",
+        "gates[1]: replicated gate 'G-$D' instantiates for no division/unit: "
+        "a node or gate it references is absent",
+        "ccf_policy.include_intra_division: must be true or false",
+    ]
+
+
+def test_gate_references_in_non_ascii_digits_resolve_to_canonical_text():
+    """A reference that is no declared text is parsed: ``\\d`` takes any digit."""
+    doc = json.loads(json.dumps(_PIN_DOC))
+    doc["gates"][1]["children"][0].update(fail="$D٠٠.٠٠.٠١", ca_to="$D٠٠.٠٠.٠٠")  # G-$D, a template
+    doc["gates"][2]["children"][0].update(fail="A٠١.٠٠.٠٠", ca_to="A٠٠.٠٠.٠١")  # V
+    resolved = parse_system_model(doc).resolved_gates
+    assert resolved["G-A"].children == (sysmodel.GateChildSpec(fail="A00.00.01", ca_to="A00.00.00"),)
+    assert resolved["G-B"].children == (sysmodel.GateChildSpec(fail="B00.00.01", ca_to="B00.00.00"),)
+    assert resolved["V"].children == (sysmodel.GateChildSpec(fail="A01.00.00", ca_to="A00.00.01"),)
+
+
+def _units_doc(gates: list[dict]) -> dict:
+    """Division A with units 01, 02 and 10; units 01 and 10 each hold module 01."""
+    doc = doc_with(gates=gates)
+    doc["nodes"] = [{"id": "A00.00.00", "kind": "division"}] + [
+        {"id": node_id, "kind": kind}
+        for node_id, kind in (("A01.00.00", "unit"), ("A02.00.00", "unit"), ("A10.00.00", "unit"),
+                              ("A01.01.00", "module"), ("A10.01.00", "module"))
+    ]
+    return doc
+
+
+def test_per_unit_template_copies_each_unit_that_holds_its_nodes():
+    doc = _units_doc([
+        {"id": "TOP", "kind": "and", "children": [{"gate": "U-A-01"}, {"gate": "U-A-10"}]},
+        {"id": "U-$D-$U", "kind": "or", "replicate": "per-unit", "description": "unit $U of $D",
+         "children": [{"fail": "$D$U.01.00", "ca_to": "$D$U.00.00"}]},
+    ])
+    resolved = parse_system_model(doc).resolved_gates
+    # $U is the unit in two digits; unit 02 holds no module 01, so it has no copy.
+    assert list(resolved) == ["TOP", "U-A-01", "U-A-10"]
+    assert resolved["U-A-10"].description == "unit 10 of A"
+    assert resolved["U-A-10"].children == (
+        sysmodel.GateChildSpec(fail="A10.01.00", ca_to="A10.00.00"),)
+
+
+def test_per_unit_template_without_copies_is_one_issue():
+    doc = _units_doc([
+        {"id": "TOP", "kind": "or", "children": [{"gate": "U-A-01"}]},
+        {"id": "U-$D-$U", "kind": "or", "replicate": "per-unit", "children": [{"fail": "$D$U.09.00"}]},
+    ])
+    with pytest.raises(ModelValidationError) as exc:
+        parse_system_model(doc)
+    assert [str(i) for i in exc.value.issues] == [
+        "gates[1]: replicated gate 'U-$D-$U' instantiates for no division/unit: "
+        "a node or gate it references is absent"]
+
+
 def test_software_category_that_is_not_a_string():
     doc = json.loads(json.dumps(_PIN_DOC))
     doc["ccf_policy"]["software_categories"] = ["a", ["b"], {"c": 1}]
